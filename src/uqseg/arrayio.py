@@ -15,6 +15,8 @@ Also includes a binary PGM (P5) writer for 8-bit map visualization.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -72,15 +74,19 @@ def read_array(path):
     """Read an array written by write_array; bit-exact round trip."""
     with open(path, "rb") as f:
         header = _read_header(f, path)
-        count = int(np.prod(header.shape, dtype=np.int64))
-        nbytes = count * header.dtype.itemsize
+        nbytes = math.prod(header.shape) * header.dtype.itemsize
+        # size the payload from the file before reading, so a header that
+        # declares more than the file holds never drives the allocation
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size < nbytes:
+            raise TruncatedPayloadError(
+                f"{path}: payload truncated, expected {nbytes} bytes, got {size}"
+            )
+        if size > nbytes:
+            raise ArrayFormatError(f"{path}: trailing bytes after payload")
         payload = f.read(nbytes)
         if len(payload) < nbytes:
-            raise TruncatedPayloadError(
-                f"{path}: payload truncated, expected {nbytes} bytes, got {len(payload)}"
-            )
-        if f.read(1):
-            raise ArrayFormatError(f"{path}: trailing bytes after payload")
+            raise TruncatedPayloadError(f"{path}: file shrank while being read")
     arr = np.frombuffer(payload, dtype=header.dtype).reshape(header.shape)
     # native byte order, writable copy
     return arr.astype(header.dtype.newbyteorder("="), copy=True)

@@ -52,10 +52,11 @@ def _parse_classes(text):
 
 
 def _parse_shape(text):
-    parts = text.split("x")
-    if len(parts) != 2:
+    try:
+        h, w = (int(v) for v in text.split("x"))
+    except ValueError:
         raise ValidationError(f"bad shape {text!r}; expected HxW like 64x64")
-    return (int(parts[0]), int(parts[1]))
+    return (h, w)
 
 
 def _emit(lines, out_path):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .arrays import validate_binary, validate_labels, validate_probabilities
 from .errors import ValidationError
@@ -176,8 +175,9 @@ def uncertainty_dice_table(cases) -> UncertaintyDiceTable:
     """Pair uncertainty scores with Dice results and rank-correlate them.
 
     ``cases`` holds (UncertaintyScore, DiceResult) pairs, or plain
-    (score, dice) floats. With fewer than 3 cases, or with constant ranks,
-    the correlation is omitted with a note.
+    (score, dice) floats. The correlation is the Pearson correlation of
+    average ranks. With fewer than 3 cases, constant ranks or a NaN value it
+    is omitted with a note.
     """
     rows = tuple(
         (
@@ -190,9 +190,23 @@ def uncertainty_dice_table(cases) -> UncertaintyDiceTable:
         return UncertaintyDiceTable(rows, None, "fewer than 3 cases; correlation omitted")
     scores = np.array([r[0] for r in rows])
     dices = np.array([r[1] for r in rows])
-    if np.all(scores == scores[0]) or np.all(dices == dices[0]):
+    if (
+        np.isnan(scores).any()
+        or np.isnan(dices).any()
+        or np.all(scores == scores[0])
+        or np.all(dices == dices[0])
+    ):
         return UncertaintyDiceTable(rows, None, "constant ranks; correlation undefined")
-    rho = float(stats.spearmanr(scores, dices).correlation)
-    if not np.isfinite(rho):
-        return UncertaintyDiceTable(rows, None, "constant ranks; correlation undefined")
+    rho = float(np.corrcoef(_average_ranks(scores), _average_ranks(dices))[1, 0])
     return UncertaintyDiceTable(rows, rho, None)
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks

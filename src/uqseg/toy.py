@@ -14,6 +14,7 @@ soft Dice loss (smoothing 1.0); everything is deterministic given
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,11 @@ class ToyCase:
     labels: np.ndarray
     class_count: int
     noise_std: float
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """``case_features`` of the image, computed on first use only."""
+        return case_features(self.image)
 
 
 @dataclass(frozen=True)
@@ -196,13 +202,20 @@ def predict(weights, image) -> np.ndarray:
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != FEATURE_COUNT:
         raise ValidationError(f"weights must be (classes, {FEATURE_COUNT}), got {W.shape}")
-    feats = case_features(image)
+    return _posterior(W, case_features(image), np.asarray(image).shape)
+
+
+def _softmax(feats, W):
+    """Per-pixel class probabilities (P, c) of the linear model."""
     logits = feats @ W.T
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    h, w = np.asarray(image).shape
-    return probs.T.reshape(W.shape[0], h, w)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _posterior(W, feats, shape):
+    """Softmax posterior (c, H, W) from a case's precomputed features."""
+    return _softmax(feats, W).T.reshape(W.shape[0], *shape)
 
 
 def predict_checkpoint(store, checkpoint_id, image) -> np.ndarray:
@@ -224,10 +237,7 @@ def _dice_loss_grad(probs, onehot):
 
 
 def _case_gradient(feats, onehot, W):
-    logits = feats @ W.T
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = _softmax(feats, W)
     loss, gp = _dice_loss_grad(probs, onehot)
     gz = probs * (gp - (gp * probs).sum(axis=1, keepdims=True))
     return loss, gz.T @ feats
@@ -248,7 +258,8 @@ def validation_dice(weights, cases) -> float:
     """Mean foreground Dice of argmax predictions over validation cases."""
     per_case = []
     for case in cases:
-        pred = predict(weights, case.image).argmax(axis=0).astype(np.uint8)
+        probs = _posterior(weights, case.features, case.image.shape)
+        pred = probs.argmax(axis=0).astype(np.uint8)
         scores = [
             dice(pred, case.labels, k).dice for k in range(1, case.class_count)
         ]
@@ -263,7 +274,7 @@ def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0
     policy = policy or SelectionPolicy()
     class_count = train_cases[0].class_count
 
-    feats = [case_features(c.image) for c in train_cases]
+    feats = [c.features for c in train_cases]
     onehots = [
         np.eye(class_count)[c.labels.reshape(-1)] for c in train_cases
     ]
@@ -370,7 +381,7 @@ def run_toy_training(
         case_dir = pred_dir / case.case_id
         case_dir.mkdir(parents=True, exist_ok=True)
         for cid, weights in checkpoints.items():
-            probs = predict(weights, case.image)
+            probs = _posterior(weights, case.features, case.image.shape)
             write_array(case_dir / f"{cid}.uqsg", probs.astype(np.float32))
     return trace, checkpoints, cases
 

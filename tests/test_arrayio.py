@@ -1,4 +1,6 @@
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +75,30 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(TruncatedPayloadError):
         read_array(path)
+
+
+@pytest.mark.parametrize(
+    "dims, payload",
+    [
+        ((2**30,), 8),  # a 20-byte file declaring 4 GiB of float32
+        ((2**16,) * 4, 0),  # 2**64 values: wraps to 0 in int64 arithmetic
+    ],
+)
+def test_oversized_header_fails_before_allocating(tmp_path, dims, payload):
+    path = tmp_path / "huge.uqsg"
+    header = struct.pack(f"<4sHBB{len(dims)}I", b"UQSG", 1, 0, len(dims), *dims)
+    path.write_bytes(header + bytes(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError) as info:
+            read_array(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    message = str(info.value)
+    assert str(path) in message
+    assert f"expected {4 * math.prod(dims)} bytes, got {payload}" in message
 
 
 def test_trailing_bytes_rejected(tmp_path):

@@ -265,3 +265,32 @@ class TestUncertaintyDiceTable:
             assert table.spearman == pytest.approx(
                 spearman_oracle(scores, dices), abs=1e-12
             )
+
+    def test_ties(self):
+        scores = [0.3, 0.1, 0.3, 0.7, 0.1, 0.3, 0.9, 0.5]
+        dices = [0.8, 0.9, 0.6, 0.6, 0.95, 0.7, 0.2, 0.6]
+        table = uncertainty_dice_table(_pairs(scores, dices))
+        assert table.spearman == pytest.approx(
+            spearman_oracle(scores, dices), abs=1e-12
+        )
+        # bit for bit the value scipy.stats.spearmanr gives on these vectors
+        assert table.spearman == -0.9182571549035955
+
+    @pytest.mark.parametrize("nan_in", ["scores", "dices"])
+    def test_nan_omits_correlation(self, nan_in):
+        scores = [1.0, 2.0, 3.0, 4.0]
+        dices = [0.9, 0.7, 0.8, 0.6]
+        (scores if nan_in == "scores" else dices)[1] = float("nan")
+        table = uncertainty_dice_table(_pairs(scores, dices))
+        assert table.spearman is None
+        assert table.note == "constant ranks; correlation undefined"
+
+    def test_invariant_under_increasing_transform(self):
+        rng = np.random.default_rng(5)
+        scores = np.round(rng.random(30), 1)
+        dices = np.round(rng.random(30), 2)
+        rho = uncertainty_dice_table(_pairs(scores, dices)).spearman
+        moved = uncertainty_dice_table(
+            _pairs(np.exp(3.0 * scores) - 7.0, dices**3)
+        ).spearman
+        assert moved == rho

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +307,24 @@ class TestCli:
         code = main(["run", "--config", str(cfg_path)])
         assert code == 2
         assert "select-checkpoints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", ["64xab", "64", "8x8x8", "x"])
+    def test_bad_shape_exits_validation(self, shape, tmp_path, capsys):
+        code = main(["toy-gen", "--shape", shape, "--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad shape")
+        assert "Traceback" not in err
+
+    def test_import_does_not_load_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import uqseg.cli, sys; assert not any("
+            "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], env=env)
+        assert proc.returncode == 0
 
     def test_toy_gen_command(self, tmp_path):
         assert main([
