@@ -2,8 +2,8 @@
 
 Library layout:
 
-* ``arrays`` / ``arrayio`` -- array types, validators, normalization,
-  slicing, and the binary array file format
+* ``arrays`` / ``arrayio`` -- validators, normalization, and the binary
+  array file format
 * ``scheduler``            -- warm-restart cosine learning-rate schedule
 * ``selection``            -- per-cycle checkpoint selection from a trace
 * ``ensemble``             -- posterior averaging and argmax labels
@@ -15,17 +15,10 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .arrays import (
-    SliceShape,
-    VolumeShape,
-    slice_axial,
-    stack_slices,
-    validate_probabilities,
-    zscore_normalize,
-)
+from .arrays import validate_probabilities, zscore_normalize
 from .arrayio import read_array, write_array
 from .ensemble import argmax_labels, class_foreground, ensemble_mean
-from .metrics import average_entropy, dice, ece, uncertainty_dice_table
+from .metrics import dice, ece, uncertainty_dice_table
 from .scheduler import SgdrConfig, cycle_of, lr_at, restart_epochs
 from .selection import SelectionPolicy, TrainingTrace, find_cycle_peaks
 from .uncertainty import (
@@ -41,12 +34,9 @@ from .uncertainty import (
 __all__ = [
     "SgdrConfig",
     "SelectionPolicy",
-    "SliceShape",
     "StructuringElement",
     "TrainingTrace",
-    "VolumeShape",
     "argmax_labels",
-    "average_entropy",
     "class_foreground",
     "contour_normalizer",
     "cycle_of",
@@ -59,8 +49,6 @@ __all__ = [
     "pixel_entropy",
     "read_array",
     "restart_epochs",
-    "slice_axial",
-    "stack_slices",
     "threshold_binary",
     "total_entropy",
     "uncertainty_dice_table",

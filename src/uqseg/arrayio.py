@@ -64,12 +64,6 @@ def write_array(path, array):
         f.write(payload)
 
 
-def read_header(path):
-    """Read and validate only the header of an array file."""
-    with open(path, "rb") as f:
-        return _read_header(f, path)
-
-
 def read_array(path):
     """Read an array written by write_array; bit-exact round trip."""
     with open(path, "rb") as f:

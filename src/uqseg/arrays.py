@@ -1,4 +1,4 @@
-"""Core array types, validators, and per-case preprocessing.
+"""Array shape conventions, validators, and per-case preprocessing.
 
 Arrays are plain numpy ndarrays with these shape conventions:
 
@@ -14,8 +14,6 @@ All functions are pure; nothing here mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
@@ -23,37 +21,6 @@ from .errors import DegenerateInputError, ValidationError
 # Per-pixel class vectors must sum to 1 within this tolerance; float32
 # softmax outputs accumulate rounding at roughly this scale.
 SIMPLEX_TOLERANCE = 1e-5
-
-
-@dataclass(frozen=True)
-class SliceShape:
-    """Geometry of a single 2D slice plus the number of classes."""
-
-    height: int
-    width: int
-    class_count: int
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValidationError(f"slice dimensions must be >= 1, got {self}")
-        if self.class_count < 2:
-            raise ValidationError(f"class_count must be >= 2, got {self.class_count}")
-
-
-@dataclass(frozen=True)
-class VolumeShape:
-    """Geometry of a 3D volume plus the number of classes."""
-
-    depth: int
-    height: int
-    width: int
-    class_count: int
-
-    def __post_init__(self):
-        if self.depth < 1 or self.height < 1 or self.width < 1:
-            raise ValidationError(f"volume dimensions must be >= 1, got {self}")
-        if self.class_count < 2:
-            raise ValidationError(f"class_count must be >= 2, got {self.class_count}")
 
 
 def validate_intensities(volume, *, case_id=None):
@@ -135,43 +102,6 @@ def zscore_normalize(volume, *, case_id=None):
             _tag("constant volume has zero standard deviation", case_id)
         )
     return (v - mean) / std
-
-
-def slice_axial(volume):
-    """Split a volume into its ordered axial slices.
-
-    3D arrays ``(D, H, W)`` yield D slices of ``(H, W)``; 4D probability
-    arrays ``(c, D, H, W)`` yield D slices of ``(c, H, W)``.
-    """
-    v = np.asarray(volume)
-    if v.ndim == 3:
-        return [v[k] for k in range(v.shape[0])]
-    if v.ndim == 4:
-        return [v[:, k] for k in range(v.shape[1])]
-    raise ValidationError(f"expected a 3D or 4D array, got shape {v.shape}")
-
-
-def stack_slices(slices):
-    """Stack ordered slices back into a volume; inverse of slice_axial.
-
-    2D slices stack into ``(D, H, W)``; 3D ``(c, H, W)`` slices stack into
-    ``(c, D, H, W)``.
-    """
-    if len(slices) == 0:
-        raise ValidationError("cannot stack an empty slice list")
-    first = np.asarray(slices[0])
-    for i, s in enumerate(slices):
-        s = np.asarray(s)
-        if s.shape != first.shape or s.dtype != first.dtype:
-            raise ValidationError(
-                f"slice {i} has shape {s.shape} dtype {s.dtype}, "
-                f"expected {first.shape} {first.dtype}"
-            )
-    if first.ndim == 2:
-        return np.stack(slices, axis=0)
-    if first.ndim == 3:
-        return np.stack(slices, axis=1)
-    raise ValidationError(f"slices must be 2D or 3D, got shape {first.shape}")
 
 
 def _tag(message, case_id):

@@ -11,34 +11,33 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, reports
-from .arrayio import (
-    FORMAT_VERSION,
-    entropy_to_gray,
-    read_array,
-    write_array,
-    write_pgm,
-)
+from .arrayio import FORMAT_VERSION, read_array
 from .arrays import SIMPLEX_TOLERANCE, validate_labels, validate_probabilities
-from .ensemble import ensemble_mean
 from .errors import UqsegError, ValidationError
-from .metrics import dice, ece, uncertainty_dice_table
-from .pipeline import PipelineConfig, run_pipeline
-from .scheduler import SgdrConfig, schedule_rows
-from .selection import (
-    SelectionPolicy,
-    TrainingTrace,
-    export_selection,
-    find_cycle_peaks,
-    read_selection,
+from .metrics import dice, ece
+from .pipeline import (
+    DEFAULT_POLICY,
+    DEFAULT_SCHEDULE,
+    PipelineConfig,
+    fuse_members,
+    policy_of,
+    run_pipeline,
+    schedule_of,
+    write_entropy,
+    write_summary,
 )
-from .toy import generate_dataset, run_toy_training
-from .uncertainty import FOREGROUND_THRESHOLD, pixel_entropy, uncertainty_score
+from .scheduler import schedule_rows
+from .selection import TrainingTrace, export_selection, find_cycle_peaks, read_selection
+from .toy import generate_dataset, run_toy_training, write_cases
+from .uncertainty import FOREGROUND_THRESHOLD, uncertainty_score
 
-DEFAULTS = SgdrConfig()
-DEFAULT_POLICY = SelectionPolicy()
+_CASE_COLUMNS = {
+    "case_id": str,
+    "class_id": int,
+    "uncertainty_score": float,
+    "dice": float,
+}
 
 
 def _parse_classes(text):
@@ -67,30 +66,13 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _add_schedule_args(p, with_epochs=True):
-    p.add_argument("--t0", type=int, default=DEFAULTS.t0)
-    p.add_argument("--eta", type=float, default=DEFAULTS.eta)
-    p.add_argument("--lr-max", type=float, default=DEFAULTS.lr_max)
-    p.add_argument("--lr-min", type=float, default=DEFAULTS.lr_min)
-    if with_epochs:
-        p.add_argument("--epochs", type=int, default=DEFAULTS.total_epochs)
-
-
-def _schedule_from(args) -> SgdrConfig:
-    return SgdrConfig(
-        t0=args.t0,
-        eta=args.eta,
-        lr_max=args.lr_max,
-        lr_min=args.lr_min,
-        total_epochs=args.epochs,
-    )
-
-
-def _policy_from(args) -> SelectionPolicy:
-    return SelectionPolicy(
-        per_cycle=args.per_cycle,
-        window_fraction=args.window_fraction,
-        min_peak_ratio=args.min_peak_ratio,
+def _add_schedule_args(p):
+    p.add_argument("--t0", type=int, default=DEFAULT_SCHEDULE.t0)
+    p.add_argument("--eta", type=float, default=DEFAULT_SCHEDULE.eta)
+    p.add_argument("--lr-max", type=float, default=DEFAULT_SCHEDULE.lr_max)
+    p.add_argument("--lr-min", type=float, default=DEFAULT_SCHEDULE.lr_min)
+    p.add_argument(
+        "--epochs", dest="total_epochs", type=int, default=DEFAULT_SCHEDULE.total_epochs
     )
 
 
@@ -105,7 +87,7 @@ def _add_policy_args(p):
 
 
 def cmd_lr_schedule(args):
-    cfg = _schedule_from(args)
+    cfg = schedule_of(args)
     lines = ["epoch,cycle,lr"]
     for epoch, cycle, lr in schedule_rows(cfg):
         lines.append(f"{epoch},{cycle},{reports.fmt9(lr)}")
@@ -115,39 +97,18 @@ def cmd_lr_schedule(args):
 
 def cmd_select(args):
     trace = TrainingTrace.from_csv(args.trace)
-    selection = find_cycle_peaks(trace, _schedule_from(args), _policy_from(args))
+    selection = find_cycle_peaks(trace, schedule_of(args), policy_of(args))
     export_selection(selection, args.out)
     return 0
 
 
 def cmd_fuse(args):
-    selection = read_selection(args.manifest)
-    inputs = Path(args.inputs)
-    members = []
-    for cid in selection.checkpoint_ids:
-        path = inputs / f"{cid}.uqsg"
-        if not path.exists():
-            raise ValidationError(f"missing member posterior {path}")
-        members.append(read_array(path))
-    mean = ensemble_mean(members)
-    write_array(args.out, mean.astype(np.float32))
+    fuse_members(read_selection(args.manifest).checkpoint_ids, args.inputs, args.out)
     return 0
 
 
 def cmd_entropy(args):
-    probs = read_array(args.input)
-    h = pixel_entropy(probs)
-    write_array(args.out, h.astype(np.float32))
-    if args.pgm:
-        out_dir = Path(args.pgm)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        gray = entropy_to_gray(h, probs.shape[0])
-        stem = Path(args.out).stem
-        if gray.ndim == 2:
-            write_pgm(out_dir / f"{stem}.pgm", gray)
-        else:
-            for k in range(gray.shape[0]):
-                write_pgm(out_dir / f"{stem}_z{k:03d}.pgm", gray[k])
+    write_entropy(read_array(args.input), args.out, args.pgm)
     return 0
 
 
@@ -181,21 +142,7 @@ def cmd_ece(args):
 
 
 def cmd_report(args):
-    rows = reports.read_cases_csv(args.cases)
-    table = uncertainty_dice_table([(s, d) for _, _, s, d in rows])
-    case_rows = []
-    for case_id, class_id, score, dice_value in rows:
-        case_rows.append(
-            reports.summary_case_row(case_id, class_id, "uncertainty_score", score)
-        )
-        case_rows.append(reports.summary_case_row(case_id, class_id, "dice", dice_value))
-    if table.spearman is None:
-        dataset_rows = [reports.summary_dataset_row("spearman_note", table.note)]
-    else:
-        dataset_rows = [
-            reports.summary_dataset_row("spearman_score_dice", table.spearman)
-        ]
-    reports.write_summary_csv(args.out, case_rows, dataset_rows)
+    write_summary(args.out, reports.read_csv(args.cases, _CASE_COLUMNS))
     return 0
 
 
@@ -207,16 +154,12 @@ def cmd_toy_gen(args):
         class_count=args.classes,
         noise_std=args.noise,
     )
-    out = Path(args.outdir) / "cases"
-    out.mkdir(parents=True, exist_ok=True)
-    for case in cases:
-        write_array(out / f"{case.case_id}_image.uqsg", case.image.astype(np.float32))
-        write_array(out / f"{case.case_id}_labels.uqsg", case.labels)
+    write_cases(cases, args.outdir)
     return 0
 
 
 def cmd_toy_train(args):
-    cfg = _schedule_from(args)
+    cfg = schedule_of(args)
     run_toy_training(
         args.outdir,
         seed=args.seed,
@@ -225,7 +168,7 @@ def cmd_toy_train(args):
         shape=_parse_shape(args.shape),
         class_count=args.classes,
         cfg=cfg,
-        policy=_policy_from(args),
+        policy=policy_of(args),
         noise_std=args.noise,
     )
     return 0
@@ -243,11 +186,11 @@ def cmd_info(args):
         "version": __version__,
         "array_format_version": FORMAT_VERSION,
         "defaults": {
-            "t0": DEFAULTS.t0,
-            "eta": DEFAULTS.eta,
-            "lr_max": DEFAULTS.lr_max,
-            "lr_min": DEFAULTS.lr_min,
-            "total_epochs": DEFAULTS.total_epochs,
+            "t0": DEFAULT_SCHEDULE.t0,
+            "eta": DEFAULT_SCHEDULE.eta,
+            "lr_max": DEFAULT_SCHEDULE.lr_max,
+            "lr_min": DEFAULT_SCHEDULE.lr_min,
+            "total_epochs": DEFAULT_SCHEDULE.total_epochs,
             "per_cycle": DEFAULT_POLICY.per_cycle,
             "window_fraction": DEFAULT_POLICY.window_fraction,
             "min_peak_ratio": DEFAULT_POLICY.min_peak_ratio,
@@ -297,7 +240,7 @@ def build_parser():
     p = sub.add_parser("entropy", help="per-pixel entropy map of a posterior")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pgm", "--png", dest="pgm", help="also write 8-bit PGM maps here")
+    p.add_argument("--pgm", help="also write 8-bit PGM maps here")
     p.set_defaults(fn=cmd_entropy)
 
     p = sub.add_parser("score", help="contour-normalized per-class uncertainty scores")
@@ -371,9 +314,6 @@ def main(argv=None) -> int:
     except UqsegError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -6,61 +6,27 @@ so it works identically on 2D slices (c, H, W) and 3D volumes (c, D, H, W).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrays import validate_probabilities
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class EnsembleInput:
-    """Validated member posteriors plus their checkpoint ids."""
-
-    members: tuple
-    member_ids: tuple
-
-    def __post_init__(self):
-        members = tuple(np.asarray(m) for m in self.members)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "member_ids", tuple(self.member_ids))
-        if len(members) < 1:
-            raise ValidationError("ensemble needs at least one member")
-        if len(self.member_ids) != len(members):
-            raise ValidationError(
-                f"{len(self.member_ids)} ids for {len(members)} members"
-            )
-        if len(set(self.member_ids)) != len(self.member_ids):
-            raise ValidationError("duplicate member ids")
-        first = members[0].shape
-        for mid, m in zip(self.member_ids, members):
-            if m.shape != first:
-                raise ValidationError(
-                    f"member {mid} has shape {m.shape}, expected {first}"
-                )
-            validate_probabilities(m)
-
-
 def ensemble_mean(members) -> np.ndarray:
     """Uniform per-pixel, per-class mean of member posteriors.
 
-    Accepts an EnsembleInput or any sequence of probability arrays with
-    identical shapes.
+    ``members`` is a sequence of probability arrays with identical shapes.
     """
-    if isinstance(members, EnsembleInput):
-        arrays = members.members
-    else:
-        arrays = [np.asarray(m) for m in members]
-        if len(arrays) < 1:
-            raise ValidationError("ensemble needs at least one member")
-        first = arrays[0].shape
-        for i, m in enumerate(arrays):
-            if m.shape != first:
-                raise ValidationError(
-                    f"member {i} has shape {m.shape}, expected {first}"
-                )
-            validate_probabilities(m)
+    arrays = [np.asarray(m) for m in members]
+    if len(arrays) < 1:
+        raise ValidationError("ensemble needs at least one member")
+    first = arrays[0].shape
+    for i, m in enumerate(arrays):
+        if m.shape != first:
+            raise ValidationError(
+                f"member {i} has shape {m.shape}, expected {first}"
+            )
+        validate_probabilities(m)
     stacked = np.stack([np.asarray(m, dtype=np.float64) for m in arrays], axis=0)
     return stacked.mean(axis=0)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import validate_binary, validate_labels, validate_probabilities
+from .arrays import validate_labels, validate_probabilities
 from .errors import ValidationError
 
 
@@ -142,24 +142,6 @@ def ece(p, gt, n_bins: int = 10, *, foreground_only: bool = False) -> Calibratio
         .add(p, gt, foreground_only=foreground_only)
         .report()
     )
-
-
-def average_entropy(entropy_map, region=None) -> float:
-    """Mean entropy over the whole map or a non-empty binary region."""
-    h = np.asarray(entropy_map, dtype=np.float64)
-    if region is None:
-        if h.size == 0:
-            raise ValidationError("empty entropy map")
-        return float(h.mean())
-    mask = validate_binary(region)
-    if mask.shape != h.shape:
-        raise ValidationError(
-            f"region shape {mask.shape} does not match map shape {h.shape}"
-        )
-    selected = h[mask == 1]
-    if selected.size == 0:
-        raise ValidationError("region selects no pixels")
-    return float(selected.mean())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ run_pipeline consumes artifacts of a finished training run (a trace CSV,
 per-checkpoint posterior files, ground-truth labels) and produces the
 manifest, fused posteriors, entropy maps, per-class scores, Dice/ECE
 tables, and a single summary CSV. Stages run in order; a failure aborts
-with the stage name and removes files created by this run.
+with the stage name and removes files created by this run. The fuse,
+entropy and report stages are ``fuse_members``, ``write_entropy`` and
+``write_summary``, which the CLI subcommands call too.
 """
 
 from __future__ import annotations
@@ -44,6 +46,29 @@ _SCHEMA = {
 
 _REQUIRED = ("trace", "predictions_dir", "cases_dir", "outdir", "t0", "total_epochs")
 
+DEFAULT_SCHEDULE = SgdrConfig()
+DEFAULT_POLICY = SelectionPolicy()
+
+
+def schedule_of(settings) -> SgdrConfig:
+    """The schedule in the same-named fields of a PipelineConfig or CLI arguments."""
+    return SgdrConfig(
+        t0=settings.t0,
+        eta=settings.eta,
+        lr_max=settings.lr_max,
+        lr_min=settings.lr_min,
+        total_epochs=settings.total_epochs,
+    )
+
+
+def policy_of(settings) -> SelectionPolicy:
+    """The policy in the same-named fields of a PipelineConfig or CLI arguments."""
+    return SelectionPolicy(
+        per_cycle=settings.per_cycle,
+        window_fraction=settings.window_fraction,
+        min_peak_ratio=settings.min_peak_ratio,
+    )
+
 
 @dataclass
 class PipelineConfig:
@@ -53,12 +78,12 @@ class PipelineConfig:
     outdir: str
     t0: int
     total_epochs: int
-    eta: float = 2.0
-    lr_max: float = 0.1
-    lr_min: float = 1e-4
-    per_cycle: int = 3
-    window_fraction: float = 0.5
-    min_peak_ratio: float = 0.9
+    eta: float = DEFAULT_SCHEDULE.eta
+    lr_max: float = DEFAULT_SCHEDULE.lr_max
+    lr_min: float = DEFAULT_SCHEDULE.lr_min
+    per_cycle: int = DEFAULT_POLICY.per_cycle
+    window_fraction: float = DEFAULT_POLICY.window_fraction
+    min_peak_ratio: float = DEFAULT_POLICY.min_peak_ratio
     classes: tuple = ()  # empty: every foreground class found in the data
     bins: int = 10
     entropy_region: str = "image"  # or "contour"
@@ -72,24 +97,8 @@ class PipelineConfig:
         if self.bins < 1:
             raise ValidationError(f"bins must be >= 1, got {self.bins}")
         # construction of these validates the numeric ranges
-        self.schedule()
-        self.policy()
-
-    def schedule(self) -> SgdrConfig:
-        return SgdrConfig(
-            t0=self.t0,
-            eta=self.eta,
-            lr_max=self.lr_max,
-            lr_min=self.lr_min,
-            total_epochs=self.total_epochs,
-        )
-
-    def policy(self) -> SelectionPolicy:
-        return SelectionPolicy(
-            per_cycle=self.per_cycle,
-            window_fraction=self.window_fraction,
-            min_peak_ratio=self.min_peak_ratio,
-        )
+        schedule_of(self)
+        policy_of(self)
 
     @classmethod
     def from_file(cls, path):
@@ -205,12 +214,76 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     return state["result"]
 
 
+def _untracked(path):
+    return path
+
+
+def fuse_members(checkpoint_ids, inputs, out, track=_untracked) -> np.ndarray:
+    """Average the posteriors ``<inputs>/<id>.uqsg`` of the checkpoint ids.
+
+    Writes the mean as float32 to ``out`` and returns it as float64.
+    ``track`` is called with each output path before it is written.
+    """
+    members = []
+    for cid in checkpoint_ids:
+        member_path = Path(inputs) / f"{cid}.uqsg"
+        if not member_path.exists():
+            raise ValidationError(
+                f"missing member posterior {member_path} for checkpoint {cid}"
+            )
+        members.append(read_array(member_path))
+    mean = ensemble_mean(members)
+    write_array(track(out), mean.astype(np.float32))
+    return mean
+
+
+def write_entropy(probs, out, pgm_dir=None, track=_untracked) -> np.ndarray:
+    """Write the entropy map of ``probs`` to ``out`` as float32 and return it.
+
+    With ``pgm_dir`` it also writes 8-bit PGM images named after ``out``:
+    one per 2D map, or one per axial slice ``<stem>_z<k>.pgm`` of a volume.
+    """
+    h = pixel_entropy(probs)
+    write_array(track(out), h.astype(np.float32))
+    if pgm_dir is not None:
+        pgm_dir = Path(pgm_dir)
+        pgm_dir.mkdir(parents=True, exist_ok=True)
+        gray = entropy_to_gray(h, probs.shape[0])
+        stem = Path(out).stem
+        if gray.ndim == 2:
+            write_pgm(track(pgm_dir / f"{stem}.pgm"), gray)
+        else:
+            for k in range(gray.shape[0]):
+                write_pgm(track(pgm_dir / f"{stem}_z{k:03d}.pgm"), gray[k])
+    return h
+
+
+def write_summary(path, cases, dataset_rows=()):
+    """Write the summary CSV and return the score/Dice table.
+
+    ``cases`` holds (case_id, class_id, score, dice) tuples, each giving two
+    case rows. The dataset rows start with the Spearman coefficient, or the
+    note on why it was omitted, followed by ``dataset_rows``.
+    """
+    table = uncertainty_dice_table([(s, d) for _, _, s, d in cases])
+    lines = [reports.SUMMARY_HEADER]
+    for case_id, class_id, score, dice_value in cases:
+        lines.append(reports.summary_case_row(case_id, class_id, "uncertainty_score", score))
+        lines.append(reports.summary_case_row(case_id, class_id, "dice", dice_value))
+    if table.spearman is None:
+        lines.append(reports.summary_dataset_row("spearman_note", table.note))
+    else:
+        lines.append(reports.summary_dataset_row("spearman_score_dice", table.spearman))
+    reports.write_lines(path, lines + list(dataset_rows))
+    return table
+
+
 def _stage_select(cfg, ws, state):
     trace_path = Path(cfg.trace)
     if not trace_path.exists():
         raise ValidationError(f"trace file {trace_path} does not exist")
     trace = TrainingTrace.from_csv(trace_path)
-    selection = find_cycle_peaks(trace, cfg.schedule(), cfg.policy())
+    selection = find_cycle_peaks(trace, schedule_of(cfg), policy_of(cfg))
     outdir = ws.mkdir(cfg.outdir)
     manifest = outdir / "manifest.csv"
     export_selection(selection, ws.track(manifest))
@@ -225,38 +298,26 @@ def _stage_fuse(cfg, ws, state):
     if not case_ids:
         raise ValidationError(f"no case directories under {pred_root}")
     mean_dir = ws.mkdir(Path(cfg.outdir) / "mean")
-    means = {}
-    for case_id in case_ids:
-        members = []
-        for cid in state["selection"].checkpoint_ids:
-            member_path = pred_root / case_id / f"{cid}.uqsg"
-            if not member_path.exists():
-                raise ValidationError(
-                    f"missing member posterior {member_path} for checkpoint {cid}"
-                )
-            members.append(read_array(member_path))
-        mean = ensemble_mean(members)
-        write_array(ws.track(mean_dir / f"{case_id}.uqsg"), mean.astype(np.float32))
-        means[case_id] = mean
     state["case_ids"] = case_ids
-    state["means"] = means
+    state["means"] = {
+        case_id: fuse_members(
+            state["selection"].checkpoint_ids,
+            pred_root / case_id,
+            mean_dir / f"{case_id}.uqsg",
+            ws.track,
+        )
+        for case_id in case_ids
+    }
 
 
 def _stage_entropy(cfg, ws, state):
     entropy_dir = ws.mkdir(Path(cfg.outdir) / "entropy")
-    maps = {}
-    for case_id in state["case_ids"]:
-        mean = state["means"][case_id]
-        h = pixel_entropy(mean)
-        write_array(ws.track(entropy_dir / f"{case_id}.uqsg"), h.astype(np.float32))
-        gray = entropy_to_gray(h, mean.shape[0])
-        if gray.ndim == 2:
-            write_pgm(ws.track(entropy_dir / f"{case_id}.pgm"), gray)
-        else:
-            for k in range(gray.shape[0]):
-                write_pgm(ws.track(entropy_dir / f"{case_id}_z{k:03d}.pgm"), gray[k])
-        maps[case_id] = h
-    state["entropies"] = maps
+    state["entropies"] = {
+        case_id: write_entropy(
+            state["means"][case_id], entropy_dir / f"{case_id}.uqsg", entropy_dir, ws.track
+        )
+        for case_id in state["case_ids"]
+    }
 
 
 def _classes_for(cfg, class_count):
@@ -320,40 +381,24 @@ def _stage_metrics(cfg, ws, state):
 
 
 def _stage_report(cfg, ws, state):
-    case_rows = []
-    pairs = []
-    for case_id in state["case_ids"]:
-        mean = state["means"][case_id]
-        for k in _classes_for(cfg, mean.shape[0]):
-            s = state["scores"][(case_id, k)]
-            d = state["dices"][(case_id, k)]
-            pairs.append((s, d))
-            case_rows.append(
-                reports.summary_case_row(case_id, k, "uncertainty_score", s.score)
-            )
-            case_rows.append(reports.summary_case_row(case_id, k, "dice", d.dice))
-    table = uncertainty_dice_table(pairs)
-    dataset_rows = []
-    if table.spearman is None:
-        dataset_rows.append(reports.summary_dataset_row("spearman_note", table.note))
-    else:
-        dataset_rows.append(
-            reports.summary_dataset_row("spearman_score_dice", table.spearman)
-        )
-    dataset_rows.append(
-        reports.summary_dataset_row("ece_percent", state["calibration"].ece)
-    )
-    dataset_rows.append(
-        reports.summary_dataset_row("avg_entropy_bits", state["avg_entropy"])
-    )
-    dataset_rows.append(
-        reports.summary_dataset_row("h_total_region", cfg.entropy_region)
-    )
+    cases = [
+        (case_id, k, s.score, state["dices"][(case_id, k)].dice)
+        for (case_id, k), s in state["scores"].items()
+    ]
     summary = Path(cfg.outdir) / "summary.csv"
-    reports.write_summary_csv(ws.track(summary), case_rows, dataset_rows)
+    calibration = state["calibration"]
+    table = write_summary(
+        ws.track(summary),
+        cases,
+        [
+            reports.summary_dataset_row("ece_percent", calibration.ece),
+            reports.summary_dataset_row("avg_entropy_bits", state["avg_entropy"]),
+            reports.summary_dataset_row("h_total_region", cfg.entropy_region),
+        ],
+    )
     state["result"] = PipelineResult(
         summary_path=summary,
-        ece_percent=state["calibration"].ece,
+        ece_percent=calibration.ece,
         avg_entropy_bits=state["avg_entropy"],
         spearman=table.spearman,
         case_count=len(state["case_ids"]),

@@ -1,4 +1,4 @@
-"""Deterministic CSV writers shared by the pipeline and the CLI.
+"""Deterministic CSV writers and the CSV reader shared by the pipeline and CLI.
 
 Every float is rendered with 9 significant digits so outputs are stable
 enough for byte-for-byte golden-file comparison.
@@ -35,10 +35,6 @@ def score_row(score, case_id=None):
 SCORE_HEADER = "class,h_total,contour_pixels,score,empty_contour_flag"
 
 
-def write_scores_csv(path, scores):
-    write_lines(path, [SCORE_HEADER] + [score_row(s) for s in scores])
-
-
 DICE_HEADER = "class,intersection,pred_size,gt_size,dice"
 
 
@@ -53,10 +49,6 @@ def dice_row(result, case_id=None):
     if case_id is not None:
         fields.insert(0, case_id)
     return ",".join(fields)
-
-
-def write_dice_csv(path, results):
-    write_lines(path, [DICE_HEADER] + [dice_row(r) for r in results])
 
 
 def write_ece_csv(path, report):
@@ -92,22 +84,35 @@ def summary_dataset_row(metric, value):
     return f"dataset,,,{metric},{text}"
 
 
-def write_summary_csv(path, case_rows, dataset_rows):
-    write_lines(path, [SUMMARY_HEADER] + list(case_rows) + list(dataset_rows))
+def read_csv(path, columns):
+    """Rows of a CSV whose header is the names of ``columns``, in order.
 
-
-def read_cases_csv(path):
-    """Read (case_id, class_id, score, dice) rows for the report command."""
-    lines = Path(path).read_text().splitlines()
-    header = "case_id,class_id,uncertainty_score,dice"
+    ``columns`` maps each column name to a parser of its text, such as
+    ``int`` or ``float``, that raises ValueError on a bad field. Blank lines
+    are skipped. A wrong header, a wrong field count or a bad field raises
+    ValidationError naming the file and the line.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not a UTF-8 text file") from None
+    header = ",".join(columns)
     if not lines or lines[0] != header:
         raise ValidationError(f"{path}: expected header {header!r}")
     rows = []
-    for ln in lines[1:]:
-        if not ln:
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line:
             continue
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValidationError(f"{path}: malformed row {ln!r}")
-        rows.append((parts[0], int(parts[1]), float(parts[2]), float(parts[3])))
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise ValidationError(
+                f"{path}:{lineno}: expected {len(columns)} fields, got {len(fields)}"
+            )
+        row = []
+        for (name, parse), text in zip(columns.items(), fields):
+            try:
+                row.append(parse(text))
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: bad {name} {text!r}") from None
+        rows.append(tuple(row))
     return rows

@@ -8,9 +8,8 @@ Within a cycle the rate anneals from lr_max down toward lr_min:
 
     lr(e) = lr_min + (lr_max - lr_min)/2 * (1 + cos(pi * (e - start) / span))
 
-``lr_at(..., literal=True)`` instead evaluates the degenerate published
-variant (amplitude lr_min/2, modulus of the absolute epoch); it exists only
-for fidelity comparisons and is not used by the pipeline.
+The published formula differs: its amplitude is lr_min/2, so it only spans
+[lr_min, 2*lr_min], and its phase is the absolute epoch modulo t0 * eta**i.
 """
 
 from __future__ import annotations
@@ -91,13 +90,9 @@ def restart_epochs(cfg: SgdrConfig) -> list[int]:
     return out
 
 
-def lr_at(epoch: int, cfg: SgdrConfig, *, literal: bool = False) -> float:
+def lr_at(epoch: int, cfg: SgdrConfig) -> float:
     """Learning rate at the start of ``epoch``."""
     cyc = cycle_of(epoch, cfg)
-    if literal:
-        t_nominal = cfg.t0 * cfg.eta**cyc.cycle
-        phase = math.fmod(epoch, t_nominal) / t_nominal
-        return cfg.lr_min / 2.0 * (math.cos(math.pi * phase) + 1.0) + cfg.lr_min
     offset = epoch - cyc.cycle_start
     if offset == 0:
         return cfg.lr_max

@@ -9,13 +9,33 @@ seen anywhere in the trace; flat cycles are skipped entirely.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ValidationError
+from .reports import fmt9, read_csv, write_lines
 from .scheduler import SgdrConfig, _cycle_iter
 
-_FMT = ".9g"
+
+def _checkpoint_id(text):
+    """A checkpoint id names a member file, so it may not hold a path separator."""
+    if not re.fullmatch(r"[A-Za-z0-9_.-]+", text):
+        raise ValueError(text)
+    return text
+
+
+_TRACE_COLUMNS = {
+    "epoch": int,
+    "lr": float,
+    "val_metric": float,
+    "checkpoint_id": lambda text: _checkpoint_id(text) if text else None,
+}
+_MANIFEST_COLUMNS = {
+    "cycle": int,
+    "epoch": int,
+    "checkpoint_id": _checkpoint_id,
+    "metric": float,
+}
 
 
 @dataclass(frozen=True)
@@ -37,6 +57,8 @@ class TrainingTrace:
         object.__setattr__(self, "records", recs)
         prev = None
         for r in recs:
+            if r.epoch < 0:
+                raise ValidationError(f"trace epochs must be >= 0, got {r.epoch}")
             if prev is not None and r.epoch <= prev:
                 raise ValidationError(
                     f"trace epochs must be strictly increasing, got {prev} then {r.epoch}"
@@ -48,29 +70,15 @@ class TrainingTrace:
             prev = r.epoch
 
     def to_csv(self, path):
-        lines = ["epoch,lr,val_metric,checkpoint_id"]
+        lines = [",".join(_TRACE_COLUMNS)]
         for r in self.records:
             cid = r.checkpoint_id or ""
-            lines.append(f"{r.epoch},{format(r.lr, _FMT)},{format(r.val_metric, _FMT)},{cid}")
-        Path(path).write_text("\n".join(lines) + "\n")
+            lines.append(f"{r.epoch},{fmt9(r.lr)},{fmt9(r.val_metric)},{cid}")
+        write_lines(path, lines)
 
     @classmethod
     def from_csv(cls, path):
-        lines = Path(path).read_text().splitlines()
-        if not lines or lines[0] != "epoch,lr,val_metric,checkpoint_id":
-            raise ValidationError(f"{path}: not a trace CSV (bad header)")
-        records = []
-        for ln in lines[1:]:
-            if not ln:
-                continue
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise ValidationError(f"{path}: malformed trace row {ln!r}")
-            epoch, lr, metric, cid = parts
-            records.append(
-                TraceRecord(int(epoch), float(lr), float(metric), cid or None)
-            )
-        return cls(tuple(records))
+        return cls(tuple(TraceRecord(*row) for row in read_csv(path, _TRACE_COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -181,23 +189,13 @@ def export_selection(selection: CheckpointSet, path):
     """Write the manifest CSV consumed by the fuse stage."""
     if not selection.entries:
         raise ValidationError("refusing to export an empty checkpoint selection")
-    lines = ["cycle,epoch,checkpoint_id,metric"]
+    lines = [",".join(_MANIFEST_COLUMNS)]
     for e in selection.entries:
-        lines.append(f"{e.cycle},{e.epoch},{e.checkpoint_id},{format(e.val_metric, _FMT)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        lines.append(f"{e.cycle},{e.epoch},{e.checkpoint_id},{fmt9(e.val_metric)}")
+    write_lines(path, lines)
 
 
 def read_selection(path) -> CheckpointSet:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "cycle,epoch,checkpoint_id,metric":
-        raise ValidationError(f"{path}: not a selection manifest (bad header)")
-    entries = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValidationError(f"{path}: malformed manifest row {ln!r}")
-        cycle, epoch, cid, metric = parts
-        entries.append(SelectedCheckpoint(int(cycle), int(epoch), cid, float(metric)))
-    return CheckpointSet(tuple(entries))
+    """Read the manifest CSV written by export_selection."""
+    rows = read_csv(path, _MANIFEST_COLUMNS)
+    return CheckpointSet(tuple(SelectedCheckpoint(*row) for row in rows))

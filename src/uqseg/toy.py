@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import zscore_normalize
-from .arrayio import read_array, write_array
+from .arrayio import write_array
 from .errors import NumericError, ValidationError
 from .metrics import dice
 from .scheduler import SgdrConfig, _cycle_iter, lr_at
@@ -78,30 +78,6 @@ class ToyCase:
     def features(self) -> np.ndarray:
         """``case_features`` of the image, computed on first use only."""
         return case_features(self.image)
-
-
-@dataclass(frozen=True)
-class ToyModel:
-    """Linear per-pixel classifier: six features to one logit per class."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.weights, dtype=np.float64)
-        if W.ndim != 2 or W.shape[1] != FEATURE_COUNT:
-            raise ValidationError(
-                f"weights must be (classes, {FEATURE_COUNT}), got {W.shape}"
-            )
-        if not np.all(np.isfinite(W)):
-            raise ValidationError("model parameters must be finite")
-        object.__setattr__(self, "weights", W)
-
-    @property
-    def class_count(self) -> int:
-        return self.weights.shape[0]
-
-    def predict(self, image) -> np.ndarray:
-        return predict(self.weights, image)
 
 
 def generate_dataset(
@@ -197,14 +173,6 @@ def case_features(image) -> np.ndarray:
     return feats.reshape(-1, FEATURE_COUNT)
 
 
-def predict(weights, image) -> np.ndarray:
-    """Softmax posterior (c, H, W) of the pixel model on one case image."""
-    W = np.asarray(weights, dtype=np.float64)
-    if W.ndim != 2 or W.shape[1] != FEATURE_COUNT:
-        raise ValidationError(f"weights must be (classes, {FEATURE_COUNT}), got {W.shape}")
-    return _posterior(W, case_features(image), np.asarray(image).shape)
-
-
 def _softmax(feats, W):
     """Per-pixel class probabilities (P, c) of the linear model."""
     logits = feats @ W.T
@@ -213,16 +181,12 @@ def _softmax(feats, W):
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _posterior(W, feats, shape):
-    """Softmax posterior (c, H, W) from a case's precomputed features."""
+def posterior(weights, feats, shape) -> np.ndarray:
+    """Softmax posterior (c, H, W) of the pixel model from a case's features."""
+    W = np.asarray(weights, dtype=np.float64)
+    if W.ndim != 2 or W.shape[1] != FEATURE_COUNT:
+        raise ValidationError(f"weights must be (classes, {FEATURE_COUNT}), got {W.shape}")
     return _softmax(feats, W).T.reshape(W.shape[0], *shape)
-
-
-def predict_checkpoint(store, checkpoint_id, image) -> np.ndarray:
-    """Predict with a stored checkpoint; unknown ids are an error."""
-    if checkpoint_id not in store:
-        raise ValidationError(f"unknown checkpoint id {checkpoint_id!r}")
-    return predict(store[checkpoint_id], image)
 
 
 def _dice_loss_grad(probs, onehot):
@@ -258,7 +222,7 @@ def validation_dice(weights, cases) -> float:
     """Mean foreground Dice of argmax predictions over validation cases."""
     per_case = []
     for case in cases:
-        probs = _posterior(weights, case.features, case.image.shape)
+        probs = posterior(weights, case.features, case.image.shape)
         pred = probs.argmax(axis=0).astype(np.uint8)
         scores = [
             dice(pred, case.labels, k).dice for k in range(1, case.class_count)
@@ -335,6 +299,15 @@ def inject_label_noise(labels, class_count, rng, flip_fraction=0.25) -> np.ndarr
     return lab
 
 
+def write_cases(cases, outdir):
+    """Write cases/<id>_image.uqsg (float32) and <id>_labels.uqsg under ``outdir``."""
+    cases_dir = Path(outdir) / "cases"
+    cases_dir.mkdir(parents=True, exist_ok=True)
+    for case in cases:
+        write_array(cases_dir / f"{case.case_id}_image.uqsg", case.image.astype(np.float32))
+        write_array(cases_dir / f"{case.case_id}_labels.uqsg", case.labels)
+
+
 def run_toy_training(
     outdir,
     *,
@@ -362,12 +335,7 @@ def run_toy_training(
     )
     train_cases, test_cases = cases[:n_train], cases[n_train:]
 
-    cases_dir = out / "cases"
-    cases_dir.mkdir(parents=True, exist_ok=True)
-    for case in cases:
-        write_array(cases_dir / f"{case.case_id}_image.uqsg", case.image.astype(np.float32))
-        write_array(cases_dir / f"{case.case_id}_labels.uqsg", case.labels)
-
+    write_cases(cases, out)
     trace, checkpoints = train(train_cases, test_cases, cfg, policy, seed=seed)
     trace.to_csv(out / "trace.csv")
 
@@ -381,14 +349,7 @@ def run_toy_training(
         case_dir = pred_dir / case.case_id
         case_dir.mkdir(parents=True, exist_ok=True)
         for cid, weights in checkpoints.items():
-            probs = _posterior(weights, case.features, case.image.shape)
+            probs = posterior(weights, case.features, case.image.shape)
             write_array(case_dir / f"{cid}.uqsg", probs.astype(np.float32))
     return trace, checkpoints, cases
 
-
-def load_checkpoint_store(checkpoint_dir):
-    """Read back checkpoint weight files written by run_toy_training."""
-    store = {}
-    for path in sorted(Path(checkpoint_dir).glob("*.uqsg")):
-        store[path.stem] = read_array(path).astype(np.float64)
-    return store

@@ -148,7 +148,6 @@ def uncertainty_score(
     element=None,
     *,
     restrict_to_contour: bool = False,
-    allow_background: bool = False,
 ) -> UncertaintyScore:
     """Contour-normalized uncertainty score for one class.
 
@@ -157,10 +156,8 @@ def uncertainty_score(
     ``empty_contour`` flag with score 0, not an error.
     """
     arr = validate_probabilities(p)
-    if class_id == 0 and not allow_background:
-        raise ValidationError(
-            "background (class 0) is scored only with allow_background=True"
-        )
+    if class_id == 0:
+        raise ValidationError("background (class 0) has no uncertainty score")
     plane = class_foreground(arr, class_id)
     mask = threshold_binary(plane, FOREGROUND_THRESHOLD)
     ring = contour_normalizer(mask, element)

@@ -7,9 +7,9 @@ import pytest
 
 from uqseg.arrayio import (
     ArrayFileHeader,
+    _read_header,
     entropy_to_gray,
     read_array,
-    read_header,
     write_array,
     write_pgm,
 )
@@ -50,7 +50,8 @@ def test_round_trip_preserves_float_bit_patterns(tmp_path):
 def test_header_contents(tmp_path):
     path = tmp_path / "h.uqsg"
     write_array(path, np.zeros((5, 6), dtype=np.int32))
-    header = read_header(path)
+    with open(path, "rb") as f:
+        header = _read_header(f, path)
     assert header == ArrayFileHeader(version=1, dtype=np.dtype("<i4"), shape=(5, 6))
 
 

@@ -2,10 +2,6 @@ import numpy as np
 import pytest
 
 from uqseg.arrays import (
-    SliceShape,
-    VolumeShape,
-    slice_axial,
-    stack_slices,
     validate_binary,
     validate_labels,
     validate_probabilities,
@@ -54,45 +50,6 @@ class TestZscore:
             zscore_normalize(np.array([1.0, np.nan, 2.0]))
 
 
-class TestSliceStack:
-    def test_axial_slices_of_volume(self):
-        v = np.arange(16, dtype=np.float32).reshape(4, 2, 2)
-        slices = slice_axial(v)
-        assert len(slices) == 4
-        assert all(s.shape == (2, 2) for s in slices)
-        np.testing.assert_array_equal(slices[2], v[2])
-
-    def test_probability_volume_slices_keep_class_axis(self):
-        p = np.random.default_rng(0).random((4, 3, 8, 8))
-        slices = slice_axial(p)
-        assert len(slices) == 3
-        assert all(s.shape == (4, 8, 8) for s in slices)
-
-    def test_stack_inverts_slice_exactly(self):
-        rng = np.random.default_rng(5)
-        for shape in [(4, 2, 2), (1, 6, 5), (7, 3, 3)]:
-            v = rng.random(shape).astype(np.float32)
-            np.testing.assert_array_equal(stack_slices(slice_axial(v)), v)
-        p = rng.random((3, 5, 4, 4))
-        np.testing.assert_array_equal(stack_slices(slice_axial(p)), p)
-
-    def test_singleton_stack(self):
-        v = stack_slices([np.ones((2, 2))])
-        assert v.shape == (1, 2, 2)
-
-    def test_mismatched_slice_reports_index(self):
-        with pytest.raises(ValidationError, match="slice 1"):
-            stack_slices([np.zeros((2, 2)), np.zeros((3, 3))])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValidationError):
-            stack_slices([])
-
-    def test_2d_input_rejected(self):
-        with pytest.raises(ValidationError):
-            slice_axial(np.zeros((4, 4)))
-
-
 class TestValidators:
     def test_simplex_within_tolerance_accepted(self):
         p = np.full((4, 2, 2), 0.25)
@@ -130,10 +87,3 @@ class TestValidators:
         with pytest.raises(ValidationError):
             validate_binary(np.array([[0, 2]]))
 
-    def test_shape_types_validate(self):
-        SliceShape(4, 4, 2)
-        VolumeShape(1, 4, 4, 4)
-        with pytest.raises(ValidationError):
-            SliceShape(0, 4, 2)
-        with pytest.raises(ValidationError):
-            VolumeShape(1, 4, 4, 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uqseg.ensemble import EnsembleInput, argmax_labels, class_foreground, ensemble_mean
+from uqseg.ensemble import argmax_labels, class_foreground, ensemble_mean
 from uqseg.errors import ValidationError
 
 
@@ -72,17 +72,6 @@ def test_shape_mismatch_rejected():
 def test_empty_member_list_rejected():
     with pytest.raises(ValidationError):
         ensemble_mean([])
-
-
-def test_ensemble_input_validates():
-    a = np.full((4, 2, 2), 0.25)
-    EnsembleInput((a,), ("c0",))
-    with pytest.raises(ValidationError):
-        EnsembleInput((a, a), ("c0",))
-    with pytest.raises(ValidationError):
-        EnsembleInput((a, a), ("c0", "c0"))
-    fused = ensemble_mean(EnsembleInput((a, a), ("c0", "c1")))
-    np.testing.assert_array_equal(fused, a)
 
 
 class TestArgmax:

@@ -4,12 +4,11 @@ import pytest
 from uqseg.errors import ValidationError
 from uqseg.metrics import (
     CalibrationAccumulator,
-    average_entropy,
     dice,
     ece,
     uncertainty_dice_table,
 )
-from uqseg.uncertainty import UncertaintyScore, pixel_entropy
+from uqseg.uncertainty import UncertaintyScore
 
 
 def ece_oracle(p, gt, n_bins):
@@ -179,30 +178,6 @@ class TestEce:
     def test_empty_accumulator_report_rejected(self):
         with pytest.raises(ValidationError):
             CalibrationAccumulator(5).report()
-
-
-class TestAverageEntropy:
-    def test_uniform_posterior(self):
-        h = pixel_entropy(np.full((4, 3, 3), 0.25))
-        assert average_entropy(h) == pytest.approx(2.0, abs=1e-12)
-
-    def test_one_hot(self):
-        p = np.zeros((4, 3, 3))
-        p[1] = 1.0
-        assert average_entropy(pixel_entropy(p)) == 0.0
-
-    def test_masked_mean_matches_oracle(self):
-        rng = np.random.default_rng(9)
-        h = rng.random((8, 8))
-        mask = (rng.random((8, 8)) < 0.4).astype(np.uint8)
-        vals = [h[pos] for pos in np.ndindex(h.shape) if mask[pos]]
-        assert average_entropy(h, mask) == pytest.approx(
-            sum(vals) / len(vals), abs=1e-12
-        )
-
-    def test_empty_region_rejected(self):
-        with pytest.raises(ValidationError):
-            average_entropy(np.ones((4, 4)), np.zeros((4, 4), dtype=np.uint8))
 
 
 def _pairs(scores, dices):

@@ -216,36 +216,78 @@ class TestCli:
 
     def test_stage_chain_matches_run(self, small_run, tmp_path, capsys):
         out = tmp_path / "chain"
-        out.mkdir()
+        (out / "mean").mkdir(parents=True)
+        (out / "entropy").mkdir()
         argv = [
             "select-checkpoints", "--trace", str(small_run / "trace.csv"),
             "--t0", "10", "--eta", "2", "--lr-max", "0.2", "--lr-min", "0.0001",
             "--epochs", "20", "--out", str(out / "manifest.csv"),
         ]
         assert main(argv) == 0
-        assert main([
-            "fuse", "--manifest", str(out / "manifest.csv"),
-            "--inputs", str(small_run / "predictions" / "case0004"),
-            "--out", str(out / "mean.uqsg"),
-        ]) == 0
-        assert main([
-            "entropy", "--in", str(out / "mean.uqsg"),
-            "--out", str(out / "entropy.uqsg"), "--pgm", str(out / "maps"),
-        ]) == 0
-        assert (out / "maps" / "entropy.pgm").exists()
-        assert main([
-            "score", "--in", str(out / "mean.uqsg"), "--classes", "1,2",
-            "--out", str(out / "scores.csv"),
-        ]) == 0
-        lines = (out / "scores.csv").read_text().splitlines()
-        assert lines[0] == "class,h_total,contour_pixels,score,empty_contour_flag"
-        assert len(lines) == 3
-
-        # compare against the integrated pipeline's per-case outputs
         run_pipeline(small_config(small_run, outdir="h1"))
-        mean_pipeline = read_array(small_run / "h1" / "mean" / "case0004.uqsg")
-        mean_chain = read_array(out / "mean.uqsg")
-        np.testing.assert_array_equal(mean_pipeline, mean_chain)
+        run_dir = small_run / "h1"
+        assert (out / "manifest.csv").read_bytes() == (run_dir / "manifest.csv").read_bytes()
+        run_scores = (run_dir / "scores.csv").read_text().splitlines()
+        run_dices = (run_dir / "dice.csv").read_text().splitlines()
+        cases = ["case_id,class_id,uncertainty_score,dice"]
+        for case_id in ("case0004", "case0005"):
+            mean = out / "mean" / f"{case_id}.uqsg"
+            assert main([
+                "fuse", "--manifest", str(out / "manifest.csv"),
+                "--inputs", str(small_run / "predictions" / case_id), "--out", str(mean),
+            ]) == 0
+            assert mean.read_bytes() == (run_dir / "mean" / mean.name).read_bytes()
+
+            entropy = out / "entropy" / f"{case_id}.uqsg"
+            assert main([
+                "entropy", "--in", str(mean), "--out", str(entropy),
+                "--pgm", str(entropy.parent),
+            ]) == 0
+            pgm = f"{case_id}.pgm"
+            assert (out / "entropy" / pgm).read_bytes() == (run_dir / "entropy" / pgm).read_bytes()
+            # the pipeline maps its float64 mean, the chain the float32 file of it
+            np.testing.assert_allclose(
+                read_array(entropy), read_array(run_dir / "entropy" / entropy.name),
+                rtol=0, atol=1e-6,
+            )
+
+            scores = out / f"{case_id}_scores.csv"
+            assert main([
+                "score", "--in", str(mean), "--classes", "1,2", "--out", str(scores),
+            ]) == 0
+            chain_scores = scores.read_text().splitlines()
+            assert chain_scores == [
+                row.partition(",")[2]
+                for row in run_scores
+                if row.startswith(("case_id,", case_id))
+            ]
+
+            labels = read_array(mean).argmax(axis=0).astype(np.uint8)
+            write_array(out / "pred.uqsg", labels)
+            assert main([
+                "dice", "--pred", str(out / "pred.uqsg"),
+                "--gt", str(small_run / "cases" / f"{case_id}_labels.uqsg"),
+                "--classes", "1,2",
+            ]) == 0
+            chain_dices = capsys.readouterr().out.splitlines()
+            assert chain_dices == [
+                row.partition(",")[2]
+                for row in run_dices
+                if row.startswith(("case_id,", case_id))
+            ]
+            for score_row, dice_row in zip(chain_scores[1:], chain_dices[1:]):
+                k, _, _, score, _ = score_row.split(",")
+                cases.append(f"{case_id},{k},{score},{dice_row.split(',')[-1]}")
+
+        (out / "cases.csv").write_text("\n".join(cases) + "\n")
+        assert main([
+            "report", "--cases", str(out / "cases.csv"), "--out", str(out / "summary.csv"),
+        ]) == 0
+        chain_summary = (out / "summary.csv").read_text().splitlines()
+        run_summary = (run_dir / "summary.csv").read_text().splitlines()
+        # the pipeline appends ECE, average entropy and the entropy region
+        assert chain_summary == run_summary[:-3]
+        assert chain_summary[-1].startswith("dataset,,,spearman_")
 
     def test_dice_and_ece_commands(self, small_run, tmp_path, capsys):
         gt = small_run / "cases" / "case0004_labels.uqsg"

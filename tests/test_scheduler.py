@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -95,15 +94,6 @@ class TestLearningRate:
     def test_degenerate_flat_schedule_allowed(self):
         cfg = SgdrConfig(t0=4, eta=1, lr_max=0.0, lr_min=0.0, total_epochs=8)
         assert all(lr_at(e, cfg) == 0.0 for e in range(8))
-
-    def test_literal_published_variant(self):
-        # amplitude lr_min/2 with modulus of the absolute epoch
-        cfg = REFERENCE
-        assert lr_at(0, cfg, literal=True) == pytest.approx(2 * cfg.lr_min)
-        t = 150
-        expected = cfg.lr_min / 2 * (math.cos(math.pi * (150 % 200) / 200) + 1) + cfg.lr_min
-        assert lr_at(t, cfg, literal=True) == pytest.approx(expected, abs=1e-15)
-        assert lr_at(0, cfg, literal=True) < cfg.lr_max
 
 
 class TestConfigValidation:

@@ -146,6 +146,11 @@ class TestTraceValidation:
         with pytest.raises(ValidationError):
             TrainingTrace((TraceRecord(0, 0.1, 0.5, None), TraceRecord(0, 0.1, 0.6, None)))
 
+    def test_epochs_non_negative(self):
+        # a trace of negative epochs has no cycle to select from
+        with pytest.raises(ValidationError, match=">= 0"):
+            TrainingTrace((TraceRecord(-2, 0.1, 0.5, None), TraceRecord(-1, 0.1, 0.6, None)))
+
     def test_metric_in_unit_interval(self):
         with pytest.raises(ValidationError):
             TrainingTrace((TraceRecord(0, 0.1, 1.5, None),))

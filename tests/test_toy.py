@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uqseg.arrayio import read_array
 from uqseg.errors import ValidationError
 from uqseg.scheduler import SgdrConfig, lr_at
 from uqseg.selection import SelectionPolicy
@@ -10,8 +11,7 @@ from uqseg.toy import (
     checkpoint_epochs,
     generate_dataset,
     inject_label_noise,
-    predict,
-    predict_checkpoint,
+    posterior,
     run_toy_training,
     train,
 )
@@ -72,39 +72,34 @@ class TestGenerateDataset:
         assert levels[-1] == pytest.approx(0.3)
 
 
+def predict(weights, case):
+    return posterior(weights, case.features, case.image.shape)
+
+
 class TestPredict:
     def test_deterministic(self):
         cases = small_dataset()
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 6))
-        np.testing.assert_array_equal(
-            predict(w, cases[0].image), predict(w, cases[0].image)
-        )
+        np.testing.assert_array_equal(predict(w, cases[0]), predict(w, cases[0]))
 
     def test_outputs_valid_simplex(self):
         cases = small_dataset()
         rng = np.random.default_rng(1)
         w = rng.normal(size=(3, 6))
-        p = predict(w, cases[0].image)
+        p = predict(w, cases[0])
         assert p.shape == (3, 48, 48)
         np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
         assert p.min() >= 0.0
 
     def test_zero_weights_give_uniform_posterior(self):
         cases = small_dataset()
-        p = predict(np.zeros((3, 6)), cases[0].image)
+        p = predict(np.zeros((3, 6)), cases[0])
         np.testing.assert_allclose(p, 1.0 / 3.0, atol=1e-15)
-
-    def test_missing_checkpoint_id(self):
-        store = {"ep00001": np.zeros((3, 6))}
-        cases = small_dataset()
-        predict_checkpoint(store, "ep00001", cases[0].image)
-        with pytest.raises(ValidationError, match="ep00099"):
-            predict_checkpoint(store, "ep00099", cases[0].image)
 
     def test_bad_weight_shape(self):
         with pytest.raises(ValidationError):
-            predict(np.zeros((3, 4)), small_dataset()[0].image)
+            predict(np.zeros((3, 4)), small_dataset()[0])
 
 
 class TestTrain:
@@ -226,43 +221,10 @@ def test_run_toy_training_layout(tmp_path):
     for d in pred_dirs:
         files = list((tmp_path / "predictions" / d).glob("*.uqsg"))
         assert len(files) == len(ckpts)
+    # weights and the features-based posteriors are stored as float32
+    for cid, w in ckpts.items():
+        weights = read_array(tmp_path / "checkpoints" / f"{cid}.uqsg")
+        np.testing.assert_array_equal(weights, w.astype(np.float32))
+        stored = read_array(tmp_path / "predictions" / "case0005" / f"{cid}.uqsg")
+        np.testing.assert_array_equal(stored, predict(w, cases[5]).astype(np.float32))
 
-
-class TestToyModel:
-    def test_wraps_weights_and_predicts(self):
-        from uqseg.toy import ToyModel
-
-        rng = np.random.default_rng(2)
-        w = rng.normal(size=(3, 6))
-        model = ToyModel(w)
-        assert model.class_count == 3
-        case = small_dataset()[0]
-        np.testing.assert_array_equal(model.predict(case.image), predict(w, case.image))
-
-    def test_rejects_nonfinite_parameters(self):
-        from uqseg.toy import ToyModel
-
-        w = np.zeros((3, 6))
-        w[0, 0] = np.inf
-        with pytest.raises(ValidationError):
-            ToyModel(w)
-
-    def test_rejects_bad_shape(self):
-        from uqseg.toy import ToyModel
-
-        with pytest.raises(ValidationError):
-            ToyModel(np.zeros((3, 5)))
-
-
-def test_load_checkpoint_store_round_trip(tmp_path):
-    from uqseg.toy import load_checkpoint_store
-
-    cfg = SgdrConfig(t0=5, eta=2, lr_max=0.2, lr_min=1e-4, total_epochs=10)
-    _, ckpts, _ = run_toy_training(
-        tmp_path, seed=3, n_train=4, n_test=2, shape=(24, 24), class_count=3,
-        cfg=cfg, noise_std=0.1,
-    )
-    store = load_checkpoint_store(tmp_path / "checkpoints")
-    assert set(store) == set(ckpts)
-    for cid, w in store.items():
-        np.testing.assert_allclose(w, ckpts[cid], atol=1e-6)  # float32 on disk

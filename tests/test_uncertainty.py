@@ -265,12 +265,9 @@ class TestUncertaintyScore:
         assert s.score == 0.0
         assert s.contour_pixels == 0
 
-    def test_background_requires_opt_in(self):
-        p = self._disk_posterior()
-        with pytest.raises(ValidationError):
-            uncertainty_score(p, 0)
-        s = uncertainty_score(p, 0, allow_background=True)
-        assert s.class_id == 0
+    def test_background_rejected(self):
+        with pytest.raises(ValidationError, match="background"):
+            uncertainty_score(self._disk_posterior(), 0)
 
     def test_contour_restricted_entropy_mode(self):
         p = self._disk_posterior()
