@@ -7,7 +7,8 @@ Arrays are plain numpy ndarrays with these shape conventions:
   0 = background, foreground classes 1..c-1
 * probability map:        ``(c, H, W)`` or ``(c, D, H, W)``, one softmax
   simplex per pixel
-* binary image:           ``(H, W)`` or ``(D, H, W)``, values in {0, 1}
+* binary image:           ``(H, W)`` or ``(D, H, W)``, values in {0, 1};
+  masks built by thresholding are bool
 
 All functions are pure; nothing here mutates its inputs.
 """
@@ -33,58 +34,73 @@ def validate_intensities(volume, *, case_id=None):
     return v
 
 
-def validate_labels(labels, class_count):
-    """Check integer label codes lie in [0, class_count)."""
+def validate_labels(labels, class_count, *, name=None):
+    """Check integer label codes lie in [0, class_count).
+
+    Error messages start with ``name`` when given.
+    """
     lab = np.asarray(labels)
     if not np.issubdtype(lab.dtype, np.integer):
-        raise ValidationError(f"labels must be integer-typed, got {lab.dtype}")
+        raise ValidationError(_named(f"labels must be integer-typed, got {lab.dtype}", name))
     if lab.size == 0:
-        raise ValidationError("empty label array")
+        raise ValidationError(_named("empty label array", name))
     lo, hi = int(lab.min()), int(lab.max())
     if lo < 0 or hi >= class_count:
-        raise ValidationError(
-            f"label codes must lie in [0, {class_count}), found range [{lo}, {hi}]"
-        )
+        raise ValidationError(_named(
+            f"label codes must lie in [0, {class_count}), found range [{lo}, {hi}]", name
+        ))
     return lab
 
 
 def validate_binary(image):
-    """Check values are restricted to {0, 1}; returns a uint8 view/copy."""
+    """Check values are restricted to {0, 1}; returns a bool view/copy.
+
+    A bool array is binary by its type and skips the value scan.
+    """
     img = np.asarray(image)
     if img.size == 0:
         raise ValidationError("empty binary image")
+    if img.dtype == np.bool_:
+        return img
     vals = np.unique(img)
     if not np.all(np.isin(vals, (0, 1))):
         raise ValidationError(f"binary image contains values other than 0/1: {vals[:8]}")
-    return img.astype(np.uint8, copy=False)
+    return img.astype(bool)
 
 
-def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE):
+def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
     """Check per-pixel simplex constraints on a (c, ...) probability array.
 
     Every entry must be in [0, 1] and each per-pixel class vector must sum
-    to 1 within ``tol``. Returns the array as float64.
+    to 1 within ``tol``. The check runs on the array's own dtype, with the
+    class sums taken in float64, and returns the array unchanged. Error
+    messages start with ``name`` when given. Posteriors are checked once,
+    where they enter the program; the kernels take them as trusted.
     """
-    arr = np.asarray(p, dtype=np.float64)
+    arr = np.asarray(p)
     if arr.ndim not in (3, 4):
-        raise ValidationError(
-            f"probability array must be (c,H,W) or (c,D,H,W), got shape {arr.shape}"
-        )
+        raise ValidationError(_named(
+            f"probability array must be (c,H,W) or (c,D,H,W), got shape {arr.shape}", name
+        ))
     if arr.shape[0] < 2:
-        raise ValidationError(f"probability array needs >= 2 classes, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("probability array contains NaN or Inf")
-    if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValidationError(
-            f"probabilities outside [0, 1]: min {arr.min()}, max {arr.max()}"
+            _named(f"probability array needs >= 2 classes, got {arr.shape[0]}", name)
         )
-    sums = arr.sum(axis=0)
+    lo, hi = arr.min(), arr.max()
+    if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(_named("probability array contains NaN or Inf", name))
+        raise ValidationError(
+            _named(f"probabilities outside [0, 1]: min {lo}, max {hi}", name)
+        )
+    sums = arr.sum(axis=0, dtype=np.float64)
     worst = float(np.abs(sums - 1.0).max())
     if worst > tol:
-        raise ValidationError(
+        raise ValidationError(_named(
             f"per-pixel class probabilities must sum to 1 within {tol}; "
-            f"worst deviation {worst:.3e}"
-        )
+            f"worst deviation {worst:.3e}",
+            name,
+        ))
     return arr
 
 
@@ -106,3 +122,7 @@ def zscore_normalize(volume, *, case_id=None):
 
 def _tag(message, case_id):
     return f"{message} (case {case_id})" if case_id is not None else message
+
+
+def _named(message, name):
+    return f"{name}: {message}" if name is not None else message

@@ -11,11 +11,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, reports
 from .arrayio import FORMAT_VERSION, read_array
 from .arrays import SIMPLEX_TOLERANCE, validate_labels, validate_probabilities
 from .errors import UqsegError, ValidationError
-from .metrics import dice, ece
+from .metrics import DEFAULT_ECE_BINS, dice, ece
 from .pipeline import (
     DEFAULT_POLICY,
     DEFAULT_SCHEDULE,
@@ -30,7 +32,7 @@ from .pipeline import (
 from .scheduler import schedule_rows
 from .selection import TrainingTrace, export_selection, find_cycle_peaks, read_selection
 from .toy import generate_dataset, run_toy_training, write_cases
-from .uncertainty import FOREGROUND_THRESHOLD, uncertainty_score
+from .uncertainty import FOREGROUND_THRESHOLD, pixel_entropy, uncertainty_score
 
 _CASE_COLUMNS = {
     "case_id": str,
@@ -56,6 +58,11 @@ def _parse_shape(text):
     except ValueError:
         raise ValidationError(f"bad shape {text!r}; expected HxW like 64x64")
     return (h, w)
+
+
+def _read_posterior(path):
+    """The posterior file at ``path``, validated once and as float64."""
+    return validate_probabilities(read_array(path), name=path).astype(np.float64)
 
 
 def _emit(lines, out_path):
@@ -108,15 +115,17 @@ def cmd_fuse(args):
 
 
 def cmd_entropy(args):
-    write_entropy(read_array(args.input), args.out, args.pgm)
+    write_entropy(_read_posterior(args.input), args.out, args.pgm)
     return 0
 
 
 def cmd_score(args):
-    probs = read_array(args.input)
+    probs = _read_posterior(args.input)
+    classes = _parse_classes(args.classes)
+    h = pixel_entropy(probs)
     scores = [
-        uncertainty_score(probs, k, restrict_to_contour=args.contour_entropy)
-        for k in _parse_classes(args.classes)
+        uncertainty_score(probs, k, entropy=h, restrict_to_contour=args.contour_entropy)
+        for k in classes
     ]
     _emit(
         [reports.SCORE_HEADER] + [reports.score_row(s) for s in scores],
@@ -134,8 +143,8 @@ def cmd_dice(args):
 
 
 def cmd_ece(args):
-    probs = validate_probabilities(read_array(args.pred))
-    gt = read_array(args.gt)
+    probs = _read_posterior(args.pred)
+    gt = validate_labels(read_array(args.gt), probs.shape[0], name=args.gt)
     report = ece(probs, gt, args.bins, foreground_only=args.foreground_only)
     reports.write_ece_csv(args.out, report)
     return 0
@@ -196,7 +205,7 @@ def cmd_info(args):
             "min_peak_ratio": DEFAULT_POLICY.min_peak_ratio,
             "foreground_threshold": FOREGROUND_THRESHOLD,
             "simplex_tolerance": SIMPLEX_TOLERANCE,
-            "ece_bins": 10,
+            "ece_bins": DEFAULT_ECE_BINS,
         },
         "exit_codes": {"success": 0, "validation": 2, "io": 3, "numeric": 4},
     }
@@ -264,7 +273,7 @@ def build_parser():
     p = sub.add_parser("ece", help="expected calibration error report")
     p.add_argument("--pred", required=True, help="posterior .uqsg file")
     p.add_argument("--gt", required=True, help="label .uqsg file")
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=int, default=DEFAULT_ECE_BINS)
     p.add_argument("--out", required=True)
     p.add_argument("--foreground-only", action="store_true")
     p.set_defaults(fn=cmd_ece)

@@ -12,34 +12,41 @@ from .arrays import validate_probabilities
 from .errors import ValidationError
 
 
-def ensemble_mean(members) -> np.ndarray:
-    """Uniform per-pixel, per-class mean of member posteriors.
+def ensemble_mean(members, names=None) -> np.ndarray:
+    """Uniform per-pixel, per-class mean of member posteriors, in float64.
 
     ``members`` is a sequence of probability arrays with identical shapes.
+    This is where member posteriors enter the analysis, so each one is
+    validated here, once, in its own dtype. The members are added in order
+    into a float64 running sum that is then divided by n: bit for bit the
+    float64 mean of the stacked members, without building the stack.
+    ``names`` label the members in error messages (default: their index).
     """
     arrays = [np.asarray(m) for m in members]
     if len(arrays) < 1:
         raise ValidationError("ensemble needs at least one member")
+    if names is None:
+        names = [f"member {i}" for i in range(len(arrays))]
     first = arrays[0].shape
-    for i, m in enumerate(arrays):
+    # numpy's sum starts from +0.0 too, which turns a -0.0 into 0.0
+    total = np.zeros(first, dtype=np.float64)
+    for name, m in zip(names, arrays):
         if m.shape != first:
-            raise ValidationError(
-                f"member {i} has shape {m.shape}, expected {first}"
-            )
-        validate_probabilities(m)
-    stacked = np.stack([np.asarray(m, dtype=np.float64) for m in arrays], axis=0)
-    return stacked.mean(axis=0)
+            raise ValidationError(f"{name} has shape {m.shape}, expected {first}")
+        validate_probabilities(m, name=name)
+        total += m
+    total /= len(arrays)
+    return total
 
 
 def argmax_labels(p) -> np.ndarray:
-    """Per-pixel argmax class; ties go to the lowest class index."""
-    arr = validate_probabilities(p)
-    return arr.argmax(axis=0).astype(np.uint8)
+    """Per-pixel argmax class of a trusted posterior; ties go to the lowest class."""
+    return np.asarray(p).argmax(axis=0).astype(np.uint8)
 
 
 def class_foreground(p, class_id: int) -> np.ndarray:
-    """Extract the probability plane of one class."""
-    arr = validate_probabilities(p)
+    """Extract the probability plane of one class of a trusted posterior."""
+    arr = np.asarray(p)
     if not 0 <= class_id < arr.shape[0]:
         raise ValidationError(
             f"class {class_id} out of range for {arr.shape[0]} classes"

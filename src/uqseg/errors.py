@@ -46,10 +46,12 @@ class NumericError(UqsegError):
 
 
 class StageError(UqsegError):
-    """A pipeline stage failed; carries the stage name and the cause."""
+    """A pipeline stage failed; carries the stage name, the case and the cause."""
 
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"stage '{stage}' failed: {cause}")
+    def __init__(self, stage: str, cause: BaseException, case_id=None):
+        where = f" for case {case_id}" if case_id is not None else ""
+        super().__init__(f"stage '{stage}' failed{where}: {cause}")
         self.stage = stage
+        self.case_id = case_id
         self.cause = cause
         self.exit_code = getattr(cause, "exit_code", 3)

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import validate_labels, validate_probabilities
 from .errors import ValidationError
+
+# ECE bin count of ``ece``, the accumulator, ``uqseg ece`` and ``uqseg run``
+DEFAULT_ECE_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class CalibrationReport:
 class CalibrationAccumulator:
     """Mergeable confidence/correctness histogram over (0, 1]."""
 
-    def __init__(self, n_bins: int = 10):
+    def __init__(self, n_bins: int = DEFAULT_ECE_BINS):
         if n_bins < 1:
             raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
         self.n_bins = n_bins
@@ -75,16 +77,21 @@ class CalibrationAccumulator:
         self.confidence_sums = np.zeros(n_bins, dtype=np.float64)
         self.correct_counts = np.zeros(n_bins, dtype=np.int64)
 
-    def add(self, p, gt, *, foreground_only: bool = False):
-        """Score one posterior/label pair into the bins."""
-        arr = validate_probabilities(p)
-        labels = validate_labels(gt, arr.shape[0])
+    def add(self, p, gt, *, pred=None, foreground_only: bool = False):
+        """Score one trusted posterior/label pair into the bins.
+
+        ``pred`` is the posterior's per-pixel argmax when already computed.
+        """
+        arr = np.asarray(p)
+        labels = np.asarray(gt)
         if labels.shape != arr.shape[1:]:
             raise ValidationError(
                 f"label shape {labels.shape} does not match posterior {arr.shape}"
             )
+        if pred is None:
+            pred = arr.argmax(axis=0)
         confidence = arr.max(axis=0).ravel()
-        correct = (arr.argmax(axis=0) == labels).ravel()
+        correct = (pred == labels).ravel()
         if foreground_only:
             keep = (labels > 0).ravel()
             confidence = confidence[keep]
@@ -135,7 +142,9 @@ class CalibrationAccumulator:
         return CalibrationReport(bins=bins, ece=ece)
 
 
-def ece(p, gt, n_bins: int = 10, *, foreground_only: bool = False) -> CalibrationReport:
+def ece(
+    p, gt, n_bins: int = DEFAULT_ECE_BINS, *, foreground_only: bool = False
+) -> CalibrationReport:
     """Expected calibration error (percent) of one posterior/label pair."""
     return (
         CalibrationAccumulator(n_bins)

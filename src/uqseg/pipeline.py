@@ -3,14 +3,16 @@
 run_pipeline consumes artifacts of a finished training run (a trace CSV,
 per-checkpoint posterior files, ground-truth labels) and produces the
 manifest, fused posteriors, entropy maps, per-class scores, Dice/ECE
-tables, and a single summary CSV. Stages run in order; a failure aborts
-with the stage name and removes files created by this run. The fuse,
+tables, and a single summary CSV. Cases stream through the per-case
+stages one at a time; a failure aborts with the stage name (and the case)
+and removes files created by this run. The fuse,
 entropy and report stages are ``fuse_members``, ``write_entropy`` and
 ``write_summary``, which the CLI subcommands call too.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,9 +20,10 @@ import numpy as np
 
 from . import reports
 from .arrayio import entropy_to_gray, read_array, write_array, write_pgm
+from .arrays import validate_labels
 from .ensemble import argmax_labels, ensemble_mean
 from .errors import StageError, ValidationError
-from .metrics import CalibrationAccumulator, dice, uncertainty_dice_table
+from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice, uncertainty_dice_table
 from .scheduler import SgdrConfig
 from .selection import SelectionPolicy, TrainingTrace, export_selection, find_cycle_peaks
 from .uncertainty import pixel_entropy, uncertainty_score
@@ -85,7 +88,7 @@ class PipelineConfig:
     window_fraction: float = DEFAULT_POLICY.window_fraction
     min_peak_ratio: float = DEFAULT_POLICY.min_peak_ratio
     classes: tuple = ()  # empty: every foreground class found in the data
-    bins: int = 10
+    bins: int = DEFAULT_ECE_BINS
     entropy_region: str = "image"  # or "contour"
     ece_foreground_only: bool = False
 
@@ -103,8 +106,12 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path):
         """Parse a flat key=value config; unknown keys are rejected."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not a UTF-8 text file") from None
         values = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -192,26 +199,27 @@ class _Workspace:
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
+    """Run every stage; a failure removes this run's files and raises StageError.
+
+    Cases stream through fuse, entropy, score and metrics one at a time, so
+    one case's posterior and entropy map are in memory at once. Each case's
+    mean gets one entropy map and one argmax, shared by all its classes.
+    """
     ws = _Workspace()
-    state = {}
-    stages = [
-        ("select-checkpoints", _stage_select),
-        ("fuse", _stage_fuse),
-        ("entropy", _stage_entropy),
-        ("score", _stage_score),
-        ("metrics", _stage_metrics),
-        ("report", _stage_report),
-    ]
     try:
-        for name, fn in stages:
-            try:
-                fn(cfg, ws, state)
-            except Exception as exc:
-                raise StageError(name, exc) from exc
+        return _run(cfg, ws)
     except StageError:
         ws.cleanup()
         raise
-    return state["result"]
+
+
+@contextmanager
+def _stage(name, case_id=None):
+    """Raise any failure inside the block as a StageError of ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc, case_id) from exc
 
 
 def _untracked(path):
@@ -222,17 +230,18 @@ def fuse_members(checkpoint_ids, inputs, out, track=_untracked) -> np.ndarray:
     """Average the posteriors ``<inputs>/<id>.uqsg`` of the checkpoint ids.
 
     Writes the mean as float32 to ``out`` and returns it as float64.
-    ``track`` is called with each output path before it is written.
+    ``track`` is called with each output path before it is written. An
+    invalid member is reported by its path.
     """
+    paths = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
     members = []
-    for cid in checkpoint_ids:
-        member_path = Path(inputs) / f"{cid}.uqsg"
+    for cid, member_path in zip(checkpoint_ids, paths):
         if not member_path.exists():
             raise ValidationError(
                 f"missing member posterior {member_path} for checkpoint {cid}"
             )
         members.append(read_array(member_path))
-    mean = ensemble_mean(members)
+    mean = ensemble_mean(members, [str(path) for path in paths])
     write_array(track(out), mean.astype(np.float32))
     return mean
 
@@ -278,46 +287,100 @@ def write_summary(path, cases, dataset_rows=()):
     return table
 
 
-def _stage_select(cfg, ws, state):
+def _run(cfg, ws):
+    out = Path(cfg.outdir)
+    with _stage("select-checkpoints"):
+        selection = _select(cfg, ws)
+    with _stage("fuse"):
+        pred_root, case_ids = _case_dirs(cfg)
+        mean_dir = ws.mkdir(out / "mean")
+    with _stage("entropy"):
+        entropy_dir = ws.mkdir(out / "entropy")
+
+    score_lines = ["case_id," + reports.SCORE_HEADER]
+    dice_lines = ["case_id," + reports.DICE_HEADER]
+    cases = []  # (case_id, class_id, score, dice) rows of the summary
+    acc = CalibrationAccumulator(cfg.bins)
+    entropy_sum = 0.0
+    entropy_count = 0
+    for case_id in case_ids:
+        with _stage("fuse", case_id):
+            mean = fuse_members(
+                selection.checkpoint_ids,
+                pred_root / case_id,
+                mean_dir / f"{case_id}.uqsg",
+                ws.track,
+            )
+        with _stage("entropy", case_id):
+            h = write_entropy(mean, entropy_dir / f"{case_id}.uqsg", entropy_dir, ws.track)
+        with _stage("score", case_id):
+            classes = _classes_for(cfg, mean.shape[0])
+            scores = [
+                uncertainty_score(
+                    mean, k, entropy=h, restrict_to_contour=(cfg.entropy_region == "contour")
+                )
+                for k in classes
+            ]
+            score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
+        with _stage("metrics", case_id):
+            gt = _read_labels(cfg, case_id, mean.shape)
+            pred = argmax_labels(mean)
+            for s in scores:
+                d = dice(pred, gt, s.class_id)
+                dice_lines.append(reports.dice_row(d, case_id=case_id))
+                cases.append((case_id, s.class_id, s.score, d.dice))
+            acc.add(mean, gt, pred=pred, foreground_only=cfg.ece_foreground_only)
+            entropy_sum += float(h.sum())
+            entropy_count += h.size
+        # free this case's arrays before the next case's members are read
+        del mean, h, gt, pred
+
+    with _stage("score"):
+        reports.write_lines(ws.track(out / "scores.csv"), score_lines)
+    with _stage("metrics"):
+        reports.write_lines(ws.track(out / "dice.csv"), dice_lines)
+        calibration = acc.report()
+        reports.write_ece_csv(ws.track(out / "ece.csv"), calibration)
+        avg_entropy = entropy_sum / entropy_count
+    with _stage("report"):
+        summary = out / "summary.csv"
+        table = write_summary(
+            ws.track(summary),
+            cases,
+            [
+                reports.summary_dataset_row("ece_percent", calibration.ece),
+                reports.summary_dataset_row("avg_entropy_bits", avg_entropy),
+                reports.summary_dataset_row("h_total_region", cfg.entropy_region),
+            ],
+        )
+    return PipelineResult(
+        summary_path=summary,
+        ece_percent=calibration.ece,
+        avg_entropy_bits=avg_entropy,
+        spearman=table.spearman,
+        case_count=len(case_ids),
+    )
+
+
+def _select(cfg, ws):
     trace_path = Path(cfg.trace)
     if not trace_path.exists():
         raise ValidationError(f"trace file {trace_path} does not exist")
     trace = TrainingTrace.from_csv(trace_path)
     selection = find_cycle_peaks(trace, schedule_of(cfg), policy_of(cfg))
     outdir = ws.mkdir(cfg.outdir)
-    manifest = outdir / "manifest.csv"
-    export_selection(selection, ws.track(manifest))
-    state["selection"] = selection
+    export_selection(selection, ws.track(outdir / "manifest.csv"))
+    return selection
 
 
-def _stage_fuse(cfg, ws, state):
+def _case_dirs(cfg):
     pred_root = Path(cfg.predictions_dir)
     if not pred_root.is_dir():
         raise ValidationError(f"predictions dir {pred_root} does not exist")
     case_ids = sorted(d.name for d in pred_root.iterdir() if d.is_dir())
     if not case_ids:
         raise ValidationError(f"no case directories under {pred_root}")
-    mean_dir = ws.mkdir(Path(cfg.outdir) / "mean")
-    state["case_ids"] = case_ids
-    state["means"] = {
-        case_id: fuse_members(
-            state["selection"].checkpoint_ids,
-            pred_root / case_id,
-            mean_dir / f"{case_id}.uqsg",
-            ws.track,
-        )
-        for case_id in case_ids
-    }
-
-
-def _stage_entropy(cfg, ws, state):
-    entropy_dir = ws.mkdir(Path(cfg.outdir) / "entropy")
-    state["entropies"] = {
-        case_id: write_entropy(
-            state["means"][case_id], entropy_dir / f"{case_id}.uqsg", entropy_dir, ws.track
-        )
-        for case_id in state["case_ids"]
-    }
+    return pred_root, case_ids
 
 
 def _classes_for(cfg, class_count):
@@ -331,75 +394,14 @@ def _classes_for(cfg, class_count):
     return list(range(1, class_count))
 
 
-def _stage_score(cfg, ws, state):
-    lines = ["case_id," + reports.SCORE_HEADER]
-    scores = {}
-    for case_id in state["case_ids"]:
-        mean = state["means"][case_id]
-        for k in _classes_for(cfg, mean.shape[0]):
-            s = uncertainty_score(
-                mean, k, restrict_to_contour=(cfg.entropy_region == "contour")
-            )
-            scores[(case_id, k)] = s
-            lines.append(reports.score_row(s, case_id=case_id))
-    reports.write_lines(ws.track(Path(cfg.outdir) / "scores.csv"), lines)
-    state["scores"] = scores
-
-
-def _stage_metrics(cfg, ws, state):
-    cases_dir = Path(cfg.cases_dir)
-    acc = CalibrationAccumulator(cfg.bins)
-    dice_lines = ["case_id," + reports.DICE_HEADER]
-    dices = {}
-    entropy_sum = 0.0
-    entropy_count = 0
-    for case_id in state["case_ids"]:
-        gt_path = cases_dir / f"{case_id}_labels.uqsg"
-        if not gt_path.exists():
-            raise ValidationError(f"missing ground truth {gt_path}")
-        gt = read_array(gt_path)
-        mean = state["means"][case_id]
-        if gt.shape != mean.shape[1:]:
-            raise ValidationError(
-                f"{case_id}: labels shape {gt.shape} does not match posterior {mean.shape}"
-            )
-        pred = argmax_labels(mean)
-        for k in _classes_for(cfg, mean.shape[0]):
-            d = dice(pred, gt, k)
-            dices[(case_id, k)] = d
-            dice_lines.append(reports.dice_row(d, case_id=case_id))
-        acc.add(mean, gt, foreground_only=cfg.ece_foreground_only)
-        h = state["entropies"][case_id]
-        entropy_sum += float(h.sum())
-        entropy_count += h.size
-    reports.write_lines(ws.track(Path(cfg.outdir) / "dice.csv"), dice_lines)
-    calibration = acc.report()
-    reports.write_ece_csv(ws.track(Path(cfg.outdir) / "ece.csv"), calibration)
-    state["dices"] = dices
-    state["calibration"] = calibration
-    state["avg_entropy"] = entropy_sum / entropy_count
-
-
-def _stage_report(cfg, ws, state):
-    cases = [
-        (case_id, k, s.score, state["dices"][(case_id, k)].dice)
-        for (case_id, k), s in state["scores"].items()
-    ]
-    summary = Path(cfg.outdir) / "summary.csv"
-    calibration = state["calibration"]
-    table = write_summary(
-        ws.track(summary),
-        cases,
-        [
-            reports.summary_dataset_row("ece_percent", calibration.ece),
-            reports.summary_dataset_row("avg_entropy_bits", state["avg_entropy"]),
-            reports.summary_dataset_row("h_total_region", cfg.entropy_region),
-        ],
-    )
-    state["result"] = PipelineResult(
-        summary_path=summary,
-        ece_percent=calibration.ece,
-        avg_entropy_bits=state["avg_entropy"],
-        spearman=table.spearman,
-        case_count=len(state["case_ids"]),
-    )
+def _read_labels(cfg, case_id, posterior_shape):
+    """The case's ground truth, checked against its posterior's shape and classes."""
+    gt_path = Path(cfg.cases_dir) / f"{case_id}_labels.uqsg"
+    if not gt_path.exists():
+        raise ValidationError(f"missing ground truth {gt_path}")
+    gt = read_array(gt_path)
+    if gt.shape != posterior_shape[1:]:
+        raise ValidationError(
+            f"{gt_path}: labels shape {gt.shape} does not match posterior {posterior_shape}"
+        )
+    return validate_labels(gt, posterior_shape[0], name=gt_path)

@@ -31,6 +31,10 @@ class SgdrConfig:
     total_epochs: int = 800
 
     def __post_init__(self):
+        for name in ("eta", "lr_max", "lr_min"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.t0 < 1:
             raise ValidationError(f"t0 must be >= 1, got {self.t0}")
         if self.eta < 1.0:

@@ -6,9 +6,11 @@ only the ring of pixels the dilation added (the segmentation contour), and
 divide total entropy by the ring's pixel count. Normalizing by contour
 length makes scores comparable across segmentations of different sizes.
 
-Entropy is base-2 (bits) throughout. Masks over 3D volumes are dilated
-slice by slice with a 2D element by default; pass a 3D element for
-volumetric dilation.
+Entropy is base-2 (bits) throughout. Masks are bool arrays; those over 3D
+volumes are dilated slice by slice with a 2D element by default; pass a 3D
+element for volumetric dilation. Posteriors are validated where they enter
+the program (``ensemble_mean``, the CLI's readers), so these kernels take
+them as trusted.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import validate_binary, validate_probabilities
+from .arrays import validate_binary
 from .ensemble import class_foreground
 from .errors import ValidationError
 
@@ -36,7 +38,7 @@ class StructuringElement:
         if any(side % 2 == 0 for side in mask.shape):
             raise ValidationError(f"element sides must be odd, got {mask.shape}")
         center = tuple(side // 2 for side in mask.shape)
-        if mask[center] != 1:
+        if not mask[center]:
             raise ValidationError("element center cell must be set")
 
     @classmethod
@@ -47,7 +49,7 @@ class StructuringElement:
         if radius < 0:
             raise ValidationError(f"radius must be >= 0, got {radius}")
         side = 2 * radius + 1
-        return cls(np.ones((side,) * ndim, dtype=np.uint8))
+        return cls(np.ones((side,) * ndim, dtype=bool))
 
     @classmethod
     def of(cls, value, default_ndim: int = 2):
@@ -70,15 +72,22 @@ class UncertaintyScore:
 
 
 def pixel_entropy(p) -> np.ndarray:
-    """Per-pixel Shannon entropy -sum_k p_k log2 p_k, with 0*log2(0) = 0."""
-    arr = validate_probabilities(p)
+    """Per-pixel Shannon entropy -sum_k p_k log2 p_k, with 0*log2(0) = 0.
+
+    ``p`` is a trusted posterior; the entropy is computed in float64.
+    """
+    arr = np.asarray(p, dtype=np.float64)
+    # -(p * log2 p) in one buffer; it equals (-p) * log2 p bit for bit
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(arr > 0.0, -arr * np.log2(arr), 0.0)
+        terms = np.log2(arr)
+        np.multiply(terms, arr, out=terms)
+    np.negative(terms, out=terms)
+    np.copyto(terms, 0.0, where=~(arr > 0.0))
     return terms.sum(axis=0)
 
 
 def threshold_binary(field, tau: float = FOREGROUND_THRESHOLD) -> np.ndarray:
-    """1 where field > tau, else 0 (strict: a pixel exactly at tau is background)."""
+    """Bool mask of field > tau (strict: a pixel exactly at tau is background)."""
     if not 0.0 <= tau <= 1.0:
         raise ValidationError(f"threshold must be in [0, 1], got {tau}")
     f = np.asarray(field, dtype=np.float64)
@@ -88,15 +97,18 @@ def threshold_binary(field, tau: float = FOREGROUND_THRESHOLD) -> np.ndarray:
         raise ValidationError(
             f"field values outside [0, 1]: min {f.min()}, max {f.max()}"
         )
-    return (f > tau).astype(np.uint8)
+    return f > tau
 
 
 def dilate(image, element=None) -> np.ndarray:
-    """Binary dilation; outside the image counts as background.
+    """Binary dilation into a bool mask; outside the image counts as background.
 
     A 3D image with a 2D element is dilated independently per axial slice.
     """
-    img = validate_binary(image)
+    return _dilate(validate_binary(image), element)
+
+
+def _dilate(img, element):
     elem = StructuringElement.of(element, default_ndim=min(img.ndim, 2))
     if img.ndim == 3 and elem.mask.ndim == 2:
         return np.stack([_dilate_nd(sl, elem.mask) for sl in img], axis=0)
@@ -112,21 +124,20 @@ def _dilate_nd(img, mask):
     radii = tuple(side // 2 for side in mask.shape)
     padded = np.pad(img, [(r, r) for r in radii])
     out = np.zeros_like(img)
-    offsets = np.argwhere(mask == 1) - np.array(radii)
+    offsets = np.argwhere(mask) - np.array(radii)
     for a in offsets:
         window = tuple(
             slice(r - int(ak), r - int(ak) + n)
             for r, ak, n in zip(radii, a, img.shape)
         )
         np.logical_or(out, padded[window], out=out)
-    return out.astype(np.uint8)
+    return out
 
 
 def contour_normalizer(image, element=None) -> np.ndarray:
-    """Ring of pixels added by dilation: dilate(I) minus I as a set difference."""
+    """Ring of pixels added by dilation: dilate(I) minus I, as a bool mask."""
     img = validate_binary(image)
-    grown = dilate(img, element)
-    return (grown & ~img.astype(bool)).astype(np.uint8)
+    return _dilate(img, element) & ~img
 
 
 def total_entropy(entropy_map, region=None) -> float:
@@ -139,7 +150,7 @@ def total_entropy(entropy_map, region=None) -> float:
         raise ValidationError(
             f"region shape {mask.shape} does not match map shape {h.shape}"
         )
-    return float(h[mask == 1].sum())
+    return float(h[mask].sum())
 
 
 def uncertainty_score(
@@ -147,22 +158,25 @@ def uncertainty_score(
     class_id: int,
     element=None,
     *,
+    entropy=None,
     restrict_to_contour: bool = False,
 ) -> UncertaintyScore:
-    """Contour-normalized uncertainty score for one class.
+    """Contour-normalized uncertainty score for one class of a trusted posterior.
 
-    ``restrict_to_contour`` limits the entropy sum to the contour ring
-    instead of the whole image. An empty contour is reported via the
-    ``empty_contour`` flag with score 0, not an error.
+    ``entropy`` is the posterior's ``pixel_entropy`` map, computed here when
+    not given; one map serves every class of a case. ``restrict_to_contour``
+    limits the entropy sum to the contour ring instead of the whole image.
+    An empty contour is reported via the ``empty_contour`` flag with score
+    0, not an error.
     """
-    arr = validate_probabilities(p)
     if class_id == 0:
         raise ValidationError("background (class 0) has no uncertainty score")
-    plane = class_foreground(arr, class_id)
+    plane = class_foreground(p, class_id)
     mask = threshold_binary(plane, FOREGROUND_THRESHOLD)
     ring = contour_normalizer(mask, element)
-    contour_pixels = int(ring.sum())
-    entropy = pixel_entropy(arr)
+    contour_pixels = int(np.count_nonzero(ring))
+    if entropy is None:
+        entropy = pixel_entropy(p)
     h_total = total_entropy(entropy, ring if restrict_to_contour else None)
     if contour_pixels == 0:
         return UncertaintyScore(class_id, h_total, 0, 0.0, True)

@@ -59,7 +59,10 @@ def _main(kind, text, root):
     for cid in MEMBER_IDS:
         write_array(members / f"{cid}.uqsg", np.full((2, 3, 3), 0.5, dtype=np.float32))
     csv_path = root / "in.csv"
-    csv_path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    # a lone surrogate drawn by hypothesis becomes non-UTF-8 bytes, which the
+    # readers must reject like any binary file
+    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+    csv_path.write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(_argv(kind, csv_path, root))

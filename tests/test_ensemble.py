@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uqseg.arrays import SIMPLEX_TOLERANCE, validate_probabilities
 from uqseg.ensemble import argmax_labels, class_foreground, ensemble_mean
 from uqseg.errors import ValidationError
+from uqseg.uncertainty import pixel_entropy
 
 
 def random_posterior(rng, shape=(4, 6, 6)):
@@ -72,6 +76,66 @@ def test_shape_mismatch_rejected():
 def test_empty_member_list_rejected():
     with pytest.raises(ValidationError):
         ensemble_mean([])
+
+
+@st.composite
+def _float32_members(draw):
+    """1-7 float32 softmax members of one (c,H,W) or (c,D,H,W) shape.
+
+    A large logit scale makes some classes underflow to exactly 0.
+    """
+    c = draw(st.integers(2, 5))
+    spatial = draw(st.lists(st.integers(1, 9), min_size=2, max_size=3))
+    n = draw(st.integers(1, 7))
+    scale = draw(st.sampled_from([0.5, 3.0, 200.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(n):
+        logits = scale * rng.normal(size=(c, *spatial))
+        e = np.exp(logits - logits.max(axis=0))
+        members.append((e / e.sum(axis=0)).astype(np.float32))
+    return members
+
+
+@settings(max_examples=150, deadline=None)
+@given(members=_float32_members())
+def test_running_sum_equals_stacked_float64_mean_bit_for_bit(members):
+    stacked = np.stack([m.astype(np.float64) for m in members]).mean(axis=0)
+    fused = ensemble_mean(members)
+    assert fused.dtype == np.float64
+    assert fused.tobytes() == stacked.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(members=_float32_members())
+def test_mean_of_validated_members_is_a_valid_posterior(members):
+    fused = ensemble_mean(members)  # validates every member
+    validate_probabilities(fused)
+    h = pixel_entropy(fused)
+    assert h.shape == fused.shape[1:]
+    assert h.min() >= 0.0
+    # a class vector summing to 1 + d has entropy at most
+    # (1 + d) log2 c - (1 + d) log2(1 + d) < log2 c + |d| (log2 c + 2)
+    c = fused.shape[0]
+    assert h.max() <= np.log2(c) + SIMPLEX_TOLERANCE * (np.log2(c) + 2)
+
+
+def test_invalid_member_is_named():
+    good = np.full((2, 3, 3), 0.5, dtype=np.float32)
+    bad = np.full((2, 3, 3), 0.35, dtype=np.float32)  # sums to 0.7
+    with pytest.raises(ValidationError, match="^member 1: per-pixel class"):
+        ensemble_mean([good, bad])
+    with pytest.raises(ValidationError, match="^b.uqsg: per-pixel class"):
+        ensemble_mean([good, bad], ["a.uqsg", "b.uqsg"])
+
+
+def test_members_are_not_modified():
+    rng = np.random.default_rng(21)
+    members = [random_posterior(rng) for _ in range(3)]
+    copies = [m.copy() for m in members]
+    ensemble_mean(members)
+    for m, c in zip(members, copies):
+        np.testing.assert_array_equal(m, c)
 
 
 class TestArgmax:

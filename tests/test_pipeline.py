@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +166,92 @@ class TestRunPipeline:
         cfg = small_config(small_run, outdir="g1", classes=(7,))
         with pytest.raises(StageError, match="score"):
             run_pipeline(cfg)
+
+
+def _write_run_config(root, path, **overrides):
+    values = dict(
+        trace=root / "trace.csv",
+        predictions_dir=root / "predictions",
+        cases_dir=root / "cases",
+        outdir=root / "out",
+        t0=10, eta=2, lr_max=0.2, lr_min=0.0001, total_epochs=20,
+    )
+    values.update(overrides)
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    return path
+
+
+class TestCaseErrors:
+    """A bad input of one case exits 2 and names the case and the file."""
+
+    def run_main(self, root, capsys):
+        code = main(["run", "--config", str(_write_run_config(root, root / "p.cfg"))])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not (root / "out").exists()
+        return code, err
+
+    def copy(self, small_run, tmp_path):
+        root = tmp_path / "run"
+        root.mkdir()
+        for name in ("trace.csv", "predictions", "cases"):
+            src = small_run / name
+            (shutil.copytree if src.is_dir() else shutil.copyfile)(src, root / name)
+        return root
+
+    def test_member_off_the_simplex(self, small_run, tmp_path, capsys):
+        root = self.copy(small_run, tmp_path)
+        case_dir = root / "predictions" / "case0005"
+        for member in case_dir.iterdir():
+            write_array(member, (read_array(member) * 0.7).astype(np.float32))
+        code, err = self.run_main(root, capsys)
+        assert code == 2
+        assert "stage 'fuse' failed for case case0005" in err
+        named = re.escape(str(case_dir)) + r"/ep\d+\.uqsg: per-pixel class probabilities must sum"
+        assert re.search(named, err), err
+
+    def test_labels_shape(self, small_run, tmp_path, capsys):
+        root = self.copy(small_run, tmp_path)
+        labels = root / "cases" / "case0004_labels.uqsg"
+        write_array(labels, np.zeros((24, 23), dtype=np.uint8))
+        code, err = self.run_main(root, capsys)
+        assert code == 2
+        assert "stage 'metrics' failed for case case0004" in err
+        assert f"{labels}: labels shape (24, 23) does not match" in err
+
+    def test_label_out_of_range(self, small_run, tmp_path, capsys):
+        root = self.copy(small_run, tmp_path)
+        labels = root / "cases" / "case0005_labels.uqsg"
+        write_array(labels, np.full((24, 24), 3, dtype=np.uint8))
+        code, err = self.run_main(root, capsys)
+        assert code == 2
+        assert "stage 'metrics' failed for case case0005" in err
+        assert f"{labels}: label codes must lie in [0, 3)" in err
+
+
+def test_each_member_validated_once_and_entropy_computed_once(small_run, monkeypatch):
+    import uqseg.ensemble
+    import uqseg.pipeline
+    import uqseg.uncertainty
+
+    calls = {"validate": 0, "entropy": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        uqseg.ensemble, "validate_probabilities",
+        counted("validate", uqseg.ensemble.validate_probabilities),
+    )
+    for module in (uqseg.pipeline, uqseg.uncertainty):
+        monkeypatch.setattr(module, "pixel_entropy", counted("entropy", module.pixel_entropy))
+    run_pipeline(small_config(small_run, outdir="k1"))
+    members = len((small_run / "k1" / "manifest.csv").read_text().splitlines()) - 1
+    assert calls == {"validate": 2 * members, "entropy": 2}  # two cases
 
 
 def test_golden_summary_byte_for_byte(seed7_run):
@@ -335,6 +423,56 @@ class TestCli:
         )
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (small_run / "j1" / "summary.csv").exists()
+
+    def test_non_utf8_run_config_exits_validation(self, tmp_path, capsys):
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_bytes(b"\xff\xfe\x00trace = t.csv\n")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg_path}: not a UTF-8 text file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--eta", "nan"), ("--eta", "inf"), ("--lr-max", "inf"), ("--lr-min", "nan")]
+    )
+    def test_non_finite_schedule_exits_validation(self, flag, value, capsys):
+        assert main(["lr-schedule", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("key, value", [("eta", "nan"), ("lr_max", "inf"), ("lr_min", "-inf")])
+    def test_non_finite_schedule_in_run_config_exits_validation(self, key, value, tmp_path, capsys):
+        cfg_path = _write_run_config(tmp_path, tmp_path / "p.cfg", **{key: value})
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["entropy", "score", "ece"])
+    def test_posterior_off_the_simplex_exits_validation(self, command, tmp_path, capsys):
+        probs = tmp_path / "p.uqsg"
+        write_array(probs, np.full((2, 4, 4), 0.35, dtype=np.float32))  # sums to 0.7
+        write_array(tmp_path / "gt.uqsg", np.zeros((4, 4), dtype=np.uint8))
+        argv = {
+            "entropy": ["entropy", "--in", str(probs), "--out", str(tmp_path / "h.uqsg")],
+            "score": ["score", "--in", str(probs), "--classes", "1"],
+            "ece": [
+                "ece", "--pred", str(probs), "--gt", str(tmp_path / "gt.uqsg"),
+                "--out", str(tmp_path / "ece.csv"),
+            ],
+        }[command]
+        assert main(argv) == 2
+        assert f"{probs}: per-pixel class probabilities must sum to 1" in capsys.readouterr().err
+
+    def test_ece_bins_default_has_one_source(self, capsys):
+        from uqseg.cli import build_parser
+        from uqseg.metrics import DEFAULT_ECE_BINS, CalibrationAccumulator
+
+        args = build_parser().parse_args(["ece", "--pred", "p", "--gt", "g", "--out", "o"])
+        assert args.bins == DEFAULT_ECE_BINS
+        assert CalibrationAccumulator().n_bins == DEFAULT_ECE_BINS
+        assert small_config(Path(".")).bins == DEFAULT_ECE_BINS
+        assert main(["info", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["defaults"]["ece_bins"] == DEFAULT_ECE_BINS
 
     def test_run_with_missing_trace_exits_validation(self, tmp_path, capsys):
         cfg_path = tmp_path / "p.cfg"

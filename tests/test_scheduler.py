@@ -111,6 +111,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SgdrConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["eta", "lr_max", "lr_min"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            SgdrConfig(**{name: value})
+
 
 def test_schedule_rows_cover_run():
     cfg = SgdrConfig(t0=3, eta=2, total_epochs=10)

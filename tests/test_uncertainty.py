@@ -72,6 +72,17 @@ class TestPixelEntropy:
         np.testing.assert_allclose(pixel_entropy(p), pixel_entropy(p[perm]), atol=1e-12)
 
 
+    def test_matches_direct_formula_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for scale in (0.3, 3.0, 300.0):  # 300 drives some classes to exact 0 and 1
+            logits = scale * rng.normal(size=(4, 6, 7, 5))
+            p = np.exp(logits - logits.max(axis=0))
+            p /= p.sum(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                direct = np.where(p > 0.0, -p * np.log2(p), 0.0).sum(axis=0)
+            assert pixel_entropy(p).tobytes() == direct.tobytes()
+
+
 class TestThreshold:
     def test_above_threshold(self):
         field = np.full((3, 3), 0.6)
