@@ -15,6 +15,7 @@ The published formula differs: its amplitude is lr_min/2, so it only spans
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -59,11 +60,20 @@ class CycleIndex:
 
 
 def _cycle_iter(cfg: SgdrConfig):
-    """Yield CycleIndex values forever, starting at epoch 0."""
+    """Yield CycleIndex values from epoch 0 through the cycle that reaches
+    ``total_epochs``.
+
+    A span t0 * eta**i beyond the float range is taken as the largest float:
+    the cycle then outlasts the run, and every rate in it is the one an
+    unbounded span gives (cos(pi * x) rounds to 1 for such tiny x).
+    """
     prev = 0
     i = 0
-    while True:
-        t_i = cfg.t0 * cfg.eta**i
+    while prev < cfg.total_epochs:
+        try:
+            t_i = min(cfg.t0 * cfg.eta**i, sys.float_info.max)
+        except OverflowError:
+            t_i = sys.float_info.max
         # next zero of mod(t, t_i) strictly after the previous boundary
         mult = math.floor(prev / t_i) + 1
         end = max(prev + 1, int(round(mult * t_i)))
@@ -94,9 +104,7 @@ def restart_epochs(cfg: SgdrConfig) -> list[int]:
     return out
 
 
-def lr_at(epoch: int, cfg: SgdrConfig) -> float:
-    """Learning rate at the start of ``epoch``."""
-    cyc = cycle_of(epoch, cfg)
+def _cycle_lr(epoch: int, cyc: CycleIndex, cfg: SgdrConfig) -> float:
     offset = epoch - cyc.cycle_start
     if offset == 0:
         return cfg.lr_max
@@ -104,12 +112,15 @@ def lr_at(epoch: int, cfg: SgdrConfig) -> float:
     return cfg.lr_min + (cfg.lr_max - cfg.lr_min) / 2.0 * (1.0 + math.cos(math.pi * x))
 
 
+def lr_at(epoch: int, cfg: SgdrConfig) -> float:
+    """Learning rate at the start of ``epoch``."""
+    return _cycle_lr(epoch, cycle_of(epoch, cfg), cfg)
+
+
 def schedule_rows(cfg: SgdrConfig):
     """(epoch, cycle, lr) triples for the whole run; backs the CSV emitter."""
     rows = []
     for cyc in _cycle_iter(cfg):
-        if cyc.cycle_start >= cfg.total_epochs:
-            break
         for epoch in range(cyc.cycle_start, min(cyc.cycle_end, cfg.total_epochs)):
-            rows.append((epoch, cyc.cycle, lr_at(epoch, cfg)))
+            rows.append((epoch, cyc.cycle, _cycle_lr(epoch, cyc, cfg)))
     return rows

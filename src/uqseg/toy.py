@@ -9,6 +9,13 @@ uncertainty pipeline needs to see.
 Training is plain full-batch SGD under the warm-restart schedule with a
 soft Dice loss (smoothing 1.0); everything is deterministic given
 (seed, config).
+
+Reductions over the short class axis of the (P, c) pixel arrays run column
+by column (a chain of ``np.maximum``, left-to-right additions), because
+numpy reduces such an axis one pixel row at a time, which made them most of
+the training time; for c <= 7 this is numpy's own summation order, so the
+results are bit-identical to ``max``/``sum(axis=1)``, while for c >= 8
+numpy sums pairwise and the weights differ in the last bit (~1e-16).
 """
 
 from __future__ import annotations
@@ -173,12 +180,28 @@ def case_features(image) -> np.ndarray:
     return feats.reshape(-1, FEATURE_COUNT)
 
 
+def _class_sum(cols):
+    """Left-to-right sum of the class columns (c, P): numpy's order for c <= 7."""
+    total = cols[0].copy()
+    for col in cols[1:]:
+        total += col
+    return total
+
+
 def _softmax(feats, W):
     """Per-pixel class probabilities (P, c) of the linear model."""
     logits = feats @ W.T
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    return exp / exp.sum(axis=1, keepdims=True)
+    cols = logits.T
+    peak = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(peak, col, out=peak)
+    for col in cols:
+        col -= peak
+    np.exp(logits, out=logits)
+    total = _class_sum(cols)
+    for col in cols:
+        col /= total
+    return logits
 
 
 def posterior(weights, feats, shape) -> np.ndarray:
@@ -189,30 +212,50 @@ def posterior(weights, feats, shape) -> np.ndarray:
     return _softmax(feats, W).T.reshape(W.shape[0], *shape)
 
 
-def _dice_loss_grad(probs, onehot):
-    """Soft Dice loss and its gradient w.r.t. the probabilities (P, C)."""
+def _dice_loss_grad(probs, mask, counts):
+    """Soft Dice loss and its gradient w.r.t. the probabilities (P, c).
+
+    ``mask`` is the (P, c) boolean one-hot of the labels and ``counts`` its
+    per-class pixel counts as float64.
+    """
     s = DICE_SMOOTHING
-    num = 2.0 * (probs * onehot).sum(axis=0) + s
-    den = probs.sum(axis=0) + onehot.sum(axis=0) + s
+    num = 2.0 * np.where(mask, probs, 0.0).sum(axis=0) + s
+    den = probs.sum(axis=0) + counts + s
     loss = 1.0 - (num / den).mean()
     n_classes = probs.shape[1]
-    grad = -(2.0 * onehot * den - num) / (den**2) / n_classes
-    return loss, grad
+    # with a 0/1 one-hot, -(2*onehot*den - num) / den**2 / c takes one value
+    # per class on the class's pixels and one off them
+    on = (num - 2.0 * den) / den**2 / n_classes
+    off = num / den**2 / n_classes
+    return loss, np.where(mask, on, off)
 
 
-def _case_gradient(feats, onehot, W):
+def _case_gradient(feats, mask, counts, W):
     probs = _softmax(feats, W)
-    loss, gp = _dice_loss_grad(probs, onehot)
-    gz = probs * (gp - (gp * probs).sum(axis=1, keepdims=True))
-    return loss, gz.T @ feats
+    loss, grad = _dice_loss_grad(probs, mask, counts)
+    # back through the softmax: probs * (grad - sum_k grad_k * probs_k)
+    inner = _class_sum((grad * probs).T)
+    for col in grad.T:
+        col -= inner
+    grad *= probs
+    return loss, grad.T @ feats
+
+
+def _class_argmax(cols) -> np.ndarray:
+    """First index of the largest class column per pixel, as ``argmax(axis=0)``:
+    a NaN counts as the largest, since overflowing weights give NaN logits."""
+    best = cols[0].copy()
+    pred = np.zeros(best.shape, dtype=np.uint8)
+    for k, col in enumerate(cols[1:], start=1):
+        pred[(col > best) | (np.isnan(col) & ~np.isnan(best))] = k
+        np.maximum(best, col, out=best)  # propagates NaN like the mask above
+    return pred
 
 
 def checkpoint_epochs(cfg: SgdrConfig, policy: SelectionPolicy) -> list:
     """Epochs falling inside any cycle's selection window."""
     epochs = []
     for cyc in _cycle_iter(cfg):
-        if cyc.cycle_start >= cfg.total_epochs:
-            break
         start = max(cyc.cycle_start, cyc.cycle_end - policy.window_epochs(cyc.t_i))
         epochs.extend(range(start, min(cyc.cycle_end, cfg.total_epochs)))
     return epochs
@@ -222,13 +265,35 @@ def validation_dice(weights, cases) -> float:
     """Mean foreground Dice of argmax predictions over validation cases."""
     per_case = []
     for case in cases:
-        probs = posterior(weights, case.features, case.image.shape)
-        pred = probs.argmax(axis=0).astype(np.uint8)
+        pred = _class_argmax(posterior(weights, case.features, case.image.shape))
         scores = [
             dice(pred, case.labels, k).dice for k in range(1, case.class_count)
         ]
         per_case.append(float(np.mean(scores)))
     return float(np.mean(per_case))
+
+
+def _check_cases(cases, class_count):
+    """Every case must share ``class_count`` and carry labels in [0, class_count)."""
+    for case in cases:
+        if case.class_count != class_count:
+            raise ValidationError(
+                f"case {case.case_id}: class_count {case.class_count} differs from "
+                f"the first training case's {class_count}"
+            )
+        labels = np.asarray(case.labels)
+        if labels.shape != np.shape(case.image):
+            raise ValidationError(
+                f"case {case.case_id}: labels shape {labels.shape} != image shape "
+                f"{np.shape(case.image)}"
+            )
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValidationError(f"case {case.case_id}: labels must be integers, got {labels.dtype}")
+        if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+            raise ValidationError(
+                f"case {case.case_id}: labels must lie in [0, {class_count}), "
+                f"got [{labels.min()}, {labels.max()}]"
+            )
 
 
 def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0):
@@ -237,11 +302,14 @@ def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0
         raise ValidationError("need at least one training case and one validation case")
     policy = policy or SelectionPolicy()
     class_count = train_cases[0].class_count
+    _check_cases([*train_cases, *val_cases], class_count)
 
-    feats = [c.features for c in train_cases]
-    onehots = [
-        np.eye(class_count)[c.labels.reshape(-1)] for c in train_cases
-    ]
+    classes = np.arange(class_count)
+    feats, masks, counts = [], [], []
+    for case in train_cases:
+        feats.append(case.features)
+        masks.append(case.labels.reshape(-1, 1) == classes)
+        counts.append(masks[-1].sum(axis=0).astype(np.float64))
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, 0.01, size=(class_count, FEATURE_COUNT))
 
@@ -252,8 +320,8 @@ def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0
         lr = lr_at(epoch, cfg)
         grad = np.zeros_like(W)
         loss_total = 0.0
-        for X, Y in zip(feats, onehots):
-            loss, g = _case_gradient(X, Y, W)
+        for X, mask, count in zip(feats, masks, counts):
+            loss, g = _case_gradient(X, mask, count, W)
             loss_total += loss
             grad += g
         loss_mean = loss_total / len(feats)

@@ -447,6 +447,13 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_overflowing_eta_in_run_config_runs(self, small_run, tmp_path, capsys):
+        # cycle 1's span t0 * eta is past the float range: it outlasts the run
+        cfg_path = _write_run_config(small_run, tmp_path / "p.cfg", eta="1e308", outdir=tmp_path / "out")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "out" / "summary.csv").exists()
+
     @pytest.mark.parametrize("command", ["entropy", "score", "ece"])
     def test_posterior_off_the_simplex_exits_validation(self, command, tmp_path, capsys):
         probs = tmp_path / "p.uqsg"

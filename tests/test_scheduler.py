@@ -1,7 +1,13 @@
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uqseg.cli import main
 from uqseg.errors import ValidationError
 from uqseg.scheduler import SgdrConfig, cycle_of, lr_at, restart_epochs, schedule_rows
 
@@ -125,3 +131,40 @@ def test_schedule_rows_cover_run():
     for epoch, cycle, lr in rows:
         assert cycle == cycle_of(epoch, cfg).cycle
         assert lr == lr_at(epoch, cfg)
+
+
+class TestHugeSpans:
+    """A span t0 * eta**i past the float range outlasts the run."""
+
+    def test_overflowing_span_holds_lr_max(self):
+        # t0 * eta overflows to inf in cycle 1
+        cfg = SgdrConfig(t0=100, eta=1e308, total_epochs=800)
+        rows = schedule_rows(cfg)
+        assert [r[0] for r in rows] == list(range(800))
+        assert restart_epochs(cfg) == [100]
+        assert cycle_of(799, cfg).cycle_start == 100
+        assert all(lr == cfg.lr_max for _, cycle, lr in rows if cycle == 1)
+
+    def test_next_span_is_never_computed(self):
+        # eta**2 would raise OverflowError; cycle 1 already reaches the end
+        cfg = SgdrConfig(t0=1, eta=1e300, total_epochs=5)
+        assert schedule_rows(cfg) == [(0, 0, 0.1)] + [(e, 1, 0.1) for e in range(1, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eta=st.floats(min_value=1.0, max_value=1e308),
+    t0=st.integers(min_value=1, max_value=10**6),
+    epochs=st.integers(min_value=1, max_value=1000),
+)
+def test_lr_schedule_cli_keeps_exit_contract(eta, t0, epochs):
+    out = io.StringIO()
+    argv = ["lr-schedule", "--t0", str(t0), "--eta", repr(eta), "--epochs", str(epochs)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value
+            code = exc.code
+    assert code in (0, 2)
+    if code == 0:
+        assert len(out.getvalue().splitlines()) == epochs + 1

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from uqseg import toy
 from uqseg.arrayio import read_array
 from uqseg.errors import ValidationError
+from uqseg.metrics import dice
 from uqseg.scheduler import SgdrConfig, lr_at
-from uqseg.selection import SelectionPolicy
+from uqseg.selection import SelectionPolicy, TraceRecord, TrainingTrace
 from uqseg.toy import (
+    FEATURE_COUNT,
     boundary_band,
     case_features,
     checkpoint_epochs,
@@ -149,6 +154,165 @@ class TestTrain:
             train([], cases[6:], SMALL_CFG)
         with pytest.raises(ValidationError):
             train(cases[:6], [], SMALL_CFG)
+
+
+# Reference trainer: the straightforward kernels, reducing over the class
+# axis with numpy's max/sum(axis=1) on a float one-hot.
+def ref_softmax(feats, W):
+    logits = feats @ W.T
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def ref_dice_loss_grad(probs, onehot):
+    s = toy.DICE_SMOOTHING
+    num = 2.0 * (probs * onehot).sum(axis=0) + s
+    den = probs.sum(axis=0) + onehot.sum(axis=0) + s
+    loss = 1.0 - (num / den).mean()
+    grad = -(2.0 * onehot * den - num) / (den**2) / probs.shape[1]
+    return loss, grad
+
+
+def ref_case_gradient(feats, onehot, W):
+    probs = ref_softmax(feats, W)
+    loss, gp = ref_dice_loss_grad(probs, onehot)
+    gz = probs * (gp - (gp * probs).sum(axis=1, keepdims=True))
+    return loss, gz.T @ feats
+
+
+def ref_validation_dice(W, cases):
+    per_case = []
+    for case in cases:
+        probs = ref_softmax(case.features, W).T.reshape(W.shape[0], *case.image.shape)
+        pred = probs.argmax(axis=0).astype(np.uint8)
+        per_case.append(
+            float(np.mean([dice(pred, case.labels, k).dice for k in range(1, case.class_count)]))
+        )
+    return float(np.mean(per_case))
+
+
+def ref_train(train_cases, val_cases, cfg, policy, seed):
+    c = train_cases[0].class_count
+    onehots = [np.eye(c)[case.labels.reshape(-1)] for case in train_cases]
+    W = np.random.default_rng(seed).normal(0.0, 0.01, size=(c, FEATURE_COUNT))
+    save_at = set(checkpoint_epochs(cfg, policy))
+    records, checkpoints = [], {}
+    for epoch in range(cfg.total_epochs):
+        lr = lr_at(epoch, cfg)
+        grad = np.zeros_like(W)
+        for case, onehot in zip(train_cases, onehots):
+            grad += ref_case_gradient(case.features, onehot, W)[1]
+        W = W - lr * (grad / len(train_cases))
+        cid = f"ep{epoch:05d}" if epoch in save_at else None
+        if cid:
+            checkpoints[cid] = W.copy()
+        records.append(TraceRecord(epoch, lr, ref_validation_dice(W, val_cases), cid))
+    return TrainingTrace(tuple(records)), checkpoints
+
+
+ORACLE_CFG = SgdrConfig(t0=6, eta=2, lr_max=2.0, lr_min=1e-4, total_epochs=18)
+
+
+def oracle_cases(class_count):
+    return generate_dataset(5, class_count + 2, shape=(40, 40), class_count=class_count)
+
+
+class TestTrainerOracle:
+    """The column-by-column kernels against the reference trainer."""
+
+    @pytest.mark.parametrize("class_count", [2, 3, 4, 7])
+    def test_train_bit_identical(self, class_count):
+        cases = oracle_cases(class_count)
+        policy = SelectionPolicy()
+        trace, ckpts = train(cases[:-2], cases[-2:], ORACLE_CFG, policy, seed=5)
+        ref_trace, ref_ckpts = ref_train(cases[:-2], cases[-2:], ORACLE_CFG, policy, 5)
+        assert trace == ref_trace
+        assert ckpts.keys() == ref_ckpts.keys()
+        for cid in ckpts:
+            np.testing.assert_array_equal(ckpts[cid], ref_ckpts[cid])
+
+    def test_eight_classes_agree_to_the_last_bits(self):
+        # numpy sums 8 or more classes pairwise, the kernels left to right
+        cases = oracle_cases(8)
+        policy = SelectionPolicy()
+        trace, ckpts = train(cases[:-2], cases[-2:], ORACLE_CFG, policy, seed=5)
+        ref_trace, ref_ckpts = ref_train(cases[:-2], cases[-2:], ORACLE_CFG, policy, 5)
+        assert [r.epoch for r in trace.records] == [r.epoch for r in ref_trace.records]
+        for r, ref in zip(trace.records, ref_trace.records):
+            assert r.val_metric == pytest.approx(ref.val_metric, abs=1e-15)
+        assert ckpts.keys() == ref_ckpts.keys()
+        for cid in ckpts:
+            np.testing.assert_allclose(ckpts[cid], ref_ckpts[cid], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("class_count", [2, 3, 4, 7])
+    def test_posterior_bit_identical(self, class_count):
+        case = oracle_cases(class_count)[0]
+        rng = np.random.default_rng(class_count)
+        for scale in (0.01, 1.0, 30.0):
+            W = rng.normal(0.0, scale, size=(class_count, FEATURE_COUNT))
+            expected = ref_softmax(case.features, W).T.reshape(class_count, 40, 40)
+            np.testing.assert_array_equal(posterior(W, case.features, (40, 40)), expected)
+
+    def test_posterior_eight_classes_close(self):
+        case = oracle_cases(8)[0]
+        W = np.random.default_rng(8).normal(size=(8, FEATURE_COUNT))
+        expected = ref_softmax(case.features, W).T.reshape(8, 40, 40)
+        np.testing.assert_allclose(posterior(W, case.features, (40, 40)), expected, rtol=0, atol=1e-15)
+
+    def test_class_argmax_takes_the_first_maximum(self):
+        rng = np.random.default_rng(0)
+        cols = rng.integers(0, 3, size=(4, 2000)).astype(np.float64)
+        cols[rng.random(cols.shape) < 0.2] = np.nan  # a NaN is the maximum
+        np.testing.assert_array_equal(toy._class_argmax(cols), cols.argmax(axis=0))
+
+    def test_dice_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(2)
+        feats = rng.normal(size=(30, FEATURE_COUNT))
+        labels = rng.integers(0, 3, size=30)
+        mask = labels[:, None] == np.arange(3)
+        counts = mask.sum(axis=0).astype(np.float64)
+        W = rng.normal(size=(3, FEATURE_COUNT))
+        _, grad = toy._case_gradient(feats, mask, counts, W)
+        h = 1e-6
+        numeric = np.zeros_like(W)
+        for idx in np.ndindex(*W.shape):
+            step = np.zeros_like(W)
+            step[idx] = h
+            up = toy._case_gradient(feats, mask, counts, W + step)[0]
+            down = toy._case_gradient(feats, mask, counts, W - step)[0]
+            numeric[idx] = (up - down) / (2 * h)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
+
+
+class TestTrainInputs:
+    """train() rejects inconsistent cases by name, before any epoch."""
+
+    def test_validation_case_with_other_class_count(self):
+        cases = small_dataset()
+        val = [replace(cases[6], class_count=4), cases[7]]
+        with pytest.raises(ValidationError, match="case0006.*class_count 4"):
+            train(cases[:6], val, SMALL_CFG)
+
+    def test_label_out_of_range(self):
+        cases = small_dataset()
+        labels = cases[2].labels.copy()
+        labels[0, 0] = 3
+        bad = replace(cases[2], labels=labels)
+        with pytest.raises(ValidationError, match=r"case0002.*\[0, 3\)"):
+            train([*cases[:2], bad, *cases[3:6]], cases[6:], SMALL_CFG)
+
+    def test_labels_shape_must_match_image(self):
+        cases = small_dataset()
+        bad = replace(cases[7], labels=cases[7].labels[:-1])
+        with pytest.raises(ValidationError, match="case0007.*shape"):
+            train(cases[:6], [cases[6], bad], SMALL_CFG)
+
+    def test_mixed_image_shapes_train(self):
+        cases = small_dataset()
+        other = generate_dataset(4, 3, shape=(32, 40), class_count=3)
+        trace, _ = train([*cases[:4], *other[:2]], [cases[6], other[2]], SMALL_CFG, seed=3)
+        assert len(trace.records) == SMALL_CFG.total_epochs
 
 
 class TestFeatures:
