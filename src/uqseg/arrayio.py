@@ -46,7 +46,7 @@ class ArrayFileHeader:
 
 
 def write_array(path, array):
-    """Write an array to ``path``. Dtype must be float32, uint8, or int32."""
+    """Write a float32, uint8 or int32 array to ``path`` from its own buffer."""
     arr = np.ascontiguousarray(array)
     code = _DTYPE_TO_CODE.get(arr.dtype)
     if code is None:
@@ -57,7 +57,8 @@ def write_array(path, array):
         raise ArrayFormatError(f"rank {arr.ndim} outside supported range 1..255")
     header = _HEAD.pack(MAGIC, FORMAT_VERSION, code, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype(_CODE_TO_DTYPE[code], copy=False).tobytes(order="C")
+    # a flat byte view; unlike memoryview.cast it takes shapes with a 0 too
+    payload = arr.astype(_CODE_TO_DTYPE[code], copy=False).reshape(-1).view(np.uint8)
     with open(path, "wb") as f:
         f.write(header)
         f.write(dims)
@@ -65,7 +66,7 @@ def write_array(path, array):
 
 
 def read_array(path):
-    """Read an array written by write_array; bit-exact round trip."""
+    """Read an array written by write_array, bit-exact, straight into its one copy."""
     with open(path, "rb") as f:
         header = _read_header(f, path)
         nbytes = math.prod(header.shape) * header.dtype.itemsize
@@ -78,12 +79,11 @@ def read_array(path):
             )
         if size > nbytes:
             raise ArrayFormatError(f"{path}: trailing bytes after payload")
-        payload = f.read(nbytes)
-        if len(payload) < nbytes:
+        arr = np.empty(header.shape, dtype=header.dtype)
+        if f.readinto(arr.reshape(-1).view(np.uint8)) < nbytes:
             raise TruncatedPayloadError(f"{path}: file shrank while being read")
-    arr = np.frombuffer(payload, dtype=header.dtype).reshape(header.shape)
-    # native byte order, writable copy
-    return arr.astype(header.dtype.newbyteorder("="), copy=True)
+    # a no-op on little-endian hosts
+    return arr.astype(header.dtype.newbyteorder("="), copy=False)
 
 
 def _read_header(f, path):

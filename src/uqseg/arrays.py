@@ -94,7 +94,8 @@ def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
             _named(f"probabilities outside [0, 1]: min {lo}, max {hi}", name)
         )
     sums = arr.sum(axis=0, dtype=np.float64)
-    worst = float(np.abs(sums - 1.0).max())
+    sums -= 1.0
+    worst = float(np.abs(sums, out=sums).max())
     if worst > tol:
         raise ValidationError(_named(
             f"per-pixel class probabilities must sum to 1 within {tol}; "

@@ -115,7 +115,10 @@ def cmd_fuse(args):
 
 
 def cmd_entropy(args):
-    write_entropy(_read_posterior(args.input), args.out, args.pgm)
+    probs = _read_posterior(args.input)
+    if args.pgm:
+        Path(args.pgm).mkdir(parents=True, exist_ok=True)
+    write_entropy(probs, args.out, args.pgm)
     return 0
 
 

@@ -40,8 +40,19 @@ def ensemble_mean(members, names=None) -> np.ndarray:
 
 
 def argmax_labels(p) -> np.ndarray:
-    """Per-pixel argmax class of a trusted posterior; ties go to the lowest class."""
-    return np.asarray(p).argmax(axis=0).astype(np.uint8)
+    """Per-pixel argmax class of a trusted posterior; ties go to the lowest class.
+
+    A class takes a pixel only where it beats every earlier class, so the
+    first maximum wins, as in ``argmax(axis=0)`` on NaN-free posteriors.
+    Labels are uint8 up to 256 classes, wider above.
+    """
+    arr = np.asarray(p)
+    labels = np.zeros(arr.shape[1:], dtype=np.min_scalar_type(arr.shape[0] - 1))
+    best = arr[0].copy()
+    for k in range(1, arr.shape[0]):
+        labels[arr[k] > best] = k
+        np.maximum(best, arr[k], out=best)
+    return labels
 
 
 def class_foreground(p, class_id: int) -> np.ndarray:

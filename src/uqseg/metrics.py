@@ -3,8 +3,8 @@
 Dice uses the both-empty = 1.0 convention. ECE bins per-pixel confidence
 (the maximum class probability) into equal-width bins over (0, 1], with
 values exactly on an interior edge going to the lower bin; the reported
-number is a percentage. Accumulators merge by summing bin counters, so
-cases can be scored independently and pooled.
+number is a percentage. An accumulator pools the bin counters of every
+case added to it.
 """
 
 from __future__ import annotations
@@ -65,13 +65,13 @@ class CalibrationReport:
 
 
 class CalibrationAccumulator:
-    """Mergeable confidence/correctness histogram over (0, 1]."""
+    """Pooled confidence/correctness histogram over (0, 1]."""
 
     def __init__(self, n_bins: int = DEFAULT_ECE_BINS):
         if n_bins < 1:
             raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
         self.n_bins = n_bins
-        # interior edges k/n; digitize(right=True) sends x == edge to the lower bin
+        # interior edges k/n; searchsorted(side="left") sends x == edge to the lower bin
         self._edges = np.array([k / n_bins for k in range(1, n_bins)])
         self.counts = np.zeros(n_bins, dtype=np.int64)
         self.confidence_sums = np.zeros(n_bins, dtype=np.float64)
@@ -96,23 +96,20 @@ class CalibrationAccumulator:
             keep = (labels > 0).ravel()
             confidence = confidence[keep]
             correct = correct[keep]
-        idx = np.digitize(confidence, self._edges, right=True)
-        self.counts += np.bincount(idx, minlength=self.n_bins)
-        for b in range(self.n_bins):
-            sel = idx == b
-            if np.any(sel):
-                self.confidence_sums[b] += float(np.sum(confidence[sel]))
-                self.correct_counts[b] += int(np.count_nonzero(correct[sel]))
-        return self
-
-    def merge(self, other: "CalibrationAccumulator"):
-        if other.n_bins != self.n_bins:
-            raise ValidationError(
-                f"cannot merge accumulators with {other.n_bins} and {self.n_bins} bins"
-            )
-        self.counts += other.counts
-        self.confidence_sums += other.confidence_sums
-        self.correct_counts += other.correct_counts
+        # the narrowest index type lets the stable argsort use radix sort
+        idx = np.searchsorted(self._edges, confidence, side="left").astype(
+            np.min_scalar_type(self.n_bins - 1)
+        )
+        counts = np.bincount(idx, minlength=self.n_bins)
+        self.counts += counts
+        self.correct_counts += np.bincount(idx[correct], minlength=self.n_bins)
+        # a bin's slice of the stable-sorted pixels holds the values of a
+        # boolean selection of the bin, in its order: the same sum, bit for bit
+        ordered = confidence[np.argsort(idx, kind="stable")]
+        stops = np.cumsum(counts)
+        for b in np.flatnonzero(counts):
+            in_bin = ordered[stops[b] - counts[b] : stops[b]]
+            self.confidence_sums[b] += float(np.sum(in_bin))
         return self
 
     def report(self) -> CalibrationReport:

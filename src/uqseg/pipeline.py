@@ -231,17 +231,19 @@ def fuse_members(checkpoint_ids, inputs, out, track=_untracked) -> np.ndarray:
 
     Writes the mean as float32 to ``out`` and returns it as float64.
     ``track`` is called with each output path before it is written. An
-    invalid member is reported by its path.
+    invalid member is reported by its path; members are freed before the write.
     """
     paths = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
     members = []
     for cid, member_path in zip(checkpoint_ids, paths):
-        if not member_path.exists():
+        try:
+            members.append(read_array(member_path))
+        except FileNotFoundError:
             raise ValidationError(
                 f"missing member posterior {member_path} for checkpoint {cid}"
-            )
-        members.append(read_array(member_path))
+            ) from None
     mean = ensemble_mean(members, [str(path) for path in paths])
+    del members
     write_array(track(out), mean.astype(np.float32))
     return mean
 
@@ -249,14 +251,13 @@ def fuse_members(checkpoint_ids, inputs, out, track=_untracked) -> np.ndarray:
 def write_entropy(probs, out, pgm_dir=None, track=_untracked) -> np.ndarray:
     """Write the entropy map of ``probs`` to ``out`` as float32 and return it.
 
-    With ``pgm_dir`` it also writes 8-bit PGM images named after ``out``:
-    one per 2D map, or one per axial slice ``<stem>_z<k>.pgm`` of a volume.
+    With ``pgm_dir`` (existing) it also writes 8-bit PGM images named after
+    ``out``: one per 2D map, or one per axial slice ``<stem>_z<k>.pgm``.
     """
     h = pixel_entropy(probs)
     write_array(track(out), h.astype(np.float32))
     if pgm_dir is not None:
         pgm_dir = Path(pgm_dir)
-        pgm_dir.mkdir(parents=True, exist_ok=True)
         gray = entropy_to_gray(h, probs.shape[0])
         stem = Path(out).stem
         if gray.ndim == 2:
@@ -397,9 +398,10 @@ def _classes_for(cfg, class_count):
 def _read_labels(cfg, case_id, posterior_shape):
     """The case's ground truth, checked against its posterior's shape and classes."""
     gt_path = Path(cfg.cases_dir) / f"{case_id}_labels.uqsg"
-    if not gt_path.exists():
-        raise ValidationError(f"missing ground truth {gt_path}")
-    gt = read_array(gt_path)
+    try:
+        gt = read_array(gt_path)
+    except FileNotFoundError:
+        raise ValidationError(f"missing ground truth {gt_path}") from None
     if gt.shape != posterior_shape[1:]:
         raise ValidationError(
             f"{gt_path}: labels shape {gt.shape} does not match posterior {posterior_shape}"

@@ -6,11 +6,11 @@ only the ring of pixels the dilation added (the segmentation contour), and
 divide total entropy by the ring's pixel count. Normalizing by contour
 length makes scores comparable across segmentations of different sizes.
 
-Entropy is base-2 (bits) throughout. Masks are bool arrays; those over 3D
-volumes are dilated slice by slice with a 2D element by default; pass a 3D
-element for volumetric dilation. Posteriors are validated where they enter
-the program (``ensemble_mean``, the CLI's readers), so these kernels take
-them as trusted.
+Entropy is base-2 (bits) throughout. Masks are bool arrays, dilated with a
+box only (a full square or cube), one axis at a time. Masks over 3D volumes
+are dilated slice by slice with the 3x3 square by default; pass a 3D box for
+volumetric dilation. Posteriors are validated where they enter the program
+(``ensemble_mean``, the CLI's readers), so these kernels take them as trusted.
 """
 
 from __future__ import annotations
@@ -28,36 +28,28 @@ FOREGROUND_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class StructuringElement:
-    """Neighborhood mask for dilation; odd-sided, center cell set."""
+    """Box of side 2*radius + 1: a square (2D) or a cube (3D)."""
 
-    mask: np.ndarray
+    ndim: int = 2
+    radius: int = 1
 
     def __post_init__(self):
-        mask = validate_binary(self.mask)
-        object.__setattr__(self, "mask", mask)
-        if any(side % 2 == 0 for side in mask.shape):
-            raise ValidationError(f"element sides must be odd, got {mask.shape}")
-        center = tuple(side // 2 for side in mask.shape)
-        if not mask[center]:
-            raise ValidationError("element center cell must be set")
+        if self.ndim not in (2, 3):
+            raise ValidationError(f"element must be 2D or 3D, got ndim={self.ndim}")
+        if self.radius < 0:
+            raise ValidationError(f"radius must be >= 0, got {self.radius}")
 
     @classmethod
     def full(cls, ndim: int = 2, radius: int = 1):
         """Fully-set square (2D) or cube (3D) of side 2*radius + 1."""
-        if ndim not in (2, 3):
-            raise ValidationError(f"element must be 2D or 3D, got ndim={ndim}")
-        if radius < 0:
-            raise ValidationError(f"radius must be >= 0, got {radius}")
-        side = 2 * radius + 1
-        return cls(np.ones((side,) * ndim, dtype=bool))
+        return cls(ndim, radius)
 
-    @classmethod
-    def of(cls, value, default_ndim: int = 2):
-        if value is None:
-            return cls.full(default_ndim)
-        if isinstance(value, cls):
-            return value
-        return cls(np.asarray(value))
+    @property
+    def mask(self) -> np.ndarray:
+        return np.ones((2 * self.radius + 1,) * self.ndim, dtype=bool)
+
+
+_SQUARE = StructuringElement.full(2)
 
 
 @dataclass(frozen=True)
@@ -109,28 +101,17 @@ def dilate(image, element=None) -> np.ndarray:
 
 
 def _dilate(img, element):
-    elem = StructuringElement.of(element, default_ndim=min(img.ndim, 2))
-    if img.ndim == 3 and elem.mask.ndim == 2:
-        return np.stack([_dilate_nd(sl, elem.mask) for sl in img], axis=0)
-    if img.ndim != elem.mask.ndim:
-        raise ValidationError(
-            f"{elem.mask.ndim}D element incompatible with {img.ndim}D image"
-        )
-    return _dilate_nd(img, elem.mask)
-
-
-def _dilate_nd(img, mask):
-    # out[x] = 1 iff img[x - a] = 1 for some set offset a of the element
-    radii = tuple(side // 2 for side in mask.shape)
-    padded = np.pad(img, [(r, r) for r in radii])
-    out = np.zeros_like(img)
-    offsets = np.argwhere(mask) - np.array(radii)
-    for a in offsets:
-        window = tuple(
-            slice(r - int(ak), r - int(ak) + n)
-            for r, ak, n in zip(radii, a, img.shape)
-        )
-        np.logical_or(out, padded[window], out=out)
+    elem = _SQUARE if element is None else element
+    if not (img.ndim == elem.ndim or (img.ndim == 3 and elem.ndim == 2)):
+        raise ValidationError(f"{elem.ndim}D element incompatible with {img.ndim}D image")
+    out = img
+    # one axis at a time: out[x] = OR of src[x - s .. x + s] within the image
+    for axis in range(img.ndim - elem.ndim, img.ndim):
+        src, out = out, out.copy()
+        lead = (slice(None),) * axis
+        for s in range(1, min(elem.radius, img.shape[axis] - 1) + 1):
+            out[lead + (slice(s, None),)] |= src[lead + (slice(None, -s),)]
+            out[lead + (slice(None, -s),)] |= src[lead + (slice(s, None),)]
     return out
 
 
@@ -171,8 +152,8 @@ def uncertainty_score(
     """
     if class_id == 0:
         raise ValidationError("background (class 0) has no uncertainty score")
-    plane = class_foreground(p, class_id)
-    mask = threshold_binary(plane, FOREGROUND_THRESHOLD)
+    # a trusted plane needs no range check: threshold it directly
+    mask = class_foreground(p, class_id) > FOREGROUND_THRESHOLD
     ring = contour_normalizer(mask, element)
     contour_pixels = int(np.count_nonzero(ring))
     if entropy is None:

@@ -39,6 +39,16 @@ def test_round_trip_bit_exact(tmp_path, array):
     assert back.tobytes() == array.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int32])
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 4)])
+def test_zero_size_round_trip(tmp_path, shape, dtype):
+    path = tmp_path / "empty.uqsg"
+    write_array(path, np.zeros(shape, dtype=dtype))
+    back = read_array(path)
+    assert back.dtype == dtype
+    assert back.shape == shape
+
+
 def test_round_trip_preserves_float_bit_patterns(tmp_path):
     # exact payload bytes survive, including values that compare unequal
     raw = np.array([np.nan, -0.0, np.inf], dtype=np.float32)

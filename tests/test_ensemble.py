@@ -163,6 +163,27 @@ class TestArgmax:
     def test_dtype_is_uint8(self):
         assert argmax_labels(np.full((2, 2, 2), 0.5)).dtype == np.uint8
 
+    def test_more_than_256_classes_keep_their_label(self):
+        p = np.full((300, 1, 2), 0.5 / 299)
+        p[0, 0, 0] = p[299, 0, 1] = 0.5
+        np.testing.assert_array_equal(argmax_labels(p), [[0, 299]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        c=st.integers(2, 8),
+        spatial=st.lists(st.integers(1, 9), min_size=2, max_size=3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_class_chain_equals_argmax_with_ties(self, c, spatial, dtype, seed):
+        # small integer weights over their sum: exact ties are common
+        rng = np.random.default_rng(seed)
+        w = rng.integers(0, 4, size=(c, *spatial)).astype(np.float64)
+        w[0][w.sum(axis=0) == 0] = 1.0
+        p = (w / w.sum(axis=0)).astype(dtype)
+        expected = p.argmax(axis=0).astype(np.uint8)
+        assert argmax_labels(p).tobytes() == expected.tobytes()
+
 
 class TestClassForeground:
     def test_extracts_requested_plane(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqseg.errors import ValidationError
 from uqseg.metrics import (
@@ -149,18 +151,6 @@ class TestEce:
         assert fine == pytest.approx(ece_oracle(p, gt, 10), abs=1e-9)
         assert coarse == pytest.approx(ece_oracle(p, gt, 5), abs=1e-9)
 
-    def test_merge_equals_pooled(self):
-        rng = np.random.default_rng(7)
-        conf = 0.5 + rng.random(30) * 0.5
-        correct = rng.random(30) < 0.8
-        p, gt = binary_posterior(conf, correct)
-        pooled = ece(p, gt, n_bins=10)
-        a = CalibrationAccumulator(10).add(p[:, :, :11], gt[:, :11])
-        b = CalibrationAccumulator(10).add(p[:, :, 11:], gt[:, 11:])
-        merged = a.merge(b).report()
-        assert merged.ece == pytest.approx(pooled.ece, abs=1e-12)
-        np.testing.assert_array_equal(merged.bins.counts, pooled.bins.counts)
-
     def test_foreground_only_mask(self):
         p = np.zeros((2, 1, 4))
         p[0] = [[0.9, 0.9, 0.6, 0.6]]
@@ -178,6 +168,64 @@ class TestEce:
     def test_empty_accumulator_report_rejected(self):
         with pytest.raises(ValidationError):
             CalibrationAccumulator(5).report()
+
+
+def per_bin_loop(p, gt, n_bins, foreground_only):
+    """The accumulator's former kernel: one boolean selection per bin.
+
+    Returns (counts, confidence_sums, correct_counts) of one pair.
+    """
+    edges = np.array([k / n_bins for k in range(1, n_bins)])
+    confidence = p.max(axis=0).ravel()
+    correct = (p.argmax(axis=0) == gt).ravel()
+    if foreground_only:
+        keep = (gt > 0).ravel()
+        confidence, correct = confidence[keep], correct[keep]
+    idx = np.digitize(confidence, edges, right=True)
+    sums = np.zeros(n_bins)
+    correct_counts = np.zeros(n_bins, dtype=np.int64)
+    for b in range(n_bins):
+        sel = idx == b
+        if np.any(sel):
+            sums[b] += float(np.sum(confidence[sel]))
+            correct_counts[b] += int(np.count_nonzero(correct[sel]))
+    return np.bincount(idx, minlength=n_bins), sums, correct_counts
+
+
+@st.composite
+def _binned_pairs(draw):
+    """A 2-class score array and labels whose maxima often sit on bin edges.
+
+    The add kernel does not look at simplex sums, so the two planes are
+    drawn independently: maxima hit interior edges k/n, 0 and 1 exactly.
+    """
+    n_bins = draw(st.integers(1, 300))
+    n = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random((2, 1, n))
+    kind = rng.integers(0, 8, size=values.shape)
+    values[kind == 0] = 0.0
+    values[kind == 1] = 1.0
+    on_edge = kind >= 6
+    values[on_edge] = rng.integers(1, max(n_bins, 2), size=int(on_edge.sum())) / n_bins
+    gt = rng.integers(0, 2, size=(1, n)).astype(np.uint8)
+    return values, gt, n_bins, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_binned_pairs())
+def test_slice_sums_equal_per_bin_loop_bit_for_bit(case):
+    p, gt, n_bins, foreground_only = case
+    acc = CalibrationAccumulator(n_bins)
+    for _ in range(2):  # a second add accumulates onto the first
+        acc.add(p, gt, foreground_only=foreground_only)
+    counts, sums, correct_counts = per_bin_loop(p, gt, n_bins, foreground_only)
+    twice = np.zeros(n_bins)
+    twice += sums
+    twice += sums
+    np.testing.assert_array_equal(acc.counts, 2 * counts)
+    np.testing.assert_array_equal(acc.correct_counts, 2 * correct_counts)
+    assert acc.confidence_sums.tobytes() == twice.tobytes()
 
 
 def _pairs(scores, dices):

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from uqseg.arrayio import read_array, write_array
 from uqseg.cli import main
 from uqseg.errors import StageError, ValidationError
-from uqseg.pipeline import PipelineConfig, run_pipeline
+from uqseg.pipeline import PipelineConfig, fuse_members, run_pipeline
 from uqseg.scheduler import SgdrConfig, lr_at
 from uqseg.toy import run_toy_training
 
@@ -228,6 +229,63 @@ class TestCaseErrors:
         assert "stage 'metrics' failed for case case0005" in err
         assert f"{labels}: label codes must lie in [0, 3)" in err
 
+    def test_missing_member(self, small_run, tmp_path, capsys):
+        root = self.copy(small_run, tmp_path)
+        case_dir = root / "predictions" / "case0004"
+        for member in case_dir.iterdir():
+            member.unlink()
+        code, err = self.run_main(root, capsys)
+        assert code == 2
+        assert "stage 'fuse' failed for case case0004" in err
+        named = (
+            rf"missing member posterior {re.escape(str(case_dir))}/(ep\d+)\.uqsg"
+            r" for checkpoint \1"
+        )
+        assert re.search(named, err), err
+
+    def test_missing_labels(self, small_run, tmp_path, capsys):
+        root = self.copy(small_run, tmp_path)
+        labels = root / "cases" / "case0005_labels.uqsg"
+        labels.unlink()
+        code, err = self.run_main(root, capsys)
+        assert code == 2
+        assert "stage 'metrics' failed for case case0005" in err
+        assert f"missing ground truth {labels}" in err
+
+
+def test_fuse_peaks_in_the_mean_not_at_the_write(tmp_path, monkeypatch):
+    import uqseg.pipeline
+
+    rng = np.random.default_rng(5)
+    ids = [f"ep{k}" for k in range(6)]
+    for cid in ids:
+        e = rng.random((4, 8, 64, 64))
+        write_array(tmp_path / f"{cid}.uqsg", (e / e.sum(axis=0)).astype(np.float32))
+    member = 4 * 8 * 64 * 64 * 4
+    mean = 2 * member  # float64
+    plane = 8 * 64 * 64 * 8  # one float64 class plane: the simplex sums
+    # numpy's cast buffer (8,192 float64) and interpreter objects
+    slack = 128 * 1024
+    at_write = {}
+
+    def spy(path, arr):
+        at_write["held"], at_write["peak_before"] = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        write_array(path, arr)
+        at_write["peak_during"] = tracemalloc.get_traced_memory()[1]
+
+    monkeypatch.setattr(uqseg.pipeline, "write_array", spy)
+    tracemalloc.start()
+    try:
+        fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+    finally:
+        tracemalloc.stop()
+    assert at_write["peak_before"] < 6 * member + mean + plane + slack
+    # the members are gone by the write, which adds only the float32 copy
+    assert at_write["held"] < mean + member + slack
+    assert at_write["peak_during"] < mean + member + slack
+    assert at_write["peak_during"] < at_write["peak_before"]
+
 
 def test_each_member_validated_once_and_entropy_computed_once(small_run, monkeypatch):
     import uqseg.ensemble
@@ -296,6 +354,14 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["entropy", "--in", str(tmp_path / "nope.uqsg"), "--out", str(tmp_path / "h.uqsg")])
         assert code == 3
+
+    def test_entropy_creates_the_pgm_dir(self, tmp_path):
+        path = tmp_path / "p.uqsg"
+        write_array(path, np.full((2, 3, 4, 4), 0.5, dtype=np.float32))
+        pgm_dir = tmp_path / "maps" / "h"
+        assert main(["entropy", "--in", str(path), "--out", str(tmp_path / "h.uqsg"),
+                     "--pgm", str(pgm_dir)]) == 0
+        assert sorted(p.name for p in pgm_dir.iterdir()) == [f"h_z00{k}.pgm" for k in range(3)]
 
     def test_numeric_exit_code_reserved_for_numeric_failures(self):
         from uqseg.errors import NumericError

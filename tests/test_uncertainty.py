@@ -134,14 +134,21 @@ class TestDilate:
             img = random_binary(rng, (8, 8, 8), p=0.15)
             np.testing.assert_array_equal(dilate(img, elem), dilate_oracle(img, elem.mask))
 
-    def test_asymmetric_element_matches_oracle(self):
-        mask = np.zeros((3, 3), dtype=np.uint8)
-        mask[1, 1] = mask[0, 2] = 1
-        rng = np.random.default_rng(14)
-        img = random_binary(rng, (10, 10))
-        np.testing.assert_array_equal(
-            dilate(img, StructuringElement(mask)), dilate_oracle(img, mask)
-        )
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape, elem_ndim",
+        [((9, 11), 2), ((1, 3), 2), ((5, 6, 7), 3), ((2, 1, 4), 3), ((3, 7, 6), 2)],
+    )
+    def test_box_radii_match_oracle(self, radius, shape, elem_ndim):
+        rng = np.random.default_rng(100 * radius + len(shape))
+        elem = StructuringElement.full(elem_ndim, radius)
+        for _ in range(3):
+            img = random_binary(rng, shape, p=0.2)
+            if len(shape) == elem_ndim:
+                expected = dilate_oracle(img, elem.mask)
+            else:  # a 2D element on a volume: slice by slice
+                expected = np.stack([dilate_oracle(sl, elem.mask) for sl in img])
+            np.testing.assert_array_equal(dilate(img, elem), expected)
 
     def test_extensive_and_monotone(self):
         rng = np.random.default_rng(13)
@@ -167,14 +174,6 @@ class TestDilate:
         out = dilate(vol)  # default element is 2D
         for k in range(4):
             np.testing.assert_array_equal(out[k], dilate(vol[k]))
-
-    def test_element_validation(self):
-        with pytest.raises(ValidationError):
-            StructuringElement(np.ones((2, 2), dtype=np.uint8))  # even side
-        center_unset = np.ones((3, 3), dtype=np.uint8)
-        center_unset[1, 1] = 0
-        with pytest.raises(ValidationError):
-            StructuringElement(center_unset)
 
 
 class TestContourNormalizer:
