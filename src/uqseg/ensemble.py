@@ -15,27 +15,40 @@ from .errors import ValidationError
 def ensemble_mean(members, names=None) -> np.ndarray:
     """Uniform per-pixel, per-class mean of member posteriors, in float64.
 
-    ``members`` is a sequence of probability arrays with identical shapes.
-    This is where member posteriors enter the analysis, so each one is
-    validated here, once, in its own dtype. The members are added in order
-    into a float64 running sum that is then divided by n: bit for bit the
-    float64 mean of the stacked members, without building the stack.
-    ``names`` label the members in error messages (default: their index).
+    ``members`` is any iterable of probability arrays of one shape, such as
+    a generator that reads them. This is where member posteriors enter the
+    analysis, so each one is validated here, once, in its own dtype. The
+    members are added in order into a float64 running sum that is then
+    divided by n: bit for bit the float64 mean of the stacked members,
+    without building the stack. Each member is dropped before the next is
+    drawn, so one member and the sum are held at once. ``names`` label the
+    members in error messages (default: their index); when given, there must
+    be one per member.
     """
-    arrays = [np.asarray(m) for m in members]
-    if len(arrays) < 1:
-        raise ValidationError("ensemble needs at least one member")
-    if names is None:
-        names = [f"member {i}" for i in range(len(arrays))]
-    first = arrays[0].shape
-    # numpy's sum starts from +0.0 too, which turns a -0.0 into 0.0
-    total = np.zeros(first, dtype=np.float64)
-    for name, m in zip(names, arrays):
-        if m.shape != first:
-            raise ValidationError(f"{name} has shape {m.shape}, expected {first}")
+    total = None
+    n = 0
+    for m in members:
+        if names is None:
+            name = f"member {n}"
+        elif n < len(names):
+            name = names[n]
+        else:
+            raise ValidationError(f"more members than the {len(names)} names given")
+        m = np.asarray(m)
+        if total is None:
+            # numpy's sum starts from +0.0 too, which turns a -0.0 into 0.0
+            total = np.zeros(m.shape, dtype=np.float64)
+        elif m.shape != total.shape:
+            raise ValidationError(f"{name} has shape {m.shape}, expected {total.shape}")
         validate_probabilities(m, name=name)
         total += m
-    total /= len(arrays)
+        n += 1
+        del m  # before the next member is drawn
+    if total is None:
+        raise ValidationError("ensemble needs at least one member")
+    if names is not None and n != len(names):
+        raise ValidationError(f"{n} members for {len(names)} names")
+    total /= n
     return total
 
 

@@ -4,8 +4,10 @@ run_pipeline consumes artifacts of a finished training run (a trace CSV,
 per-checkpoint posterior files, ground-truth labels) and produces the
 manifest, fused posteriors, entropy maps, per-class scores, Dice/ECE
 tables, and a single summary CSV. Cases stream through the per-case
-stages one at a time; a failure aborts with the stage name (and the case)
-and removes files created by this run. The fuse,
+stages one at a time, and a case's members stream through the fuse one at
+a time, so a case holds one member, the float64 mean and a few planes at
+most, whatever the member and class counts. A failure aborts with the stage
+name (and the case) and removes files created by this run. The fuse,
 entropy and report stages are ``fuse_members``, ``write_entropy`` and
 ``write_summary``, which the CLI subcommands call too.
 """
@@ -201,8 +203,10 @@ class _Workspace:
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Run every stage; a failure removes this run's files and raises StageError.
 
-    Cases stream through fuse, entropy, score and metrics one at a time, so
-    one case's posterior and entropy map are in memory at once. Each case's
+    Cases stream through fuse, entropy, score and metrics one at a time.
+    Per case, memory holds one member and the float64 mean while fusing,
+    then the mean and a few planes: the entropy map, freed after scoring,
+    and the argmax and calibration temporaries of the metrics. Each case's
     mean gets one entropy map and one argmax, shared by all its classes.
     """
     ws = _Workspace()
@@ -230,22 +234,25 @@ def fuse_members(checkpoint_ids, inputs, out, track=_untracked) -> np.ndarray:
     """Average the posteriors ``<inputs>/<id>.uqsg`` of the checkpoint ids.
 
     Writes the mean as float32 to ``out`` and returns it as float64.
-    ``track`` is called with each output path before it is written. An
-    invalid member is reported by its path; members are freed before the write.
+    ``track`` is called with each output path before it is written. The
+    members are read one at a time, in manifest order, and each is added
+    into the mean and dropped before the next is read; an invalid member is
+    reported by its path.
     """
     paths = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
-    members = []
-    for cid, member_path in zip(checkpoint_ids, paths):
-        try:
-            members.append(read_array(member_path))
-        except FileNotFoundError:
-            raise ValidationError(
-                f"missing member posterior {member_path} for checkpoint {cid}"
-            ) from None
+    members = (_read_member(path, cid) for cid, path in zip(checkpoint_ids, paths))
     mean = ensemble_mean(members, [str(path) for path in paths])
-    del members
     write_array(track(out), mean.astype(np.float32))
     return mean
+
+
+def _read_member(path, checkpoint_id):
+    try:
+        return read_array(path)
+    except FileNotFoundError:
+        raise ValidationError(
+            f"missing member posterior {path} for checkpoint {checkpoint_id}"
+        ) from None
 
 
 def write_entropy(probs, out, pgm_dir=None, track=_untracked) -> np.ndarray:
@@ -323,6 +330,9 @@ def _run(cfg, ws):
                 for k in classes
             ]
             score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
+            entropy_sum += float(h.sum())
+            entropy_count += h.size
+        del h  # the metrics stage needs only the mean
         with _stage("metrics", case_id):
             gt = _read_labels(cfg, case_id, mean.shape)
             pred = argmax_labels(mean)
@@ -331,10 +341,8 @@ def _run(cfg, ws):
                 dice_lines.append(reports.dice_row(d, case_id=case_id))
                 cases.append((case_id, s.class_id, s.score, d.dice))
             acc.add(mean, gt, pred=pred, foreground_only=cfg.ece_foreground_only)
-            entropy_sum += float(h.sum())
-            entropy_count += h.size
         # free this case's arrays before the next case's members are read
-        del mean, h, gt, pred
+        del mean, gt, pred
 
     with _stage("score"):
         reports.write_lines(ws.track(out / "scores.csv"), score_lines)

@@ -19,9 +19,19 @@ from .scheduler import SgdrConfig, _cycle_iter
 
 def _checkpoint_id(text):
     """A checkpoint id names a member file, so it may not hold a path separator."""
-    if not re.fullmatch(r"[A-Za-z0-9_.-]+", text):
+    if not (isinstance(text, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", text)):
         raise ValueError(text)
     return text
+
+
+def _check_id(checkpoint_id):
+    """The CSV readers' id check, for records built in Python."""
+    try:
+        _checkpoint_id(checkpoint_id)
+    except ValueError:
+        raise ValidationError(
+            f"checkpoint_id must match [A-Za-z0-9_.-]+, got {checkpoint_id!r}"
+        ) from None
 
 
 _TRACE_COLUMNS = {
@@ -44,6 +54,10 @@ class TraceRecord:
     lr: float
     val_metric: float
     checkpoint_id: str | None = None
+
+    def __post_init__(self):
+        if self.checkpoint_id is not None:
+            _check_id(self.checkpoint_id)
 
 
 @dataclass(frozen=True)
@@ -112,6 +126,9 @@ class SelectedCheckpoint:
     epoch: int
     checkpoint_id: str
     val_metric: float
+
+    def __post_init__(self):
+        _check_id(self.checkpoint_id)
 
 
 @dataclass(frozen=True)

@@ -66,16 +66,28 @@ class UncertaintyScore:
 def pixel_entropy(p) -> np.ndarray:
     """Per-pixel Shannon entropy -sum_k p_k log2 p_k, with 0*log2(0) = 0.
 
-    ``p`` is a trusted posterior; the entropy is computed in float64.
+    ``p`` is a trusted posterior; the entropy is computed in float64, one
+    class plane at a time, so the working set is two planes whatever c is.
+    Each plane's -(p log2 p) is added into the map, which starts at +0.0,
+    in class order, for every shape and memory layout. That is what
+    ``sum(axis=0)`` does on a C-contiguous stack of more than one pixel;
+    numpy sums the classes pairwise instead from c = 8 on when they are its
+    innermost loop (a single pixel, a class-last layout), where the last
+    bits can differ.
     """
-    arr = np.asarray(p, dtype=np.float64)
-    # -(p * log2 p) in one buffer; it equals (-p) * log2 p bit for bit
+    arr = np.asarray(p)
+    h = np.zeros(arr.shape[1:], dtype=np.float64)
+    term = np.empty_like(h)
+    # -(p * log2 p) in one buffer; it equals (-p) * log2 p bit for bit.
+    # dtype= casts a float32 plane exactly, as a float64 copy would
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log2(arr)
-        np.multiply(terms, arr, out=terms)
-    np.negative(terms, out=terms)
-    np.copyto(terms, 0.0, where=~(arr > 0.0))
-    return terms.sum(axis=0)
+        for plane in arr:
+            np.log2(plane, out=term, dtype=np.float64)
+            np.multiply(term, plane, out=term, dtype=np.float64)
+            np.negative(term, out=term)
+            np.copyto(term, 0.0, where=~(plane > 0.0))
+            h += term
+    return h
 
 
 def threshold_binary(field, tau: float = FOREGROUND_THRESHOLD) -> np.ndarray:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,3 +211,50 @@ class TestClassForeground:
         p = np.full((4, 2, 2), 0.25)
         with pytest.raises(ValidationError):
             class_foreground(p, 4)
+
+
+class TestNames:
+    """``names`` label the members one to one; a count mismatch is an error."""
+
+    def test_fewer_names_than_members_rejected(self):
+        p = np.full((2, 3, 3), 0.5)
+        with pytest.raises(ValidationError, match="more members than the 1 names"):
+            ensemble_mean([p, p, p], ["x"])
+
+    def test_unnamed_member_is_not_skipped(self):
+        p = np.full((2, 3, 3), 0.5)
+        bad = np.full((2, 3, 3), 7.0)
+        with pytest.raises(ValidationError):
+            ensemble_mean([p, bad], ["a"])
+
+    def test_more_names_than_members_rejected(self):
+        p = np.full((2, 3, 3), 0.5)
+        with pytest.raises(ValidationError, match="1 members for 2 names"):
+            ensemble_mean([p], ["a", "b"])
+        with pytest.raises(ValidationError, match="at least one member"):
+            ensemble_mean([], ["a"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(members=_float32_members())
+def test_generator_of_members_equals_the_list_bit_for_bit(members):
+    names = [f"m{i}.uqsg" for i in range(len(members))]
+    from_list = ensemble_mean(members, names)
+    from_generator = ensemble_mean((m.copy() for m in members), names)
+    assert from_generator.tobytes() == from_list.tobytes()
+
+
+def test_each_member_is_dropped_before_the_next_is_drawn():
+    rng = np.random.default_rng(9)
+    alive = []
+
+    def members():
+        for _ in range(4):
+            assert all(ref() is None for ref in alive)
+            m = random_posterior(rng).astype(np.float32)
+            alive.append(weakref.ref(m))
+            yield m
+            del m
+
+    ensemble_mean(members())
+    assert len(alive) == 4

@@ -253,14 +253,17 @@ class TestCaseErrors:
         assert f"missing ground truth {labels}" in err
 
 
+def _write_members(directory, ids, shape, rng):
+    for cid in ids:
+        e = rng.random(shape)
+        write_array(directory / f"{cid}.uqsg", (e / e.sum(axis=0)).astype(np.float32))
+
+
 def test_fuse_peaks_in_the_mean_not_at_the_write(tmp_path, monkeypatch):
     import uqseg.pipeline
 
-    rng = np.random.default_rng(5)
     ids = [f"ep{k}" for k in range(6)]
-    for cid in ids:
-        e = rng.random((4, 8, 64, 64))
-        write_array(tmp_path / f"{cid}.uqsg", (e / e.sum(axis=0)).astype(np.float32))
+    _write_members(tmp_path, ids, (4, 8, 64, 64), np.random.default_rng(5))
     member = 4 * 8 * 64 * 64 * 4
     mean = 2 * member  # float64
     plane = 8 * 64 * 64 * 8  # one float64 class plane: the simplex sums
@@ -280,11 +283,81 @@ def test_fuse_peaks_in_the_mean_not_at_the_write(tmp_path, monkeypatch):
         fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
     finally:
         tracemalloc.stop()
-    assert at_write["peak_before"] < 6 * member + mean + plane + slack
+    # members are streamed: one is held at a time, next to the running sum
+    assert at_write["peak_before"] < member + mean + plane + slack
     # the members are gone by the write, which adds only the float32 copy
     assert at_write["held"] < mean + member + slack
     assert at_write["peak_during"] < mean + member + slack
     assert at_write["peak_during"] < at_write["peak_before"]
+
+
+class TestStreamedFuseErrors:
+    """Members are read in manifest order, so the first bad one is reported."""
+
+    ids = [f"ep{k}" for k in range(6)]
+
+    def test_first_invalid_member_is_named(self, tmp_path):
+        _write_members(tmp_path, self.ids, (3, 4, 5), np.random.default_rng(1))
+        for cid in ("ep4", "ep2"):
+            write_array(tmp_path / f"{cid}.uqsg", np.full((3, 4, 5), 0.2, dtype=np.float32))
+        with pytest.raises(ValidationError) as err:
+            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+        assert str(err.value).startswith(f"{tmp_path / 'ep2.uqsg'}: per-pixel class")
+
+    def test_invalid_member_before_a_missing_one(self, tmp_path):
+        _write_members(tmp_path, self.ids, (3, 4, 5), np.random.default_rng(2))
+        write_array(tmp_path / "ep1.uqsg", np.full((3, 4, 5), 0.2, dtype=np.float32))
+        (tmp_path / "ep3.uqsg").unlink()
+        with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / 'ep1.uqsg'}: ")):
+            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+
+    def test_missing_member_before_an_invalid_one(self, tmp_path):
+        _write_members(tmp_path, self.ids, (3, 4, 5), np.random.default_rng(3))
+        (tmp_path / "ep1.uqsg").unlink()
+        write_array(tmp_path / "ep3.uqsg", np.full((3, 4, 6), 0.5, dtype=np.float32))
+        with pytest.raises(ValidationError) as err:
+            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+        assert str(err.value) == (
+            f"missing member posterior {tmp_path / 'ep1.uqsg'} for checkpoint ep1"
+        )
+        assert not (tmp_path / "mean.uqsg").exists()
+
+    def test_member_of_another_shape_is_named(self, tmp_path):
+        _write_members(tmp_path, self.ids, (3, 4, 5), np.random.default_rng(4))
+        _write_members(tmp_path, ["ep5"], (3, 4, 6), np.random.default_rng(5))
+        with pytest.raises(ValidationError, match=re.escape(
+            f"{tmp_path / 'ep5.uqsg'} has shape (3, 4, 6), expected (3, 4, 5)"
+        )):
+            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+
+
+def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
+    """A whole run holds one member, the float64 mean and a few planes at most."""
+    c, spatial = 4, (6, 48, 48)
+    ids = [f"ep{e:05d}" for e in range(20)]
+    lines = ["epoch,lr,val_metric,checkpoint_id"]
+    lines += [f"{e},0.1,{0.5 + 0.04 * (e % 10):.2f},{cid}" for e, cid in enumerate(ids)]
+    (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n")
+    rng = np.random.default_rng(8)
+    (tmp_path / "cases").mkdir()
+    for case in ("case0000", "case0001"):
+        (tmp_path / "predictions" / case).mkdir(parents=True)
+        _write_members(tmp_path / "predictions" / case, ids, (c, *spatial), rng)
+        labels = rng.integers(0, c, spatial).astype(np.uint8)
+        write_array(tmp_path / "cases" / f"{case}_labels.uqsg", labels)
+    cfg = small_config(tmp_path, outdir="out", t0=10, eta=1.0, total_epochs=20)
+    plane = 8 * int(np.prod(spatial))  # one float64 plane
+    member = c * plane // 2  # float32
+    mean = c * plane
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    selected = len((tmp_path / "out" / "manifest.csv").read_text().splitlines()) - 1
+    assert selected == 6
+    assert peak < mean + member + 3 * plane, peak / plane
 
 
 def test_each_member_validated_once_and_entropy_computed_once(small_run, monkeypatch):

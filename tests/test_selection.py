@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqseg.errors import ValidationError
 from uqseg.scheduler import SgdrConfig, cycle_of
@@ -139,6 +141,76 @@ class TestFindCyclePeaks:
         records = tuple(TraceRecord(e, 0.1, 0.5, None) for e in range(50))
         with pytest.raises(ValidationError, match="full cycle"):
             find_cycle_peaks(TrainingTrace(records), CFG, SelectionPolicy())
+
+
+@st.composite
+def _selection_cases(draw):
+    """A schedule, a contiguous trace spanning its first cycle, and a policy.
+
+    Metrics come from a few values, so ties are common; ids are generated or
+    given.
+    """
+    t0 = draw(st.integers(1, 12))
+    eta = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    total = draw(st.integers(t0, 80))
+    cfg = SgdrConfig(t0=t0, eta=eta, total_epochs=total)
+    last = draw(st.integers(cycle_of(0, cfg).cycle_end - 1, total - 1))
+    metrics = draw(
+        st.lists(st.sampled_from([0.2, 0.5, 0.8, 0.81, 1.0]), min_size=last + 1, max_size=last + 1)
+    )
+    named = draw(st.booleans())
+    trace = TrainingTrace(
+        tuple(
+            TraceRecord(e, 0.1, m, f"ck{e}" if named else None)
+            for e, m in enumerate(metrics)
+        )
+    )
+    policy = SelectionPolicy(
+        per_cycle=draw(st.integers(1, 5)),
+        window_fraction=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        min_peak_ratio=draw(st.sampled_from([0.1, 0.9, 1.0])),
+    )
+    return trace, cfg, policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_selection_cases())
+def test_find_cycle_peaks_returns_a_canonical_checkpoint_set(case):
+    trace, cfg, policy = case
+    selection = find_cycle_peaks(trace, cfg, policy)
+    assert isinstance(selection, CheckpointSet)
+    keys = [(e.cycle, -e.val_metric, -e.epoch) for e in selection.entries]
+    assert keys == sorted(keys)
+    # rebuilding from the entries passes the set's own order and id checks
+    assert CheckpointSet(selection.entries) == selection
+    picks = {}
+    for e in selection.entries:
+        assert cycle_of(e.epoch, cfg).cycle == e.cycle
+        assert trace.records[e.epoch].val_metric == e.val_metric
+        picks.setdefault(e.cycle, []).append(e.epoch)
+    assert picks == brute_force_pick(trace, cfg, policy)
+
+
+class TestCheckpointIds:
+    """Ids built in Python get the CSV readers' ``[A-Za-z0-9_.-]+`` check."""
+
+    BAD = ["../a", "/etc/x", "a/b", "a\\b", "a b", "", "a,b", 7]
+
+    @pytest.mark.parametrize("cid", BAD)
+    def test_trace_record_rejects_path_like_ids(self, cid):
+        with pytest.raises(ValidationError, match="checkpoint_id must match"):
+            TraceRecord(0, 0.1, 0.5, cid)
+
+    @pytest.mark.parametrize("cid", BAD)
+    def test_selected_checkpoint_rejects_path_like_ids(self, cid):
+        with pytest.raises(ValidationError, match="checkpoint_id must match"):
+            SelectedCheckpoint(0, 1, cid, 0.5)
+
+    @pytest.mark.parametrize("cid", ["ep00000", "a", "run-1.best_2"])
+    def test_plain_ids_accepted(self, cid):
+        assert TraceRecord(0, 0.1, 0.5, cid).checkpoint_id == cid
+        assert SelectedCheckpoint(0, 1, cid, 0.5).checkpoint_id == cid
+        assert TraceRecord(0, 0.1, 0.5).checkpoint_id is None
 
 
 class TestTraceValidation:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqseg.errors import ValidationError
 from uqseg.uncertainty import (
@@ -38,6 +42,38 @@ def random_binary(rng, shape, p=0.3):
 
 def uniform_posterior(c, shape):
     return np.full((c,) + shape, 1.0 / c)
+
+
+def whole_array_entropy(p):
+    """The former kernel: one float64 copy and one terms buffer of the whole stack."""
+    arr = np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log2(arr)
+        np.multiply(terms, arr, out=terms)
+    np.negative(terms, out=terms)
+    np.copyto(terms, 0.0, where=~(arr > 0.0))
+    return terms.sum(axis=0)
+
+
+@st.composite
+def _posteriors(draw):
+    """(c, H, W) or (c, D, H, W) softmax posteriors, c = 2..8, in float32 or float64.
+
+    A large logit scale drives classes to exact 0 and 1, and some pixels
+    are made exactly one-hot.
+    """
+    c = draw(st.integers(2, 8))
+    spatial = draw(st.lists(st.integers(1, 9), min_size=2, max_size=3))
+    scale = draw(st.sampled_from([0.3, 3.0, 300.0]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = scale * rng.normal(size=(c, *spatial))
+    p = np.exp(logits - logits.max(axis=0))
+    p /= p.sum(axis=0)
+    hot = rng.random(spatial) < 0.2
+    p[:, hot] = 0.0
+    p[rng.integers(0, c), hot] = 1.0
+    return p.astype(dtype)
 
 
 class TestPixelEntropy:
@@ -81,6 +117,49 @@ class TestPixelEntropy:
             with np.errstate(divide="ignore", invalid="ignore"):
                 direct = np.where(p > 0.0, -p * np.log2(p), 0.0).sum(axis=0)
             assert pixel_entropy(p).tobytes() == direct.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=_posteriors())
+    def test_per_plane_equals_whole_array_kernel_bit_for_bit(self, p):
+        expected = whole_array_entropy(p)
+        if p.shape[0] >= 8 and p[0].size == 1:
+            # numpy sums a lone pixel's c >= 8 terms pairwise, not in class
+            # order (see test_class_order_for_every_shape_and_layout)
+            eps = np.finfo(np.float64).eps
+            np.testing.assert_allclose(pixel_entropy(p), expected, rtol=p.shape[0] * eps)
+        else:
+            assert pixel_entropy(p).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c", [3, 8, 12, 17])
+    def test_class_order_for_every_shape_and_layout(self, c):
+        rng = np.random.default_rng(c)
+        logits = rng.normal(size=(c, 5, 6))
+        p = np.exp(logits) / np.exp(logits).sum(axis=0)
+        h = pixel_entropy(p)
+        # the same posterior stored class-last, and each pixel on its own
+        class_last = np.ascontiguousarray(p.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert pixel_entropy(class_last).tobytes() == h.tobytes()
+        for y, x in np.ndindex(h.shape):
+            assert pixel_entropy(p[:, y : y + 1, x : x + 1])[0, 0] == h[y, x]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_peak_memory_does_not_grow_with_classes(self, dtype):
+        spatial = (4, 64, 64)
+        plane = 8 * int(np.prod(spatial))  # one float64 plane
+        # the map, the term buffer and two bool planes of the > 0 test, plus
+        # numpy's cast buffers (8,192 float64 each) and interpreter objects
+        bound = 2 * plane + 2 * plane // 8 + 128 * 1024
+        peaks = []
+        for c in (2, 8):
+            p = uniform_posterior(c, spatial).astype(dtype)
+            tracemalloc.start()
+            try:
+                pixel_entropy(p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < bound, peaks
+        assert peaks[1] - peaks[0] < plane // 8, peaks
 
 
 class TestThreshold:
@@ -203,13 +282,27 @@ class TestContourNormalizer:
                 contour_normalizer(img, elem), contour_oracle(img, elem.mask)
             )
 
-    def test_disjoint_from_input_and_inside_dilation(self):
-        rng = np.random.default_rng(19)
-        for _ in range(10):
-            img = random_binary(rng, (16, 16))
-            ring = contour_normalizer(img)
-            assert not np.any(ring & img)
-            assert np.all(dilate(img) >= ring)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spatial=st.lists(st.integers(1, 10), min_size=2, max_size=3),
+        elem_ndim=st.sampled_from([2, 3]),
+        radius=st.integers(0, 3),
+        density=st.sampled_from([0.05, 0.3, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_disjoint_from_input_and_inside_dilation(
+        self, spatial, elem_ndim, radius, density, seed
+    ):
+        elem_ndim = min(elem_ndim, len(spatial))
+        img = np.random.default_rng(seed).random(spatial) < density
+        elem = StructuringElement.full(elem_ndim, radius)
+        ring = contour_normalizer(img, elem)
+        grown = dilate(img, elem)
+        assert ring.dtype == np.bool_ and ring.shape == img.shape
+        assert not np.any(ring & img)
+        assert not np.any(ring & ~grown)
+        # the ring is exactly what the dilation added
+        assert np.array_equal(ring | img, grown)
 
 
 class TestTotalEntropy:
