@@ -10,12 +10,14 @@ Training is plain full-batch SGD under the warm-restart schedule with a
 soft Dice loss (smoothing 1.0); everything is deterministic given
 (seed, config).
 
-Reductions over the short class axis of the (P, c) pixel arrays run column
-by column (a chain of ``np.maximum``, left-to-right additions), because
-numpy reduces such an axis one pixel row at a time, which made them most of
-the training time; for c <= 7 this is numpy's own summation order, so the
-results are bit-identical to ``max``/``sum(axis=1)``, while for c >= 8
-numpy sums pairwise and the weights differ in the last bit (~1e-16).
+Per-pixel arrays are class-major, C-contiguous (c, P) rows. Class-axis
+reductions chain the rows left to right (``np.maximum``, ``+``): numpy's own
+order on (P, c) for c <= 7, so bit-identical to ``max``/``sum(axis=1)``; for
+c >= 8 numpy sums pairwise and the weights differ in the last bit (~1e-16).
+Pixel sums take the last element of ``np.add.accumulate``, first pixel first
+like ``sum(axis=0)`` on (P, c) (``sum(axis=1)`` on (c, P) is pairwise). BLAS
+operands are C-contiguous (a copy of ``W.T``, the (c, P) gradient); the
+products match the pixel-major ones bit for bit (``TestTrainerOracle``).
 """
 
 from __future__ import annotations
@@ -105,6 +107,10 @@ def generate_dataset(
         raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
     if class_count < 2:
         raise ValidationError(f"class_count must be >= 2, got {class_count}")
+    if class_count > 256:
+        raise ValidationError(f"class_count must be <= 256 (uint8 labels), got {class_count}")
+    if not (np.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValidationError(f"noise_std must be finite and >= 0, got {noise_std}")
     if n_cases < class_count - 1:
         raise ValidationError(
             f"{n_cases} cases cannot cover {class_count - 1} foreground classes"
@@ -180,28 +186,26 @@ def case_features(image) -> np.ndarray:
     return feats.reshape(-1, FEATURE_COUNT)
 
 
-def _class_sum(cols):
-    """Left-to-right sum of the class columns (c, P): numpy's order for c <= 7."""
-    total = cols[0].copy()
-    for col in cols[1:]:
-        total += col
-    return total
+def _class_sum(rows):
+    """Left-to-right sum of the class rows (c, P): numpy's order for c <= 7."""
+    return sum(rows[1:], rows[0])
+
+
+def _pixel_sum(rows):
+    """Per-class pixel sum of (c, P) in the order of ``sum(axis=0)`` on (P, c)."""
+    return np.add.accumulate(rows, axis=1)[:, -1]
 
 
 def _softmax(feats, W):
-    """Per-pixel class probabilities (P, c) of the linear model."""
-    logits = feats @ W.T
-    cols = logits.T
-    peak = cols[0].copy()
-    for col in cols[1:]:
-        np.maximum(peak, col, out=peak)
-    for col in cols:
-        col -= peak
-    np.exp(logits, out=logits)
-    total = _class_sum(cols)
-    for col in cols:
-        col /= total
-    return logits
+    """Per-pixel class probabilities (c, P) of the linear model."""
+    probs = (feats @ np.ascontiguousarray(W.T)).T.copy()
+    peak = probs[0].copy()
+    for row in probs[1:]:
+        np.maximum(peak, row, out=peak)
+    probs -= peak
+    np.exp(probs, out=probs)
+    probs /= _class_sum(probs)
+    return probs
 
 
 def posterior(weights, feats, shape) -> np.ndarray:
@@ -209,36 +213,34 @@ def posterior(weights, feats, shape) -> np.ndarray:
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != FEATURE_COUNT:
         raise ValidationError(f"weights must be (classes, {FEATURE_COUNT}), got {W.shape}")
-    return _softmax(feats, W).T.reshape(W.shape[0], *shape)
+    return _softmax(feats, W).reshape(W.shape[0], *shape)
 
 
 def _dice_loss_grad(probs, mask, counts):
-    """Soft Dice loss and its gradient w.r.t. the probabilities (P, c).
+    """Soft Dice loss and its gradient w.r.t. the probabilities (c, P).
 
-    ``mask`` is the (P, c) boolean one-hot of the labels and ``counts`` its
+    ``mask`` is the (c, P) boolean one-hot of the labels and ``counts`` its
     per-class pixel counts as float64.
     """
     s = DICE_SMOOTHING
-    num = 2.0 * np.where(mask, probs, 0.0).sum(axis=0) + s
-    den = probs.sum(axis=0) + counts + s
+    num = 2.0 * _pixel_sum(np.where(mask, probs, 0.0)) + s
+    den = _pixel_sum(probs) + counts + s
     loss = 1.0 - (num / den).mean()
-    n_classes = probs.shape[1]
+    n_classes = probs.shape[0]
     # with a 0/1 one-hot, -(2*onehot*den - num) / den**2 / c takes one value
     # per class on the class's pixels and one off them
     on = (num - 2.0 * den) / den**2 / n_classes
     off = num / den**2 / n_classes
-    return loss, np.where(mask, on, off)
+    return loss, np.where(mask, on[:, None], off[:, None])
 
 
 def _case_gradient(feats, mask, counts, W):
     probs = _softmax(feats, W)
     loss, grad = _dice_loss_grad(probs, mask, counts)
     # back through the softmax: probs * (grad - sum_k grad_k * probs_k)
-    inner = _class_sum((grad * probs).T)
-    for col in grad.T:
-        col -= inner
+    grad -= _class_sum(grad * probs)
     grad *= probs
-    return loss, grad.T @ feats
+    return loss, grad @ feats
 
 
 def _class_argmax(cols) -> np.ndarray:
@@ -308,8 +310,8 @@ def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0
     feats, masks, counts = [], [], []
     for case in train_cases:
         feats.append(case.features)
-        masks.append(case.labels.reshape(-1, 1) == classes)
-        counts.append(masks[-1].sum(axis=0).astype(np.float64))
+        masks.append(case.labels.reshape(1, -1) == classes[:, None])
+        counts.append(masks[-1].sum(axis=1).astype(np.float64))
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, 0.01, size=(class_count, FEATURE_COUNT))
 

@@ -652,6 +652,28 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", probe], env=env)
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toy-gen", "--classes", "300", "--cases", "300"],
+            ["toy-train", "--classes", "257", "--cases", "300", "--test-cases", "2"],
+        ],
+    )
+    def test_more_than_256_classes_exits_validation(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--shape", "16x16", "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "class_count must be <= 256" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["toy-gen", "toy-train"])
+    @pytest.mark.parametrize("noise", ["nan", "-0.1", "inf"])
+    def test_bad_noise_exits_validation(self, command, noise, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([command, "--noise", noise, "--shape", "16x16", "--outdir", str(out)]) == 2
+        assert "noise_std must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_toy_gen_command(self, tmp_path):
         assert main([
             "toy-gen", "--seed", "5", "--cases", "3", "--shape", "24x24",

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqseg import toy
 from uqseg.arrayio import read_array
@@ -214,16 +216,20 @@ def ref_train(train_cases, val_cases, cfg, policy, seed):
 ORACLE_CFG = SgdrConfig(t0=6, eta=2, lr_max=2.0, lr_min=1e-4, total_epochs=18)
 
 
-def oracle_cases(class_count):
-    return generate_dataset(5, class_count + 2, shape=(40, 40), class_count=class_count)
+def oracle_cases(class_count, shape=(40, 40)):
+    return generate_dataset(5, class_count + 2, shape=shape, class_count=class_count)
 
 
 class TestTrainerOracle:
-    """The column-by-column kernels against the reference trainer."""
+    """The class-major kernels against the pixel-major reference trainer."""
 
-    @pytest.mark.parametrize("class_count", [2, 3, 4, 7])
-    def test_train_bit_identical(self, class_count):
-        cases = oracle_cases(class_count)
+    @pytest.mark.parametrize(
+        "class_count, shape",
+        [pytest.param(c, (40, 40), id=str(c)) for c in (2, 3, 4, 7)]
+        + [pytest.param(3, (40, 56), id="3-40x56")],
+    )
+    def test_train_bit_identical(self, class_count, shape):
+        cases = oracle_cases(class_count, shape)
         policy = SelectionPolicy()
         trace, ckpts = train(cases[:-2], cases[-2:], ORACLE_CFG, policy, seed=5)
         ref_trace, ref_ckpts = ref_train(cases[:-2], cases[-2:], ORACLE_CFG, policy, 5)
@@ -266,12 +272,26 @@ class TestTrainerOracle:
         cols[rng.random(cols.shape) < 0.2] = np.nan  # a NaN is the maximum
         np.testing.assert_array_equal(toy._class_argmax(cols), cols.argmax(axis=0))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pixels=st.integers(1, 5000),
+        classes=st.integers(2, 9),
+        zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pixel_sum_matches_pixel_major_sum(self, pixels, classes, zero_fraction, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(classes, pixels)) * 10.0 ** rng.uniform(-8, 8, size=(classes, pixels))
+        rows[rng.random(rows.shape) < zero_fraction] = 0.0
+        expected = np.ascontiguousarray(rows.T).sum(axis=0)
+        assert toy._pixel_sum(rows).tobytes() == expected.tobytes()
+
     def test_dice_gradient_matches_central_differences(self):
         rng = np.random.default_rng(2)
         feats = rng.normal(size=(30, FEATURE_COUNT))
         labels = rng.integers(0, 3, size=30)
-        mask = labels[:, None] == np.arange(3)
-        counts = mask.sum(axis=0).astype(np.float64)
+        mask = labels == np.arange(3)[:, None]
+        counts = mask.sum(axis=1).astype(np.float64)
         W = rng.normal(size=(3, FEATURE_COUNT))
         _, grad = toy._case_gradient(feats, mask, counts, W)
         h = 1e-6
