@@ -26,7 +26,6 @@ from .uncertainty import (
     contour_normalizer,
     dilate,
     pixel_entropy,
-    threshold_binary,
     total_entropy,
     uncertainty_score,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "pixel_entropy",
     "read_array",
     "restart_epochs",
-    "threshold_binary",
     "total_entropy",
     "uncertainty_dice_table",
     "uncertainty_score",

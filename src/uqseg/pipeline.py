@@ -6,14 +6,18 @@ manifest, fused posteriors, entropy maps, per-class scores, Dice/ECE
 tables, and a single summary CSV. Cases stream through the per-case
 stages one at a time, and a case's members stream through the fuse one at
 a time, so a case holds one member, the float64 mean and a few planes at
-most, whatever the member and class counts. A failure aborts with the stage
-name (and the case) and removes files created by this run. The fuse,
-entropy and report stages are ``fuse_members``, ``write_entropy`` and
+most, whatever the member and class counts. The tree is built in a sibling
+staging directory and renamed into ``outdir`` once, at the end, so
+``outdir`` holds a whole run or nothing. A failure aborts with the stage
+name (and the case) and removes the staging directory. The fuse, entropy
+and report stages are ``fuse_members``, ``write_entropy`` and
 ``write_summary``, which the CLI subcommands call too.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,43 +169,14 @@ class PipelineResult:
     case_count: int
 
 
-class _Workspace:
-    """Tracks files created by this run so a failure can clean them up."""
-
-    def __init__(self):
-        self.created_files: list = []
-        self.created_dirs: list = []
-
-    def mkdir(self, path):
-        path = Path(path)
-        to_create = []
-        probe = path
-        while not probe.exists():
-            to_create.append(probe)
-            probe = probe.parent
-        path.mkdir(parents=True, exist_ok=True)
-        self.created_dirs.extend(reversed(to_create))
-        return path
-
-    def track(self, path):
-        self.created_files.append(Path(path))
-        return path
-
-    def cleanup(self):
-        for f in self.created_files:
-            try:
-                f.unlink(missing_ok=True)
-            except OSError:
-                pass
-        for d in reversed(self.created_dirs):
-            try:
-                d.rmdir()
-            except OSError:
-                pass
-
-
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Run every stage; a failure removes this run's files and raises StageError.
+    """Run every stage into ``cfg.outdir``, which must be absent or empty.
+
+    The tree is built in the sibling ``<outdir>.partial-<pid>`` and one
+    ``os.replace`` publishes it once every stage has succeeded. On any
+    failure the staging directory is removed and ``outdir`` is left as it
+    was; a stage failure raises StageError. Missing parents of ``outdir``
+    are created.
 
     Cases stream through fuse, entropy, score and metrics one at a time.
     Per case, memory holds one member and the float64 mean while fusing,
@@ -209,12 +184,22 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     and the argmax and calibration temporaries of the metrics. Each case's
     mean gets one entropy map and one argmax, shared by all its classes.
     """
-    ws = _Workspace()
+    out = Path(cfg.outdir).resolve()
+    if out.is_dir():
+        if any(out.iterdir()):
+            raise ValidationError(
+                f"outdir {cfg.outdir} is not empty; remove or rename it to run again"
+            )
+    elif out.exists():
+        raise ValidationError(f"outdir {cfg.outdir} exists and is not a directory")
+    staging = out.with_name(f"{out.name}.partial-{os.getpid()}")
+    staging.mkdir(parents=True)
     try:
-        return _run(cfg, ws)
-    except StageError:
-        ws.cleanup()
-        raise
+        result = _run(cfg, staging)
+        os.replace(staging, out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return result
 
 
 @contextmanager
@@ -226,15 +211,10 @@ def _stage(name, case_id=None):
         raise StageError(name, exc, case_id) from exc
 
 
-def _untracked(path):
-    return path
-
-
-def fuse_members(checkpoint_ids, inputs, out, track=_untracked) -> np.ndarray:
+def fuse_members(checkpoint_ids, inputs, out) -> np.ndarray:
     """Average the posteriors ``<inputs>/<id>.uqsg`` of the checkpoint ids.
 
-    Writes the mean as float32 to ``out`` and returns it as float64.
-    ``track`` is called with each output path before it is written. The
+    Writes the mean as float32 to ``out`` and returns it as float64. The
     members are read one at a time, in manifest order, and each is added
     into the mean and dropped before the next is read; an invalid member is
     reported by its path.
@@ -242,7 +222,7 @@ def fuse_members(checkpoint_ids, inputs, out, track=_untracked) -> np.ndarray:
     paths = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
     members = (_read_member(path, cid) for cid, path in zip(checkpoint_ids, paths))
     mean = ensemble_mean(members, [str(path) for path in paths])
-    write_array(track(out), mean.astype(np.float32))
+    write_array(out, mean.astype(np.float32))
     return mean
 
 
@@ -255,23 +235,23 @@ def _read_member(path, checkpoint_id):
         ) from None
 
 
-def write_entropy(probs, out, pgm_dir=None, track=_untracked) -> np.ndarray:
+def write_entropy(probs, out, pgm_dir=None) -> np.ndarray:
     """Write the entropy map of ``probs`` to ``out`` as float32 and return it.
 
     With ``pgm_dir`` (existing) it also writes 8-bit PGM images named after
     ``out``: one per 2D map, or one per axial slice ``<stem>_z<k>.pgm``.
     """
     h = pixel_entropy(probs)
-    write_array(track(out), h.astype(np.float32))
+    write_array(out, h.astype(np.float32))
     if pgm_dir is not None:
         pgm_dir = Path(pgm_dir)
         gray = entropy_to_gray(h, probs.shape[0])
         stem = Path(out).stem
         if gray.ndim == 2:
-            write_pgm(track(pgm_dir / f"{stem}.pgm"), gray)
+            write_pgm(pgm_dir / f"{stem}.pgm", gray)
         else:
             for k in range(gray.shape[0]):
-                write_pgm(track(pgm_dir / f"{stem}_z{k:03d}.pgm"), gray[k])
+                write_pgm(pgm_dir / f"{stem}_z{k:03d}.pgm", gray[k])
     return h
 
 
@@ -295,15 +275,17 @@ def write_summary(path, cases, dataset_rows=()):
     return table
 
 
-def _run(cfg, ws):
-    out = Path(cfg.outdir)
+def _run(cfg, out):
+    """Write the whole tree into the existing directory ``out``."""
     with _stage("select-checkpoints"):
-        selection = _select(cfg, ws)
+        selection = _select(cfg, out)
     with _stage("fuse"):
         pred_root, case_ids = _case_dirs(cfg)
-        mean_dir = ws.mkdir(out / "mean")
+        mean_dir = out / "mean"
+        mean_dir.mkdir()
     with _stage("entropy"):
-        entropy_dir = ws.mkdir(out / "entropy")
+        entropy_dir = out / "entropy"
+        entropy_dir.mkdir()
 
     score_lines = ["case_id," + reports.SCORE_HEADER]
     dice_lines = ["case_id," + reports.DICE_HEADER]
@@ -314,13 +296,10 @@ def _run(cfg, ws):
     for case_id in case_ids:
         with _stage("fuse", case_id):
             mean = fuse_members(
-                selection.checkpoint_ids,
-                pred_root / case_id,
-                mean_dir / f"{case_id}.uqsg",
-                ws.track,
+                selection.checkpoint_ids, pred_root / case_id, mean_dir / f"{case_id}.uqsg"
             )
         with _stage("entropy", case_id):
-            h = write_entropy(mean, entropy_dir / f"{case_id}.uqsg", entropy_dir, ws.track)
+            h = write_entropy(mean, entropy_dir / f"{case_id}.uqsg", entropy_dir)
         with _stage("score", case_id):
             classes = _classes_for(cfg, mean.shape[0])
             scores = [
@@ -345,16 +324,15 @@ def _run(cfg, ws):
         del mean, gt, pred
 
     with _stage("score"):
-        reports.write_lines(ws.track(out / "scores.csv"), score_lines)
+        reports.write_lines(out / "scores.csv", score_lines)
     with _stage("metrics"):
-        reports.write_lines(ws.track(out / "dice.csv"), dice_lines)
+        reports.write_lines(out / "dice.csv", dice_lines)
         calibration = acc.report()
-        reports.write_ece_csv(ws.track(out / "ece.csv"), calibration)
+        reports.write_ece_csv(out / "ece.csv", calibration)
         avg_entropy = entropy_sum / entropy_count
     with _stage("report"):
-        summary = out / "summary.csv"
         table = write_summary(
-            ws.track(summary),
+            out / "summary.csv",
             cases,
             [
                 reports.summary_dataset_row("ece_percent", calibration.ece),
@@ -363,7 +341,7 @@ def _run(cfg, ws):
             ],
         )
     return PipelineResult(
-        summary_path=summary,
+        summary_path=Path(cfg.outdir) / "summary.csv",
         ece_percent=calibration.ece,
         avg_entropy_bits=avg_entropy,
         spearman=table.spearman,
@@ -371,14 +349,13 @@ def _run(cfg, ws):
     )
 
 
-def _select(cfg, ws):
+def _select(cfg, out):
     trace_path = Path(cfg.trace)
     if not trace_path.exists():
         raise ValidationError(f"trace file {trace_path} does not exist")
     trace = TrainingTrace.from_csv(trace_path)
     selection = find_cycle_peaks(trace, schedule_of(cfg), policy_of(cfg))
-    outdir = ws.mkdir(cfg.outdir)
-    export_selection(selection, ws.track(outdir / "manifest.csv"))
+    export_selection(selection, out / "manifest.csv")
     return selection
 
 

@@ -369,12 +369,25 @@ def inject_label_noise(labels, class_count, rng, flip_fraction=0.25) -> np.ndarr
     return lab
 
 
+def _float32(array, what):
+    """``array`` as float32; NumericError if a value is not finite in float32."""
+    with np.errstate(over="ignore"):
+        out = array.astype(np.float32)
+    if not np.isfinite(out).all():
+        raise NumericError(f"{what} has values that are not finite in float32")
+    return out
+
+
 def write_cases(cases, outdir):
-    """Write cases/<id>_image.uqsg (float32) and <id>_labels.uqsg under ``outdir``."""
+    """Write cases/<id>_image.uqsg (float32) and <id>_labels.uqsg under ``outdir``.
+
+    Every image is checked to fit float32 before the first file is written.
+    """
+    images = [_float32(case.image, f"case {case.case_id} image") for case in cases]
     cases_dir = Path(outdir) / "cases"
     cases_dir.mkdir(parents=True, exist_ok=True)
-    for case in cases:
-        write_array(cases_dir / f"{case.case_id}_image.uqsg", case.image.astype(np.float32))
+    for case, image in zip(cases, images):
+        write_array(cases_dir / f"{case.case_id}_image.uqsg", image)
         write_array(cases_dir / f"{case.case_id}_labels.uqsg", case.labels)
 
 
@@ -396,7 +409,8 @@ def run_toy_training(
     all cases, trace.csv, checkpoints/<cid>.uqsg (model weights), and
     predictions/<case>/<cid>.uqsg posteriors for each test case and saved
     checkpoint. Test cases are the last ``n_test`` and double as the
-    validation split for the trace.
+    validation split for the trace. Nothing is written before training has
+    finished and every image and weight array is known to fit float32.
     """
     policy = policy or SelectionPolicy()
     out = Path(outdir)
@@ -405,14 +419,15 @@ def run_toy_training(
     )
     train_cases, test_cases = cases[:n_train], cases[n_train:]
 
-    write_cases(cases, out)
     trace, checkpoints = train(train_cases, test_cases, cfg, policy, seed=seed)
+    stored = {cid: _float32(w, f"checkpoint {cid} weights") for cid, w in checkpoints.items()}
+    write_cases(cases, out)
     trace.to_csv(out / "trace.csv")
 
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-    for cid, weights in checkpoints.items():
-        write_array(ckpt_dir / f"{cid}.uqsg", weights.astype(np.float32))
+    for cid, weights in stored.items():
+        write_array(ckpt_dir / f"{cid}.uqsg", weights)
 
     pred_dir = out / "predictions"
     for case in test_cases:

@@ -90,20 +90,6 @@ def pixel_entropy(p) -> np.ndarray:
     return h
 
 
-def threshold_binary(field, tau: float = FOREGROUND_THRESHOLD) -> np.ndarray:
-    """Bool mask of field > tau (strict: a pixel exactly at tau is background)."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValidationError(f"threshold must be in [0, 1], got {tau}")
-    f = np.asarray(field, dtype=np.float64)
-    if f.size == 0:
-        raise ValidationError("empty field")
-    if f.min() < 0.0 or f.max() > 1.0:
-        raise ValidationError(
-            f"field values outside [0, 1]: min {f.min()}, max {f.max()}"
-        )
-    return f > tau
-
-
 def dilate(image, element=None) -> np.ndarray:
     """Binary dilation into a bool mask; outside the image counts as background.
 

@@ -32,6 +32,16 @@ def small_run(tmp_path_factory):
     return root
 
 
+def staged(outdir):
+    """Staging siblings ``<outdir>.partial-*`` left next to ``outdir``."""
+    outdir = Path(outdir)
+    return sorted(outdir.parent.glob(f"{outdir.name}.partial-*"))
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def small_config(root, outdir="analysis", **overrides):
     values = dict(
         trace=str(root / "trace.csv"),
@@ -146,6 +156,7 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert err.value.stage == "select-checkpoints"
         assert not (small_run / "d1").exists()
+        assert staged(small_run / "d1") == []
 
     def test_failed_fuse_removes_partial_outputs(self, small_run, tmp_path):
         # predictions dir with a case folder missing the manifest's members
@@ -154,8 +165,8 @@ class TestRunPipeline:
         cfg = small_config(small_run, outdir="e1", predictions_dir=str(broken))
         with pytest.raises(StageError, match="fuse"):
             run_pipeline(cfg)
-        leftover = list((small_run / "e1").rglob("*")) if (small_run / "e1").exists() else []
-        assert [p for p in leftover if p.is_file()] == []
+        assert not (small_run / "e1").exists()
+        assert staged(small_run / "e1") == []
 
     def test_class_subset(self, small_run):
         result = run_pipeline(small_config(small_run, outdir="f1", classes=(1,)))
@@ -167,6 +178,8 @@ class TestRunPipeline:
         cfg = small_config(small_run, outdir="g1", classes=(7,))
         with pytest.raises(StageError, match="score"):
             run_pipeline(cfg)
+        assert not (small_run / "g1").exists()
+        assert staged(small_run / "g1") == []
 
 
 def _write_run_config(root, path, **overrides):
@@ -190,6 +203,7 @@ class TestCaseErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert not (root / "out").exists()
+        assert staged(root / "out") == []
         return code, err
 
     def copy(self, small_run, tmp_path):
@@ -251,6 +265,83 @@ class TestCaseErrors:
         assert code == 2
         assert "stage 'metrics' failed for case case0005" in err
         assert f"missing ground truth {labels}" in err
+
+
+class TestOutdir:
+    """``run`` publishes a whole tree into an absent or empty outdir, or nothing."""
+
+    def run_main(self, small_run, tmp_path, capsys, **overrides):
+        overrides.setdefault("outdir", tmp_path / "out")
+        config = _write_run_config(small_run, tmp_path / "p.cfg", **overrides)
+        code = main(["run", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert staged(overrides["outdir"]) == []
+        return code, captured
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"classes": "7"}, {"predictions_dir": "one-case"}],
+        ids=["same-config", "bad-class", "fewer-cases"],
+    )
+    def test_rerun_into_a_finished_tree_is_refused(self, small_run, tmp_path, capsys, overrides):
+        if "predictions_dir" in overrides:
+            one_case = tmp_path / "one-case"
+            shutil.copytree(small_run / "predictions" / "case0004", one_case / "case0004")
+            overrides = {"predictions_dir": one_case}
+        assert self.run_main(small_run, tmp_path, capsys)[0] == 0
+        before = tree_bytes(tmp_path / "out")
+        code, captured = self.run_main(small_run, tmp_path, capsys, **overrides)
+        assert code == 2
+        assert captured.err == (
+            f"error: outdir {tmp_path / 'out'} is not empty; remove or rename it to run again\n"
+        )
+        assert tree_bytes(tmp_path / "out") == before
+
+    def test_empty_outdir_is_accepted(self, small_run, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        assert self.run_main(small_run, tmp_path, capsys)[0] == 0
+        run_pipeline(small_config(small_run, outdir="l1"))
+        assert tree_bytes(tmp_path / "out") == tree_bytes(small_run / "l1")
+
+    def test_outdir_that_is_a_file_exits_validation(self, small_run, tmp_path, capsys):
+        (tmp_path / "out").write_text("keep me\n")
+        code, captured = self.run_main(small_run, tmp_path, capsys)
+        assert code == 2
+        assert f"outdir {tmp_path / 'out'} exists and is not a directory" in captured.err
+        assert (tmp_path / "out").read_text() == "keep me\n"
+
+    def test_missing_parents_are_created(self, small_run, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "out"
+        assert self.run_main(small_run, tmp_path, capsys, outdir=out)[0] == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == ["out"]
+
+    def test_outdir_filled_during_the_run_exits_io(self, small_run, tmp_path, capsys, monkeypatch):
+        import uqseg.pipeline
+
+        real_run = uqseg.pipeline._run
+
+        def run_then_intrude(cfg, staging):
+            result = real_run(cfg, staging)
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "other.txt").write_text("another writer\n")
+            return result
+
+        monkeypatch.setattr(uqseg.pipeline, "_run", run_then_intrude)
+        assert self.run_main(small_run, tmp_path, capsys)[0] == 3
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["other.txt"]
+
+    def test_interrupt_leaves_nothing(self, small_run, tmp_path, monkeypatch):
+        import uqseg.pipeline
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(uqseg.pipeline, "write_entropy", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(small_config(small_run, outdir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+        assert staged(tmp_path / "out") == []
 
 
 def _write_members(directory, ids, shape, rng):
@@ -561,7 +652,10 @@ class TestCli:
             "total_epochs = 20\n"
         )
         assert main(["run", "--config", str(cfg_path)]) == 0
-        assert (small_run / "j1" / "summary.csv").exists()
+        summary = small_run / "j1" / "summary.csv"
+        assert capsys.readouterr().out == f"summary written to {summary}\n"
+        assert summary.exists()
+        assert staged(small_run / "j1") == []
 
     def test_non_utf8_run_config_exits_validation(self, tmp_path, capsys):
         cfg_path = tmp_path / "p.cfg"
@@ -672,6 +766,29 @@ class TestCli:
         out = tmp_path / "out"
         assert main([command, "--noise", noise, "--shape", "16x16", "--outdir", str(out)]) == 2
         assert "noise_std must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_toy_train_weights_past_float32_exit_numeric(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main([
+            "toy-train", "--lr-max", "1e308", "--lr-min", "1", "--shape", "16x16",
+            "--cases", "2", "--test-cases", "1", "--epochs", "4", "--t0", "2", "--eta", "1",
+            "--outdir", str(out),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "weights has values that are not finite in float32" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_toy_gen_image_past_float32_exits_numeric(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main([
+            "toy-gen", "--noise", "1.5e308", "--cases", "3", "--shape", "16x16",
+            "--outdir", str(out),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "image has values that are not finite in float32" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_toy_gen_command(self, tmp_path):

@@ -11,7 +11,6 @@ from uqseg.uncertainty import (
     contour_normalizer,
     dilate,
     pixel_entropy,
-    threshold_binary,
     total_entropy,
     uncertainty_score,
 )
@@ -160,31 +159,6 @@ class TestPixelEntropy:
                 tracemalloc.stop()
         assert max(peaks) < bound, peaks
         assert peaks[1] - peaks[0] < plane // 8, peaks
-
-
-class TestThreshold:
-    def test_above_threshold(self):
-        field = np.full((3, 3), 0.6)
-        np.testing.assert_array_equal(threshold_binary(field), np.ones((3, 3)))
-
-    def test_exactly_at_threshold_is_background(self):
-        field = np.full((3, 3), 0.5)
-        np.testing.assert_array_equal(threshold_binary(field), np.zeros((3, 3)))
-
-    def test_matches_per_pixel_comparison(self):
-        rng = np.random.default_rng(8)
-        field = rng.random((12, 12))
-        out = threshold_binary(field, 0.4)
-        for pos in np.ndindex(field.shape):
-            assert out[pos] == (1 if field[pos] > 0.4 else 0)
-
-    def test_bad_tau(self):
-        with pytest.raises(ValidationError):
-            threshold_binary(np.zeros((2, 2)), tau=1.5)
-
-    def test_field_outside_unit_interval(self):
-        with pytest.raises(ValidationError):
-            threshold_binary(np.full((2, 2), 2.0))
 
 
 class TestDilate:
@@ -367,6 +341,27 @@ class TestUncertaintyScore:
         assert s.empty_contour
         assert s.score == 0.0
         assert s.contour_pixels == 0
+
+    def test_plane_exactly_at_threshold_is_background(self):
+        p = np.zeros((2, 6, 6))
+        p[1, 2:4, 2:4] = 0.5
+        p[0] = 1.0 - p[1]
+        s = uncertainty_score(p, 1)
+        assert s.empty_contour
+        assert s.score == 0.0
+        assert s.contour_pixels == 0
+
+    def test_mask_matches_per_pixel_comparison(self):
+        rng = np.random.default_rng(8)
+        p1 = rng.choice([0.2, 0.5, np.nextafter(0.5, 1.0), 0.9], size=(12, 12))
+        p = np.stack([1.0 - p1, p1])
+        mask = np.zeros(p1.shape, dtype=np.uint8)
+        for pos in np.ndindex(p1.shape):
+            mask[pos] = 1 if p1[pos] > 0.5 else 0
+        ring = contour_oracle(mask, np.ones((3, 3), dtype=np.uint8)).astype(bool)
+        s = uncertainty_score(p, 1, restrict_to_contour=True)
+        assert s.contour_pixels == int(ring.sum())
+        assert s.h_total == float(pixel_entropy(p)[ring].sum())
 
     def test_background_rejected(self):
         with pytest.raises(ValidationError, match="background"):
