@@ -161,6 +161,39 @@ class TestPixelEntropy:
         assert peaks[1] - peaks[0] < plane // 8, peaks
 
 
+class TestThreshold:
+    """The 0.5 cut that turns a class plane into the mask uncertainty_score rings."""
+
+    def test_above_threshold(self):
+        p = np.zeros((2, 8, 8))
+        p[1, 2:5, 2:5] = 0.6
+        p[0] = 1.0 - p[1]
+        s = uncertainty_score(p, 1)
+        assert not s.empty_contour
+        assert s.contour_pixels == 5 * 5 - 3 * 3
+
+    def test_exactly_at_threshold_is_background(self):
+        p = np.zeros((2, 6, 6))
+        p[1, 2:4, 2:4] = 0.5
+        p[0] = 1.0 - p[1]
+        s = uncertainty_score(p, 1)
+        assert s.empty_contour
+        assert s.score == 0.0
+        assert s.contour_pixels == 0
+
+    def test_matches_per_pixel_comparison(self):
+        rng = np.random.default_rng(8)
+        p1 = rng.choice([0.2, 0.5, np.nextafter(0.5, 1.0), 0.9], size=(12, 12))
+        p = np.stack([1.0 - p1, p1])
+        mask = np.zeros(p1.shape, dtype=np.uint8)
+        for pos in np.ndindex(p1.shape):
+            mask[pos] = 1 if p1[pos] > 0.5 else 0
+        ring = contour_oracle(mask, np.ones((3, 3), dtype=np.uint8)).astype(bool)
+        s = uncertainty_score(p, 1, restrict_to_contour=True)
+        assert s.contour_pixels == int(ring.sum())
+        assert s.h_total == float(pixel_entropy(p)[ring].sum())
+
+
 class TestDilate:
     def test_single_pixel_becomes_block(self):
         img = np.zeros((5, 5), dtype=np.uint8)
@@ -341,27 +374,6 @@ class TestUncertaintyScore:
         assert s.empty_contour
         assert s.score == 0.0
         assert s.contour_pixels == 0
-
-    def test_plane_exactly_at_threshold_is_background(self):
-        p = np.zeros((2, 6, 6))
-        p[1, 2:4, 2:4] = 0.5
-        p[0] = 1.0 - p[1]
-        s = uncertainty_score(p, 1)
-        assert s.empty_contour
-        assert s.score == 0.0
-        assert s.contour_pixels == 0
-
-    def test_mask_matches_per_pixel_comparison(self):
-        rng = np.random.default_rng(8)
-        p1 = rng.choice([0.2, 0.5, np.nextafter(0.5, 1.0), 0.9], size=(12, 12))
-        p = np.stack([1.0 - p1, p1])
-        mask = np.zeros(p1.shape, dtype=np.uint8)
-        for pos in np.ndindex(p1.shape):
-            mask[pos] = 1 if p1[pos] > 0.5 else 0
-        ring = contour_oracle(mask, np.ones((3, 3), dtype=np.uint8)).astype(bool)
-        s = uncertainty_score(p, 1, restrict_to_contour=True)
-        assert s.contour_pixels == int(ring.sum())
-        assert s.h_total == float(pixel_entropy(p)[ring].sum())
 
     def test_background_rejected(self):
         with pytest.raises(ValidationError, match="background"):
