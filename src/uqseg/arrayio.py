@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import pixel_blocks
 from .errors import (
     ArrayFormatError,
     BadMagicError,
@@ -123,8 +124,15 @@ def write_pgm(path, gray):
 
 
 def entropy_to_gray(entropy_map, class_count):
-    """Scale an entropy map in bits to uint8 [0, 255] by its log2(c) ceiling."""
-    h = np.asarray(entropy_map, dtype=np.float64)
+    """Scale an entropy map in bits to uint8 [0, 255] by its log2(c) ceiling, block by block."""
+    h = np.asarray(entropy_map)
     ceiling = float(np.log2(class_count))
-    scaled = np.clip(np.rint(h / ceiling * 255.0), 0, 255)
-    return scaled.astype(np.uint8)
+    gray = np.empty(h.shape, dtype=np.uint8)
+    h_flat, gray_flat = h.reshape(-1), gray.reshape(-1)
+    for sl in pixel_blocks(h_flat.size):
+        scaled = np.divide(h_flat[sl], ceiling, dtype=np.float64)
+        scaled *= 255.0
+        np.rint(scaled, out=scaled)
+        gray_flat[sl] = np.clip(scaled, 0, 255, out=scaled)
+        del scaled  # one block of scaled values at a time
+    return gray

@@ -23,6 +23,17 @@ from .errors import DegenerateInputError, ValidationError
 # softmax outputs accumulate rounding at roughly this scale.
 SIMPLEX_TOLERANCE = 1e-5
 
+# Per-pixel passes over a flattened pixel axis run in blocks of this many
+# pixels (512 KiB of float64 scratch); a 64x64 slice is one block.
+BLOCK_PIXELS = 1 << 16
+
+
+def pixel_blocks(n):
+    """Slices of at most BLOCK_PIXELS covering ``range(n)`` in order, at least one."""
+    if n <= BLOCK_PIXELS:
+        return [slice(0, n)]
+    return [slice(i, min(i + BLOCK_PIXELS, n)) for i in range(0, n, BLOCK_PIXELS)]
+
 
 def validate_intensities(volume, *, case_id=None):
     """Check an intensity array for NaN/Inf; returns it as float64."""
@@ -73,9 +84,10 @@ def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
 
     Every entry must be in [0, 1] and each per-pixel class vector must sum
     to 1 within ``tol``. The check runs on the array's own dtype, with the
-    class sums taken in float64, and returns the array unchanged. Error
-    messages start with ``name`` when given. Posteriors are checked once,
-    where they enter the program; the kernels take them as trusted.
+    class sums taken in float64 one block of pixels at a time, and returns
+    the array unchanged. Error messages start with ``name`` when given.
+    Posteriors are checked once, where they enter the program; the kernels
+    take them as trusted.
     """
     arr = np.asarray(p)
     if arr.ndim not in (3, 4):
@@ -86,16 +98,26 @@ def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
         raise ValidationError(
             _named(f"probability array needs >= 2 classes, got {arr.shape[0]}", name)
         )
+    if arr.size == 0:
+        raise ValidationError(_named("empty probability array", name))
     lo, hi = arr.min(), arr.max()
     if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
-        if not np.all(np.isfinite(arr)):
+        if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an inf is an extreme
             raise ValidationError(_named("probability array contains NaN or Inf", name))
         raise ValidationError(
             _named(f"probabilities outside [0, 1]: min {lo}, max {hi}", name)
         )
-    sums = arr.sum(axis=0, dtype=np.float64)
-    sums -= 1.0
-    worst = float(np.abs(sums, out=sums).max())
+    # per block, the class sums in class order, as sum(axis=0) adds the rows
+    # of a C-contiguous stack of more than one pixel
+    flat = arr.reshape(arr.shape[0], -1)
+    worst = 0.0
+    for sl in pixel_blocks(flat.shape[1]):
+        sums = flat[0, sl].astype(np.float64)
+        for plane in flat[1:, sl]:
+            sums += plane
+        # the largest |s - 1|, as rounding s - 1 is monotone and symmetric
+        worst = max(worst, float(sums.max()) - 1.0, 1.0 - float(sums.min()))
+        del sums  # one block of sums at a time
     if worst > tol:
         raise ValidationError(_named(
             f"per-pixel class probabilities must sum to 1 within {tol}; "

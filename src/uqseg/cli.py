@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +86,8 @@ def _add_schedule_args(p):
 
 def _add_policy_args(p):
     p.add_argument("--per-cycle", type=int, default=DEFAULT_POLICY.per_cycle)
-    p.add_argument(
-        "--window-fraction", type=float, default=DEFAULT_POLICY.window_fraction
-    )
-    p.add_argument(
-        "--min-peak-ratio", type=float, default=DEFAULT_POLICY.min_peak_ratio
-    )
+    p.add_argument("--window-fraction", type=float, default=DEFAULT_POLICY.window_fraction)
+    p.add_argument("--min-peak-ratio", type=float, default=DEFAULT_POLICY.min_peak_ratio)
 
 
 def cmd_lr_schedule(args):
@@ -198,14 +195,8 @@ def cmd_info(args):
         "version": __version__,
         "array_format_version": FORMAT_VERSION,
         "defaults": {
-            "t0": DEFAULT_SCHEDULE.t0,
-            "eta": DEFAULT_SCHEDULE.eta,
-            "lr_max": DEFAULT_SCHEDULE.lr_max,
-            "lr_min": DEFAULT_SCHEDULE.lr_min,
-            "total_epochs": DEFAULT_SCHEDULE.total_epochs,
-            "per_cycle": DEFAULT_POLICY.per_cycle,
-            "window_fraction": DEFAULT_POLICY.window_fraction,
-            "min_peak_ratio": DEFAULT_POLICY.min_peak_ratio,
+            **asdict(DEFAULT_SCHEDULE),
+            **asdict(DEFAULT_POLICY),
             "foreground_threshold": FOREGROUND_THRESHOLD,
             "simplex_tolerance": SIMPLEX_TOLERANCE,
             "ece_bins": DEFAULT_ECE_BINS,

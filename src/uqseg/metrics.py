@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import pixel_blocks
+from .ensemble import argmax_labels
 from .errors import ValidationError
 
 # ECE bin count of ``ece``, the accumulator, ``uqseg ece`` and ``uqseg run``
@@ -81,6 +83,9 @@ class CalibrationAccumulator:
         """Score one trusted posterior/label pair into the bins.
 
         ``pred`` is the posterior's per-pixel argmax when already computed.
+        Pixels are binned block by block. A bin's confidences are summed from
+        its run of one buffer, in pixel order, as a boolean selection of the
+        bin would hold them: the same sum, bit for bit.
         """
         arr = np.asarray(p)
         labels = np.asarray(gt)
@@ -89,27 +94,36 @@ class CalibrationAccumulator:
                 f"label shape {labels.shape} does not match posterior {arr.shape}"
             )
         if pred is None:
-            pred = arr.argmax(axis=0)
-        confidence = arr.max(axis=0).ravel()
-        correct = (pred == labels).ravel()
-        if foreground_only:
-            keep = (labels > 0).ravel()
-            confidence = confidence[keep]
-            correct = correct[keep]
-        # the narrowest index type lets the stable argsort use radix sort
-        idx = np.searchsorted(self._edges, confidence, side="left").astype(
-            np.min_scalar_type(self.n_bins - 1)
-        )
-        counts = np.bincount(idx, minlength=self.n_bins)
+            pred = argmax_labels(arr)
+        flat, truth = arr.reshape(arr.shape[0], -1), labels.reshape(-1)
+        pred = np.asarray(pred).reshape(-1)
+        blocks = pixel_blocks(truth.size)
+        counts = np.zeros(self.n_bins, dtype=np.int64)
+        block_bins = []
+        for sl in blocks:
+            keep = truth[sl] > 0 if foreground_only else slice(None)
+            confidence = flat[:, sl].max(axis=0)[keep]
+            correct = (pred[sl] == truth[sl])[keep]
+            # the narrowest index type lets the stable argsort use radix sort
+            idx = np.searchsorted(self._edges, confidence, side="left").astype(
+                np.min_scalar_type(self.n_bins - 1)
+            )
+            counts += np.bincount(idx, minlength=self.n_bins)
+            self.correct_counts += np.bincount(idx[correct], minlength=self.n_bins)
+            block_bins.append(idx)
         self.counts += counts
-        self.correct_counts += np.bincount(idx[correct], minlength=self.n_bins)
-        # a bin's slice of the stable-sorted pixels holds the values of a
-        # boolean selection of the bin, in its order: the same sum, bit for bit
-        ordered = confidence[np.argsort(idx, kind="stable")]
         stops = np.cumsum(counts)
+        if len(blocks) == 1:
+            ordered = confidence[np.argsort(idx, kind="stable")]
+        else:
+            del confidence, correct  # the second pass takes its own blocks
+            ordered = np.empty(int(stops[-1]), dtype=arr.dtype)
+            ends = stops - counts
+            for sl, idx in zip(blocks, block_bins):
+                keep = truth[sl] > 0 if foreground_only else slice(None)
+                _fill_runs(ordered, ends, flat[:, sl].max(axis=0)[keep], idx)
         for b in np.flatnonzero(counts):
-            in_bin = ordered[stops[b] - counts[b] : stops[b]]
-            self.confidence_sums[b] += float(np.sum(in_bin))
+            self.confidence_sums[b] += float(np.sum(ordered[stops[b] - counts[b] : stops[b]]))
         return self
 
     def report(self) -> CalibrationReport:
@@ -137,6 +151,23 @@ class CalibrationAccumulator:
             accuracy=accuracy,
         )
         return CalibrationReport(bins=bins, ece=ece)
+
+
+def _fill_runs(ordered, ends, confidence, idx):
+    """Append a block's confidences, in pixel order, to its bins' runs in ``ordered``.
+
+    ``ends[b]`` is where bin b's run is filled up to; it moves past the block.
+    """
+    # bincount's intp copy of idx is freed before the sort's permutation exists
+    block_counts = np.bincount(idx, minlength=len(ends))
+    order = np.argsort(idx, kind="stable")
+    start = 0
+    for b, n in enumerate(block_counts):
+        # gathered straight into the run: "clip" takes no buffer
+        run = ordered[ends[b] : ends[b] + n]
+        np.take(confidence, order[start : start + n], out=run, mode="clip")
+        ends[b] += n
+        start += n
 
 
 def ece(

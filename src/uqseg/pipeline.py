@@ -4,20 +4,21 @@ run_pipeline consumes artifacts of a finished training run (a trace CSV,
 per-checkpoint posterior files, ground-truth labels) and produces the
 manifest, fused posteriors, entropy maps, per-class scores, Dice/ECE
 tables, and a single summary CSV. Cases stream through the per-case
-stages one at a time, and a case's members stream through the fuse one at
-a time, so a case holds one member, the float64 mean and a few planes at
-most, whatever the member and class counts. The tree is built in a sibling
-staging directory and renamed into ``outdir`` once, at the end, so
-``outdir`` holds a whole run or nothing. A failure aborts with the stage
-name (and the case) and removes the staging directory. The fuse, entropy
-and report stages are ``fuse_members``, ``write_entropy`` and
-``write_summary``, which the CLI subcommands call too.
+stages one at a time, and a case's members through the fuse, so a case
+holds the float64 mean and one member, then the mean, whole planes and
+block-sized scratch, whatever the member and class counts. The tree is
+built in a sibling staging directory and renamed into ``outdir`` once, at
+the end, so ``outdir`` holds a whole run or nothing. A failure aborts
+with the stage name (and the case) and removes the staging directory. The
+fuse, entropy and report stages are ``fuse_members``, ``write_entropy``
+and ``write_summary``, which the CLI subcommands call too.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +50,7 @@ _SCHEMA = {
     "min_peak_ratio": float,
     "classes": "classes",
     "bins": int,
-    "entropy_region": "region",
+    "entropy_region": str,
     "ece_foreground_only": "bool",
 }
 
@@ -139,12 +140,8 @@ class PipelineConfig:
 def _parse(key, value, path, lineno):
     kind = _SCHEMA[key]
     try:
-        if kind is str:
-            return value
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
+        if kind in (str, int, float):
+            return kind(value)
         if kind == "bool":
             if value.lower() in ("1", "true", "yes"):
                 return True
@@ -153,8 +150,6 @@ def _parse(key, value, path, lineno):
             raise ValueError(value)
         if kind == "classes":
             return tuple(int(v) for v in value.split(",") if v.strip())
-        if kind == "region":
-            return value
     except ValueError:
         pass
     raise ValidationError(f"{path}:{lineno}: bad value {value!r} for key {key!r}")
@@ -176,13 +171,15 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     ``os.replace`` publishes it once every stage has succeeded. On any
     failure the staging directory is removed and ``outdir`` is left as it
     was; a stage failure raises StageError. Missing parents of ``outdir``
-    are created.
+    are created. An empty ``outdir`` that exists keeps its permission bits,
+    but not its group or ACLs.
 
     Cases stream through fuse, entropy, score and metrics one at a time.
     Per case, memory holds one member and the float64 mean while fusing,
-    then the mean and a few planes: the entropy map, freed after scoring,
-    and the argmax and calibration temporaries of the metrics. Each case's
-    mean gets one entropy map and one argmax, shared by all its classes.
+    then the mean and whole planes (the entropy map, freed after scoring;
+    the labels, the argmax and the bin-ordered confidences of the metrics)
+    plus block-sized scratch: every per-pixel pass runs block by block.
+    Each case's mean gets one entropy map and one argmax, for all classes.
     """
     out = Path(cfg.outdir).resolve()
     if out.is_dir():
@@ -196,6 +193,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     staging.mkdir(parents=True)
     try:
         result = _run(cfg, staging)
+        if out.is_dir():  # set last, so a read-only mode cannot stop the run
+            staging.chmod(stat.S_IMODE(out.stat().st_mode))
         os.replace(staging, out)
     finally:
         shutil.rmtree(staging, ignore_errors=True)

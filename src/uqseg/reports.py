@@ -19,17 +19,15 @@ def write_lines(path, lines):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _row(case_id, *fields):
+    return ",".join(([] if case_id is None else [case_id]) + [str(f) for f in fields])
+
+
 def score_row(score, case_id=None):
-    fields = [
-        str(score.class_id),
-        fmt9(score.h_total),
-        str(score.contour_pixels),
-        fmt9(score.score),
-        str(int(score.empty_contour)),
-    ]
-    if case_id is not None:
-        fields.insert(0, case_id)
-    return ",".join(fields)
+    return _row(
+        case_id, score.class_id, fmt9(score.h_total), score.contour_pixels,
+        fmt9(score.score), int(score.empty_contour),
+    )
 
 
 SCORE_HEADER = "class,h_total,contour_pixels,score,empty_contour_flag"
@@ -39,34 +37,20 @@ DICE_HEADER = "class,intersection,pred_size,gt_size,dice"
 
 
 def dice_row(result, case_id=None):
-    fields = [
-        str(result.class_id),
-        str(result.intersection),
-        str(result.pred_size),
-        str(result.gt_size),
+    return _row(
+        case_id, result.class_id, result.intersection, result.pred_size, result.gt_size,
         fmt9(result.dice),
-    ]
-    if case_id is not None:
-        fields.insert(0, case_id)
-    return ",".join(fields)
+    )
 
 
 def write_ece_csv(path, report):
     lines = ["record,lower,upper,count,mean_confidence,accuracy"]
     bins = report.bins
     for b in range(bins.n_bins):
-        lines.append(
-            ",".join(
-                [
-                    f"bin{b}",
-                    fmt9(bins.lowers[b]),
-                    fmt9(bins.uppers[b]),
-                    str(int(bins.counts[b])),
-                    fmt9(bins.mean_confidence[b]),
-                    fmt9(bins.accuracy[b]),
-                ]
-            )
-        )
+        lines.append(_row(
+            f"bin{b}", fmt9(bins.lowers[b]), fmt9(bins.uppers[b]), int(bins.counts[b]),
+            fmt9(bins.mean_confidence[b]), fmt9(bins.accuracy[b]),
+        ))
     total = int(bins.counts.sum())
     lines.append(f"ece_percent,,,{total},,{fmt9(report.ece)}")
     write_lines(path, lines)

@@ -85,9 +85,7 @@ def _cycle_iter(cfg: SgdrConfig):
 def cycle_of(epoch: int, cfg: SgdrConfig) -> CycleIndex:
     """Return the unique cycle whose [cycle_start, cycle_end) contains epoch."""
     if not 0 <= epoch < cfg.total_epochs:
-        raise ValidationError(
-            f"epoch {epoch} outside [0, {cfg.total_epochs})"
-        )
+        raise ValidationError(f"epoch {epoch} outside [0, {cfg.total_epochs})")
     for cyc in _cycle_iter(cfg):
         if epoch < cyc.cycle_end:
             return cyc
@@ -96,12 +94,7 @@ def cycle_of(epoch: int, cfg: SgdrConfig) -> CycleIndex:
 
 def restart_epochs(cfg: SgdrConfig) -> list[int]:
     """Cycle-end epochs up to and including total_epochs."""
-    out = []
-    for cyc in _cycle_iter(cfg):
-        if cyc.cycle_end > cfg.total_epochs:
-            break
-        out.append(cyc.cycle_end)
-    return out
+    return [cyc.cycle_end for cyc in _cycle_iter(cfg) if cyc.cycle_end <= cfg.total_epochs]
 
 
 def _cycle_lr(epoch: int, cyc: CycleIndex, cfg: SgdrConfig) -> float:

@@ -378,12 +378,16 @@ def _float32(array, what):
     return out
 
 
+def _float32_images(cases):
+    return [_float32(case.image, f"case {case.case_id} image") for case in cases]
+
+
 def write_cases(cases, outdir):
     """Write cases/<id>_image.uqsg (float32) and <id>_labels.uqsg under ``outdir``.
 
     Every image is checked to fit float32 before the first file is written.
     """
-    images = [_float32(case.image, f"case {case.case_id} image") for case in cases]
+    images = _float32_images(cases)
     cases_dir = Path(outdir) / "cases"
     cases_dir.mkdir(parents=True, exist_ok=True)
     for case, image in zip(cases, images):
@@ -418,6 +422,7 @@ def run_toy_training(
         seed, n_train + n_test, shape=shape, class_count=class_count, noise_std=noise_std
     )
     train_cases, test_cases = cases[:n_train], cases[n_train:]
+    _float32_images(cases)  # an image past float32 fails before training
 
     trace, checkpoints = train(train_cases, test_cases, cfg, policy, seed=seed)
     stored = {cid: _float32(w, f"checkpoint {cid} weights") for cid, w in checkpoints.items()}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import validate_binary
+from .arrays import pixel_blocks, validate_binary
 from .ensemble import class_foreground
 from .errors import ValidationError
 
@@ -67,26 +67,32 @@ def pixel_entropy(p) -> np.ndarray:
     """Per-pixel Shannon entropy -sum_k p_k log2 p_k, with 0*log2(0) = 0.
 
     ``p`` is a trusted posterior; the entropy is computed in float64, one
-    class plane at a time, so the working set is two planes whatever c is.
-    Each plane's -(p log2 p) is added into the map, which starts at +0.0,
-    in class order, for every shape and memory layout. That is what
-    ``sum(axis=0)`` does on a C-contiguous stack of more than one pixel;
-    numpy sums the classes pairwise instead from c = 8 on when they are its
-    innermost loop (a single pixel, a class-last layout), where the last
-    bits can differ.
+    block of pixels and one class plane at a time, so the working set is the
+    map and one block-sized term whatever c is. Each plane's -(p log2 p) is
+    added into the map, which starts at +0.0, in class order, for every
+    shape and memory layout. That is what ``sum(axis=0)`` does on a
+    C-contiguous stack of more than one pixel; numpy sums the classes
+    pairwise instead from c = 8 on when they are its innermost loop (a
+    single pixel, a class-last layout), where the last bits can differ.
     """
     arr = np.asarray(p)
+    flat = arr.reshape(arr.shape[0], -1)
     h = np.zeros(arr.shape[1:], dtype=np.float64)
-    term = np.empty_like(h)
+    h_flat = h.reshape(-1)
+    blocks = pixel_blocks(flat.shape[1])
+    scratch = np.empty(blocks[0].stop, dtype=np.float64)
     # -(p * log2 p) in one buffer; it equals (-p) * log2 p bit for bit.
     # dtype= casts a float32 plane exactly, as a float64 copy would
     with np.errstate(divide="ignore", invalid="ignore"):
-        for plane in arr:
-            np.log2(plane, out=term, dtype=np.float64)
-            np.multiply(term, plane, out=term, dtype=np.float64)
-            np.negative(term, out=term)
-            np.copyto(term, 0.0, where=~(plane > 0.0))
-            h += term
+        for sl in blocks:
+            total = h_flat[sl]
+            term = scratch[: sl.stop - sl.start]
+            for plane in flat[:, sl]:
+                np.log2(plane, out=term, dtype=np.float64)
+                np.multiply(term, plane, out=term, dtype=np.float64)
+                np.negative(term, out=term)
+                np.copyto(term, 0.0, where=~(plane > 0.0))
+                total += term
     return h
 
 

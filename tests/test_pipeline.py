@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from uqseg.arrayio import read_array, write_array
+from uqseg.arrays import BLOCK_PIXELS
 from uqseg.cli import main
 from uqseg.errors import StageError, ValidationError
 from uqseg.pipeline import PipelineConfig, fuse_members, run_pipeline
@@ -304,6 +306,13 @@ class TestOutdir:
         run_pipeline(small_config(small_run, outdir="l1"))
         assert tree_bytes(tmp_path / "out") == tree_bytes(small_run / "l1")
 
+    def test_empty_outdir_keeps_its_permission_bits(self, small_run, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        os.chmod(tmp_path / "out", 0o2770)
+        assert self.run_main(small_run, tmp_path, capsys)[0] == 0
+        assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == 0o2770
+        assert staged(tmp_path / "out") == []
+
     def test_outdir_that_is_a_file_exits_validation(self, small_run, tmp_path, capsys):
         (tmp_path / "out").write_text("keep me\n")
         code, captured = self.run_main(small_run, tmp_path, capsys)
@@ -423,8 +432,13 @@ class TestStreamedFuseErrors:
 
 
 def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
-    """A whole run holds one member, the float64 mean and a few planes at most."""
-    c, spatial = 4, (6, 48, 48)
+    """A whole run holds one member, the float64 mean and one plane at most.
+
+    The volume spans three pixel blocks, the last one ragged, so block-sized
+    scratch is smaller than a plane.
+    """
+    c, spatial = 4, (6, 160, 160)
+    assert int(np.prod(spatial)) > 2 * BLOCK_PIXELS
     ids = [f"ep{e:05d}" for e in range(20)]
     lines = ["epoch,lr,val_metric,checkpoint_id"]
     lines += [f"{e},0.1,{0.5 + 0.04 * (e % 10):.2f},{cid}" for e, cid in enumerate(ids)]
@@ -448,7 +462,7 @@ def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
         tracemalloc.stop()
     selected = len((tmp_path / "out" / "manifest.csv").read_text().splitlines()) - 1
     assert selected == 6
-    assert peak < mean + member + 3 * plane, peak / plane
+    assert peak < mean + member + plane, peak / plane
 
 
 def test_each_member_validated_once_and_entropy_computed_once(small_run, monkeypatch):
@@ -788,6 +802,17 @@ class TestCli:
         ]) == 4
         err = capsys.readouterr().err
         assert "image has values that are not finite in float32" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_toy_train_image_past_float32_names_the_case(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main([
+            "toy-train", "--noise", "1.5e308", "--cases", "2", "--test-cases", "1",
+            "--shape", "16x16", "--outdir", str(out),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "error: case case0000 image has values that are not finite in float32" in err
         assert "Traceback" not in err
         assert not out.exists()
 
