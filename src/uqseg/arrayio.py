@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +36,6 @@ _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("u1"), 2: np.dtype("<i4")}
 _DTYPE_TO_CODE = {np.dtype("float32"): 0, np.dtype("uint8"): 1, np.dtype("int32"): 2}
 
 _HEAD = struct.Struct("<4sHBB")
-
-
-@dataclass(frozen=True)
-class ArrayFileHeader:
-    version: int
-    dtype: np.dtype
-    shape: tuple
 
 
 def write_array(path, array):
@@ -68,26 +60,36 @@ def write_array(path, array):
 
 def read_array(path):
     """Read an array written by write_array, bit-exact, straight into its one copy."""
+    shape, rows = read_rows(path, slice(None))
+    return rows.reshape(shape)
+
+
+def read_rows(path, pixels):
+    """The shape of the array file at ``path`` and the rows of one pixel block.
+
+    The array is taken as ``(c, n)``, its first axis by the rest flattened;
+    ``pixels`` is a step-1 slice of n, clipped as numpy clips it, and the
+    rows come back as ``(c, m)``. Header and size are checked as by
+    ``read_array``. A block of all n pixels is one read; others are one
+    seek and read per row.
+    """
     with open(path, "rb") as f:
-        header = _read_header(f, path)
-        nbytes = math.prod(header.shape) * header.dtype.itemsize
-        # size the payload from the file before reading, so a header that
-        # declares more than the file holds never drives the allocation
-        size = os.fstat(f.fileno()).st_size - f.tell()
-        if size < nbytes:
-            raise TruncatedPayloadError(
-                f"{path}: payload truncated, expected {nbytes} bytes, got {size}"
-            )
-        if size > nbytes:
-            raise ArrayFormatError(f"{path}: trailing bytes after payload")
-        arr = np.empty(header.shape, dtype=header.dtype)
-        if f.readinto(arr.reshape(-1).view(np.uint8)) < nbytes:
-            raise TruncatedPayloadError(f"{path}: file shrank while being read")
+        dtype, shape = _read_header(f, path)
+        n = math.prod(shape[1:])
+        start, stop, _ = pixels.indices(n)
+        rows = np.empty((shape[0], max(stop - start, 0)), dtype=dtype)
+        offset = f.tell() + start * dtype.itemsize
+        # the whole payload in one read, or one seek and read per row
+        for k, row in enumerate([rows] if rows.shape[1] == n else rows):
+            f.seek(offset + k * n * dtype.itemsize)
+            if f.readinto(row.reshape(-1).view(np.uint8)) < row.nbytes:
+                raise TruncatedPayloadError(f"{path}: file shrank while being read")
     # a no-op on little-endian hosts
-    return arr.astype(header.dtype.newbyteorder("="), copy=False)
+    return shape, rows.astype(dtype.newbyteorder("="), copy=False)
 
 
 def _read_header(f, path):
+    """Check the header and the payload size of the open file; its (dtype, shape)."""
     raw = f.read(_HEAD.size)
     if len(raw) < _HEAD.size:
         raise TruncatedPayloadError(f"{path}: file shorter than the fixed header")
@@ -107,7 +109,17 @@ def _read_header(f, path):
     if len(dims_raw) < 4 * rank:
         raise TruncatedPayloadError(f"{path}: file ends inside the dimension list")
     shape = struct.unpack(f"<{rank}I", dims_raw)
-    return ArrayFileHeader(version=version, dtype=dtype, shape=tuple(shape))
+    nbytes = math.prod(shape) * dtype.itemsize
+    # size the payload from the file before reading, so a header that
+    # declares more than the file holds never drives an allocation
+    size = os.fstat(f.fileno()).st_size - f.tell()
+    if size < nbytes:
+        raise TruncatedPayloadError(
+            f"{path}: payload truncated, expected {nbytes} bytes, got {size}"
+        )
+    if size > nbytes:
+        raise ArrayFormatError(f"{path}: trailing bytes after payload")
+    return dtype, shape
 
 
 def write_pgm(path, gray):

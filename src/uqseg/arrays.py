@@ -35,16 +35,6 @@ def pixel_blocks(n):
     return [slice(i, min(i + BLOCK_PIXELS, n)) for i in range(0, n, BLOCK_PIXELS)]
 
 
-def validate_intensities(volume, *, case_id=None):
-    """Check an intensity array for NaN/Inf; returns it as float64."""
-    v = np.asarray(volume, dtype=np.float64)
-    if v.size == 0:
-        raise ValidationError(_tag("empty intensity array", case_id))
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(_tag("intensity array contains NaN or Inf", case_id))
-    return v
-
-
 def validate_labels(labels, class_count, *, name=None):
     """Check integer label codes lie in [0, class_count).
 
@@ -79,6 +69,20 @@ def validate_binary(image):
     return img.astype(bool)
 
 
+def validate_probability_shape(shape, *, name=None):
+    """Check that ``shape`` is a non-empty (c, H, W) or (c, D, H, W) with c >= 2."""
+    if len(shape) not in (3, 4):
+        raise ValidationError(_named(
+            f"probability array must be (c,H,W) or (c,D,H,W), got shape {shape}", name
+        ))
+    if shape[0] < 2:
+        raise ValidationError(
+            _named(f"probability array needs >= 2 classes, got {shape[0]}", name)
+        )
+    if 0 in shape:
+        raise ValidationError(_named("empty probability array", name))
+
+
 def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
     """Check per-pixel simplex constraints on a (c, ...) probability array.
 
@@ -90,16 +94,7 @@ def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
     take them as trusted.
     """
     arr = np.asarray(p)
-    if arr.ndim not in (3, 4):
-        raise ValidationError(_named(
-            f"probability array must be (c,H,W) or (c,D,H,W), got shape {arr.shape}", name
-        ))
-    if arr.shape[0] < 2:
-        raise ValidationError(
-            _named(f"probability array needs >= 2 classes, got {arr.shape[0]}", name)
-        )
-    if arr.size == 0:
-        raise ValidationError(_named("empty probability array", name))
+    validate_probability_shape(arr.shape, name=name)
     lo, hi = arr.min(), arr.max()
     if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
         if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an inf is an extreme
@@ -128,12 +123,17 @@ def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
 
 
 def zscore_normalize(volume, *, case_id=None):
-    """Normalize a whole intensity array to zero mean and unit std.
+    """Normalize a whole intensity array to zero mean and unit std, as float64.
 
     Uses the population standard deviation (divide by N). Raises
-    DegenerateInputError for constant input, naming the case when given.
+    ValidationError for an empty array or a NaN/Inf and DegenerateInputError
+    for constant input, naming the case when given.
     """
-    v = validate_intensities(volume, case_id=case_id)
+    v = np.asarray(volume, dtype=np.float64)
+    if v.size == 0:
+        raise ValidationError(_tag("empty intensity array", case_id))
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(_tag("intensity array contains NaN or Inf", case_id))
     mean = v.mean()
     std = v.std()
     if std == 0.0:

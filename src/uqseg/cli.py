@@ -1,7 +1,8 @@
 """Command-line entry point exposing every pipeline stage as a subcommand.
 
 Exit codes: 0 success, 2 validation error, 3 IO/format error, 4 numeric
-failure. Every subcommand is a pure function of its input files and flags.
+failure. Every subcommand is a pure function of its input files and flags;
+it returns on success and raises an error that carries its exit code.
 """
 
 from __future__ import annotations
@@ -12,35 +13,21 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, reports
 from .arrayio import FORMAT_VERSION, read_array
 from .arrays import SIMPLEX_TOLERANCE, validate_labels, validate_probabilities
 from .errors import UqsegError, ValidationError
 from .metrics import DEFAULT_ECE_BINS, dice, ece
 from .pipeline import (
-    DEFAULT_POLICY,
-    DEFAULT_SCHEDULE,
-    PipelineConfig,
-    fuse_members,
-    policy_of,
-    run_pipeline,
-    schedule_of,
-    write_entropy,
-    write_summary,
+    DEFAULT_POLICY, DEFAULT_SCHEDULE, PipelineConfig, fuse_members, policy_of, run_pipeline,
+    schedule_of, write_entropy, write_summary,
 )
 from .scheduler import schedule_rows
 from .selection import TrainingTrace, export_selection, find_cycle_peaks, read_selection
 from .toy import generate_dataset, run_toy_training, write_cases
 from .uncertainty import FOREGROUND_THRESHOLD, pixel_entropy, uncertainty_score
 
-_CASE_COLUMNS = {
-    "case_id": str,
-    "class_id": int,
-    "uncertainty_score": float,
-    "dice": float,
-}
+_CASE_COLUMNS = {"case_id": str, "class_id": int, "uncertainty_score": float, "dice": float}
 
 
 def _parse_classes(text):
@@ -62,8 +49,8 @@ def _parse_shape(text):
 
 
 def _read_posterior(path):
-    """The posterior file at ``path``, validated once and as float64."""
-    return validate_probabilities(read_array(path), name=path).astype(np.float64)
+    """The posterior file at ``path``, validated once, in its own dtype."""
+    return validate_probabilities(read_array(path), name=path)
 
 
 def _emit(lines, out_path):
@@ -96,19 +83,16 @@ def cmd_lr_schedule(args):
     for epoch, cycle, lr in schedule_rows(cfg):
         lines.append(f"{epoch},{cycle},{reports.fmt9(lr)}")
     _emit(lines, args.out)
-    return 0
 
 
 def cmd_select(args):
     trace = TrainingTrace.from_csv(args.trace)
     selection = find_cycle_peaks(trace, schedule_of(args), policy_of(args))
     export_selection(selection, args.out)
-    return 0
 
 
 def cmd_fuse(args):
     fuse_members(read_selection(args.manifest).checkpoint_ids, args.inputs, args.out)
-    return 0
 
 
 def cmd_entropy(args):
@@ -116,7 +100,6 @@ def cmd_entropy(args):
     if args.pgm:
         Path(args.pgm).mkdir(parents=True, exist_ok=True)
     write_entropy(probs, args.out, args.pgm)
-    return 0
 
 
 def cmd_score(args):
@@ -127,11 +110,7 @@ def cmd_score(args):
         uncertainty_score(probs, k, entropy=h, restrict_to_contour=args.contour_entropy)
         for k in classes
     ]
-    _emit(
-        [reports.SCORE_HEADER] + [reports.score_row(s) for s in scores],
-        args.out,
-    )
-    return 0
+    _emit([reports.SCORE_HEADER] + [reports.score_row(s) for s in scores], args.out)
 
 
 def cmd_dice(args):
@@ -139,7 +118,6 @@ def cmd_dice(args):
     gt = validate_labels(read_array(args.gt), 256)
     results = [dice(pred, gt, k) for k in _parse_classes(args.classes)]
     _emit([reports.DICE_HEADER] + [reports.dice_row(r) for r in results], args.out)
-    return 0
 
 
 def cmd_ece(args):
@@ -147,47 +125,31 @@ def cmd_ece(args):
     gt = validate_labels(read_array(args.gt), probs.shape[0], name=args.gt)
     report = ece(probs, gt, args.bins, foreground_only=args.foreground_only)
     reports.write_ece_csv(args.out, report)
-    return 0
 
 
 def cmd_report(args):
     write_summary(args.out, reports.read_csv(args.cases, _CASE_COLUMNS))
-    return 0
 
 
 def cmd_toy_gen(args):
     cases = generate_dataset(
-        args.seed,
-        args.cases,
-        shape=_parse_shape(args.shape),
-        class_count=args.classes,
+        args.seed, args.cases, shape=_parse_shape(args.shape), class_count=args.classes,
         noise_std=args.noise,
     )
     write_cases(cases, args.outdir)
-    return 0
 
 
 def cmd_toy_train(args):
-    cfg = schedule_of(args)
     run_toy_training(
-        args.outdir,
-        seed=args.seed,
-        n_train=args.cases,
-        n_test=args.test_cases,
-        shape=_parse_shape(args.shape),
-        class_count=args.classes,
-        cfg=cfg,
-        policy=policy_of(args),
-        noise_std=args.noise,
+        args.outdir, seed=args.seed, n_train=args.cases, n_test=args.test_cases,
+        shape=_parse_shape(args.shape), class_count=args.classes, cfg=schedule_of(args),
+        policy=policy_of(args), noise_std=args.noise,
     )
-    return 0
 
 
 def cmd_run(args):
-    cfg = PipelineConfig.from_file(args.config)
-    result = run_pipeline(cfg)
+    result = run_pipeline(PipelineConfig.from_file(args.config))
     sys.stdout.write(f"summary written to {result.summary_path}\n")
-    return 0
 
 
 def cmd_info(args):
@@ -212,7 +174,12 @@ def cmd_info(args):
             lines.append(f"default {key}: {value}")
         lines.append("exit codes: 0 success, 2 validation, 3 io, 4 numeric")
         sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+
+
+def _command(sub, name, fn, help_text):
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser():
@@ -222,31 +189,27 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lr-schedule", help="emit the warm-restart schedule as CSV")
+    p = _command(sub, "lr-schedule", cmd_lr_schedule, "emit the warm-restart schedule as CSV")
     _add_schedule_args(p)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_lr_schedule)
 
-    p = sub.add_parser("select-checkpoints", help="pick peak checkpoints per cycle")
+    p = _command(sub, "select-checkpoints", cmd_select, "pick peak checkpoints per cycle")
     p.add_argument("--trace", required=True)
     _add_schedule_args(p)
     _add_policy_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_select)
 
-    p = sub.add_parser("fuse", help="average member posteriors from a manifest")
+    p = _command(sub, "fuse", cmd_fuse, "average member posteriors from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--inputs", required=True, help="dir of <checkpoint_id>.uqsg files")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_fuse)
 
-    p = sub.add_parser("entropy", help="per-pixel entropy map of a posterior")
+    p = _command(sub, "entropy", cmd_entropy, "per-pixel entropy map of a posterior")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", help="also write 8-bit PGM maps here")
-    p.set_defaults(fn=cmd_entropy)
 
-    p = sub.add_parser("score", help="contour-normalized per-class uncertainty scores")
+    p = _command(sub, "score", cmd_score, "contour-normalized per-class uncertainty scores")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--classes", required=True)
     p.add_argument("--out")
@@ -255,38 +218,33 @@ def build_parser():
         action="store_true",
         help="sum entropy over the contour ring instead of the whole image",
     )
-    p.set_defaults(fn=cmd_score)
 
-    p = sub.add_parser("dice", help="per-class Dice between two label files")
+    p = _command(sub, "dice", cmd_dice, "per-class Dice between two label files")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--classes", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_dice)
 
-    p = sub.add_parser("ece", help="expected calibration error report")
+    p = _command(sub, "ece", cmd_ece, "expected calibration error report")
     p.add_argument("--pred", required=True, help="posterior .uqsg file")
     p.add_argument("--gt", required=True, help="label .uqsg file")
     p.add_argument("--bins", type=int, default=DEFAULT_ECE_BINS)
     p.add_argument("--out", required=True)
     p.add_argument("--foreground-only", action="store_true")
-    p.set_defaults(fn=cmd_ece)
 
-    p = sub.add_parser("report", help="score/Dice table with rank correlation")
+    p = _command(sub, "report", cmd_report, "score/Dice table with rank correlation")
     p.add_argument("--cases", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("toy-gen", help="emit a synthetic dataset")
+    p = _command(sub, "toy-gen", cmd_toy_gen, "emit a synthetic dataset")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--cases", type=int, default=20)
     p.add_argument("--shape", default="64x64")
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--outdir", required=True)
-    p.set_defaults(fn=cmd_toy_gen)
 
-    p = sub.add_parser("toy-train", help="train the toy model and emit artifacts")
+    p = _command(sub, "toy-train", cmd_toy_train, "train the toy model and emit artifacts")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--cases", type=int, default=16, help="training cases")
     p.add_argument("--test-cases", type=int, default=4)
@@ -296,15 +254,12 @@ def build_parser():
     _add_schedule_args(p)
     _add_policy_args(p)
     p.add_argument("--outdir", required=True)
-    p.set_defaults(fn=cmd_toy_train)
 
-    p = sub.add_parser("run", help="run the full analysis pipeline from a config")
+    p = _command(sub, "run", cmd_run, "run the full analysis pipeline from a config")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("info", help="print version, format, and defaults")
+    p = _command(sub, "info", cmd_info, "print version, format, and defaults")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_info)
 
     return parser
 
@@ -313,7 +268,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args) or 0
     except UqsegError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code

@@ -19,6 +19,8 @@ from .errors import ValidationError
 
 # ECE bin count of ``ece``, the accumulator, ``uqseg ece`` and ``uqseg run``
 DEFAULT_ECE_BINS = 10
+# upper bound of the bin count: the edges and ece.csv grow with it
+MAX_ECE_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,8 @@ class CalibrationAccumulator:
     """Pooled confidence/correctness histogram over (0, 1]."""
 
     def __init__(self, n_bins: int = DEFAULT_ECE_BINS):
-        if n_bins < 1:
-            raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
+        if not 1 <= n_bins <= MAX_ECE_BINS:
+            raise ValidationError(f"n_bins must be in [1, {MAX_ECE_BINS}], got {n_bins}")
         self.n_bins = n_bins
         # interior edges k/n; searchsorted(side="left") sends x == edge to the lower bin
         self._edges = np.array([k / n_bins for k in range(1, n_bins)])
@@ -83,9 +85,10 @@ class CalibrationAccumulator:
         """Score one trusted posterior/label pair into the bins.
 
         ``pred`` is the posterior's per-pixel argmax when already computed.
-        Pixels are binned block by block. A bin's confidences are summed from
-        its run of one buffer, in pixel order, as a boolean selection of the
-        bin would hold them: the same sum, bit for bit.
+        Pixels are binned block by block. A bin's confidences are summed in
+        float64, whatever the posterior's dtype, from its run of one float64
+        buffer, in pixel order, as a boolean selection of the bin would hold
+        them: the same sum, bit for bit.
         """
         arr = np.asarray(p)
         labels = np.asarray(gt)
@@ -102,7 +105,7 @@ class CalibrationAccumulator:
         block_bins = []
         for sl in blocks:
             keep = truth[sl] > 0 if foreground_only else slice(None)
-            confidence = flat[:, sl].max(axis=0)[keep]
+            confidence = flat[:, sl].max(axis=0)[keep].astype(np.float64)
             correct = (pred[sl] == truth[sl])[keep]
             # the narrowest index type lets the stable argsort use radix sort
             idx = np.searchsorted(self._edges, confidence, side="left").astype(
@@ -116,12 +119,12 @@ class CalibrationAccumulator:
         if len(blocks) == 1:
             ordered = confidence[np.argsort(idx, kind="stable")]
         else:
-            del confidence, correct  # the second pass takes its own blocks
-            ordered = np.empty(int(stops[-1]), dtype=arr.dtype)
+            del confidence, correct, pred  # the second pass takes its own blocks
+            ordered = np.empty(int(stops[-1]), dtype=np.float64)
             ends = stops - counts
             for sl, idx in zip(blocks, block_bins):
                 keep = truth[sl] > 0 if foreground_only else slice(None)
-                _fill_runs(ordered, ends, flat[:, sl].max(axis=0)[keep], idx)
+                _fill_runs(ordered, ends, flat[:, sl].max(axis=0)[keep].astype(np.float64), idx)
         for b in np.flatnonzero(counts):
             self.confidence_sums[b] += float(np.sum(ordered[stops[b] - counts[b] : stops[b]]))
         return self

@@ -3,15 +3,15 @@
 run_pipeline consumes artifacts of a finished training run (a trace CSV,
 per-checkpoint posterior files, ground-truth labels) and produces the
 manifest, fused posteriors, entropy maps, per-class scores, Dice/ECE
-tables, and a single summary CSV. Cases stream through the per-case
-stages one at a time, and a case's members through the fuse, so a case
-holds the float64 mean and one member, then the mean, whole planes and
-block-sized scratch, whatever the member and class counts. The tree is
-built in a sibling staging directory and renamed into ``outdir`` once, at
-the end, so ``outdir`` holds a whole run or nothing. A failure aborts
-with the stage name (and the case) and removes the staging directory. The
-fuse, entropy and report stages are ``fuse_members``, ``write_entropy``
-and ``write_summary``, which the CLI subcommands call too.
+tables, and a single summary CSV. Cases stream through the per-case stages
+one at a time. The members are fused block by block into the float32 mean
+that is written to ``mean/``, and every later stage analyzes that same
+array, as the CLI subcommands do. The tree is built in a sibling staging
+directory and renamed into ``outdir`` once, at the end, so ``outdir``
+holds a whole run or nothing. A failure aborts with the stage name (and
+the case) and removes the staging directory. The fuse, entropy and report
+stages are ``fuse_members``, ``write_entropy`` and ``write_summary``,
+which the CLI subcommands call too.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import reports
-from .arrayio import entropy_to_gray, read_array, write_array, write_pgm
-from .arrays import validate_labels
+from . import arrays, reports
+from .arrayio import entropy_to_gray, read_array, read_rows, write_array, write_pgm
+from .arrays import pixel_blocks, validate_labels, validate_probability_shape
 from .ensemble import argmax_labels, ensemble_mean
 from .errors import StageError, ValidationError
-from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice, uncertainty_dice_table
+from .metrics import (
+    DEFAULT_ECE_BINS, MAX_ECE_BINS, CalibrationAccumulator, dice, uncertainty_dice_table,
+)
 from .scheduler import SgdrConfig
 from .selection import SelectionPolicy, TrainingTrace, export_selection, find_cycle_peaks
 from .uncertainty import pixel_entropy, uncertainty_score
@@ -104,8 +106,8 @@ class PipelineConfig:
             raise ValidationError(
                 f"entropy_region must be 'image' or 'contour', got {self.entropy_region!r}"
             )
-        if self.bins < 1:
-            raise ValidationError(f"bins must be >= 1, got {self.bins}")
+        if not 1 <= self.bins <= MAX_ECE_BINS:
+            raise ValidationError(f"bins must be in [1, {MAX_ECE_BINS}], got {self.bins}")
         # construction of these validates the numeric ranges
         schedule_of(self)
         policy_of(self)
@@ -175,11 +177,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     but not its group or ACLs.
 
     Cases stream through fuse, entropy, score and metrics one at a time.
-    Per case, memory holds one member and the float64 mean while fusing,
-    then the mean and whole planes (the entropy map, freed after scoring;
-    the labels, the argmax and the bin-ordered confidences of the metrics)
-    plus block-sized scratch: every per-pixel pass runs block by block.
-    Each case's mean gets one entropy map and one argmax, for all classes.
+    Per case, memory holds the float32 mean and block-sized scratch while
+    fusing, then the mean and whole planes (the entropy map, freed after
+    scoring; the labels, the argmax and the float64 bin-ordered confidences
+    of the metrics) plus block-sized scratch: every per-pixel pass runs
+    block by block. Each case's mean gets one entropy map and one argmax.
     """
     out = Path(cfg.outdir).resolve()
     if out.is_dir():
@@ -213,25 +215,50 @@ def _stage(name, case_id=None):
 def fuse_members(checkpoint_ids, inputs, out) -> np.ndarray:
     """Average the posteriors ``<inputs>/<id>.uqsg`` of the checkpoint ids.
 
-    Writes the mean as float32 to ``out`` and returns it as float64. The
-    members are read one at a time, in manifest order, and each is added
-    into the mean and dropped before the next is read; an invalid member is
-    reported by its path.
+    Writes the mean as float32 to ``out`` and returns that array. Each pixel
+    block's member rows are read in manifest order and averaged in float64
+    by ``ensemble_mean``, with the additions whole members would get, so a
+    case holds the float32 mean and block-sized scratch; a one-block case
+    reads each member once. A missing member, a bad header or a shape unlike
+    the first member's fails on block 0, before anything is written. A value
+    error names the first invalid member of the first block that has one,
+    with that block's min, max or worst deviation.
     """
     paths = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
-    members = (_read_member(path, cid) for cid, path in zip(checkpoint_ids, paths))
-    mean = ensemble_mean(members, [str(path) for path in paths])
-    write_array(out, mean.astype(np.float32))
+    names = [str(path) for path in paths]
+    first_shape = None  # set when block 0 reads the first member
+
+    def member_block(cid, path, pixels):
+        nonlocal first_shape
+        try:
+            shape, rows = read_rows(path, pixels)
+        except FileNotFoundError:
+            raise ValidationError(
+                f"missing member posterior {path} for checkpoint {cid}"
+            ) from None
+        if first_shape is None:
+            validate_probability_shape(shape, name=str(path))
+            first_shape = shape
+        elif shape != first_shape:
+            raise ValidationError(f"{path} has shape {shape}, expected {first_shape}")
+        return rows.reshape(shape[0], 1, -1)
+
+    def block_mean(pixels):
+        # a generator expression keeps no reference to the member it yielded
+        members = (member_block(cid, path, pixels) for cid, path in zip(checkpoint_ids, paths))
+        return ensemble_mean(members, names)[:, 0]
+
+    # block 0 of any shape; the first member's shape then gives the rest
+    first = block_mean(slice(0, arrays.BLOCK_PIXELS))
+    mean = np.empty(first_shape, dtype=np.float32)
+    flat = mean.reshape(mean.shape[0], -1)
+    blocks = pixel_blocks(flat.shape[1])
+    flat[:, blocks[0]] = first
+    del first
+    for pixels in blocks[1:]:
+        flat[:, pixels] = block_mean(pixels)
+    write_array(out, mean)
     return mean
-
-
-def _read_member(path, checkpoint_id):
-    try:
-        return read_array(path)
-    except FileNotFoundError:
-        raise ValidationError(
-            f"missing member posterior {path} for checkpoint {checkpoint_id}"
-        ) from None
 
 
 def write_entropy(probs, out, pgm_dir=None) -> np.ndarray:

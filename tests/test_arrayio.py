@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqseg.arrayio import (
-    ArrayFileHeader,
     _read_header,
     entropy_to_gray,
     read_array,
+    read_rows,
     write_array,
     write_pgm,
 )
@@ -62,7 +64,7 @@ def test_header_contents(tmp_path):
     write_array(path, np.zeros((5, 6), dtype=np.int32))
     with open(path, "rb") as f:
         header = _read_header(f, path)
-    assert header == ArrayFileHeader(version=1, dtype=np.dtype("<i4"), shape=(5, 6))
+    assert header == (np.dtype("<i4"), (5, 6))
 
 
 def test_wrong_magic(tmp_path):
@@ -167,3 +169,86 @@ def test_entropy_to_gray_scaling():
     h = np.array([[0.0, 1.0], [2.0, 2.0]])
     gray = entropy_to_gray(h, class_count=4)  # ceiling log2(4) = 2 bits
     np.testing.assert_array_equal(gray, [[0, 128], [255, 255]])
+
+
+@st.composite
+def _row_blocks(draw):
+    """An array of rank 3 or 4 and a block of its pixel axis: first, middle,
+    ragged last or the whole axis."""
+    dtype = draw(st.sampled_from([np.float32, np.uint8, np.int32]))
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=3, max_size=4)))
+    n = math.prod(shape[1:])
+    block = draw(st.integers(1, n))
+    blocks = [slice(i, min(i + block, n)) for i in range(0, n, block)]
+    pixels = draw(st.sampled_from([blocks[0], blocks[len(blocks) // 2], blocks[-1]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    array = (rng.random(shape) * 100).astype(dtype)
+    return array, pixels
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_row_blocks())
+def test_read_rows_is_a_block_of_read_array(tmp_path_factory, case):
+    array, pixels = case
+    path = tmp_path_factory.mktemp("rows") / "a.uqsg"
+    write_array(path, array)
+    shape, rows = read_rows(path, pixels)
+    whole = read_array(path)
+    expected = whole.reshape(whole.shape[0], -1)[:, pixels]
+    assert shape == whole.shape
+    assert rows.dtype == expected.dtype
+    assert rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
+
+
+def test_read_rows_of_a_one_block_file_is_the_whole_array(tmp_path):
+    array = np.random.default_rng(3).random((3, 4, 5)).astype(np.float32)
+    path = tmp_path / "a.uqsg"
+    write_array(path, array)
+    shape, rows = read_rows(path, slice(0, 1 << 16))  # clipped to the 20 pixels
+    assert shape == (3, 4, 5)
+    assert rows.tobytes() == array.tobytes()
+    assert rows.shape == (3, 20)
+
+
+def _rejections(path):
+    """The (type, text) of the errors read_array and read_rows raise on ``path``."""
+    errors = []
+    readers = (read_array, lambda p: read_rows(p, slice(0, 2)), lambda p: read_rows(p, slice(1, 2)))
+    for read in readers:
+        with pytest.raises(Exception) as info:
+            read(path)
+        errors.append((type(info.value), str(info.value)))
+    return errors
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing", "short_header", "dims"])
+def test_read_rows_rejects_as_read_array_does(tmp_path, damage):
+    path = tmp_path / "bad.uqsg"
+    write_array(path, np.ones((2, 3, 4), dtype=np.float32))
+    data = path.read_bytes()
+    damaged = {
+        "truncated": data[:-4],
+        "trailing": data + b"\x00",
+        "short_header": data[:6],
+        "dims": data[:14],
+    }[damage]
+    path.write_bytes(damaged)
+    errors = _rejections(path)
+    assert errors[0][0] in (TruncatedPayloadError, ArrayFormatError)
+    assert errors[1] == errors[0] and errors[2] == errors[0]
+    assert str(path) in errors[0][1]
+
+
+def test_read_rows_oversized_header_fails_before_allocating(tmp_path):
+    path = tmp_path / "huge.uqsg"
+    path.write_bytes(struct.pack("<4sHBB3I", b"UQSG", 1, 0, 3, 4, 2**15, 2**15) + bytes(8))
+    tracemalloc.start()
+    try:
+        errors = _rejections(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    message = f"{path}: payload truncated, expected {2**34} bytes, got 8"
+    assert errors == [(TruncatedPayloadError, message)] * 3

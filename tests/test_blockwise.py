@@ -75,11 +75,13 @@ def former_add(arr, labels, n_bins, pred=None, foreground_only=False):
     """The former accumulator kernel on one pair: (counts, sums, correct counts).
 
     Whole confidence plane, int64 bin indices and one stable sort of them.
+    The confidences are float64 whatever the posterior's dtype, as the bin
+    buffer holds them.
     """
     edges = np.array([k / n_bins for k in range(1, n_bins)])
     if pred is None:
         pred = arr.argmax(axis=0)
-    confidence = arr.max(axis=0).ravel()
+    confidence = arr.max(axis=0).ravel().astype(np.float64)
     correct = (pred == labels).ravel()
     if foreground_only:
         keep = (labels > 0).ravel()
@@ -309,8 +311,8 @@ def test_scratch_is_block_sized():
     assert _peak(entropy_to_gray, h, c) < n + block + slack
     # the uint8 labels; a float32 maximum and a bool block
     assert _peak(argmax_labels, p) < n + block // 2 + block // 8 + slack
-    # the bin-ordered float32 confidences and the uint8 bin indices, the
+    # the bin-ordered float64 confidences and the uint8 bin indices, the
     # uint8 argmax, and a few blocks: confidences, int64 bin indices, the
     # int64 stable-sort permutation and the sorted confidences
     acc = CalibrationAccumulator(10)
-    assert _peak(acc.add, p, gt) < 4 * n + n + n + 4 * block + slack
+    assert _peak(acc.add, p, gt) < 8 * n + n + n + 4 * block + slack

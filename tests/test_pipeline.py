@@ -7,13 +7,15 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from uqseg.arrayio import read_array, write_array
-from uqseg.arrays import BLOCK_PIXELS
+from uqseg.arrayio import read_array, read_rows, write_array
+from uqseg.arrays import BLOCK_PIXELS, pixel_blocks
 from uqseg.cli import main
+from uqseg.ensemble import ensemble_mean
 from uqseg.errors import StageError, ValidationError
 from uqseg.pipeline import PipelineConfig, fuse_members, run_pipeline
 from uqseg.scheduler import SgdrConfig, lr_at
@@ -363,12 +365,15 @@ def test_fuse_peaks_in_the_mean_not_at_the_write(tmp_path, monkeypatch):
     import uqseg.pipeline
 
     ids = [f"ep{k}" for k in range(6)]
-    _write_members(tmp_path, ids, (4, 8, 64, 64), np.random.default_rng(5))
-    member = 4 * 8 * 64 * 64 * 4
-    mean = 2 * member  # float64
-    plane = 8 * 64 * 64 * 8  # one float64 class plane: the simplex sums
+    shape = (4, 25, 128, 128)  # six pixel blocks and a ragged seventh
+    _write_members(tmp_path, ids, shape, np.random.default_rng(5))
+    mean = 4 * int(np.prod(shape))  # float32, as is a member
+    # one block of the float64 sum, of a float32 member and of the float64
+    # simplex sums
+    scratch = (8 * 4 + 4 * 4 + 8) * BLOCK_PIXELS
     # numpy's cast buffer (8,192 float64) and interpreter objects
     slack = 128 * 1024
+    assert scratch + slack < mean  # less than a whole member
     at_write = {}
 
     def spy(path, arr):
@@ -380,15 +385,36 @@ def test_fuse_peaks_in_the_mean_not_at_the_write(tmp_path, monkeypatch):
     monkeypatch.setattr(uqseg.pipeline, "write_array", spy)
     tracemalloc.start()
     try:
-        fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+        fused = fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
     finally:
         tracemalloc.stop()
-    # members are streamed: one is held at a time, next to the running sum
-    assert at_write["peak_before"] < member + mean + plane + slack
-    # the members are gone by the write, which adds only the float32 copy
-    assert at_write["held"] < mean + member + slack
-    assert at_write["peak_during"] < mean + member + slack
+    assert fused.dtype == np.float32
+    # members are fused block by block into the float32 mean
+    assert at_write["peak_before"] < mean + scratch + slack
+    # the block scratch is gone by the write, which makes no copy
+    assert at_write["held"] < mean + slack
+    assert at_write["peak_during"] < mean + slack
     assert at_write["peak_during"] < at_write["peak_before"]
+
+
+@pytest.mark.parametrize("shape, block, blocks", [
+    ((3, 2, 200, 400), BLOCK_PIXELS, 3),  # two whole pixel blocks and a ragged third
+    ((4, 5, 8), 6, 7),  # six blocks of six pixels and a ragged seventh
+])
+def test_fuse_writes_the_float32_of_the_whole_member_mean(tmp_path, shape, block, blocks):
+    import uqseg.arrays
+
+    ids = [f"ep{k}" for k in range(6)]
+    _write_members(tmp_path, ids, shape, np.random.default_rng(6))
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", block):
+        assert len(pixel_blocks(int(np.prod(shape[1:])))) == blocks
+        fused = fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+    write_array(
+        tmp_path / "oracle.uqsg",
+        ensemble_mean([read_array(tmp_path / f"{cid}.uqsg") for cid in ids]).astype(np.float32),
+    )
+    assert (tmp_path / "mean.uqsg").read_bytes() == (tmp_path / "oracle.uqsg").read_bytes()
+    assert fused.tobytes() == read_array(tmp_path / "oracle.uqsg").tobytes()
 
 
 class TestStreamedFuseErrors:
@@ -431,14 +457,68 @@ class TestStreamedFuseErrors:
             fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
 
 
-def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
-    """A whole run holds one member, the float64 mean and one plane at most.
+class TestBlockwiseFuse:
+    """Members spanning three pixel blocks are fused block by block."""
 
-    The volume spans three pixel blocks, the last one ragged, so block-sized
-    scratch is smaller than a plane.
+    ids = [f"ep{k}" for k in range(6)]
+    shape = (3, 2, 200, 400)  # two whole blocks and a ragged third
+
+    def test_member_bad_only_in_its_last_block_is_named(self, tmp_path):
+        _write_members(tmp_path, self.ids, self.shape, np.random.default_rng(7))
+        bad = read_array(tmp_path / "ep3.uqsg")
+        bad[:, -1, -1, -5:] *= np.float32(0.5)  # the last pixels of the last block
+        write_array(tmp_path / "ep3.uqsg", bad)
+        with pytest.raises(ValidationError) as err:
+            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+        assert str(err.value).startswith(f"{tmp_path / 'ep3.uqsg'}: per-pixel class")
+        assert not (tmp_path / "mean.uqsg").exists()
+
+    def test_missing_member_is_found_before_a_bad_last_block(self, tmp_path):
+        _write_members(tmp_path, self.ids, self.shape, np.random.default_rng(8))
+        bad = read_array(tmp_path / "ep1.uqsg")
+        bad[0, -1, -1, -1] = np.nan
+        write_array(tmp_path / "ep1.uqsg", bad)
+        (tmp_path / "ep4.uqsg").unlink()
+        with pytest.raises(ValidationError, match=re.escape(
+            f"missing member posterior {tmp_path / 'ep4.uqsg'} for checkpoint ep4"
+        )):
+            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+
+    def test_member_of_another_rank_is_named_with_its_whole_shape(self, tmp_path):
+        _write_members(tmp_path, self.ids[1:], self.shape, np.random.default_rng(9))
+        flat = np.full((3, 2 * 200 * 400), 1 / 3, dtype=np.float32)
+        write_array(tmp_path / "ep0.uqsg", flat)
+        with pytest.raises(ValidationError, match=re.escape(
+            f"{tmp_path / 'ep0.uqsg'}: probability array must be (c,H,W) or (c,D,H,W), "
+            f"got shape (3, 160000)"
+        )):
+            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+
+    @pytest.mark.parametrize("shape, blocks", [((3, 4, 5), 1), ((3, 2, 200, 400), 3)])
+    def test_each_member_is_read_once_per_block(self, tmp_path, monkeypatch, shape, blocks):
+        import uqseg.pipeline
+
+        reads = []
+
+        def counted(path, pixels):
+            reads.append(Path(path).name)
+            return read_rows(path, pixels)
+
+        monkeypatch.setattr(uqseg.pipeline, "read_rows", counted)
+        _write_members(tmp_path, self.ids, shape, np.random.default_rng(10))
+        fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+        assert reads == [f"{cid}.uqsg" for cid in self.ids] * blocks
+
+
+def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
+    """A whole run holds the float32 mean and two float64 planes at most.
+
+    So it never holds a float64 mean, which alone is four planes. The
+    volume spans seven pixel blocks, the last one ragged, so the fuse's
+    block scratch is about one plane.
     """
-    c, spatial = 4, (6, 160, 160)
-    assert int(np.prod(spatial)) > 2 * BLOCK_PIXELS
+    c, spatial = 4, (16, 160, 160)
+    assert len(pixel_blocks(int(np.prod(spatial)))) == 7
     ids = [f"ep{e:05d}" for e in range(20)]
     lines = ["epoch,lr,val_metric,checkpoint_id"]
     lines += [f"{e},0.1,{0.5 + 0.04 * (e % 10):.2f},{cid}" for e, cid in enumerate(ids)]
@@ -447,13 +527,14 @@ def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
     (tmp_path / "cases").mkdir()
     for case in ("case0000", "case0001"):
         (tmp_path / "predictions" / case).mkdir(parents=True)
-        _write_members(tmp_path / "predictions" / case, ids, (c, *spatial), rng)
+        # only the checkpoints the run selects, the top three of each cycle
+        selected = [cid for e, cid in enumerate(ids) if e % 10 >= 7]
+        _write_members(tmp_path / "predictions" / case, selected, (c, *spatial), rng)
         labels = rng.integers(0, c, spatial).astype(np.uint8)
         write_array(tmp_path / "cases" / f"{case}_labels.uqsg", labels)
     cfg = small_config(tmp_path, outdir="out", t0=10, eta=1.0, total_epochs=20)
     plane = 8 * int(np.prod(spatial))  # one float64 plane
-    member = c * plane // 2  # float32
-    mean = c * plane
+    mean = c * plane // 2  # float32, as is a member
     tracemalloc.start()
     try:
         run_pipeline(cfg)
@@ -462,7 +543,7 @@ def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
         tracemalloc.stop()
     selected = len((tmp_path / "out" / "manifest.csv").read_text().splitlines()) - 1
     assert selected == 6
-    assert peak < mean + member + plane, peak / plane
+    assert peak < mean + 2 * plane, peak / plane
 
 
 def test_each_member_validated_once_and_entropy_computed_once(small_run, monkeypatch):
@@ -577,11 +658,8 @@ class TestCli:
             ]) == 0
             pgm = f"{case_id}.pgm"
             assert (out / "entropy" / pgm).read_bytes() == (run_dir / "entropy" / pgm).read_bytes()
-            # the pipeline maps its float64 mean, the chain the float32 file of it
-            np.testing.assert_allclose(
-                read_array(entropy), read_array(run_dir / "entropy" / entropy.name),
-                rtol=0, atol=1e-6,
-            )
+            # both map the float32 mean
+            assert entropy.read_bytes() == (run_dir / "entropy" / entropy.name).read_bytes()
 
             scores = out / f"{case_id}_scores.csv"
             assert main([
@@ -716,6 +794,38 @@ class TestCli:
         }[command]
         assert main(argv) == 2
         assert f"{probs}: per-pixel class probabilities must sum to 1" in capsys.readouterr().err
+
+    def test_ece_bins_above_the_bound_exit_validation_before_any_output(self, tmp_path, capsys):
+        from uqseg.metrics import MAX_ECE_BINS
+
+        write_array(tmp_path / "p.uqsg", np.full((2, 4, 4), 0.5, dtype=np.float32))
+        write_array(tmp_path / "gt.uqsg", np.zeros((4, 4), dtype=np.uint8))
+        argv = ["ece", "--pred", str(tmp_path / "p.uqsg"), "--gt", str(tmp_path / "gt.uqsg")]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(tmp_path / "ece.csv"), "--bins", "100000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        assert f"n_bins must be in [1, {MAX_ECE_BINS}], got 100000000000" in capsys.readouterr().err
+        assert not (tmp_path / "ece.csv").exists()
+        assert main(argv + ["--out", str(tmp_path / "max.csv"), "--bins", str(MAX_ECE_BINS)]) == 0
+        assert len((tmp_path / "max.csv").read_text().splitlines()) == MAX_ECE_BINS + 2
+
+    @pytest.mark.parametrize("bins", [0, 10_001])
+    def test_run_key_bins_outside_the_bound_exits_validation(self, small_run, tmp_path, bins, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"trace = {small_run / 'trace.csv'}\npredictions_dir = {small_run / 'predictions'}\n"
+            f"cases_dir = {small_run / 'cases'}\noutdir = {tmp_path / 'out'}\n"
+            f"t0 = 10\neta = 2\nlr_max = 0.2\nlr_min = 0.0001\ntotal_epochs = 20\nbins = {bins}\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"bins must be in [1, 10000], got {bins}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert staged(tmp_path / "out") == []
 
     def test_ece_bins_default_has_one_source(self, capsys):
         from uqseg.cli import build_parser
