@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, reports
@@ -19,11 +19,13 @@ from .arrays import SIMPLEX_TOLERANCE, validate_labels, validate_probabilities
 from .errors import UqsegError, ValidationError
 from .metrics import DEFAULT_ECE_BINS, dice, ece
 from .pipeline import (
-    DEFAULT_POLICY, DEFAULT_SCHEDULE, PipelineConfig, fuse_members, policy_of, run_pipeline,
-    schedule_of, write_entropy, write_summary,
+    DEFAULT_POLICY, DEFAULT_SCHEDULE, FIELD_PARSERS, PipelineConfig, fuse_members, run_pipeline,
+    settings_of, write_entropy, write_summary,
 )
-from .scheduler import schedule_rows
-from .selection import TrainingTrace, export_selection, find_cycle_peaks, read_selection
+from .scheduler import SgdrConfig, schedule_rows
+from .selection import (
+    SelectionPolicy, TrainingTrace, export_selection, find_cycle_peaks, read_selection,
+)
 from .toy import generate_dataset, run_toy_training, write_cases
 from .uncertainty import FOREGROUND_THRESHOLD, pixel_entropy, uncertainty_score
 
@@ -61,24 +63,15 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _add_schedule_args(p):
-    p.add_argument("--t0", type=int, default=DEFAULT_SCHEDULE.t0)
-    p.add_argument("--eta", type=float, default=DEFAULT_SCHEDULE.eta)
-    p.add_argument("--lr-max", type=float, default=DEFAULT_SCHEDULE.lr_max)
-    p.add_argument("--lr-min", type=float, default=DEFAULT_SCHEDULE.lr_min)
-    p.add_argument(
-        "--epochs", dest="total_epochs", type=int, default=DEFAULT_SCHEDULE.total_epochs
-    )
-
-
-def _add_policy_args(p):
-    p.add_argument("--per-cycle", type=int, default=DEFAULT_POLICY.per_cycle)
-    p.add_argument("--window-fraction", type=float, default=DEFAULT_POLICY.window_fraction)
-    p.add_argument("--min-peak-ratio", type=float, default=DEFAULT_POLICY.min_peak_ratio)
+def _add_settings_args(p, *settings):
+    """One flag per field of each settings dataclass, typed and defaulted by it."""
+    for f in [f for cls in settings for f in fields(cls)]:
+        flag = "--epochs" if f.name == "total_epochs" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=FIELD_PARSERS[f.type], default=f.default)
 
 
 def cmd_lr_schedule(args):
-    cfg = schedule_of(args)
+    cfg = settings_of(SgdrConfig, args)
     lines = ["epoch,cycle,lr"]
     for epoch, cycle, lr in schedule_rows(cfg):
         lines.append(f"{epoch},{cycle},{reports.fmt9(lr)}")
@@ -87,8 +80,8 @@ def cmd_lr_schedule(args):
 
 def cmd_select(args):
     trace = TrainingTrace.from_csv(args.trace)
-    selection = find_cycle_peaks(trace, schedule_of(args), policy_of(args))
-    export_selection(selection, args.out)
+    schedule, policy = settings_of(SgdrConfig, args), settings_of(SelectionPolicy, args)
+    export_selection(find_cycle_peaks(trace, schedule, policy), args.out)
 
 
 def cmd_fuse(args):
@@ -142,8 +135,9 @@ def cmd_toy_gen(args):
 def cmd_toy_train(args):
     run_toy_training(
         args.outdir, seed=args.seed, n_train=args.cases, n_test=args.test_cases,
-        shape=_parse_shape(args.shape), class_count=args.classes, cfg=schedule_of(args),
-        policy=policy_of(args), noise_std=args.noise,
+        shape=_parse_shape(args.shape), class_count=args.classes,
+        cfg=settings_of(SgdrConfig, args), policy=settings_of(SelectionPolicy, args),
+        noise_std=args.noise,
     )
 
 
@@ -190,13 +184,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "lr-schedule", cmd_lr_schedule, "emit the warm-restart schedule as CSV")
-    _add_schedule_args(p)
+    _add_settings_args(p, SgdrConfig)
     p.add_argument("--out")
 
     p = _command(sub, "select-checkpoints", cmd_select, "pick peak checkpoints per cycle")
     p.add_argument("--trace", required=True)
-    _add_schedule_args(p)
-    _add_policy_args(p)
+    _add_settings_args(p, SgdrConfig, SelectionPolicy)
     p.add_argument("--out", required=True)
 
     p = _command(sub, "fuse", cmd_fuse, "average member posteriors from a manifest")
@@ -251,8 +244,7 @@ def build_parser():
     p.add_argument("--shape", default="64x64")
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--noise", type=float, default=0.1)
-    _add_schedule_args(p)
-    _add_policy_args(p)
+    _add_settings_args(p, SgdrConfig, SelectionPolicy)
     p.add_argument("--outdir", required=True)
 
     p = _command(sub, "run", cmd_run, "run the full analysis pipeline from a config")

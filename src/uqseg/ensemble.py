@@ -73,12 +73,3 @@ def argmax_labels(p) -> np.ndarray:
             np.maximum(top, flat[k, sl], out=top)
     return labels.reshape(arr.shape[1:])
 
-
-def class_foreground(p, class_id: int) -> np.ndarray:
-    """Extract the probability plane of one class of a trusted posterior."""
-    arr = np.asarray(p)
-    if not 0 <= class_id < arr.shape[0]:
-        raise ValidationError(
-            f"class {class_id} out of range for {arr.shape[0]} classes"
-        )
-    return arr[class_id]

@@ -20,7 +20,7 @@ import os
 import shutil
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,49 +37,17 @@ from .scheduler import SgdrConfig
 from .selection import SelectionPolicy, TrainingTrace, export_selection, find_cycle_peaks
 from .uncertainty import pixel_entropy, uncertainty_score
 
-_SCHEMA = {
-    "trace": str,
-    "predictions_dir": str,
-    "cases_dir": str,
-    "outdir": str,
-    "t0": int,
-    "eta": float,
-    "lr_max": float,
-    "lr_min": float,
-    "total_epochs": int,
-    "per_cycle": int,
-    "window_fraction": float,
-    "min_peak_ratio": float,
-    "classes": "classes",
-    "bins": int,
-    "entropy_region": str,
-    "ece_foreground_only": "bool",
-}
-
-_REQUIRED = ("trace", "predictions_dir", "cases_dir", "outdir", "t0", "total_epochs")
-
 DEFAULT_SCHEDULE = SgdrConfig()
 DEFAULT_POLICY = SelectionPolicy()
 
 
-def schedule_of(settings) -> SgdrConfig:
-    """The schedule in the same-named fields of a PipelineConfig or CLI arguments."""
-    return SgdrConfig(
-        t0=settings.t0,
-        eta=settings.eta,
-        lr_max=settings.lr_max,
-        lr_min=settings.lr_min,
-        total_epochs=settings.total_epochs,
-    )
+def settings_of(cls, source):
+    """The settings dataclass ``cls`` from the same-named attributes of ``source``.
 
-
-def policy_of(settings) -> SelectionPolicy:
-    """The policy in the same-named fields of a PipelineConfig or CLI arguments."""
-    return SelectionPolicy(
-        per_cycle=settings.per_cycle,
-        window_fraction=settings.window_fraction,
-        min_peak_ratio=settings.min_peak_ratio,
-    )
+    ``source`` is a PipelineConfig or parsed CLI arguments: both carry each
+    field of SgdrConfig and SelectionPolicy under the field's own name.
+    """
+    return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
 
 
 @dataclass
@@ -109,16 +77,22 @@ class PipelineConfig:
         if not 1 <= self.bins <= MAX_ECE_BINS:
             raise ValidationError(f"bins must be in [1, {MAX_ECE_BINS}], got {self.bins}")
         # construction of these validates the numeric ranges
-        schedule_of(self)
-        policy_of(self)
+        settings_of(SgdrConfig, self)
+        settings_of(SelectionPolicy, self)
 
     @classmethod
     def from_file(cls, path):
-        """Parse a flat key=value config; unknown keys are rejected."""
+        """Parse a flat key=value config whose keys are this class's fields.
+
+        Each value is parsed by its field's annotation (``FIELD_PARSERS``); unknown
+        and duplicate keys are rejected, and the fields without a default are
+        the required keys, reported missing in field order.
+        """
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError:
             raise ValidationError(f"{path}: not a UTF-8 text file") from None
+        parsers = {f.name: FIELD_PARSERS[f.type] for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
@@ -128,33 +102,36 @@ class PipelineConfig:
                 raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _SCHEMA:
+            if key not in parsers:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = _parse(key, value, path, lineno)
-        missing = [k for k in _REQUIRED if k not in values]
+            try:
+                values[key] = parsers[key](value)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: bad value {value!r} for key {key!r}"
+                ) from None
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
         if missing:
             raise ValidationError(f"{path}: missing required keys {missing}")
         return cls(**values)
 
 
-def _parse(key, value, path, lineno):
-    kind = _SCHEMA[key]
-    try:
-        if kind in (str, int, float):
-            return kind(value)
-        if kind == "bool":
-            if value.lower() in ("1", "true", "yes"):
-                return True
-            if value.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(value)
-        if kind == "classes":
-            return tuple(int(v) for v in value.split(",") if v.strip())
-    except ValueError:
-        pass
-    raise ValidationError(f"{path}:{lineno}: bad value {value!r} for key {key!r}")
+def _parse_bool(value):
+    if value.lower() in ("1", "true", "yes"):
+        return True
+    if value.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(value)
+
+
+# a setting's parser by the annotation name of its field: the values of the
+# run config and the schedule and policy flags of the CLI
+FIELD_PARSERS = {
+    "str": str, "int": int, "float": float, "bool": _parse_bool,
+    "tuple": lambda value: tuple(int(v) for v in value.split(",") if v.strip()),
+}
 
 
 @dataclass
@@ -380,7 +357,8 @@ def _select(cfg, out):
     if not trace_path.exists():
         raise ValidationError(f"trace file {trace_path} does not exist")
     trace = TrainingTrace.from_csv(trace_path)
-    selection = find_cycle_peaks(trace, schedule_of(cfg), policy_of(cfg))
+    schedule, policy = settings_of(SgdrConfig, cfg), settings_of(SelectionPolicy, cfg)
+    selection = find_cycle_peaks(trace, schedule, policy)
     export_selection(selection, out / "manifest.csv")
     return selection
 

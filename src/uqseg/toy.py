@@ -39,40 +39,23 @@ FEATURE_COUNT = 6
 DICE_SMOOTHING = 1.0
 
 
-@dataclass(frozen=True)
-class Blob:
-    class_id: int
-    center: tuple
-    radius: int
-    intensity_mean: float
-
-
-@dataclass(frozen=True)
-class SyntheticScene:
-    """Recipe for one case; rendering is a pure function of the recipe."""
-
-    seed: int
-    shape: tuple
-    blobs: tuple
-    noise_std: float
-
-    def render(self):
-        h, w = self.shape
-        image = np.zeros((h, w), dtype=np.float64)
-        labels = np.zeros((h, w), dtype=np.uint8)
-        yy, xx = np.mgrid[0:h, 0:w]
-        for blob in self.blobs:
-            cy, cx = blob.center
-            dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
-            # feathered rim: intensity ramps over ~1 px at the blob edge, the
-            # partial-volume effect that makes true boundaries ambiguous
-            weight = np.clip(blob.radius + 0.5 - dist, 0.0, 1.0)
-            image = image * (1.0 - weight) + blob.intensity_mean * weight
-            labels[dist <= blob.radius] = blob.class_id
-        if self.noise_std > 0.0:
-            rng = np.random.default_rng(self.seed)
-            image = image + rng.normal(0.0, self.noise_std, size=image.shape)
-        return image, labels
+def _render(seed, shape, blobs, noise_std):
+    """Image and labels of one case; ``blobs`` holds (class, center, radius, mean)."""
+    h, w = shape
+    image = np.zeros((h, w), dtype=np.float64)
+    labels = np.zeros((h, w), dtype=np.uint8)
+    yy, xx = np.mgrid[0:h, 0:w]
+    for class_id, (cy, cx), radius, intensity_mean in blobs:
+        dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
+        # feathered rim: intensity ramps over ~1 px at the blob edge, the
+        # partial-volume effect that makes true boundaries ambiguous
+        weight = np.clip(radius + 0.5 - dist, 0.0, 1.0)
+        image = image * (1.0 - weight) + intensity_mean * weight
+        labels[dist <= radius] = class_id
+    if noise_std > 0.0:
+        rng = np.random.default_rng(seed)
+        image = image + rng.normal(0.0, noise_std, size=image.shape)
+    return image, labels
 
 
 @dataclass(frozen=True)
@@ -95,13 +78,11 @@ def generate_dataset(
     shape=(64, 64),
     class_count: int = 3,
     noise_std: float = 0.1,
-    *,
-    grade_noise: bool = True,
 ) -> list:
     """Deterministically generate blob cases; every class appears somewhere.
 
-    With ``grade_noise`` the per-case noise level ramps from 0.5x to 1.5x of
-    ``noise_std`` across the dataset, giving a spread of difficulty.
+    The per-case noise level ramps from 0.5x to 1.5x of ``noise_std`` across
+    the dataset, giving a spread of difficulty.
     """
     if n_cases < 1:
         raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
@@ -124,7 +105,7 @@ def generate_dataset(
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(n_cases):
-        if grade_noise and n_cases > 1:
+        if n_cases > 1:
             level = noise_std * (0.5 + i / (n_cases - 1))
         else:
             level = noise_std
@@ -142,14 +123,8 @@ def generate_dataset(
             jitter = float(rng.uniform(-0.2, 0.2))
             magnitude = 2.0 * ((k + 1) // 2)
             sign = -1.0 if k % 2 else 1.0
-            blobs.append(Blob(k, (cy, cx), radius, sign * magnitude + jitter))
-        scene = SyntheticScene(
-            seed=int(rng.integers(0, 2**31)),
-            shape=(h, w),
-            blobs=tuple(blobs),
-            noise_std=level,
-        )
-        image, labels = scene.render()
+            blobs.append((k, (cy, cx), radius, sign * magnitude + jitter))
+        image, labels = _render(int(rng.integers(0, 2**31)), (h, w), blobs, level)
         cases.append(ToyCase(f"case{i:04d}", image, labels, class_count, level))
 
     present = set()

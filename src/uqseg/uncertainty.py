@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import pixel_blocks, validate_binary
-from .ensemble import class_foreground
 from .errors import ValidationError
 
 FOREGROUND_THRESHOLD = 0.5
@@ -152,12 +151,16 @@ def uncertainty_score(
     not given; one map serves every class of a case. ``restrict_to_contour``
     limits the entropy sum to the contour ring instead of the whole image.
     An empty contour is reported via the ``empty_contour`` flag with score
-    0, not an error.
+    0, not an error. A ``class_id`` outside 1 to c - 1 is a ValidationError.
     """
-    if class_id == 0:
-        raise ValidationError("background (class 0) has no uncertainty score")
-    # a trusted plane needs no range check: threshold it directly
-    mask = class_foreground(p, class_id) > FOREGROUND_THRESHOLD
+    p = np.asarray(p)
+    if not 0 < class_id < p.shape[0]:
+        raise ValidationError(
+            f"class {class_id} out of range for {p.shape[0]} classes; "
+            "background (class 0) has no uncertainty score"
+        )
+    # a trusted plane needs no value check: threshold it directly
+    mask = p[class_id] > FOREGROUND_THRESHOLD
     ring = contour_normalizer(mask, element)
     contour_pixels = int(np.count_nonzero(ring))
     if entropy is None:

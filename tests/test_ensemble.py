@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqseg.arrayio import write_array
 from uqseg.arrays import SIMPLEX_TOLERANCE, validate_probabilities
-from uqseg.ensemble import argmax_labels, class_foreground, ensemble_mean
+from uqseg.cli import main
+from uqseg.ensemble import argmax_labels, ensemble_mean
 from uqseg.errors import ValidationError
-from uqseg.uncertainty import pixel_entropy
+from uqseg.uncertainty import pixel_entropy, uncertainty_score
 
 
 def random_posterior(rng, shape=(4, 6, 6)):
@@ -188,15 +190,12 @@ class TestArgmax:
 
 
 class TestClassForeground:
-    def test_extracts_requested_plane(self):
-        rng = np.random.default_rng(5)
-        p = random_posterior(rng, (4, 5, 5))
-        np.testing.assert_array_equal(class_foreground(p, 2), p[2])
+    """Class planes are plain ``p[k]`` indexing; ``uncertainty_score`` checks the class."""
 
     def test_planes_sum_to_one(self):
         rng = np.random.default_rng(6)
         p = random_posterior(rng, (4, 5, 5))
-        total = sum(class_foreground(p, k) for k in range(4))
+        total = sum(p[k] for k in range(4))
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_plane_of_mean_is_mean_of_planes(self):
@@ -204,13 +203,20 @@ class TestClassForeground:
         members = [random_posterior(rng) for _ in range(4)]
         fused = ensemble_mean(members)
         for k in range(4):
-            expected = sum(class_foreground(m, k) for m in members) / 4
-            np.testing.assert_allclose(class_foreground(fused, k), expected, atol=1e-12)
+            expected = sum(m[k] for m in members) / 4
+            np.testing.assert_allclose(fused[k], expected, atol=1e-12)
 
     def test_class_out_of_range(self):
         p = np.full((4, 2, 2), 0.25)
-        with pytest.raises(ValidationError):
-            class_foreground(p, 4)
+        for class_id in (4, -1):
+            with pytest.raises(ValidationError, match=f"class {class_id} out of range"):
+                uncertainty_score(p, class_id)
+
+    def test_score_cli_rejects_a_class_beyond_the_mean(self, tmp_path, capsys):
+        path = tmp_path / "mean.uqsg"
+        write_array(path, np.full((3, 4, 4), 1 / 3, dtype=np.float32))
+        assert main(["score", "--in", str(path), "--classes", "9"]) == 2
+        assert "class 9 out of range for 3 classes" in capsys.readouterr().err
 
 
 class TestNames:

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -14,11 +15,12 @@ import pytest
 
 from uqseg.arrayio import read_array, read_rows, write_array
 from uqseg.arrays import BLOCK_PIXELS, pixel_blocks
-from uqseg.cli import main
+from uqseg.cli import build_parser, main
 from uqseg.ensemble import ensemble_mean
 from uqseg.errors import StageError, ValidationError
-from uqseg.pipeline import PipelineConfig, fuse_members, run_pipeline
+from uqseg.pipeline import PipelineConfig, fuse_members, run_pipeline, settings_of
 from uqseg.scheduler import SgdrConfig, lr_at
+from uqseg.selection import SelectionPolicy
 from uqseg.toy import run_toy_training
 
 GOLDEN = Path(__file__).parent / "data" / "golden_summary_seed7.csv"
@@ -112,6 +114,29 @@ class TestConfigFile:
     def test_bad_region(self):
         with pytest.raises(ValidationError):
             small_config(Path("."), entropy_region="everywhere")
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(eta=1.5, per_cycle=2, window_fraction=0.25, min_peak_ratio=0.75,
+             classes=(1, 2), bins=7, entropy_region="contour", ece_foreground_only=True),
+    ], ids=["defaults", "every-field-set"])
+    def test_every_field_round_trips_through_the_text(self, tmp_path, overrides):
+        cfg = small_config(tmp_path, **overrides)
+        lines = []
+        for f in fields(PipelineConfig):
+            value = getattr(cfg, f.name)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{f.name} = {text}")
+        assert PipelineConfig.from_file(self.write(tmp_path, "\n".join(lines))) == cfg
+
+    def test_no_keys_names_every_required_key_in_field_order(self, tmp_path):
+        path = self.write(tmp_path, "# no keys\n")
+        with pytest.raises(ValidationError) as err:
+            PipelineConfig.from_file(path)
+        assert str(err.value) == (
+            f"{path}: missing required keys "
+            "['trace', 'predictions_dir', 'cases_dir', 'outdir', 't0', 'total_epochs']"
+        )
 
 
 class TestRunPipeline:
@@ -576,6 +601,47 @@ def test_golden_summary_byte_for_byte(seed7_run):
     assert GOLDEN.exists(), "golden file missing; regenerate from a verified run"
     produced = Path(seed7_run.result.summary_path).read_bytes()
     assert produced == GOLDEN.read_bytes()
+
+
+# each subcommand with settings flags, with its required arguments
+SETTINGS_COMMANDS = {
+    "lr-schedule": ([], (SgdrConfig,)),
+    "select-checkpoints": (["--trace", "t.csv", "--out", "m.csv"], (SgdrConfig, SelectionPolicy)),
+    "toy-train": (["--outdir", "out"], (SgdrConfig, SelectionPolicy)),
+}
+# the documented flag of each settings field
+SETTINGS_FLAGS = {
+    "t0": "--t0", "eta": "--eta", "lr_max": "--lr-max", "lr_min": "--lr-min",
+    "total_epochs": "--epochs", "per_cycle": "--per-cycle",
+    "window_fraction": "--window-fraction", "min_peak_ratio": "--min-peak-ratio",
+}
+
+
+class TestSettingsFlags:
+    """The schedule and policy flags are derived from the dataclass fields."""
+
+    def test_every_field_has_its_flag(self):
+        names = [f.name for cls in (SgdrConfig, SelectionPolicy) for f in fields(cls)]
+        assert names == list(SETTINGS_FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS_COMMANDS))
+    def test_defaults_are_the_dataclass_defaults(self, command):
+        required, settings = SETTINGS_COMMANDS[command]
+        args = build_parser().parse_args([command, *required])
+        for f in [f for cls in settings for f in fields(cls)]:
+            value = getattr(args, f.name)
+            assert type(value) is type(f.default) and value == f.default, f.name
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS_COMMANDS))
+    def test_each_flag_sets_its_field(self, command):
+        required, settings = SETTINGS_COMMANDS[command]
+        for cls in settings:
+            for f in fields(cls):
+                value = f.default + 1 if isinstance(f.default, int) else f.default / 2
+                argv = [command, *required, SETTINGS_FLAGS[f.name], str(value)]
+                args = build_parser().parse_args(argv)
+                assert type(getattr(args, f.name)) is type(f.default), f.name
+                assert settings_of(cls, args) == replace(cls(), **{f.name: value})
 
 
 class TestCli:
