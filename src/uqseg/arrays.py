@@ -122,29 +122,23 @@ def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
     return arr
 
 
-def zscore_normalize(volume, *, case_id=None):
+def zscore_normalize(volume):
     """Normalize a whole intensity array to zero mean and unit std, as float64.
 
     Uses the population standard deviation (divide by N). Raises
     ValidationError for an empty array or a NaN/Inf and DegenerateInputError
-    for constant input, naming the case when given.
+    for constant input.
     """
     v = np.asarray(volume, dtype=np.float64)
     if v.size == 0:
-        raise ValidationError(_tag("empty intensity array", case_id))
+        raise ValidationError("empty intensity array")
     if not np.all(np.isfinite(v)):
-        raise ValidationError(_tag("intensity array contains NaN or Inf", case_id))
+        raise ValidationError("intensity array contains NaN or Inf")
     mean = v.mean()
     std = v.std()
     if std == 0.0:
-        raise DegenerateInputError(
-            _tag("constant volume has zero standard deviation", case_id)
-        )
+        raise DegenerateInputError("constant volume has zero standard deviation")
     return (v - mean) / std
-
-
-def _tag(message, case_id):
-    return f"{message} (case {case_id})" if case_id is not None else message
 
 
 def _named(message, name):

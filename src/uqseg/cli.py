@@ -15,12 +15,12 @@ from pathlib import Path
 
 from . import __version__, reports
 from .arrayio import FORMAT_VERSION, read_array
-from .arrays import SIMPLEX_TOLERANCE, validate_labels, validate_probabilities
+from .arrays import SIMPLEX_TOLERANCE, validate_probabilities
 from .errors import UqsegError, ValidationError
 from .metrics import DEFAULT_ECE_BINS, dice, ece
 from .pipeline import (
-    DEFAULT_POLICY, DEFAULT_SCHEDULE, FIELD_PARSERS, PipelineConfig, fuse_members, run_pipeline,
-    settings_of, write_entropy, write_summary,
+    FIELD_PARSERS, PipelineConfig, fuse_members, read_labels, run_pipeline, settings_of,
+    write_entropy, write_summary,
 )
 from .scheduler import SgdrConfig, schedule_rows
 from .selection import (
@@ -107,15 +107,15 @@ def cmd_score(args):
 
 
 def cmd_dice(args):
-    pred = validate_labels(read_array(args.pred), 256)
-    gt = validate_labels(read_array(args.gt), 256)
+    pred = read_labels(args.pred, 256)
+    gt = read_labels(args.gt, 256)
     results = [dice(pred, gt, k) for k in _parse_classes(args.classes)]
     _emit([reports.DICE_HEADER] + [reports.dice_row(r) for r in results], args.out)
 
 
 def cmd_ece(args):
     probs = _read_posterior(args.pred)
-    gt = validate_labels(read_array(args.gt), probs.shape[0], name=args.gt)
+    gt = read_labels(args.gt, probs.shape[0], probs.shape)
     report = ece(probs, gt, args.bins, foreground_only=args.foreground_only)
     reports.write_ece_csv(args.out, report)
 
@@ -151,8 +151,8 @@ def cmd_info(args):
         "version": __version__,
         "array_format_version": FORMAT_VERSION,
         "defaults": {
-            **asdict(DEFAULT_SCHEDULE),
-            **asdict(DEFAULT_POLICY),
+            **asdict(SgdrConfig()),
+            **asdict(SelectionPolicy()),
             "foreground_threshold": FOREGROUND_THRESHOLD,
             "simplex_tolerance": SIMPLEX_TOLERANCE,
             "ece_bins": DEFAULT_ECE_BINS,

@@ -10,8 +10,9 @@ array, as the CLI subcommands do. The tree is built in a sibling staging
 directory and renamed into ``outdir`` once, at the end, so ``outdir``
 holds a whole run or nothing. A failure aborts with the stage name (and
 the case) and removes the staging directory. The fuse, entropy and report
-stages are ``fuse_members``, ``write_entropy`` and ``write_summary``,
-which the CLI subcommands call too.
+stages are ``fuse_members``, ``write_entropy`` and ``write_summary``, and
+the metrics stage reads labels with ``read_labels``; the CLI subcommands
+call them too.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from .scheduler import SgdrConfig
 from .selection import SelectionPolicy, TrainingTrace, export_selection, find_cycle_peaks
 from .uncertainty import pixel_entropy, uncertainty_score
 
-DEFAULT_SCHEDULE = SgdrConfig()
-DEFAULT_POLICY = SelectionPolicy()
-
 
 def settings_of(cls, source):
     """The settings dataclass ``cls`` from the same-named attributes of ``source``.
@@ -58,18 +56,21 @@ class PipelineConfig:
     outdir: str
     t0: int
     total_epochs: int
-    eta: float = DEFAULT_SCHEDULE.eta
-    lr_max: float = DEFAULT_SCHEDULE.lr_max
-    lr_min: float = DEFAULT_SCHEDULE.lr_min
-    per_cycle: int = DEFAULT_POLICY.per_cycle
-    window_fraction: float = DEFAULT_POLICY.window_fraction
-    min_peak_ratio: float = DEFAULT_POLICY.min_peak_ratio
+    eta: float = SgdrConfig.eta
+    lr_max: float = SgdrConfig.lr_max
+    lr_min: float = SgdrConfig.lr_min
+    per_cycle: int = SelectionPolicy.per_cycle
+    window_fraction: float = SelectionPolicy.window_fraction
+    min_peak_ratio: float = SelectionPolicy.min_peak_ratio
     classes: tuple = ()  # empty: every foreground class found in the data
     bins: int = DEFAULT_ECE_BINS
     entropy_region: str = "image"  # or "contour"
     ece_foreground_only: bool = False
 
     def __post_init__(self):
+        for key in ("trace", "predictions_dir", "cases_dir", "outdir"):
+            if not getattr(self, key):
+                raise ValidationError(f"{key} must name a path, got an empty value")
         if self.entropy_region not in ("image", "contour"):
             raise ValidationError(
                 f"entropy_region must be 'image' or 'contour', got {self.entropy_region!r}"
@@ -138,8 +139,6 @@ FIELD_PARSERS = {
 class PipelineResult:
     summary_path: Path
     ece_percent: float
-    avg_entropy_bits: float
-    spearman: float | None
     case_count: int
 
 
@@ -258,8 +257,18 @@ def write_entropy(probs, out, pgm_dir=None) -> np.ndarray:
     return h
 
 
+def read_labels(path, class_count, posterior_shape=None):
+    """Labels from ``path``, checked against ``class_count`` and the posterior's shape."""
+    labels = read_array(path)
+    if posterior_shape is not None and labels.shape != posterior_shape[1:]:
+        raise ValidationError(
+            f"{path}: labels shape {labels.shape} does not match posterior {posterior_shape}"
+        )
+    return validate_labels(labels, class_count, name=path)
+
+
 def write_summary(path, cases, dataset_rows=()):
-    """Write the summary CSV and return the score/Dice table.
+    """Write the summary CSV of the score/Dice table.
 
     ``cases`` holds (case_id, class_id, score, dice) tuples, each giving two
     case rows. The dataset rows start with the Spearman coefficient, or the
@@ -275,7 +284,6 @@ def write_summary(path, cases, dataset_rows=()):
     else:
         lines.append(reports.summary_dataset_row("spearman_score_dice", table.spearman))
     reports.write_lines(path, lines + list(dataset_rows))
-    return table
 
 
 def _run(cfg, out):
@@ -304,19 +312,21 @@ def _run(cfg, out):
         with _stage("entropy", case_id):
             h = write_entropy(mean, entropy_dir / f"{case_id}.uqsg", entropy_dir)
         with _stage("score", case_id):
-            classes = _classes_for(cfg, mean.shape[0])
             scores = [
                 uncertainty_score(
                     mean, k, entropy=h, restrict_to_contour=(cfg.entropy_region == "contour")
                 )
-                for k in classes
+                for k in cfg.classes or range(1, mean.shape[0])
             ]
             score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
             entropy_sum += float(h.sum())
             entropy_count += h.size
         del h  # the metrics stage needs only the mean
         with _stage("metrics", case_id):
-            gt = _read_labels(cfg, case_id, mean.shape)
+            gt_path = Path(cfg.cases_dir) / f"{case_id}_labels.uqsg"
+            if not gt_path.exists():
+                raise ValidationError(f"missing ground truth {gt_path}")
+            gt = read_labels(gt_path, mean.shape[0], mean.shape)
             pred = argmax_labels(mean)
             for s in scores:
                 d = dice(pred, gt, s.class_id)
@@ -334,7 +344,7 @@ def _run(cfg, out):
         reports.write_ece_csv(out / "ece.csv", calibration)
         avg_entropy = entropy_sum / entropy_count
     with _stage("report"):
-        table = write_summary(
+        write_summary(
             out / "summary.csv",
             cases,
             [
@@ -346,8 +356,6 @@ def _run(cfg, out):
     return PipelineResult(
         summary_path=Path(cfg.outdir) / "summary.csv",
         ece_percent=calibration.ece,
-        avg_entropy_bits=avg_entropy,
-        spearman=table.spearman,
         case_count=len(case_ids),
     )
 
@@ -371,28 +379,3 @@ def _case_dirs(cfg):
     if not case_ids:
         raise ValidationError(f"no case directories under {pred_root}")
     return pred_root, case_ids
-
-
-def _classes_for(cfg, class_count):
-    if cfg.classes:
-        bad = [k for k in cfg.classes if not 1 <= k < class_count]
-        if bad:
-            raise ValidationError(
-                f"classes {bad} out of range for {class_count}-class posteriors"
-            )
-        return list(cfg.classes)
-    return list(range(1, class_count))
-
-
-def _read_labels(cfg, case_id, posterior_shape):
-    """The case's ground truth, checked against its posterior's shape and classes."""
-    gt_path = Path(cfg.cases_dir) / f"{case_id}_labels.uqsg"
-    try:
-        gt = read_array(gt_path)
-    except FileNotFoundError:
-        raise ValidationError(f"missing ground truth {gt_path}") from None
-    if gt.shape != posterior_shape[1:]:
-        raise ValidationError(
-            f"{gt_path}: labels shape {gt.shape} does not match posterior {posterior_shape}"
-        )
-    return validate_labels(gt, posterior_shape[0], name=gt_path)

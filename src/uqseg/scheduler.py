@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
+MAX_EPOCHS = 100_000  # a schedule holds one row per epoch
+
 
 @dataclass(frozen=True)
 class SgdrConfig:
@@ -47,6 +49,8 @@ class SgdrConfig:
             )
         if self.total_epochs < 1:
             raise ValidationError(f"total_epochs must be >= 1, got {self.total_epochs}")
+        if self.total_epochs > MAX_EPOCHS:
+            raise ValidationError(f"total_epochs must be <= {MAX_EPOCHS}, got {self.total_epochs}")
 
 
 @dataclass(frozen=True)

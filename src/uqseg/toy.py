@@ -37,6 +37,7 @@ from .selection import SelectionPolicy, TraceRecord, TrainingTrace
 
 FEATURE_COUNT = 6
 DICE_SMOOTHING = 1.0
+MAX_SCENE_PIXELS = 1 << 20  # 1024x1024: bounds the memory of one scene
 
 
 def _render(seed, shape, blobs, noise_std):
@@ -101,6 +102,10 @@ def generate_dataset(
     r_lo, r_hi = max(2, m // 7), max(2, m // 5)
     if m < 8 or r_hi < r_lo:
         raise ValidationError(f"shape {shape} too small for blob radii >= {r_lo}")
+    if h * w > MAX_SCENE_PIXELS:
+        raise ValidationError(f"shape {shape} has more than {MAX_SCENE_PIXELS} pixels")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     cases = []

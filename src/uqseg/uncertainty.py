@@ -7,9 +7,9 @@ divide total entropy by the ring's pixel count. Normalizing by contour
 length makes scores comparable across segmentations of different sizes.
 
 Entropy is base-2 (bits) throughout. Masks are bool arrays, dilated with a
-box only (a full square or cube), one axis at a time. Masks over 3D volumes
-are dilated slice by slice with the 3x3 square by default; pass a 3D box for
-volumetric dilation. Posteriors are validated where they enter the program
+box (a full square or cube) one axis at a time. Scores always dilate slice by
+slice with the 3x3 square; only ``dilate`` and ``contour_normalizer`` take an
+element, such as a 3D box. Posteriors are validated where they enter the program
 (``ensemble_mean``, the CLI's readers), so these kernels take them as trusted.
 """
 
@@ -140,7 +140,6 @@ def total_entropy(entropy_map, region=None) -> float:
 def uncertainty_score(
     p,
     class_id: int,
-    element=None,
     *,
     entropy=None,
     restrict_to_contour: bool = False,
@@ -161,7 +160,7 @@ def uncertainty_score(
         )
     # a trusted plane needs no value check: threshold it directly
     mask = p[class_id] > FOREGROUND_THRESHOLD
-    ring = contour_normalizer(mask, element)
+    ring = contour_normalizer(mask)
     contour_pixels = int(np.count_nonzero(ring))
     if entropy is None:
         entropy = pixel_entropy(p)

@@ -998,3 +998,90 @@ class TestCli:
             "--classes", "3", "--outdir", str(tmp_path),
         ]) == 0
         assert len(list((tmp_path / "cases").glob("*_image.uqsg"))) == 3
+
+
+class TestInputChecks:
+    """Each input is read and checked once; its errors name the file or the key."""
+
+    @pytest.mark.parametrize("key", ["trace", "predictions_dir", "cases_dir", "outdir"])
+    def test_empty_path_in_run_config_names_the_key(self, key, small_run, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = _write_run_config(small_run, tmp_path / "p.cfg", **{"outdir": tmp_path / "out", key: ""})
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must name a path, got an empty value\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["p.cfg"]
+
+    @pytest.mark.parametrize("side", ["--pred", "--gt"])
+    def test_dice_names_a_float_label_file(self, side, tmp_path, capsys):
+        paths = {"--pred": tmp_path / "pred.uqsg", "--gt": tmp_path / "gt.uqsg"}
+        for flag, path in paths.items():
+            write_array(path, np.zeros((4, 4), dtype=np.float32 if flag == side else np.uint8))
+        argv = ["dice", "--pred", str(paths["--pred"]), "--gt", str(paths["--gt"]), "--classes", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[side]}: labels must be integer-typed, got float32\n"
+        )
+
+    def test_ece_names_a_label_file_of_another_shape(self, tmp_path, capsys):
+        probs, labels, out = tmp_path / "p.uqsg", tmp_path / "gt.uqsg", tmp_path / "ece.csv"
+        write_array(probs, np.full((2, 4, 4), 0.5, dtype=np.float32))
+        write_array(labels, np.zeros((5, 5), dtype=np.uint8))
+        assert main(["ece", "--pred", str(probs), "--gt", str(labels), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {labels}: labels shape (5, 5) does not match posterior (2, 4, 4)\n"
+        )
+        assert not out.exists()
+
+    def test_run_class_out_of_range_says_what_score_says(self, small_run, tmp_path, capsys):
+        config = _write_run_config(small_run, tmp_path / "p.cfg", outdir=tmp_path / "out", classes=7)
+        assert main(["run", "--config", str(config)]) == 2
+        run_err = capsys.readouterr().err
+        mean = tmp_path / "mean.uqsg"
+        write_array(mean, np.full((3, 4, 4), 1 / 3, dtype=np.float32))
+        assert main(["score", "--in", str(mean), "--classes", "7"]) == 2
+        message = "class 7 out of range for 3 classes; background (class 0) has no uncertainty score"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run_err == f"error: stage 'score' failed for case case0004: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["toy-gen", "--cases", "1", "--classes", "2", "--shape", "100000x100000"],
+                "shape (100000, 100000) has more than 1048576 pixels",
+            ),
+            (
+                ["toy-train", "--cases", "1", "--classes", "2", "--shape", "1025x1024"],
+                "shape (1025, 1024) has more than 1048576 pixels",
+            ),
+            (["lr-schedule", "--epochs", "100000000000"], "total_epochs must be <= 100000, got 100000000000"),
+            (["toy-train", "--epochs", "100001"], "total_epochs must be <= 100000, got 100001"),
+        ],
+    )
+    def test_oversized_request_exits_validation_before_allocating(self, argv, message, tmp_path, capsys):
+        if argv[0].startswith("toy-"):
+            argv = [*argv, "--outdir", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["toy-gen", "toy-train"])
+    def test_negative_seed_exits_validation(self, command, tmp_path, capsys):
+        epochs = ["--epochs", "2"] if command == "toy-train" else []
+        argv = [command, "--seed", "-1", "--cases", "2", "--shape", "16x16", *epochs]
+        assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_schedule_is_accepted(self):
+        from uqseg.scheduler import MAX_EPOCHS
+
+        assert SgdrConfig(total_epochs=MAX_EPOCHS).total_epochs == 100_000
