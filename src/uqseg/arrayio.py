@@ -22,12 +22,7 @@ import struct
 import numpy as np
 
 from .arrays import pixel_blocks
-from .errors import (
-    ArrayFormatError,
-    BadMagicError,
-    TruncatedPayloadError,
-    UnsupportedDtypeError,
-)
+from .errors import ArrayFormatError
 
 MAGIC = b"UQSG"
 FORMAT_VERSION = 1
@@ -43,7 +38,7 @@ def write_array(path, array):
     arr = np.ascontiguousarray(array)
     code = _DTYPE_TO_CODE.get(arr.dtype)
     if code is None:
-        raise UnsupportedDtypeError(
+        raise ArrayFormatError(
             f"dtype {arr.dtype} not supported; use float32, uint8, or int32"
         )
     if arr.ndim == 0 or arr.ndim > 255:
@@ -83,7 +78,7 @@ def read_rows(path, pixels):
         for k, row in enumerate([rows] if rows.shape[1] == n else rows):
             f.seek(offset + k * n * dtype.itemsize)
             if f.readinto(row.reshape(-1).view(np.uint8)) < row.nbytes:
-                raise TruncatedPayloadError(f"{path}: file shrank while being read")
+                raise ArrayFormatError(f"{path}: file shrank while being read")
     # a no-op on little-endian hosts
     return shape, rows.astype(dtype.newbyteorder("="), copy=False)
 
@@ -92,29 +87,29 @@ def _read_header(f, path):
     """Check the header and the payload size of the open file; its (dtype, shape)."""
     raw = f.read(_HEAD.size)
     if len(raw) < _HEAD.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than the fixed header")
+        raise ArrayFormatError(f"{path}: file shorter than the fixed header")
     magic, version, dtype_code, rank = _HEAD.unpack(raw)
     if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        raise ArrayFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise ArrayFormatError(
             f"{path}: unsupported format version {version}, expected {FORMAT_VERSION}"
         )
     dtype = _CODE_TO_DTYPE.get(dtype_code)
     if dtype is None:
-        raise UnsupportedDtypeError(f"{path}: unknown dtype code {dtype_code}")
+        raise ArrayFormatError(f"{path}: unknown dtype code {dtype_code}")
     if rank == 0:
         raise ArrayFormatError(f"{path}: rank 0 is not supported")
     dims_raw = f.read(4 * rank)
     if len(dims_raw) < 4 * rank:
-        raise TruncatedPayloadError(f"{path}: file ends inside the dimension list")
+        raise ArrayFormatError(f"{path}: file ends inside the dimension list")
     shape = struct.unpack(f"<{rank}I", dims_raw)
     nbytes = math.prod(shape) * dtype.itemsize
     # size the payload from the file before reading, so a header that
     # declares more than the file holds never drives an allocation
     size = os.fstat(f.fileno()).st_size - f.tell()
     if size < nbytes:
-        raise TruncatedPayloadError(
+        raise ArrayFormatError(
             f"{path}: payload truncated, expected {nbytes} bytes, got {size}"
         )
     if size > nbytes:

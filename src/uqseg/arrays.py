@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import ValidationError
 
 # Per-pixel class vectors must sum to 1 within this tolerance; float32
 # softmax outputs accumulate rounding at roughly this scale.
@@ -83,15 +83,15 @@ def validate_probability_shape(shape, *, name=None):
         raise ValidationError(_named("empty probability array", name))
 
 
-def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
+def validate_probabilities(p, *, name=None):
     """Check per-pixel simplex constraints on a (c, ...) probability array.
 
     Every entry must be in [0, 1] and each per-pixel class vector must sum
-    to 1 within ``tol``. The check runs on the array's own dtype, with the
-    class sums taken in float64 one block of pixels at a time, and returns
-    the array unchanged. Error messages start with ``name`` when given.
-    Posteriors are checked once, where they enter the program; the kernels
-    take them as trusted.
+    to 1 within SIMPLEX_TOLERANCE, read at call time. The check runs on the
+    array's own dtype, with the class sums taken in float64 one block of
+    pixels at a time, and returns the array unchanged. Error messages start
+    with ``name`` when given. Posteriors are checked once, where they enter
+    the program; the kernels take them as trusted.
     """
     arr = np.asarray(p)
     validate_probability_shape(arr.shape, name=name)
@@ -113,9 +113,9 @@ def validate_probabilities(p, *, tol=SIMPLEX_TOLERANCE, name=None):
         # the largest |s - 1|, as rounding s - 1 is monotone and symmetric
         worst = max(worst, float(sums.max()) - 1.0, 1.0 - float(sums.min()))
         del sums  # one block of sums at a time
-    if worst > tol:
+    if worst > SIMPLEX_TOLERANCE:
         raise ValidationError(_named(
-            f"per-pixel class probabilities must sum to 1 within {tol}; "
+            f"per-pixel class probabilities must sum to 1 within {SIMPLEX_TOLERANCE}; "
             f"worst deviation {worst:.3e}",
             name,
         ))
@@ -126,8 +126,7 @@ def zscore_normalize(volume):
     """Normalize a whole intensity array to zero mean and unit std, as float64.
 
     Uses the population standard deviation (divide by N). Raises
-    ValidationError for an empty array or a NaN/Inf and DegenerateInputError
-    for constant input.
+    ValidationError for an empty array, a NaN/Inf or constant input.
     """
     v = np.asarray(volume, dtype=np.float64)
     if v.size == 0:
@@ -137,7 +136,7 @@ def zscore_normalize(volume):
     mean = v.mean()
     std = v.std()
     if std == 0.0:
-        raise DegenerateInputError("constant volume has zero standard deviation")
+        raise ValidationError("constant volume has zero standard deviation")
     return (v - mean) / std
 
 

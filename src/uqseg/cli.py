@@ -142,8 +142,8 @@ def cmd_toy_train(args):
 
 
 def cmd_run(args):
-    result = run_pipeline(PipelineConfig.from_file(args.config))
-    sys.stdout.write(f"summary written to {result.summary_path}\n")
+    summary = run_pipeline(PipelineConfig.from_file(args.config))
+    sys.stdout.write(f"summary written to {summary}\n")
 
 
 def cmd_info(args):

@@ -51,20 +51,12 @@ def dice(pred, gt, class_id: int) -> DiceResult:
 
 
 @dataclass(frozen=True)
-class ReliabilityBins:
-    """Rendered per-bin statistics; empty bins carry NaN confidence/accuracy."""
+class CalibrationReport:
+    """Per-bin statistics and the ECE; empty bins carry NaN confidence/accuracy."""
 
-    n_bins: int
-    lowers: np.ndarray
-    uppers: np.ndarray
     counts: np.ndarray
     mean_confidence: np.ndarray
     accuracy: np.ndarray
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    bins: ReliabilityBins
     ece: float  # percent
 
 
@@ -144,16 +136,7 @@ class CalibrationAccumulator:
         # raw gaps avoids the intermediate divisions
         gaps = np.abs(self.correct_counts - self.confidence_sums)
         ece = float(gaps[self.counts > 0].sum() * 100.0 / total)
-        n = self.n_bins
-        bins = ReliabilityBins(
-            n_bins=n,
-            lowers=np.array([b / n for b in range(n)]),
-            uppers=np.array([(b + 1) / n for b in range(n)]),
-            counts=self.counts.copy(),
-            mean_confidence=mean_conf,
-            accuracy=accuracy,
-        )
-        return CalibrationReport(bins=bins, ece=ece)
+        return CalibrationReport(self.counts.copy(), mean_conf, accuracy, ece)
 
 
 def _fill_runs(ordered, ends, confidence, idx):

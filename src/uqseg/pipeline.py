@@ -135,17 +135,12 @@ FIELD_PARSERS = {
 }
 
 
-@dataclass
-class PipelineResult:
-    summary_path: Path
-    ece_percent: float
-    case_count: int
+def run_pipeline(cfg: PipelineConfig) -> Path:
+    """Run every stage into ``cfg.outdir`` and return the summary CSV's path.
 
-
-def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Run every stage into ``cfg.outdir``, which must be absent or empty.
-
-    The tree is built in the sibling ``<outdir>.partial-<pid>`` and one
+    ``outdir`` must be absent or empty, and must not lie inside
+    ``predictions_dir``, whose every directory is read as a case. The tree
+    is built in the sibling ``<outdir>.partial-<pid>`` and one
     ``os.replace`` publishes it once every stage has succeeded. On any
     failure the staging directory is removed and ``outdir`` is left as it
     was; a stage failure raises StageError. Missing parents of ``outdir``
@@ -167,16 +162,21 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             )
     elif out.exists():
         raise ValidationError(f"outdir {cfg.outdir} exists and is not a directory")
+    if out.is_relative_to(Path(cfg.predictions_dir).resolve()):
+        raise ValidationError(
+            f"outdir {cfg.outdir} lies inside predictions_dir {cfg.predictions_dir}, "
+            "whose every directory is read as a case"
+        )
     staging = out.with_name(f"{out.name}.partial-{os.getpid()}")
     staging.mkdir(parents=True)
     try:
-        result = _run(cfg, staging)
+        _run(cfg, staging)
         if out.is_dir():  # set last, so a read-only mode cannot stop the run
             staging.chmod(stat.S_IMODE(out.stat().st_mode))
         os.replace(staging, out)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return result
+    return Path(cfg.outdir) / "summary.csv"
 
 
 @contextmanager
@@ -353,11 +353,6 @@ def _run(cfg, out):
                 reports.summary_dataset_row("h_total_region", cfg.entropy_region),
             ],
         )
-    return PipelineResult(
-        summary_path=Path(cfg.outdir) / "summary.csv",
-        ece_percent=calibration.ece,
-        case_count=len(case_ids),
-    )
 
 
 def _select(cfg, out):

@@ -45,13 +45,13 @@ def dice_row(result, case_id=None):
 
 def write_ece_csv(path, report):
     lines = ["record,lower,upper,count,mean_confidence,accuracy"]
-    bins = report.bins
-    for b in range(bins.n_bins):
+    n = len(report.counts)
+    for b in range(n):
         lines.append(_row(
-            f"bin{b}", fmt9(bins.lowers[b]), fmt9(bins.uppers[b]), int(bins.counts[b]),
-            fmt9(bins.mean_confidence[b]), fmt9(bins.accuracy[b]),
+            f"bin{b}", fmt9(b / n), fmt9((b + 1) / n), int(report.counts[b]),
+            fmt9(report.mean_confidence[b]), fmt9(report.accuracy[b]),
         ))
-    total = int(bins.counts.sum())
+    total = int(report.counts.sum())
     lines.append(f"ece_percent,,,{total},,{fmt9(report.ece)}")
     write_lines(path, lines)
 

@@ -10,12 +10,13 @@ Training is plain full-batch SGD under the warm-restart schedule with a
 soft Dice loss (smoothing 1.0); everything is deterministic given
 (seed, config).
 
-Per-pixel arrays are class-major, C-contiguous (c, P) rows. Class-axis
-reductions chain the rows left to right (``np.maximum``, ``+``): numpy's own
-order on (P, c) for c <= 7, so bit-identical to ``max``/``sum(axis=1)``; for
-c >= 8 numpy sums pairwise and the weights differ in the last bit (~1e-16).
-Pixel sums take the last element of ``np.add.accumulate``, first pixel first
-like ``sum(axis=0)`` on (P, c) (``sum(axis=1)`` on (c, P) is pairwise). BLAS
+Per-pixel arrays are class-major, C-contiguous (c, P) rows. Class sums and
+maxima are numpy's axis-0 reductions, which take the rows in class order
+(for P >= 2): numpy's own order on (P, c) for c <= 7, so bit-identical to
+``max``/``sum(axis=1)``; for c >= 8 that sum is pairwise and the weights
+differ in the last bit (~1e-16). Pixel sums keep ``np.add.accumulate``'s
+last element, first pixel first like ``sum(axis=0)`` on (P, c)
+(``sum(axis=1)`` on (c, P) is pairwise). BLAS
 operands are C-contiguous (a copy of ``W.T``, the (c, P) gradient); the
 products match the pixel-major ones bit for bit (``TestTrainerOracle``).
 """
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import zscore_normalize
+from .arrays import validate_labels, zscore_normalize
 from .arrayio import write_array
 from .errors import NumericError, ValidationError
 from .metrics import dice
@@ -38,6 +39,7 @@ from .selection import SelectionPolicy, TraceRecord, TrainingTrace
 FEATURE_COUNT = 6
 DICE_SMOOTHING = 1.0
 MAX_SCENE_PIXELS = 1 << 20  # 1024x1024: bounds the memory of one scene
+MAX_DATASET_PIXELS = 1 << 23  # all scenes: a dataset is held whole before it is written
 
 
 def _render(seed, shape, blobs, noise_std):
@@ -106,6 +108,8 @@ def generate_dataset(
         raise ValidationError(f"shape {shape} has more than {MAX_SCENE_PIXELS} pixels")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    if n_cases * h * w > MAX_DATASET_PIXELS:
+        raise ValidationError(f"{n_cases} scenes of {shape} exceed {MAX_DATASET_PIXELS} pixels")
 
     rng = np.random.default_rng(seed)
     cases = []
@@ -166,11 +170,6 @@ def case_features(image) -> np.ndarray:
     return feats.reshape(-1, FEATURE_COUNT)
 
 
-def _class_sum(rows):
-    """Left-to-right sum of the class rows (c, P): numpy's order for c <= 7."""
-    return sum(rows[1:], rows[0])
-
-
 def _pixel_sum(rows):
     """Per-class pixel sum of (c, P) in the order of ``sum(axis=0)`` on (P, c)."""
     return np.add.accumulate(rows, axis=1)[:, -1]
@@ -179,12 +178,9 @@ def _pixel_sum(rows):
 def _softmax(feats, W):
     """Per-pixel class probabilities (c, P) of the linear model."""
     probs = (feats @ np.ascontiguousarray(W.T)).T.copy()
-    peak = probs[0].copy()
-    for row in probs[1:]:
-        np.maximum(peak, row, out=peak)
-    probs -= peak
+    probs -= probs.max(axis=0)
     np.exp(probs, out=probs)
-    probs /= _class_sum(probs)
+    probs /= probs.sum(axis=0)
     return probs
 
 
@@ -218,7 +214,7 @@ def _case_gradient(feats, mask, counts, W):
     probs = _softmax(feats, W)
     loss, grad = _dice_loss_grad(probs, mask, counts)
     # back through the softmax: probs * (grad - sum_k grad_k * probs_k)
-    grad -= _class_sum(grad * probs)
+    grad -= (grad * probs).sum(axis=0)
     grad *= probs
     return loss, grad @ feats
 
@@ -269,13 +265,7 @@ def _check_cases(cases, class_count):
                 f"case {case.case_id}: labels shape {labels.shape} != image shape "
                 f"{np.shape(case.image)}"
             )
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValidationError(f"case {case.case_id}: labels must be integers, got {labels.dtype}")
-        if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-            raise ValidationError(
-                f"case {case.case_id}: labels must lie in [0, {class_count}), "
-                f"got [{labels.min()}, {labels.max()}]"
-            )
+        validate_labels(labels, class_count, name=f"case {case.case_id}")
 
 
 def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0):

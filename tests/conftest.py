@@ -28,14 +28,14 @@ def toy_pipeline_config(root) -> PipelineConfig:
 def run_seed7(root):
     trace, checkpoints, cases = run_toy_training(root, cfg=SEED7_SCHEDULE, **SEED7_DATA)
     config = toy_pipeline_config(root)
-    result = run_pipeline(config)
+    summary = run_pipeline(config)
     return SimpleNamespace(
         root=root,
         trace=trace,
         checkpoints=checkpoints,
         cases=cases,
         config=config,
-        result=result,
+        summary=summary,
     )
 
 

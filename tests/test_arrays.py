@@ -7,7 +7,7 @@ from uqseg.arrays import (
     validate_probabilities,
     zscore_normalize,
 )
-from uqseg.errors import DegenerateInputError, ValidationError
+from uqseg.errors import ValidationError
 
 
 def _zscore_oracle(values):
@@ -42,7 +42,7 @@ class TestZscore:
         np.testing.assert_allclose(zscore_normalize(v), v, atol=1e-6)
 
     def test_constant_volume_rejected(self):
-        with pytest.raises(DegenerateInputError, match="zero standard deviation"):
+        with pytest.raises(ValidationError, match="constant volume has zero standard deviation"):
             zscore_normalize(np.full((3, 3), 5.0))
 
     def test_nonfinite_rejected(self):

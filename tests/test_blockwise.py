@@ -253,7 +253,7 @@ def test_every_kernel_at_tiny_block_sizes(case):
 @settings(max_examples=100, deadline=None)
 @given(case=_small_block_cases(), shift=st.floats(-1e-3, 1e-3))
 def test_worst_deviation_is_the_former_one_bit_for_bit(case, shift):
-    """validate accepts at tol = the former worst deviation, and rejects just below it."""
+    """validate accepts at SIMPLEX_TOLERANCE = the former worst deviation, rejects just below it."""
     p, _, block, _, _ = case
     c = p.shape[0]
     p = p.copy()
@@ -265,10 +265,12 @@ def test_worst_deviation_is_the_former_one_bit_for_bit(case, shift):
     if c >= 8 and p[0].size == 1:
         return  # numpy sums a lone pixel's c >= 8 classes pairwise, not in class order
     with patch.object(uqseg.arrays, "BLOCK_PIXELS", block):
-        assert validate_probabilities(p, tol=worst) is p
+        with patch.object(uqseg.arrays, "SIMPLEX_TOLERANCE", worst):
+            assert validate_probabilities(p) is p
         if worst > 0.0:
-            with pytest.raises(ValidationError, match="worst deviation"):
-                validate_probabilities(p, tol=np.nextafter(worst, 0.0))
+            with patch.object(uqseg.arrays, "SIMPLEX_TOLERANCE", np.nextafter(worst, 0.0)):
+                with pytest.raises(ValidationError, match="worst deviation"):
+                    validate_probabilities(p)
 
 
 def test_ece_without_pred_equals_the_former_int64_argmax():
@@ -280,7 +282,7 @@ def test_ece_without_pred_equals_the_former_int64_argmax():
         report = ece(p, gt, 10, foreground_only=foreground_only)
         expected = np.abs(correct_counts - sums)[counts > 0].sum() * 100.0 / counts.sum()
         assert report.ece == float(expected)
-        np.testing.assert_array_equal(report.bins.counts, counts)
+        np.testing.assert_array_equal(report.counts, counts)
 
 
 def _peak(fn, *args, **kwargs):

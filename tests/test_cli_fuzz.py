@@ -1,15 +1,20 @@
-"""Any argv of any subcommand keeps the exit-code contract.
+"""Any argv of any subcommand, and any damaged array file, keeps the exit-code contract.
 
-Each example draws a subcommand and tokens from its flags: small numbers,
-shapes and epochs, junk values, and paths from a prepared set of valid and
-broken ``.uqsg`` and CSV files. Outputs go to a fresh directory. The exit
-code must be 0, 2, 3 or 4 (argparse's own usage errors exit 2) and no
-traceback may reach stderr.
+Each argv example draws a subcommand and tokens from its flags: small
+numbers, shapes and epochs, junk values, and paths from a prepared set of
+valid and broken ``.uqsg`` and CSV files. Outputs go to a fresh directory.
+The exit code must be 0, 2, 3 or 4 (argparse's own usage errors exit 2) and
+no traceback may reach stderr. Each damaged-file example mutates the header
+or the length of a valid posterior or label file and feeds it to one of the
+commands that read such a file.
 """
 
 import contextlib
 import io
+import shutil
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 from uqseg.arrayio import write_array
 from uqseg.cli import main
 from uqseg.scheduler import SgdrConfig
+from uqseg.selection import read_selection
 from uqseg.toy import run_toy_training
 
 SCHEDULE = ("--t0", "--eta", "--lr-max", "--lr-min", "--epochs")
@@ -179,3 +185,93 @@ def test_any_argv_keeps_exit_contract(inputs, data):
                 code = exc.code
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# where a command reads a posterior or a label file: its flag, or "member"
+# (a checkpoint posterior of the fused case) or "labels" (the case's labels)
+READERS = [
+    ("entropy", "--in"), ("score", "--in"), ("ece", "--pred"), ("ece", "--gt"),
+    ("dice", "--pred"), ("dice", "--gt"), ("fuse", "member"), ("run", "member"),
+    ("run", "labels"),
+]
+
+
+@st.composite
+def _damaged(draw, valid):
+    """(kind, bytes) of a copy of the array file ``valid`` with its header or length damaged."""
+    rank = valid[7]
+    data = bytearray(valid)
+    kind = draw(st.sampled_from(["flip", "truncate", "append", "huge"]))
+    if kind == "flip":  # a byte of the magic, version, dtype code, rank or dims
+        data[draw(st.integers(0, 8 + 4 * rank - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)) :]
+    elif kind == "append":
+        data += draw(st.binary(min_size=1, max_size=16))
+    else:  # one dim declares far more than the file holds
+        k = 8 + 4 * draw(st.integers(0, rank - 1))
+        data[k : k + 4] = struct.pack("<I", draw(st.integers(2**16, 2**32 - 1)))
+    return kind, bytes(data)
+
+
+def _reader_argv(command, role, root, work):
+    """(argv, path of the file to damage) reading a valid copy of each input under ``work``."""
+    train = root / "train"
+    case_dir = next((train / "predictions").iterdir())
+    case = case_dir.name
+    shutil.copytree(case_dir, work / "preds" / case)
+    (work / "cases").mkdir()
+    shutil.copyfile(train / "cases" / f"{case}_labels.uqsg", work / "cases" / f"{case}_labels.uqsg")
+    for name in ("probs.uqsg", "labels.uqsg"):
+        shutil.copyfile(root / name, work / name)
+    first_id = read_selection(root / "manifest.csv").checkpoint_ids[0]
+    member = work / "preds" / case / f"{first_id}.uqsg"
+    probs, labels = work / "probs.uqsg", work / "labels.uqsg"
+    if command == "fuse":
+        argv = ["--manifest", str(root / "manifest.csv"), "--inputs", str(member.parent)]
+        return ["fuse", *argv, "--out", str(work / "mean.uqsg")], member
+    if command == "run":
+        config = (root / "run.cfg").read_text()
+        config = config.replace(str(train / "predictions"), str(work / "preds"))
+        config = config.replace(str(train / "cases"), str(work / "cases"))
+        (work / "p.cfg").write_text(config + f"outdir = {work / 'analysis'}\n")
+        target = member if role == "member" else work / "cases" / f"{case}_labels.uqsg"
+        return ["run", "--config", str(work / "p.cfg")], target
+    if command in ("entropy", "score"):
+        argv = ["--in", str(probs), "--out", str(work / "out")]
+        return [command, *argv, *(["--classes", "1,2"] if command == "score" else [])], probs
+    if command == "ece":
+        argv = ["--pred", str(probs), "--gt", str(labels), "--out", str(work / "ece.csv")]
+        return ["ece", *argv], probs if role == "--pred" else labels
+    other = work / "other.uqsg"  # dice: the undamaged side
+    shutil.copyfile(labels, other)
+    sides = (labels, other) if role == "--pred" else (other, labels)
+    return ["dice", "--pred", str(sides[0]), "--gt", str(sides[1]), "--classes", "1,2"], labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_array_file_keeps_exit_contract(inputs, data):
+    root, _ = inputs
+    command, role = data.draw(st.sampled_from(READERS), label="reader")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        argv, target = _reader_argv(command, role, root, work)
+        kind, damaged = data.draw(_damaged(target.read_bytes()), label="damage")
+        target.write_bytes(damaged)
+        out, err = io.StringIO(), io.StringIO()
+        if kind == "huge":
+            tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert str(target) in err.getvalue(), (argv, err.getvalue())
+    if kind == "huge":
+        assert code == 3
+        assert peak < 2**20

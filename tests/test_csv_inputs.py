@@ -1,13 +1,16 @@
-"""CSV inputs of the CLI: any file content keeps the exit-code contract.
+"""CSV and config inputs of the CLI: any file content keeps the exit-code contract.
 
 The trace, the manifest and the report cases go through one reader, so a
 bad number or a path-like checkpoint id exits 2 from every command that
-reads them, and never escapes as a traceback.
+reads them, and never escapes as a traceback. The ``run`` config text is
+fuzzed the same way.
 """
 
 import contextlib
 import io
+import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,9 @@ from hypothesis import strategies as st
 
 from uqseg.arrayio import write_array
 from uqseg.cli import main
+from uqseg.pipeline import PipelineConfig
+from uqseg.scheduler import SgdrConfig
+from uqseg.toy import run_toy_training
 
 HEADERS = {
     "trace": "epoch,lr,val_metric,checkpoint_id",
@@ -40,11 +46,12 @@ def _argv(kind, csv_path, root):
         ]
     if kind == "cases":
         return ["report", "--cases", str(csv_path), "--out", str(root / "summary.csv")]
-    # "run": the trace read by the pipeline's select stage
+    # "run": the trace read by the pipeline's select stage; an outdir inside
+    # predictions_dir would be refused before it
     config = root / "p.cfg"
     config.write_text(
         f"trace = {csv_path}\n"
-        f"predictions_dir = {root}\n"
+        f"predictions_dir = {root / 'predictions'}\n"
         f"cases_dir = {root}\n"
         f"outdir = {root / 'out'}\n"
         "t0 = 2\neta = 1\ntotal_epochs = 8\n"
@@ -142,3 +149,98 @@ def test_binary_csv_exits_validation(kind, tmp_path):
     code, err = _main(kind, b"\xff\xfe\x00binary", tmp_path)
     assert code == 2
     assert "not a UTF-8 text file" in err
+
+
+# the keys of a run config whose values are paths, and what they may name:
+# ("in", name) under the prepared inputs, ("work", name) under the example's
+# own directory, or the text itself
+PATH_VALUES = {
+    "trace": [("in", "trace.csv"), ("in", "predictions"), ("in", "absent.csv"), ""],
+    "predictions_dir": [("in", "predictions"), ("in", "trace.csv"), ("in", "absent"), ""],
+    "cases_dir": [("in", "cases"), ("in", "predictions"), ("in", "absent"), ""],
+    "outdir": [
+        ("work", "analysis"), ("work", "a/b"), ("work", "file"), ("in", "cases"),
+        ("in", "predictions/out"), "",
+    ],
+}
+OTHER_VALUES = ["", "x", "0", "1", "2", "-1", "0.5", "1e999", "nan", "inf", "true", "1,2", "7", ","]
+VALUES = {
+    "t0": ["4", "8", "100001"], "total_epochs": ["8", "4", "100001"], "eta": ["1", "2"],
+    "lr_max": ["0.2"], "lr_min": ["0.0001", "0.3"], "per_cycle": ["3"],
+    "window_fraction": ["0.25", "1.5"], "min_peak_ratio": ["0.01", "2"],
+    "classes": ["1", "2", "1,2", "0"], "bins": ["10", "10000", "10001"],
+    "entropy_region": ["image", "contour", "Image"], "ece_foreground_only": ["yes", "no", "maybe"],
+}
+# the valid config of the prepared inputs, one key per line
+BASE = {
+    "trace": ("in", "trace.csv"), "predictions_dir": ("in", "predictions"),
+    "cases_dir": ("in", "cases"), "outdir": ("work", "analysis"), "t0": "4", "eta": "1",
+    "lr_max": "0.2", "lr_min": "0.0001", "total_epochs": "8",
+}
+KEYS = [f.name for f in fields(PipelineConfig)]
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    """A toy-train tree whose one test case a run config can analyze."""
+    root = tmp_path_factory.mktemp("run-inputs")
+    cfg = SgdrConfig(t0=4, eta=1, lr_max=0.2, lr_min=1e-4, total_epochs=8)
+    run_toy_training(
+        root, seed=3, n_train=2, n_test=1, shape=(16, 16), class_count=3, cfg=cfg, noise_std=0.1,
+    )
+    return root
+
+
+def _config_value(key):
+    if key in PATH_VALUES:  # never a drawn path: it could name any place on the disk
+        return st.sampled_from(PATH_VALUES[key])
+    return st.sampled_from(VALUES.get(key, []) + OTHER_VALUES) | st.text(max_size=6)
+
+
+def _key_value(keys):
+    return st.sampled_from(keys).flatmap(lambda k: st.tuples(st.just(k), _config_value(k)))
+
+
+@st.composite
+def _config_lines(draw):
+    """Lines of a run config: the valid ones with drawn values and drops, then junk."""
+    values = dict(BASE)
+    values.update(draw(st.lists(_key_value(KEYS), max_size=3)))
+    lines = [(key, value) for key, value in values.items() if draw(st.integers(0, 7))]
+    junk = ["", "   ", "# comment", "t0", "= 4", "t0 = 4 = 5", "\ufeffeta = 1", b"\xff\xfe = \x00"]
+    extra = _key_value(["bogus", "T0", "trace dir", "", "# t0", *KEYS]) | st.sampled_from(junk)
+    lines += draw(st.lists(extra, max_size=2))
+    return draw(st.permutations(lines))
+
+
+def _render_config(lines, inputs, work):
+    out = []
+    for line in lines:
+        if isinstance(line, tuple):
+            key, value = line
+            if isinstance(value, tuple):
+                value = (inputs if value[0] == "in" else work) / value[1]
+            line = f"{key} = {value}"
+        out.append(line if isinstance(line, bytes) else line.encode("utf-8", "surrogatepass"))
+    return b"\n".join(out) + b"\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_run_config_text_keeps_exit_contract(run_inputs, data):
+    lines = data.draw(_config_lines(), label="config")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "file").write_text("not a directory\n")
+        config = work / "p.cfg"
+        config.write_bytes(_render_config(lines, run_inputs, work))
+        err = io.StringIO()
+        os.chdir(work)  # a relative path in the text lands in the example's directory
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(config)])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

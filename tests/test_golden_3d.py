@@ -69,9 +69,11 @@ def run_3d(tmp_path_factory):
 
 
 def test_inputs_span_two_pixel_blocks_and_six_members(run_3d):
-    root, result = run_3d
+    root, _ = run_3d
     assert len(pixel_blocks(DEPTH * SHAPE[0] * SHAPE[1])) == 2
-    assert result.case_count == CASES
+    assert sorted(p.name for p in (root / "analysis" / "mean").iterdir()) == [
+        f"case{i:04d}.uqsg" for i in range(CASES)
+    ]
     manifest = (root / "analysis" / "manifest.csv").read_text().splitlines()
     assert len(manifest) == 1 + 6
     mean = read_array(root / "analysis" / "mean" / "case0000.uqsg")
@@ -80,4 +82,4 @@ def test_inputs_span_two_pixel_blocks_and_six_members(run_3d):
 
 def test_golden_3d_summary_byte_for_byte(run_3d):
     assert GOLDEN_3D.exists(), "golden file missing; rebuild it with build_3d_run"
-    assert Path(run_3d[1].summary_path).read_bytes() == GOLDEN_3D.read_bytes()
+    assert run_3d[1].read_bytes() == GOLDEN_3D.read_bytes()

@@ -121,8 +121,8 @@ class TestEce:
     def test_confidence_on_interior_edge_goes_to_lower_bin(self):
         p, gt = binary_posterior([0.7], [True])
         report = ece(p, gt, n_bins=10)
-        assert report.bins.counts[6] == 1  # bin (0.6, 0.7]
-        assert report.bins.counts[7] == 0
+        assert report.counts[6] == 1  # bin (0.6, 0.7]
+        assert report.counts[7] == 0
 
     def test_invariant_under_pixel_shuffle(self):
         rng = np.random.default_rng(5)
@@ -138,7 +138,7 @@ class TestEce:
         conf = 0.5 + rng.random(64) * 0.5
         p, gt = binary_posterior(conf, [True] * 64)
         report = ece(p, gt, n_bins=7)
-        assert int(report.bins.counts.sum()) == 64
+        assert int(report.counts.sum()) == 64
 
     def test_refining_bins_does_not_decrease_ece_on_varying_fixture(self):
         rng = np.random.default_rng(44)
@@ -158,7 +158,7 @@ class TestEce:
         gt = np.array([[0, 0, 1, 1]], dtype=np.uint8)
         full = ece(p, gt, n_bins=1)
         fg = ece(p, gt, n_bins=1, foreground_only=True)
-        assert int(fg.bins.counts.sum()) == 2
+        assert int(fg.counts.sum()) == 2
         assert fg.ece != full.ece
 
     def test_shape_mismatch(self):

@@ -141,8 +141,9 @@ class TestConfigFile:
 
 class TestRunPipeline:
     def test_produces_all_artifacts(self, small_run):
-        result = run_pipeline(small_config(small_run, outdir="a1"))
+        summary = run_pipeline(small_config(small_run, outdir="a1"))
         out = small_run / "a1"
+        assert summary == out / "summary.csv"
         for name in ("manifest.csv", "scores.csv", "dice.csv", "ece.csv", "summary.csv"):
             assert (out / name).exists()
         assert sorted(p.name for p in (out / "mean").glob("*.uqsg")) == [
@@ -151,11 +152,14 @@ class TestRunPipeline:
         ]
         assert (out / "entropy" / "case0004.uqsg").exists()
         assert (out / "entropy" / "case0004.pgm").exists()
-        assert result.case_count == 2
-        assert 0.0 <= result.ece_percent <= 100.0
         lines = (out / "summary.csv").read_text().splitlines()
         assert lines[0] == "kind,case_id,class_id,metric,value"
-        assert any(ln.startswith("dataset,,,ece_percent,") for ln in lines)
+        assert {ln.split(",")[1] for ln in lines if ln.startswith("case,")} == {
+            "case0004", "case0005",
+        }
+        ece_rows = [ln for ln in lines if ln.startswith("dataset,,,ece_percent,")]
+        assert len(ece_rows) == 1
+        assert 0.0 <= float(ece_rows[0].split(",")[-1]) <= 100.0
 
     def test_rerun_is_byte_identical(self, small_run):
         run_pipeline(small_config(small_run, outdir="b1"))
@@ -198,10 +202,10 @@ class TestRunPipeline:
         assert staged(small_run / "e1") == []
 
     def test_class_subset(self, small_run):
-        result = run_pipeline(small_config(small_run, outdir="f1", classes=(1,)))
+        run_pipeline(small_config(small_run, outdir="f1", classes=(1,)))
         lines = (small_run / "f1" / "scores.csv").read_text().splitlines()
         assert all(ln.split(",")[1] == "1" for ln in lines[1:])
-        assert result.case_count == 2
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["case0004", "case0005"]
 
     def test_class_out_of_range(self, small_run):
         cfg = small_config(small_run, outdir="g1", classes=(7,))
@@ -366,6 +370,23 @@ class TestOutdir:
         monkeypatch.setattr(uqseg.pipeline, "_run", run_then_intrude)
         assert self.run_main(small_run, tmp_path, capsys)[0] == 3
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["other.txt"]
+
+    @pytest.mark.parametrize("outdir", ["preds/out", "preds/a/b/out", "link/out"])
+    def test_outdir_inside_predictions_dir_is_refused(self, small_run, tmp_path, capsys, outdir):
+        # its staging directory, or a missing parent, would be read as a case
+        shutil.copytree(small_run / "predictions", tmp_path / "preds")
+        (tmp_path / "link").symlink_to(tmp_path / "preds", target_is_directory=True)
+        before = set(tmp_path.rglob("*"))
+        code, captured = self.run_main(
+            small_run, tmp_path, capsys, predictions_dir=tmp_path / "preds",
+            outdir=tmp_path / outdir,
+        )
+        assert code == 2
+        assert captured.err == (
+            f"error: outdir {tmp_path / outdir} lies inside predictions_dir "
+            f"{tmp_path / 'preds'}, whose every directory is read as a case\n"
+        )
+        assert set(tmp_path.rglob("*")) == before | {tmp_path / "p.cfg"}
 
     def test_interrupt_leaves_nothing(self, small_run, tmp_path, monkeypatch):
         import uqseg.pipeline
@@ -599,7 +620,7 @@ def test_each_member_validated_once_and_entropy_computed_once(small_run, monkeyp
 def test_golden_summary_byte_for_byte(seed7_run):
     """Seed-7 summary must match the committed golden file exactly."""
     assert GOLDEN.exists(), "golden file missing; regenerate from a verified run"
-    produced = Path(seed7_run.result.summary_path).read_bytes()
+    produced = seed7_run.summary.read_bytes()
     assert produced == GOLDEN.read_bytes()
 
 
@@ -908,7 +929,7 @@ class TestCli:
         cfg_path = tmp_path / "p.cfg"
         cfg_path.write_text(
             f"trace = {tmp_path / 'absent.csv'}\n"
-            f"predictions_dir = {tmp_path}\n"
+            f"predictions_dir = {tmp_path / 'predictions'}\n"
             f"cases_dir = {tmp_path}\n"
             f"outdir = {tmp_path / 'out'}\n"
             "t0 = 10\n"
@@ -1057,6 +1078,7 @@ class TestInputChecks:
             ),
             (["lr-schedule", "--epochs", "100000000000"], "total_epochs must be <= 100000, got 100000000000"),
             (["toy-train", "--epochs", "100001"], "total_epochs must be <= 100000, got 100001"),
+            (["toy-gen", "--cases", "2049"], "2049 scenes of (64, 64) exceed 8388608 pixels"),
         ],
     )
     def test_oversized_request_exits_validation_before_allocating(self, argv, message, tmp_path, capsys):
@@ -1080,6 +1102,12 @@ class TestInputChecks:
         assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
+
+    def test_dataset_bound_admits_the_benchmark_datasets(self):
+        from uqseg.toy import MAX_DATASET_PIXELS
+
+        # volume3d draws 3 x 48 slices of 192x192, many2d 1,000 scenes of 64x64
+        assert MAX_DATASET_PIXELS >= max(3 * 48 * 192 * 192, 1000 * 64 * 64)
 
     def test_largest_schedule_is_accepted(self):
         from uqseg.scheduler import MAX_EPOCHS

@@ -286,6 +286,33 @@ class TestTrainerOracle:
         expected = np.ascontiguousarray(rows.T).sum(axis=0)
         assert toy._pixel_sum(rows).tobytes() == expected.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pixels=st.integers(2, 5000),
+        classes=st.integers(2, 17),
+        special=st.sampled_from(["none", "zeros", "ties", "nan"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_axis0_class_reductions_take_the_rows_in_class_order(
+        self, pixels, classes, special, seed
+    ):
+        """The softmax and its gradient rely on sum and max over axis 0 of
+        C-contiguous (c, P) rows adding and comparing the rows first to last."""
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(classes, pixels)) * 10.0 ** rng.uniform(-8, 8, size=(classes, pixels))
+        hit = rng.random(rows.shape) < 0.3
+        if special == "zeros":
+            rows[hit] = 0.0
+        elif special == "ties":
+            rows = np.round(rows, 0) % 3.0  # few values, so many equal entries
+        elif special == "nan":
+            rows[hit] = np.nan
+        peak = rows[0].copy()
+        for row in rows[1:]:
+            np.maximum(peak, row, out=peak)
+        assert rows.sum(axis=0).tobytes() == sum(rows[1:], rows[0]).tobytes()
+        assert rows.max(axis=0).tobytes() == peak.tobytes()
+
     def test_dice_gradient_matches_central_differences(self):
         rng = np.random.default_rng(2)
         feats = rng.normal(size=(30, FEATURE_COUNT))
@@ -321,6 +348,12 @@ class TestTrainInputs:
         bad = replace(cases[2], labels=labels)
         with pytest.raises(ValidationError, match=r"case0002.*\[0, 3\)"):
             train([*cases[:2], bad, *cases[3:6]], cases[6:], SMALL_CFG)
+
+    def test_float_labels_rejected(self):
+        cases = small_dataset()
+        bad = replace(cases[3], labels=cases[3].labels.astype(np.float32))
+        with pytest.raises(ValidationError, match="case0003: labels must be integer-typed, got float32"):
+            train([*cases[:3], bad, *cases[4:6]], cases[6:], SMALL_CFG)
 
     def test_labels_shape_must_match_image(self):
         cases = small_dataset()
