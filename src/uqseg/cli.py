@@ -19,13 +19,11 @@ from .arrays import SIMPLEX_TOLERANCE, validate_probabilities
 from .errors import UqsegError, ValidationError
 from .metrics import DEFAULT_ECE_BINS, dice, ece
 from .pipeline import (
-    FIELD_PARSERS, PipelineConfig, fuse_members, read_labels, run_pipeline, settings_of,
-    write_entropy, write_summary,
+    FIELD_PARSERS, PipelineConfig, fuse_members, read_labels, run_pipeline, select_checkpoints,
+    settings_of, write_entropy, write_summary,
 )
 from .scheduler import SgdrConfig, schedule_rows
-from .selection import (
-    SelectionPolicy, TrainingTrace, export_selection, find_cycle_peaks, read_selection,
-)
+from .selection import SelectionPolicy, read_selection
 from .toy import generate_dataset, run_toy_training, write_cases
 from .uncertainty import FOREGROUND_THRESHOLD, pixel_entropy, uncertainty_score
 
@@ -34,7 +32,7 @@ _CASE_COLUMNS = {"case_id": str, "class_id": int, "uncertainty_score": float, "d
 
 def _parse_classes(text):
     try:
-        classes = [int(v) for v in text.split(",") if v.strip()]
+        classes = FIELD_PARSERS["tuple"](text)
     except ValueError:
         raise ValidationError(f"bad class list {text!r}; expected e.g. 1,2,3")
     if not classes:
@@ -56,11 +54,10 @@ def _read_posterior(path):
 
 
 def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        reports.write_lines(out_path, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _add_settings_args(p, *settings):
@@ -68,6 +65,15 @@ def _add_settings_args(p, *settings):
     for f in [f for cls in settings for f in fields(cls)]:
         flag = "--epochs" if f.name == "total_epochs" else "--" + f.name.replace("_", "-")
         p.add_argument(flag, dest=f.name, type=FIELD_PARSERS[f.type], default=f.default)
+
+
+def _add_scene_args(p, cases, cases_help):
+    """The flags of the synthetic scenes that toy-gen and toy-train draw."""
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--cases", type=int, default=cases, help=cases_help)
+    p.add_argument("--shape", default="64x64")
+    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--noise", type=float, default=0.1)
 
 
 def cmd_lr_schedule(args):
@@ -79,9 +85,7 @@ def cmd_lr_schedule(args):
 
 
 def cmd_select(args):
-    trace = TrainingTrace.from_csv(args.trace)
-    schedule, policy = settings_of(SgdrConfig, args), settings_of(SelectionPolicy, args)
-    export_selection(find_cycle_peaks(trace, schedule, policy), args.out)
+    select_checkpoints(args.trace, args, args.out)
 
 
 def cmd_fuse(args):
@@ -109,6 +113,10 @@ def cmd_score(args):
 def cmd_dice(args):
     pred = read_labels(args.pred, 256)
     gt = read_labels(args.gt, 256)
+    if pred.shape != gt.shape:
+        raise ValidationError(
+            f"{args.pred}: labels shape {pred.shape} does not match {args.gt} shape {gt.shape}"
+        )
     results = [dice(pred, gt, k) for k in _parse_classes(args.classes)]
     _emit([reports.DICE_HEADER] + [reports.dice_row(r) for r in results], args.out)
 
@@ -167,7 +175,7 @@ def cmd_info(args):
         for key, value in info["defaults"].items():
             lines.append(f"default {key}: {value}")
         lines.append("exit codes: 0 success, 2 validation, 3 io, 4 numeric")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _emit(lines, None)
 
 
 def _command(sub, name, fn, help_text):
@@ -230,20 +238,12 @@ def build_parser():
     p.add_argument("--out", required=True)
 
     p = _command(sub, "toy-gen", cmd_toy_gen, "emit a synthetic dataset")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cases", type=int, default=20)
-    p.add_argument("--shape", default="64x64")
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.1)
+    _add_scene_args(p, 20, None)
     p.add_argument("--outdir", required=True)
 
     p = _command(sub, "toy-train", cmd_toy_train, "train the toy model and emit artifacts")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cases", type=int, default=16, help="training cases")
+    _add_scene_args(p, 16, "training cases")
     p.add_argument("--test-cases", type=int, default=4)
-    p.add_argument("--shape", default="64x64")
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.1)
     _add_settings_args(p, SgdrConfig, SelectionPolicy)
     p.add_argument("--outdir", required=True)
 
@@ -261,12 +261,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args) or 0
-    except UqsegError as exc:
+    except (UqsegError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.exit_code
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

@@ -169,9 +169,8 @@ def ece(
 
 @dataclass(frozen=True)
 class UncertaintyDiceTable:
-    """Per-case (score, dice) rows plus their Spearman rank correlation."""
+    """The Spearman rank correlation of per-case (score, dice) pairs."""
 
-    rows: tuple
     spearman: float | None
     note: str | None = None
 
@@ -184,26 +183,19 @@ def uncertainty_dice_table(cases) -> UncertaintyDiceTable:
     average ranks. With fewer than 3 cases, constant ranks or a NaN value it
     is omitted with a note.
     """
-    rows = tuple(
-        (
-            float(getattr(s, "score", s)),
-            float(getattr(d, "dice", d)),
-        )
-        for s, d in cases
-    )
+    rows = [(float(getattr(s, "score", s)), float(getattr(d, "dice", d))) for s, d in cases]
     if len(rows) < 3:
-        return UncertaintyDiceTable(rows, None, "fewer than 3 cases; correlation omitted")
-    scores = np.array([r[0] for r in rows])
-    dices = np.array([r[1] for r in rows])
+        return UncertaintyDiceTable(None, "fewer than 3 cases; correlation omitted")
+    scores, dices = np.array(rows).T
     if (
         np.isnan(scores).any()
         or np.isnan(dices).any()
         or np.all(scores == scores[0])
         or np.all(dices == dices[0])
     ):
-        return UncertaintyDiceTable(rows, None, "constant ranks; correlation undefined")
+        return UncertaintyDiceTable(None, "constant ranks; correlation undefined")
     rho = float(np.corrcoef(_average_ranks(scores), _average_ranks(dices))[1, 0])
-    return UncertaintyDiceTable(rows, rho, None)
+    return UncertaintyDiceTable(rho, None)
 
 
 def _average_ranks(values) -> np.ndarray:

@@ -9,10 +9,10 @@ that is written to ``mean/``, and every later stage analyzes that same
 array, as the CLI subcommands do. The tree is built in a sibling staging
 directory and renamed into ``outdir`` once, at the end, so ``outdir``
 holds a whole run or nothing. A failure aborts with the stage name (and
-the case) and removes the staging directory. The fuse, entropy and report
-stages are ``fuse_members``, ``write_entropy`` and ``write_summary``, and
-the metrics stage reads labels with ``read_labels``; the CLI subcommands
-call them too.
+the case) and removes the staging directory. The select, fuse, entropy
+and report stages are ``select_checkpoints``, ``fuse_members``,
+``write_entropy`` and ``write_summary``, and the metrics stage reads labels
+with ``read_labels``; the CLI subcommands call them too.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .metrics import (
     DEFAULT_ECE_BINS, MAX_ECE_BINS, CalibrationAccumulator, dice, uncertainty_dice_table,
 )
 from .scheduler import SgdrConfig
-from .selection import SelectionPolicy, TrainingTrace, export_selection, find_cycle_peaks
+from .selection import SelectionPolicy, TrainingTrace, check_id, export_selection, find_cycle_peaks
 from .uncertainty import pixel_entropy, uncertainty_score
 
 
@@ -89,10 +89,7 @@ class PipelineConfig:
         and duplicate keys are rejected, and the fields without a default are
         the required keys, reported missing in field order.
         """
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise ValidationError(f"{path}: not a UTF-8 text file") from None
+        text = reports.read_text(path)
         parsers = {f.name: FIELD_PARSERS[f.type] for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -154,14 +151,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     of the metrics) plus block-sized scratch: every per-pixel pass runs
     block by block. Each case's mean gets one entropy map and one argmax.
     """
-    out = Path(cfg.outdir).resolve()
-    if out.is_dir():
-        if any(out.iterdir()):
-            raise ValidationError(
-                f"outdir {cfg.outdir} is not empty; remove or rename it to run again"
-            )
-    elif out.exists():
-        raise ValidationError(f"outdir {cfg.outdir} exists and is not a directory")
+    out = check_outdir(cfg.outdir)
     if out.is_relative_to(Path(cfg.predictions_dir).resolve()):
         raise ValidationError(
             f"outdir {cfg.outdir} lies inside predictions_dir {cfg.predictions_dir}, "
@@ -177,6 +167,16 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return Path(cfg.outdir) / "summary.csv"
+
+
+def check_outdir(outdir):
+    """``outdir`` resolved; ValidationError unless it is absent or an empty directory."""
+    out = Path(outdir).resolve()
+    if out.is_dir() and any(out.iterdir()):
+        raise ValidationError(f"outdir {outdir} is not empty; remove or rename it to run again")
+    if out.exists() and not out.is_dir():
+        raise ValidationError(f"outdir {outdir} exists and is not a directory")
+    return out
 
 
 @contextmanager
@@ -257,6 +257,16 @@ def write_entropy(probs, out, pgm_dir=None) -> np.ndarray:
     return h
 
 
+def select_checkpoints(trace_path, settings, out):
+    """Select the checkpoints of the trace CSV at ``trace_path`` and write the
+    manifest to ``out``; ``settings`` carries the schedule and policy fields."""
+    trace = TrainingTrace.from_csv(trace_path)
+    schedule, policy = settings_of(SgdrConfig, settings), settings_of(SelectionPolicy, settings)
+    selection = find_cycle_peaks(trace, schedule, policy)
+    export_selection(selection, out)
+    return selection
+
+
 def read_labels(path, class_count, posterior_shape=None):
     """Labels from ``path``, checked against ``class_count`` and the posterior's shape."""
     labels = read_array(path)
@@ -289,7 +299,10 @@ def write_summary(path, cases, dataset_rows=()):
 def _run(cfg, out):
     """Write the whole tree into the existing directory ``out``."""
     with _stage("select-checkpoints"):
-        selection = _select(cfg, out)
+        trace_path = Path(cfg.trace)
+        if not trace_path.exists():
+            raise ValidationError(f"trace file {trace_path} does not exist")
+        selection = select_checkpoints(trace_path, cfg, out / "manifest.csv")
     with _stage("fuse"):
         pred_root, case_ids = _case_dirs(cfg)
         mean_dir = out / "mean"
@@ -355,17 +368,6 @@ def _run(cfg, out):
         )
 
 
-def _select(cfg, out):
-    trace_path = Path(cfg.trace)
-    if not trace_path.exists():
-        raise ValidationError(f"trace file {trace_path} does not exist")
-    trace = TrainingTrace.from_csv(trace_path)
-    schedule, policy = settings_of(SgdrConfig, cfg), settings_of(SelectionPolicy, cfg)
-    selection = find_cycle_peaks(trace, schedule, policy)
-    export_selection(selection, out / "manifest.csv")
-    return selection
-
-
 def _case_dirs(cfg):
     pred_root = Path(cfg.predictions_dir)
     if not pred_root.is_dir():
@@ -373,4 +375,6 @@ def _case_dirs(cfg):
     case_ids = sorted(d.name for d in pred_root.iterdir() if d.is_dir())
     if not case_ids:
         raise ValidationError(f"no case directories under {pred_root}")
+    for case_id in case_ids:  # a case id is a CSV field and a file name stem
+        check_id(case_id, f"case directory under predictions_dir {pred_root}")
     return pred_root, case_ids

@@ -19,6 +19,14 @@ def write_lines(path, lines):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path):
+    """The text of the file at ``path``; ValidationError unless it is UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not a UTF-8 text file") from None
+
+
 def _row(case_id, *fields):
     return ",".join(([] if case_id is None else [case_id]) + [str(f) for f in fields])
 
@@ -76,10 +84,7 @@ def read_csv(path, columns):
     are skipped. A wrong header, a wrong field count or a bad field raises
     ValidationError naming the file and the line.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise ValidationError(f"{path}: not a UTF-8 text file") from None
+    lines = read_text(path).splitlines()
     header = ",".join(columns)
     if not lines or lines[0] != header:
         raise ValidationError(f"{path}: expected header {header!r}")

@@ -24,14 +24,12 @@ def _checkpoint_id(text):
     return text
 
 
-def _check_id(checkpoint_id):
-    """The CSV readers' id check, for records built in Python."""
+def check_id(text, what="checkpoint_id"):
+    """The CSV readers' id check, for ids that do not come from a CSV field."""
     try:
-        _checkpoint_id(checkpoint_id)
+        _checkpoint_id(text)
     except ValueError:
-        raise ValidationError(
-            f"checkpoint_id must match [A-Za-z0-9_.-]+, got {checkpoint_id!r}"
-        ) from None
+        raise ValidationError(f"{what} must match [A-Za-z0-9_.-]+, got {text!r}") from None
 
 
 _TRACE_COLUMNS = {
@@ -57,7 +55,7 @@ class TraceRecord:
 
     def __post_init__(self):
         if self.checkpoint_id is not None:
-            _check_id(self.checkpoint_id)
+            check_id(self.checkpoint_id)
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ class SelectedCheckpoint:
     val_metric: float
 
     def __post_init__(self):
-        _check_id(self.checkpoint_id)
+        check_id(self.checkpoint_id)
 
 
 @dataclass(frozen=True)
@@ -197,8 +195,6 @@ def find_cycle_peaks(
         for r in ranked[: policy.per_cycle]:
             cid = r.checkpoint_id or f"ep{r.epoch:05d}"
             entries.append(SelectedCheckpoint(cyc.cycle, r.epoch, cid, r.val_metric))
-
-    entries.sort(key=lambda e: (e.cycle, -e.val_metric, -e.epoch))
     return CheckpointSet(tuple(entries))
 
 

@@ -31,8 +31,10 @@ import numpy as np
 
 from .arrays import validate_labels, zscore_normalize
 from .arrayio import write_array
+from .ensemble import argmax_labels
 from .errors import NumericError, ValidationError
 from .metrics import dice
+from .pipeline import check_outdir
 from .scheduler import SgdrConfig, _cycle_iter, lr_at
 from .selection import SelectionPolicy, TraceRecord, TrainingTrace
 
@@ -95,10 +97,6 @@ def generate_dataset(
         raise ValidationError(f"class_count must be <= 256 (uint8 labels), got {class_count}")
     if not (np.isfinite(noise_std) and noise_std >= 0.0):
         raise ValidationError(f"noise_std must be finite and >= 0, got {noise_std}")
-    if n_cases < class_count - 1:
-        raise ValidationError(
-            f"{n_cases} cases cannot cover {class_count - 1} foreground classes"
-        )
     h, w = shape
     m = min(h, w)
     r_lo, r_hi = max(2, m // 7), max(2, m // 5)
@@ -219,31 +217,23 @@ def _case_gradient(feats, mask, counts, W):
     return loss, grad @ feats
 
 
-def _class_argmax(cols) -> np.ndarray:
-    """First index of the largest class column per pixel, as ``argmax(axis=0)``:
-    a NaN counts as the largest, since overflowing weights give NaN logits."""
-    best = cols[0].copy()
-    pred = np.zeros(best.shape, dtype=np.uint8)
-    for k, col in enumerate(cols[1:], start=1):
-        pred[(col > best) | (np.isnan(col) & ~np.isnan(best))] = k
-        np.maximum(best, col, out=best)  # propagates NaN like the mask above
-    return pred
-
-
 def checkpoint_epochs(cfg: SgdrConfig, policy: SelectionPolicy) -> list:
     """Epochs falling inside any cycle's selection window."""
     epochs = []
     for cyc in _cycle_iter(cfg):
-        start = max(cyc.cycle_start, cyc.cycle_end - policy.window_epochs(cyc.t_i))
+        start = cyc.cycle_end - policy.window_epochs(cyc.t_i)  # window <= span
         epochs.extend(range(start, min(cyc.cycle_end, cfg.total_epochs)))
     return epochs
 
 
 def validation_dice(weights, cases) -> float:
-    """Mean foreground Dice of argmax predictions over validation cases."""
+    """Mean foreground Dice of argmax predictions; NumericError on a non-finite posterior."""
     per_case = []
     for case in cases:
-        pred = _class_argmax(posterior(weights, case.features, case.image.shape))
+        probs = posterior(weights, case.features, case.image.shape)
+        if not np.isfinite(probs).all():
+            raise NumericError(f"validation posterior of case {case.case_id} is not finite")
+        pred = argmax_labels(probs)
         scores = [
             dice(pred, case.labels, k).dice for k in range(1, case.class_count)
         ]
@@ -355,9 +345,11 @@ def _float32_images(cases):
 def write_cases(cases, outdir):
     """Write cases/<id>_image.uqsg (float32) and <id>_labels.uqsg under ``outdir``.
 
-    Every image is checked to fit float32 before the first file is written.
+    Every image is checked to fit float32, and ``outdir`` to be absent or
+    empty, before the first file is written.
     """
     images = _float32_images(cases)
+    check_outdir(outdir)
     cases_dir = Path(outdir) / "cases"
     cases_dir.mkdir(parents=True, exist_ok=True)
     for case, image in zip(cases, images):
@@ -379,20 +371,21 @@ def run_toy_training(
 ):
     """Generate data, train, and write every artifact the pipeline consumes.
 
-    Layout under ``outdir``: cases/<id>_image.uqsg and <id>_labels.uqsg for
-    all cases, trace.csv, checkpoints/<cid>.uqsg (model weights), and
+    ``outdir`` must be absent or empty (checked before training). Layout
+    under it: cases/<id>_image.uqsg and <id>_labels.uqsg for all cases,
+    trace.csv, checkpoints/<cid>.uqsg (model weights), and
     predictions/<case>/<cid>.uqsg posteriors for each test case and saved
     checkpoint. Test cases are the last ``n_test`` and double as the
     validation split for the trace. Nothing is written before training has
     finished and every image and weight array is known to fit float32.
     """
-    policy = policy or SelectionPolicy()
     out = Path(outdir)
     cases = generate_dataset(
         seed, n_train + n_test, shape=shape, class_count=class_count, noise_std=noise_std
     )
     train_cases, test_cases = cases[:n_train], cases[n_train:]
     _float32_images(cases)  # an image past float32 fails before training
+    check_outdir(outdir)
 
     trace, checkpoints = train(train_cases, test_cases, cfg, policy, seed=seed)
     stored = {cid: _float32(w, f"checkpoint {cid} weights") for cid, w in checkpoints.items()}

@@ -274,7 +274,6 @@ class TestUncertaintyDiceTable:
         table = uncertainty_dice_table(_pairs([1.0, 2.0], [0.9, 0.8]))
         assert table.spearman is None
         assert "fewer than 3" in table.note
-        assert len(table.rows) == 2
 
     def test_matches_rank_oracle(self):
         rng = np.random.default_rng(12)

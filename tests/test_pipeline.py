@@ -299,6 +299,18 @@ class TestCaseErrors:
         assert "stage 'metrics' failed for case case0005" in err
         assert f"missing ground truth {labels}" in err
 
+    def test_case_directory_that_is_no_case_id(self, small_run, tmp_path, capsys):
+        # the name would become a CSV field: "case,9" splits every row it is in
+        root = self.copy(small_run, tmp_path)
+        (root / "predictions" / "case0004").rename(root / "predictions" / "case,9")
+        (root / "cases" / "case0004_labels.uqsg").rename(root / "cases" / "case,9_labels.uqsg")
+        code, err = self.run_main(root, capsys)
+        assert code == 2
+        assert err == (
+            f"error: stage 'fuse' failed: case directory under predictions_dir "
+            f"{root / 'predictions'} must match [A-Za-z0-9_.-]+, got 'case,9'\n"
+        )
+
 
 class TestOutdir:
     """``run`` publishes a whole tree into an absent or empty outdir, or nothing."""
@@ -665,6 +677,49 @@ class TestSettingsFlags:
                 assert settings_of(cls, args) == replace(cls(), **{f.name: value})
 
 
+# every flag of every subcommand, in --help order, and every run config key:
+# a new knob changes this literal
+OPTION_SURFACE = {
+    "lr-schedule": ("--t0", "--eta", "--lr-max", "--lr-min", "--epochs", "--out"),
+    "select-checkpoints": (
+        "--trace", "--t0", "--eta", "--lr-max", "--lr-min", "--epochs", "--per-cycle",
+        "--window-fraction", "--min-peak-ratio", "--out",
+    ),
+    "fuse": ("--manifest", "--inputs", "--out"),
+    "entropy": ("--in", "--out", "--pgm"),
+    "score": ("--in", "--classes", "--out", "--contour-entropy"),
+    "dice": ("--pred", "--gt", "--classes", "--out"),
+    "ece": ("--pred", "--gt", "--bins", "--out", "--foreground-only"),
+    "report": ("--cases", "--out"),
+    "toy-gen": ("--seed", "--cases", "--shape", "--classes", "--noise", "--outdir"),
+    "toy-train": (
+        "--seed", "--cases", "--shape", "--classes", "--noise", "--test-cases", "--t0", "--eta",
+        "--lr-max", "--lr-min", "--epochs", "--per-cycle", "--window-fraction",
+        "--min-peak-ratio", "--outdir",
+    ),
+    "run": ("--config",),
+    "info": ("--json",),
+}
+RUN_CONFIG_KEYS = (
+    "trace", "predictions_dir", "cases_dir", "outdir", "t0", "total_epochs", "eta", "lr_max",
+    "lr_min", "per_cycle", "window_fraction", "min_peak_ratio", "classes", "bins",
+    "entropy_region", "ece_foreground_only",
+)
+
+
+def test_option_surface():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    surface = {
+        name: tuple(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in commands.items()
+    }
+    assert surface == OPTION_SURFACE
+    assert sum(map(len, surface.values())) == 60
+    assert tuple(f.name for f in fields(PipelineConfig)) == RUN_CONFIG_KEYS
+    assert len(RUN_CONFIG_KEYS) == 16
+
+
 class TestCli:
     def test_info_lists_defaults(self, capsys):
         assert main(["info"]) == 0
@@ -1013,6 +1068,39 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["toy-gen", "toy-train"])
+    @pytest.mark.parametrize("content", ["file", "dir"])
+    def test_toy_outdir_must_be_absent_or_empty(self, command, content, tmp_path, capsys):
+        # a second run into one outdir would leave the first run's files among its own
+        out = tmp_path / "out"
+        if content == "file":
+            out.write_text("keep me\n")
+            message = f"outdir {out} exists and is not a directory"
+        else:
+            out.mkdir()
+            (out / "keep.txt").write_text("keep me\n")
+            message = f"outdir {out} is not empty; remove or rename it to run again"
+        before = tree_bytes(tmp_path)
+        argv = [command, "--cases", "2", "--shape", "16x16", "--outdir", str(out)]
+        if command == "toy-train":
+            argv += ["--test-cases", "1", "--epochs", "2", "--t0", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["toy-gen", "toy-train"])
+    def test_toy_input_errors_come_before_the_outdir_check(self, command, tmp_path, capsys):
+        (tmp_path / "keep.txt").write_text("keep me\n")
+        assert main([command, "--noise", "nan", "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: noise_std must be finite and >= 0, got nan\n"
+
+    def test_toy_gen_with_fewer_cases_than_foreground_classes(self, tmp_path):
+        # one scene holds a blob of each of the two foreground classes
+        assert main(["toy-gen", "--cases", "1", "--shape", "16x16", "--outdir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in (tmp_path / "cases").iterdir()) == [
+            "case0000_image.uqsg", "case0000_labels.uqsg",
+        ]
+
     def test_toy_gen_command(self, tmp_path):
         assert main([
             "toy-gen", "--seed", "5", "--cases", "3", "--shape", "24x24",
@@ -1041,6 +1129,15 @@ class TestInputChecks:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {paths[side]}: labels must be integer-typed, got float32\n"
+        )
+
+    def test_dice_names_both_label_files_of_different_shapes(self, tmp_path, capsys):
+        pred, gt = tmp_path / "pred.uqsg", tmp_path / "gt.uqsg"
+        write_array(pred, np.zeros((8, 8), dtype=np.uint8))
+        write_array(gt, np.zeros((5, 5), dtype=np.uint8))
+        assert main(["dice", "--pred", str(pred), "--gt", str(gt), "--classes", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pred}: labels shape (8, 8) does not match {gt} shape (5, 5)\n"
         )
 
     def test_ece_names_a_label_file_of_another_shape(self, tmp_path, capsys):

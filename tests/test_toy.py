@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from uqseg import toy
 from uqseg.arrayio import read_array
-from uqseg.errors import ValidationError
+from uqseg.errors import NumericError, ValidationError
 from uqseg.metrics import dice
 from uqseg.scheduler import SgdrConfig, lr_at
 from uqseg.selection import SelectionPolicy, TraceRecord, TrainingTrace
@@ -67,9 +67,10 @@ class TestGenerateDataset:
         with pytest.raises(ValidationError):
             generate_dataset(1, 4, shape=(6, 6))
 
-    def test_too_few_cases_for_classes(self):
-        with pytest.raises(ValidationError):
-            generate_dataset(1, 1, shape=(48, 48), class_count=4)
+    def test_one_case_covers_every_class(self):
+        # every scene holds a blob of every foreground class
+        (case,) = generate_dataset(1, 1, shape=(48, 48), class_count=4)
+        assert set(np.unique(case.labels)) == {0, 1, 2, 3}
 
     def test_graded_noise_increases(self):
         cases = generate_dataset(2, 6, shape=(32, 32), noise_std=0.2)
@@ -110,6 +111,13 @@ class TestPredict:
 
 
 class TestTrain:
+    def test_non_finite_validation_posterior_raises_numeric_error(self):
+        # overflowing weights give NaN logits, whose argmax would rank NaN
+        cases = small_dataset(n=2)
+        weights = np.full((3, FEATURE_COUNT), np.nan)
+        with pytest.raises(NumericError, match="validation posterior of case case0000 is not finite"):
+            toy.validation_dice(weights, cases)
+
     def test_bit_reproducible(self):
         cases = small_dataset()
         t1, c1 = train(cases[:6], cases[6:], SMALL_CFG, seed=3)
@@ -265,12 +273,6 @@ class TestTrainerOracle:
         W = np.random.default_rng(8).normal(size=(8, FEATURE_COUNT))
         expected = ref_softmax(case.features, W).T.reshape(8, 40, 40)
         np.testing.assert_allclose(posterior(W, case.features, (40, 40)), expected, rtol=0, atol=1e-15)
-
-    def test_class_argmax_takes_the_first_maximum(self):
-        rng = np.random.default_rng(0)
-        cols = rng.integers(0, 3, size=(4, 2000)).astype(np.float64)
-        cols[rng.random(cols.shape) < 0.2] = np.nan  # a NaN is the maximum
-        np.testing.assert_array_equal(toy._class_argmax(cols), cols.argmax(axis=0))
 
     @settings(max_examples=100, deadline=None)
     @given(
