@@ -4,7 +4,8 @@ Dice uses the both-empty = 1.0 convention. ECE bins per-pixel confidence
 (the maximum class probability) into equal-width bins over (0, 1], with
 values exactly on an interior edge going to the lower bin; the reported
 number is a percentage. An accumulator pools the bin counters of every
-case added to it.
+case added to it; a bin's confidences are summed per pixel block, and the
+block sums are added in block order.
 """
 
 from __future__ import annotations
@@ -77,10 +78,9 @@ class CalibrationAccumulator:
         """Score one trusted posterior/label pair into the bins.
 
         ``pred`` is the posterior's per-pixel argmax when already computed.
-        Pixels are binned block by block. A bin's confidences are summed in
-        float64, whatever the posterior's dtype, from its run of one float64
-        buffer, in pixel order, as a boolean selection of the bin would hold
-        them: the same sum, bit for bit.
+        Each pixel block adds to each of its bins the pairwise float64 sum of
+        the bin's confidences in pixel order, whatever the posterior's dtype,
+        so adding a pair equals adding its pixel blocks in order, bit for bit.
         """
         arr = np.asarray(p)
         labels = np.asarray(gt)
@@ -92,10 +92,7 @@ class CalibrationAccumulator:
             pred = argmax_labels(arr)
         flat, truth = arr.reshape(arr.shape[0], -1), labels.reshape(-1)
         pred = np.asarray(pred).reshape(-1)
-        blocks = pixel_blocks(truth.size)
-        counts = np.zeros(self.n_bins, dtype=np.int64)
-        block_bins = []
-        for sl in blocks:
+        for sl in pixel_blocks(truth.size):
             keep = truth[sl] > 0 if foreground_only else slice(None)
             confidence = flat[:, sl].max(axis=0)[keep].astype(np.float64)
             correct = (pred[sl] == truth[sl])[keep]
@@ -103,22 +100,13 @@ class CalibrationAccumulator:
             idx = np.searchsorted(self._edges, confidence, side="left").astype(
                 np.min_scalar_type(self.n_bins - 1)
             )
-            counts += np.bincount(idx, minlength=self.n_bins)
+            counts = np.bincount(idx, minlength=self.n_bins)
+            self.counts += counts
             self.correct_counts += np.bincount(idx[correct], minlength=self.n_bins)
-            block_bins.append(idx)
-        self.counts += counts
-        stops = np.cumsum(counts)
-        if len(blocks) == 1:
             ordered = confidence[np.argsort(idx, kind="stable")]
-        else:
-            del confidence, correct, pred  # the second pass takes its own blocks
-            ordered = np.empty(int(stops[-1]), dtype=np.float64)
-            ends = stops - counts
-            for sl, idx in zip(blocks, block_bins):
-                keep = truth[sl] > 0 if foreground_only else slice(None)
-                _fill_runs(ordered, ends, flat[:, sl].max(axis=0)[keep].astype(np.float64), idx)
-        for b in np.flatnonzero(counts):
-            self.confidence_sums[b] += float(np.sum(ordered[stops[b] - counts[b] : stops[b]]))
+            stops = np.cumsum(counts)
+            for b in np.flatnonzero(counts):
+                self.confidence_sums[b] += float(np.sum(ordered[stops[b] - counts[b] : stops[b]]))
         return self
 
     def report(self) -> CalibrationReport:
@@ -137,23 +125,6 @@ class CalibrationAccumulator:
         gaps = np.abs(self.correct_counts - self.confidence_sums)
         ece = float(gaps[self.counts > 0].sum() * 100.0 / total)
         return CalibrationReport(self.counts.copy(), mean_conf, accuracy, ece)
-
-
-def _fill_runs(ordered, ends, confidence, idx):
-    """Append a block's confidences, in pixel order, to its bins' runs in ``ordered``.
-
-    ``ends[b]`` is where bin b's run is filled up to; it moves past the block.
-    """
-    # bincount's intp copy of idx is freed before the sort's permutation exists
-    block_counts = np.bincount(idx, minlength=len(ends))
-    order = np.argsort(idx, kind="stable")
-    start = 0
-    for b, n in enumerate(block_counts):
-        # gathered straight into the run: "clip" takes no buffer
-        run = ordered[ends[b] : ends[b] + n]
-        np.take(confidence, order[start : start + n], out=run, mode="clip")
-        ends[b] += n
-        start += n
 
 
 def ece(

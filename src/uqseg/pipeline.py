@@ -147,9 +147,10 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     Cases stream through fuse, entropy, score and metrics one at a time.
     Per case, memory holds the float32 mean and block-sized scratch while
     fusing, then the mean and whole planes (the entropy map, freed after
-    scoring; the labels, the argmax and the float64 bin-ordered confidences
-    of the metrics) plus block-sized scratch: every per-pixel pass runs
-    block by block. Each case's mean gets one entropy map and one argmax.
+    scoring; the labels and the argmax of the metrics) plus block-sized
+    scratch: every per-pixel pass runs block by block. Each case's mean gets
+    one entropy map and one argmax. ECE bins sum confidences per pixel block
+    and add the block sums in block order.
     """
     out = check_outdir(cfg.outdir)
     if out.is_relative_to(Path(cfg.predictions_dir).resolve()):
@@ -260,6 +261,8 @@ def write_entropy(probs, out, pgm_dir=None) -> np.ndarray:
 def select_checkpoints(trace_path, settings, out):
     """Select the checkpoints of the trace CSV at ``trace_path`` and write the
     manifest to ``out``; ``settings`` carries the schedule and policy fields."""
+    if not Path(trace_path).exists():
+        raise ValidationError(f"trace file {Path(trace_path)} does not exist")
     trace = TrainingTrace.from_csv(trace_path)
     schedule, policy = settings_of(SgdrConfig, settings), settings_of(SelectionPolicy, settings)
     selection = find_cycle_peaks(trace, schedule, policy)
@@ -299,10 +302,7 @@ def write_summary(path, cases, dataset_rows=()):
 def _run(cfg, out):
     """Write the whole tree into the existing directory ``out``."""
     with _stage("select-checkpoints"):
-        trace_path = Path(cfg.trace)
-        if not trace_path.exists():
-            raise ValidationError(f"trace file {trace_path} does not exist")
-        selection = select_checkpoints(trace_path, cfg, out / "manifest.csv")
+        selection = select_checkpoints(cfg.trace, cfg, out / "manifest.csv")
     with _stage("fuse"):
         pred_root, case_ids = _case_dirs(cfg)
         mean_dir = out / "mean"

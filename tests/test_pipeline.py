@@ -568,6 +568,24 @@ class TestBlockwiseFuse:
         assert reads == [f"{cid}.uqsg" for cid in self.ids] * blocks
 
 
+def _write_two_cycle_inputs(root, case_ids, shape, rng):
+    """Write a trace of two 10-epoch cycles and, per case, labels and members.
+
+    Members exist only for the checkpoints a run selects: the top three epochs of each cycle.
+    """
+    ids = [f"ep{e:05d}" for e in range(20)]
+    lines = ["epoch,lr,val_metric,checkpoint_id"]
+    lines += [f"{e},0.1,{0.5 + 0.04 * (e % 10):.2f},{cid}" for e, cid in enumerate(ids)]
+    (root / "trace.csv").write_text("\n".join(lines) + "\n")
+    (root / "cases").mkdir()
+    selected = [cid for e, cid in enumerate(ids) if e % 10 >= 7]
+    for case in case_ids:
+        (root / "predictions" / case).mkdir(parents=True)
+        _write_members(root / "predictions" / case, selected, shape, rng)
+        labels = rng.integers(0, shape[0], shape[1:]).astype(np.uint8)
+        write_array(root / "cases" / f"{case}_labels.uqsg", labels)
+
+
 def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
     """A whole run holds the float32 mean and two float64 planes at most.
 
@@ -577,19 +595,9 @@ def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
     """
     c, spatial = 4, (16, 160, 160)
     assert len(pixel_blocks(int(np.prod(spatial)))) == 7
-    ids = [f"ep{e:05d}" for e in range(20)]
-    lines = ["epoch,lr,val_metric,checkpoint_id"]
-    lines += [f"{e},0.1,{0.5 + 0.04 * (e % 10):.2f},{cid}" for e, cid in enumerate(ids)]
-    (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n")
-    rng = np.random.default_rng(8)
-    (tmp_path / "cases").mkdir()
-    for case in ("case0000", "case0001"):
-        (tmp_path / "predictions" / case).mkdir(parents=True)
-        # only the checkpoints the run selects, the top three of each cycle
-        selected = [cid for e, cid in enumerate(ids) if e % 10 >= 7]
-        _write_members(tmp_path / "predictions" / case, selected, (c, *spatial), rng)
-        labels = rng.integers(0, c, spatial).astype(np.uint8)
-        write_array(tmp_path / "cases" / f"{case}_labels.uqsg", labels)
+    _write_two_cycle_inputs(
+        tmp_path, ["case0000", "case0001"], (c, *spatial), np.random.default_rng(8)
+    )
     cfg = small_config(tmp_path, outdir="out", t0=10, eta=1.0, total_epochs=20)
     plane = 8 * int(np.prod(spatial))  # one float64 plane
     mean = c * plane // 2  # float32, as is a member
@@ -602,6 +610,23 @@ def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
     selected = len((tmp_path / "out" / "manifest.csv").read_text().splitlines()) - 1
     assert selected == 6
     assert peak < mean + 2 * plane, peak / plane
+
+
+@pytest.mark.parametrize("foreground_only", [False, True])
+@pytest.mark.parametrize("spatial, blocks", [((24, 24), 1), ((2, 200, 200), 2)])
+def test_ece_command_on_the_mean_of_a_one_case_run_writes_its_ece_csv(
+    tmp_path, spatial, blocks, foreground_only
+):
+    assert len(pixel_blocks(int(np.prod(spatial)))) == blocks
+    _write_two_cycle_inputs(tmp_path, ["case0000"], (3, *spatial), np.random.default_rng(9))
+    cfg = _write_run_config(tmp_path, tmp_path / "p.cfg", eta=1, ece_foreground_only=foreground_only)
+    assert main(["run", "--config", str(cfg)]) == 0
+    argv = [
+        "ece", "--pred", str(tmp_path / "out" / "mean" / "case0000.uqsg"),
+        "--gt", str(tmp_path / "cases" / "case0000_labels.uqsg"), "--out", str(tmp_path / "ece.csv"),
+    ]
+    assert main(argv + ["--foreground-only"] * foreground_only) == 0
+    assert (tmp_path / "ece.csv").read_bytes() == (tmp_path / "out" / "ece.csv").read_bytes()
 
 
 def test_each_member_validated_once_and_entropy_computed_once(small_run, monkeypatch):
@@ -993,6 +1018,19 @@ class TestCli:
         code = main(["run", "--config", str(cfg_path)])
         assert code == 2
         assert "select-checkpoints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "select-checkpoints"])
+    def test_missing_trace_file_has_one_exit_code_and_message(self, command, tmp_path, capsys):
+        trace = tmp_path / "nope.csv"
+        if command == "run":
+            cfg_path = _write_run_config(tmp_path, tmp_path / "p.cfg", trace=trace)
+            argv = ["run", "--config", str(cfg_path)]
+        else:
+            argv = ["select-checkpoints", "--trace", str(trace), "--t0", "10", "--epochs", "20",
+                    "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 2
+        assert f"trace file {trace} does not exist\n" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("shape", ["64xab", "64", "8x8x8", "x"])
     def test_bad_shape_exits_validation(self, shape, tmp_path, capsys):
