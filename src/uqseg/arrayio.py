@@ -21,7 +21,6 @@ import struct
 
 import numpy as np
 
-from .arrays import pixel_blocks
 from .errors import ArrayFormatError
 
 MAGIC = b"UQSG"
@@ -35,22 +34,35 @@ _HEAD = struct.Struct("<4sHBB")
 
 def write_array(path, array):
     """Write a float32, uint8 or int32 array to ``path`` from its own buffer."""
-    arr = np.ascontiguousarray(array)
-    code = _DTYPE_TO_CODE.get(arr.dtype)
-    if code is None:
-        raise ArrayFormatError(
-            f"dtype {arr.dtype} not supported; use float32, uint8, or int32"
-        )
-    if arr.ndim == 0 or arr.ndim > 255:
+    arr = np.asarray(array)
+    if not 0 < arr.ndim <= 255:
         raise ArrayFormatError(f"rank {arr.ndim} outside supported range 1..255")
-    header = _HEAD.pack(MAGIC, FORMAT_VERSION, code, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    # a flat byte view; unlike memoryview.cast it takes shapes with a 0 too
-    payload = arr.astype(_CODE_TO_DTYPE[code], copy=False).reshape(-1).view(np.uint8)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(dims)
-        f.write(payload)
+    write_rows(path, arr.shape, slice(None), arr.reshape(arr.shape[0], math.prod(arr.shape[1:])))
+
+
+def write_rows(path, shape, pixels, rows):
+    """Write the rows of one pixel block of an array of ``shape``: ``read_rows`` reversed.
+
+    The array is taken as ``(c, n)``, or, given one row, as one flat row.
+    Block 0 creates the file with its header and later blocks go to their
+    offsets, so the blocks of ``pixel_blocks(n)`` leave ``write_array``'s bytes.
+    """
+    code = _DTYPE_TO_CODE.get(rows.dtype)
+    if code is None:
+        raise ArrayFormatError(f"dtype {rows.dtype} not supported; use float32, uint8, or int32")
+    n = math.prod(shape[1:]) if len(rows) == shape[0] else math.prod(shape)
+    start, stop, _ = pixels.indices(n)
+    if rows.ndim != 2 or len(rows) not in (shape[0], 1) or rows.shape[1] != stop - start:
+        raise ArrayFormatError(f"rows of shape {rows.shape} are no block {pixels} of {shape}")
+    header = _HEAD.pack(MAGIC, FORMAT_VERSION, code, len(shape))
+    header += struct.pack(f"<{len(shape)}I", *shape)
+    with open(path, "wb" if start == 0 else "r+b") as f:
+        if start == 0:
+            f.write(header)
+        # little-endian on any host; a no-op on little-endian ones
+        for offset, view in _row_views(rows.astype(_CODE_TO_DTYPE[code], copy=False), n, start):
+            f.seek(len(header) + offset)
+            f.write(view)
 
 
 def read_array(path):
@@ -65,22 +77,29 @@ def read_rows(path, pixels):
     The array is taken as ``(c, n)``, its first axis by the rest flattened;
     ``pixels`` is a step-1 slice of n, clipped as numpy clips it, and the
     rows come back as ``(c, m)``. Header and size are checked as by
-    ``read_array``. A block of all n pixels is one read; others are one
-    seek and read per row.
+    ``read_array``.
     """
     with open(path, "rb") as f:
         dtype, shape = _read_header(f, path)
         n = math.prod(shape[1:])
         start, stop, _ = pixels.indices(n)
         rows = np.empty((shape[0], max(stop - start, 0)), dtype=dtype)
-        offset = f.tell() + start * dtype.itemsize
-        # the whole payload in one read, or one seek and read per row
-        for k, row in enumerate([rows] if rows.shape[1] == n else rows):
-            f.seek(offset + k * n * dtype.itemsize)
-            if f.readinto(row.reshape(-1).view(np.uint8)) < row.nbytes:
+        header = f.tell()
+        for offset, view in _row_views(rows, n, start):
+            f.seek(header + offset)
+            if f.readinto(view) < len(view):
                 raise ArrayFormatError(f"{path}: file shrank while being read")
     # a no-op on little-endian hosts
     return shape, rows.astype(dtype.newbyteorder("="), copy=False)
+
+
+def _row_views(rows, n, start):
+    """The payload offset and a flat byte view of each row of a block at pixel
+    ``start`` of n: one view of all rows when the block holds all n pixels."""
+    for k, row in enumerate([rows] if rows.shape[1] == n else rows):
+        # unlike memoryview.cast, a byte view takes shapes with a 0 too
+        view = np.ascontiguousarray(row).reshape(-1).view(np.uint8)
+        yield (k * n + start) * rows.itemsize, view
 
 
 def _read_header(f, path):
@@ -109,9 +128,7 @@ def _read_header(f, path):
     # declares more than the file holds never drives an allocation
     size = os.fstat(f.fileno()).st_size - f.tell()
     if size < nbytes:
-        raise ArrayFormatError(
-            f"{path}: payload truncated, expected {nbytes} bytes, got {size}"
-        )
+        raise ArrayFormatError(f"{path}: payload truncated, expected {nbytes} bytes, got {size}")
     if size > nbytes:
         raise ArrayFormatError(f"{path}: trailing bytes after payload")
     return dtype, shape
@@ -121,9 +138,7 @@ def write_pgm(path, gray):
     """Write a 2D uint8 array as a binary PGM (P5) image."""
     img = np.asarray(gray)
     if img.ndim != 2 or img.dtype != np.uint8:
-        raise ArrayFormatError(
-            f"PGM writer needs a 2D uint8 array, got {img.shape} {img.dtype}"
-        )
+        raise ArrayFormatError(f"PGM writer needs a 2D uint8 array, got {img.shape} {img.dtype}")
     h, w = img.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -131,15 +146,11 @@ def write_pgm(path, gray):
 
 
 def entropy_to_gray(entropy_map, class_count):
-    """Scale an entropy map in bits to uint8 [0, 255] by its log2(c) ceiling, block by block."""
-    h = np.asarray(entropy_map)
-    ceiling = float(np.log2(class_count))
-    gray = np.empty(h.shape, dtype=np.uint8)
-    h_flat, gray_flat = h.reshape(-1), gray.reshape(-1)
-    for sl in pixel_blocks(h_flat.size):
-        scaled = np.divide(h_flat[sl], ceiling, dtype=np.float64)
-        scaled *= 255.0
-        np.rint(scaled, out=scaled)
-        gray_flat[sl] = np.clip(scaled, 0, 255, out=scaled)
-        del scaled  # one block of scaled values at a time
-    return gray
+    """Scale an entropy map in bits to uint8 [0, 255] by its log2(c) ceiling.
+
+    Its float64 scratch is the size of the map: ``run`` passes one pixel block.
+    """
+    scaled = np.divide(entropy_map, float(np.log2(class_count)), dtype=np.float64)
+    scaled *= 255.0
+    np.rint(scaled, out=scaled)
+    return np.clip(scaled, 0, 255, out=scaled).astype(np.uint8)

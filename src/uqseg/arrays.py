@@ -99,9 +99,7 @@ def validate_probabilities(p, *, name=None):
     if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
         if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an inf is an extreme
             raise ValidationError(_named("probability array contains NaN or Inf", name))
-        raise ValidationError(
-            _named(f"probabilities outside [0, 1]: min {lo}, max {hi}", name)
-        )
+        raise ValidationError(_named(f"probabilities outside [0, 1]: min {lo}, max {hi}", name))
     # per block, the class sums in class order, as sum(axis=0) adds the rows
     # of a C-contiguous stack of more than one pixel
     flat = arr.reshape(arr.shape[0], -1)

@@ -114,12 +114,8 @@ class CalibrationAccumulator:
         if total == 0:
             raise ValidationError("no pixels scored")
         with np.errstate(invalid="ignore"):
-            mean_conf = np.where(
-                self.counts > 0, self.confidence_sums / self.counts, np.nan
-            )
-            accuracy = np.where(
-                self.counts > 0, self.correct_counts / self.counts, np.nan
-            )
+            mean_conf = np.where(self.counts > 0, self.confidence_sums / self.counts, np.nan)
+            accuracy = np.where(self.counts > 0, self.correct_counts / self.counts, np.nan)
         # count_b * |acc_b - conf_b| == |correct_b - conf_sum_b|; summing the
         # raw gaps avoids the intermediate divisions
         gaps = np.abs(self.correct_counts - self.confidence_sums)
@@ -131,11 +127,7 @@ def ece(
     p, gt, n_bins: int = DEFAULT_ECE_BINS, *, foreground_only: bool = False
 ) -> CalibrationReport:
     """Expected calibration error (percent) of one posterior/label pair."""
-    return (
-        CalibrationAccumulator(n_bins)
-        .add(p, gt, foreground_only=foreground_only)
-        .report()
-    )
+    return CalibrationAccumulator(n_bins).add(p, gt, foreground_only=foreground_only).report()
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,17 @@
 """End-to-end analysis driver: select, fuse, entropy, score, metrics, report.
 
-run_pipeline consumes artifacts of a finished training run (a trace CSV,
-per-checkpoint posterior files, ground-truth labels) and produces the
-manifest, fused posteriors, entropy maps, per-class scores, Dice/ECE
-tables, and a single summary CSV. Cases stream through the per-case stages
-one at a time. The members are fused block by block into the float32 mean
-that is written to ``mean/``, and every later stage analyzes that same
-array, as the CLI subcommands do. The tree is built in a sibling staging
-directory and renamed into ``outdir`` once, at the end, so ``outdir``
-holds a whole run or nothing. A failure aborts with the stage name (and
-the case) and removes the staging directory. The select, fuse, entropy
-and report stages are ``select_checkpoints``, ``fuse_members``,
-``write_entropy`` and ``write_summary``, and the metrics stage reads labels
-with ``read_labels``; the CLI subcommands call them too.
+run_pipeline turns the artifacts of a training run (a trace CSV, member
+posteriors, labels) into the manifest, fused means, entropy maps, scores,
+Dice/ECE tables and a summary CSV. Each case is one pass over its pixel
+blocks, whose fused float32 mean rows every later stage analyzes, as the
+CLI subcommands analyze the stored mean. The tree is built in a sibling
+staging directory and renamed into ``outdir`` at the end, so ``outdir``
+holds a whole run or nothing; a failure names the stage and the case.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import stat
@@ -27,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arrays, reports
-from .arrayio import entropy_to_gray, read_array, read_rows, write_array, write_pgm
+from .arrayio import entropy_to_gray, read_array, read_rows, write_pgm, write_rows
 from .arrays import pixel_blocks, validate_labels, validate_probability_shape
 from .ensemble import argmax_labels, ensemble_mean
 from .errors import StageError, ValidationError
@@ -36,7 +31,7 @@ from .metrics import (
 )
 from .scheduler import SgdrConfig
 from .selection import SelectionPolicy, TrainingTrace, check_id, export_selection, find_cycle_peaks
-from .uncertainty import pixel_entropy, uncertainty_score
+from .uncertainty import FOREGROUND_THRESHOLD, check_classes, mask_score, pixel_entropy
 
 
 def settings_of(cls, source):
@@ -137,20 +132,12 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
 
     ``outdir`` must be absent or empty, and must not lie inside
     ``predictions_dir``, whose every directory is read as a case. The tree
-    is built in the sibling ``<outdir>.partial-<pid>`` and one
-    ``os.replace`` publishes it once every stage has succeeded. On any
-    failure the staging directory is removed and ``outdir`` is left as it
-    was; a stage failure raises StageError. Missing parents of ``outdir``
-    are created. An empty ``outdir`` that exists keeps its permission bits,
-    but not its group or ACLs.
-
-    Cases stream through fuse, entropy, score and metrics one at a time.
-    Per case, memory holds the float32 mean and block-sized scratch while
-    fusing, then the mean and whole planes (the entropy map, freed after
-    scoring; the labels and the argmax of the metrics) plus block-sized
-    scratch: every per-pixel pass runs block by block. Each case's mean gets
-    one entropy map and one argmax. ECE bins sum confidences per pixel block
-    and add the block sums in block order.
+    is built in the sibling ``<outdir>.partial-<pid>`` and published by one
+    ``os.replace``; on any failure it is removed and ``outdir`` is left as
+    it was (a stage failure raises StageError). Missing parents of
+    ``outdir`` are created; an empty ``outdir`` keeps its permission bits,
+    not its group or ACLs. A case holds its class masks, labels, argmax and
+    gray image whole, and everything else block-sized.
     """
     out = check_outdir(cfg.outdir)
     if out.is_relative_to(Path(cfg.predictions_dir).resolve()):
@@ -185,24 +172,21 @@ def _stage(name, case_id=None):
     """Raise any failure inside the block as a StageError of ``name``."""
     try:
         yield
+    except StageError:
+        raise  # an inner stage has named it
     except Exception as exc:
         raise StageError(name, exc, case_id) from exc
 
 
-def fuse_members(checkpoint_ids, inputs, out) -> np.ndarray:
-    """Average the posteriors ``<inputs>/<id>.uqsg`` of the checkpoint ids.
+def fuse_blocks(checkpoint_ids, inputs):
+    """The mean's shape and its ``(pixels, float32 rows)`` per pixel block, in order.
 
-    Writes the mean as float32 to ``out`` and returns that array. Each pixel
-    block's member rows are read in manifest order and averaged in float64
-    by ``ensemble_mean``, with the additions whole members would get, so a
-    case holds the float32 mean and block-sized scratch; a one-block case
-    reads each member once. A missing member, a bad header or a shape unlike
-    the first member's fails on block 0, before anything is written. A value
-    error names the first invalid member of the first block that has one,
-    with that block's min, max or worst deviation.
+    Each block's member rows are read in manifest order and averaged in
+    float64 by ``ensemble_mean``, with the additions whole members would
+    get. Block 0 is fused first, so a missing member, a bad header or a
+    shape unlike the first member's fails before this returns.
     """
     paths = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
-    names = [str(path) for path in paths]
     first_shape = None  # set when block 0 reads the first member
 
     def member_block(cid, path, pixels):
@@ -223,39 +207,58 @@ def fuse_members(checkpoint_ids, inputs, out) -> np.ndarray:
     def block_mean(pixels):
         # a generator expression keeps no reference to the member it yielded
         members = (member_block(cid, path, pixels) for cid, path in zip(checkpoint_ids, paths))
-        return ensemble_mean(members, names)[:, 0]
+        return ensemble_mean(members, list(map(str, paths)))[:, 0].astype(np.float32)
+
+    def blocks(first):
+        pixels = pixel_blocks(math.prod(first_shape[1:]))
+        yield pixels[0], first
+        del first
+        for sl in pixels[1:]:
+            yield sl, block_mean(sl)
 
     # block 0 of any shape; the first member's shape then gives the rest
     first = block_mean(slice(0, arrays.BLOCK_PIXELS))
-    mean = np.empty(first_shape, dtype=np.float32)
-    flat = mean.reshape(mean.shape[0], -1)
-    blocks = pixel_blocks(flat.shape[1])
-    flat[:, blocks[0]] = first
-    del first
-    for pixels in blocks[1:]:
-        flat[:, pixels] = block_mean(pixels)
-    write_array(out, mean)
-    return mean
+    return first_shape, blocks(first)
 
 
-def write_entropy(probs, out, pgm_dir=None) -> np.ndarray:
-    """Write the entropy map of ``probs`` to ``out`` as float32 and return it.
+def fuse_members(checkpoint_ids, inputs, out):
+    """Write the members' float32 mean to ``out`` block by block; a failure removes ``out``."""
+    shape, blocks = fuse_blocks(checkpoint_ids, inputs)
+    write_rows(out, shape, *next(blocks))  # block 0 creates ``out``
+    try:
+        for pixels, rows in blocks:
+            write_rows(out, shape, pixels, rows)
+    except BaseException:
+        Path(out).unlink(missing_ok=True)
+        raise
 
-    With ``pgm_dir`` (existing) it also writes 8-bit PGM images named after
-    ``out``: one per 2D map, or one per axial slice ``<stem>_z<k>.pgm``.
-    """
-    h = pixel_entropy(probs)
-    write_array(out, h.astype(np.float32))
+
+def write_entropy(probs, out, pgm_dir=None):
+    """Write the entropy map of ``probs`` to ``out`` as float32, block by block; with
+    ``pgm_dir`` (existing), also its 8-bit PGM images, one per 2D map or axial slice."""
+    flat = probs.reshape(probs.shape[0], -1)
+    gray = np.empty(flat.shape[1], dtype=np.uint8)
+    for pixels in pixel_blocks(flat.shape[1]):
+        _entropy_block(flat[:, pixels], out, probs.shape, pixels, gray)
     if pgm_dir is not None:
-        pgm_dir = Path(pgm_dir)
-        gray = entropy_to_gray(h, probs.shape[0])
-        stem = Path(out).stem
-        if gray.ndim == 2:
-            write_pgm(pgm_dir / f"{stem}.pgm", gray)
-        else:
-            for k in range(gray.shape[0]):
-                write_pgm(pgm_dir / f"{stem}_z{k:03d}.pgm", gray[k])
-    return h
+        _write_pgms(pgm_dir, Path(out).stem, gray.reshape(probs.shape[1:]))
+
+
+def _entropy_block(rows, out, shape, pixels, gray):
+    """Write one block's entropy into the map ``out`` and its part of the flat ``gray``
+    image; return the block's entropy total."""
+    h = pixel_entropy(rows)
+    write_rows(out, shape[1:], pixels, h.astype(np.float32)[None])
+    gray[pixels] = entropy_to_gray(h, shape[0])
+    return float(h.sum())
+
+
+def _write_pgms(pgm_dir, stem, gray):
+    if gray.ndim == 2:
+        write_pgm(Path(pgm_dir) / f"{stem}.pgm", gray)
+    else:
+        for k, image in enumerate(gray):
+            write_pgm(Path(pgm_dir) / f"{stem}_z{k:03d}.pgm", image)
 
 
 def select_checkpoints(trace_path, settings, out):
@@ -305,67 +308,83 @@ def _run(cfg, out):
         selection = select_checkpoints(cfg.trace, cfg, out / "manifest.csv")
     with _stage("fuse"):
         pred_root, case_ids = _case_dirs(cfg)
-        mean_dir = out / "mean"
-        mean_dir.mkdir()
-    with _stage("entropy"):
-        entropy_dir = out / "entropy"
-        entropy_dir.mkdir()
-
+        (out / "mean").mkdir()
+        (out / "entropy").mkdir()
     score_lines = ["case_id," + reports.SCORE_HEADER]
     dice_lines = ["case_id," + reports.DICE_HEADER]
     cases = []  # (case_id, class_id, score, dice) rows of the summary
     acc = CalibrationAccumulator(cfg.bins)
-    entropy_sum = 0.0
-    entropy_count = 0
+    entropy_sum, entropy_count = 0.0, 0
     for case_id in case_ids:
-        with _stage("fuse", case_id):
-            mean = fuse_members(
-                selection.checkpoint_ids, pred_root / case_id, mean_dir / f"{case_id}.uqsg"
-            )
-        with _stage("entropy", case_id):
-            h = write_entropy(mean, entropy_dir / f"{case_id}.uqsg", entropy_dir)
-        with _stage("score", case_id):
-            scores = [
-                uncertainty_score(
-                    mean, k, entropy=h, restrict_to_contour=(cfg.entropy_region == "contour")
-                )
-                for k in cfg.classes or range(1, mean.shape[0])
-            ]
-            score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
-            entropy_sum += float(h.sum())
-            entropy_count += h.size
-        del h  # the metrics stage needs only the mean
-        with _stage("metrics", case_id):
-            gt_path = Path(cfg.cases_dir) / f"{case_id}_labels.uqsg"
-            if not gt_path.exists():
-                raise ValidationError(f"missing ground truth {gt_path}")
-            gt = read_labels(gt_path, mean.shape[0], mean.shape)
-            pred = argmax_labels(mean)
-            for s in scores:
-                d = dice(pred, gt, s.class_id)
-                dice_lines.append(reports.dice_row(d, case_id=case_id))
-                cases.append((case_id, s.class_id, s.score, d.dice))
-            acc.add(mean, gt, pred=pred, foreground_only=cfg.ece_foreground_only)
-        # free this case's arrays before the next case's members are read
-        del mean, gt, pred
-
+        scores, dices, h_case, n = _run_case(cfg, selection, pred_root / case_id, out, acc)
+        score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
+        dice_lines += [reports.dice_row(d, case_id=case_id) for d in dices]
+        cases += [(case_id, s.class_id, s.score, d.dice) for s, d in zip(scores, dices)]
+        entropy_sum, entropy_count = entropy_sum + h_case, entropy_count + n
     with _stage("score"):
         reports.write_lines(out / "scores.csv", score_lines)
     with _stage("metrics"):
         reports.write_lines(out / "dice.csv", dice_lines)
         calibration = acc.report()
         reports.write_ece_csv(out / "ece.csv", calibration)
-        avg_entropy = entropy_sum / entropy_count
     with _stage("report"):
-        write_summary(
-            out / "summary.csv",
-            cases,
-            [
-                reports.summary_dataset_row("ece_percent", calibration.ece),
-                reports.summary_dataset_row("avg_entropy_bits", avg_entropy),
-                reports.summary_dataset_row("h_total_region", cfg.entropy_region),
-            ],
-        )
+        write_summary(out / "summary.csv", cases, [
+            reports.summary_dataset_row("ece_percent", calibration.ece),
+            reports.summary_dataset_row("avg_entropy_bits", entropy_sum / entropy_count),
+            reports.summary_dataset_row("h_total_region", cfg.entropy_region),
+        ])
+
+
+def _run_case(cfg, selection, case_dir, out, acc):
+    """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels."""
+    case_id = case_dir.name
+    mean_path = out / "mean" / f"{case_id}.uqsg"
+    entropy_path = out / "entropy" / mean_path.name
+    with _stage("fuse", case_id):
+        shape, blocks = fuse_blocks(selection.checkpoint_ids, case_dir)
+    c, n = shape[0], math.prod(shape[1:])
+    with _stage("score", case_id):
+        classes = check_classes(cfg.classes or range(1, c), c)
+    with _stage("metrics", case_id):
+        gt_path = Path(cfg.cases_dir) / f"{case_id}_labels.uqsg"
+        if not gt_path.exists():
+            raise ValidationError(f"missing ground truth {gt_path}")
+        gt = read_labels(gt_path, c, shape)
+    # the only whole arrays: the class masks, the labels, the argmax and the gray image
+    masks = np.empty((len(classes), n), dtype=bool)
+    pred = np.empty(n, dtype=np.min_scalar_type(c - 1))
+    gray = np.empty(n, dtype=np.uint8)
+    h_case = 0.0
+    with _stage("fuse", case_id):  # the stages inside name their own failures
+        for pixels, rows in blocks:
+            write_rows(mean_path, shape, pixels, rows)
+            with _stage("entropy", case_id):
+                h_case += _entropy_block(rows, entropy_path, shape, pixels, gray)
+            with _stage("score", case_id):
+                np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
+            with _stage("metrics", case_id):
+                pred[pixels] = argmax_labels(rows)
+                acc.add(rows, gt.reshape(-1)[pixels], pred=pred[pixels],
+                        foreground_only=cfg.ece_foreground_only)
+            del rows  # before the next block is fused
+    with _stage("entropy", case_id):
+        _write_pgms(out / "entropy", case_id, gray.reshape(shape[1:]))
+    del gray
+
+    def entropy_total(ring):  # a ring's entropy is recomputed from the stored mean
+        if ring is None:
+            return h_case
+        parts = ((read_rows(mean_path, sl)[1], ring.reshape(-1)[sl]) for sl in pixel_blocks(n))
+        return sum(float(pixel_entropy(rows[:, keep]).sum()) for rows, keep in parts)
+
+    with _stage("score", case_id):
+        contour = cfg.entropy_region == "contour"
+        scores = [mask_score(m.reshape(shape[1:]), k, entropy_total, contour)
+                  for m, k in zip(masks, classes)]
+    del masks
+    with _stage("metrics", case_id):
+        pred = pred.reshape(shape[1:])
+        return scores, [dice(pred, gt, k) for k in classes], h_case, n
 
 
 def _case_dirs(cfg):

@@ -38,12 +38,7 @@ _TRACE_COLUMNS = {
     "val_metric": float,
     "checkpoint_id": lambda text: _checkpoint_id(text) if text else None,
 }
-_MANIFEST_COLUMNS = {
-    "cycle": int,
-    "epoch": int,
-    "checkpoint_id": _checkpoint_id,
-    "metric": float,
-}
+_MANIFEST_COLUMNS = {"cycle": int, "epoch": int, "checkpoint_id": _checkpoint_id, "metric": float}
 
 
 @dataclass(frozen=True)
@@ -105,13 +100,9 @@ class SelectionPolicy:
         if self.per_cycle < 1:
             raise ValidationError(f"per_cycle must be >= 1, got {self.per_cycle}")
         if not 0.0 < self.window_fraction <= 1.0:
-            raise ValidationError(
-                f"window_fraction must be in (0, 1], got {self.window_fraction}"
-            )
+            raise ValidationError(f"window_fraction must be in (0, 1], got {self.window_fraction}")
         if not 0.0 < self.min_peak_ratio <= 1.0:
-            raise ValidationError(
-                f"min_peak_ratio must be in (0, 1], got {self.min_peak_ratio}"
-            )
+            raise ValidationError(f"min_peak_ratio must be in (0, 1], got {self.min_peak_ratio}")
 
     def window_epochs(self, span: int) -> int:
         """Search-window length in epochs for a cycle of ``span`` epochs."""
@@ -181,11 +172,7 @@ def find_cycle_peaks(
     entries = []
     for cyc in cycles:
         window_start = cyc.cycle_end - policy.window_epochs(cyc.t_i)
-        windowed = [
-            r
-            for r in trace.records
-            if window_start <= r.epoch < cyc.cycle_end
-        ]
+        windowed = [r for r in trace.records if window_start <= r.epoch < cyc.cycle_end]
         if not windowed:
             continue
         best = max(r.val_metric for r in windowed)

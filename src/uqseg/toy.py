@@ -112,10 +112,7 @@ def generate_dataset(
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(n_cases):
-        if n_cases > 1:
-            level = noise_std * (0.5 + i / (n_cases - 1))
-        else:
-            level = noise_std
+        level = noise_std * (0.5 + i / (n_cases - 1)) if n_cases > 1 else noise_std
         # one blob per foreground class in a narrow size range keeps per-case
         # intensity statistics comparable, so per-case normalization maps
         # classes to stable bands a shared linear model can separate;
@@ -148,23 +145,12 @@ def case_features(image) -> np.ndarray:
     z = zscore_normalize(image)
     h, w = z.shape
     padded = np.pad(z, 1, mode="edge")
-    neigh = np.stack(
-        [padded[dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)]
-    )
+    neigh = np.stack([padded[dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)])
     local_mean = neigh.mean(axis=0)
     local_var = neigh.var(axis=0)
     yy, xx = np.mgrid[0:h, 0:w]
-    feats = np.stack(
-        [
-            np.ones_like(z),
-            z,
-            local_mean,
-            local_var,
-            yy / max(h - 1, 1),
-            xx / max(w - 1, 1),
-        ],
-        axis=-1,
-    )
+    ramps = (yy / max(h - 1, 1), xx / max(w - 1, 1))
+    feats = np.stack([np.ones_like(z), z, local_mean, local_var, *ramps], axis=-1)
     return feats.reshape(-1, FEATURE_COUNT)
 
 
@@ -234,9 +220,7 @@ def validation_dice(weights, cases) -> float:
         if not np.isfinite(probs).all():
             raise NumericError(f"validation posterior of case {case.case_id} is not finite")
         pred = argmax_labels(probs)
-        scores = [
-            dice(pred, case.labels, k).dice for k in range(1, case.class_count)
-        ]
+        scores = [dice(pred, case.labels, k).dice for k in range(1, case.class_count)]
         per_case.append(float(np.mean(scores)))
     return float(np.mean(per_case))
 

@@ -121,52 +121,54 @@ def _dilate(img, element):
 def contour_normalizer(image, element=None) -> np.ndarray:
     """Ring of pixels added by dilation: dilate(I) minus I, as a bool mask."""
     img = validate_binary(image)
-    return _dilate(img, element) & ~img
+    ring = _dilate(img, element)  # a new array: _dilate copies per axis
+    ring &= ~img
+    return ring
 
 
 def total_entropy(entropy_map, region=None) -> float:
-    """Sum of entropy values over the whole map, or over a binary region."""
+    """Sum of entropy values over the whole map, or over a binary region: one
+    sum per pixel block, the block sums added in block order, as in ``run``."""
     h = np.asarray(entropy_map, dtype=np.float64)
-    if region is None:
-        return float(h.sum())
-    mask = validate_binary(region)
+    mask = np.broadcast_to(True, h.shape) if region is None else validate_binary(region)
     if mask.shape != h.shape:
-        raise ValidationError(
-            f"region shape {mask.shape} does not match map shape {h.shape}"
-        )
-    return float(h[mask].sum())
+        raise ValidationError(f"region shape {mask.shape} does not match map shape {h.shape}")
+    h, mask = h.reshape(-1), mask.reshape(-1)
+    return sum(float(h[sl][mask[sl]].sum()) for sl in pixel_blocks(h.size))
 
 
-def uncertainty_score(
-    p,
-    class_id: int,
-    *,
-    entropy=None,
-    restrict_to_contour: bool = False,
-) -> UncertaintyScore:
+def check_classes(classes, class_count) -> list:
+    """``classes`` as a list; ValidationError unless each is a foreground class."""
+    for k in classes:
+        if not 0 < k < class_count:
+            raise ValidationError(
+                f"class {k} out of range for {class_count} classes; "
+                "background (class 0) has no uncertainty score"
+            )
+    return list(classes)
+
+
+def mask_score(mask, class_id, entropy_total, restrict_to_contour=False) -> UncertaintyScore:
+    """The score of class ``class_id`` from its bool foreground ``mask``;
+    ``entropy_total(region)`` sums the entropy over a bool region, or over
+    the image for None. An empty contour gives score 0 and ``empty_contour``."""
+    ring = contour_normalizer(mask)
+    pixels = int(np.count_nonzero(ring))
+    h_total = entropy_total(ring if restrict_to_contour else None)
+    score = h_total / pixels if pixels else 0.0
+    return UncertaintyScore(class_id, h_total, pixels, score, not pixels)
+
+
+def uncertainty_score(p, class_id: int, *, entropy=None, restrict_to_contour=False):
     """Contour-normalized uncertainty score for one class of a trusted posterior.
 
     ``entropy`` is the posterior's ``pixel_entropy`` map, computed here when
     not given; one map serves every class of a case. ``restrict_to_contour``
     limits the entropy sum to the contour ring instead of the whole image.
-    An empty contour is reported via the ``empty_contour`` flag with score
-    0, not an error. A ``class_id`` outside 1 to c - 1 is a ValidationError.
+    A ``class_id`` outside 1 to c - 1 is a ValidationError.
     """
     p = np.asarray(p)
-    if not 0 < class_id < p.shape[0]:
-        raise ValidationError(
-            f"class {class_id} out of range for {p.shape[0]} classes; "
-            "background (class 0) has no uncertainty score"
-        )
-    # a trusted plane needs no value check: threshold it directly
-    mask = p[class_id] > FOREGROUND_THRESHOLD
-    ring = contour_normalizer(mask)
-    contour_pixels = int(np.count_nonzero(ring))
-    if entropy is None:
-        entropy = pixel_entropy(p)
-    h_total = total_entropy(entropy, ring if restrict_to_contour else None)
-    if contour_pixels == 0:
-        return UncertaintyScore(class_id, h_total, 0, 0.0, True)
-    return UncertaintyScore(
-        class_id, h_total, contour_pixels, h_total / contour_pixels, False
-    )
+    check_classes([class_id], p.shape[0])
+    h = pixel_entropy(p) if entropy is None else entropy
+    mask = p[class_id] > FOREGROUND_THRESHOLD  # a trusted plane needs no value check
+    return mask_score(mask, class_id, lambda region: total_entropy(h, region), restrict_to_contour)

@@ -1,12 +1,15 @@
 import math
+import re
 import struct
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uqseg.arrays
 from uqseg.arrayio import (
     _read_header,
     entropy_to_gray,
@@ -14,7 +17,9 @@ from uqseg.arrayio import (
     read_rows,
     write_array,
     write_pgm,
+    write_rows,
 )
+from uqseg.arrays import pixel_blocks
 from uqseg.errors import ArrayFormatError
 
 
@@ -204,6 +209,66 @@ def test_read_rows_of_a_one_block_file_is_the_whole_array(tmp_path):
     assert shape == (3, 4, 5)
     assert rows.tobytes() == array.tobytes()
     assert rows.shape == (3, 20)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int32])
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("spatial", [(7, 9), (3, 5, 6), (1, 12)])
+def test_write_rows_over_pixel_blocks_is_write_array(tmp_path, dtype, c, spatial):
+    """Blocks of 8 pixels, the last one ragged, as class rows and as one flat row."""
+    array = (np.random.default_rng(c).random((c, *spatial)) * 100).astype(dtype)
+    write_array(tmp_path / "whole.uqsg", array)
+    flat = array.reshape(c, -1)
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", 8):
+        blocks = pixel_blocks(flat.shape[1])
+        assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < 8
+        for pixels in blocks:
+            write_rows(tmp_path / "rows.uqsg", array.shape, pixels, flat[:, pixels])
+        line = array.reshape(1, -1)  # an entropy map is written as one row
+        for pixels in pixel_blocks(line.shape[1]):
+            write_rows(tmp_path / "line.uqsg", array.shape, pixels, line[:, pixels])
+    whole = (tmp_path / "whole.uqsg").read_bytes()
+    assert (tmp_path / "rows.uqsg").read_bytes() == whole
+    assert (tmp_path / "line.uqsg").read_bytes() == whole
+
+
+def test_write_rows_of_all_pixels_is_one_payload_write(tmp_path, monkeypatch):
+    array = np.random.default_rng(4).random((3, 4, 5)).astype(np.float32)
+    writes = []
+    real_open = open
+
+    class Counted:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+        def seek(self, offset):
+            return self.f.seek(offset)
+
+        def write(self, data):
+            writes.append(memoryview(data).nbytes)
+            return self.f.write(data)
+
+    monkeypatch.setattr("builtins.open", lambda *a, **k: Counted(real_open(*a, **k)))
+    write_rows(tmp_path / "a.uqsg", array.shape, slice(0, 20), array.reshape(3, 20))
+    monkeypatch.undo()
+    assert writes == [8 + 12, array.nbytes]  # the header with its dims, the payload
+    assert read_array(tmp_path / "a.uqsg").tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("rows, pixels, message", [
+    (np.zeros((2, 5), np.float32), slice(0, 5), "rows of shape (2, 5)"),
+    (np.zeros((3, 4), np.float32), slice(0, 5), "rows of shape (3, 4)"),
+    (np.zeros((3, 5), np.float64), slice(0, 5), "dtype float64 not supported"),
+])
+def test_write_rows_rejects_rows_that_are_no_block(tmp_path, rows, pixels, message):
+    with pytest.raises(ArrayFormatError, match=re.escape(message)):
+        write_rows(tmp_path / "a.uqsg", (3, 20), pixels, rows)
 
 
 def _rejections(path):

@@ -339,15 +339,12 @@ def test_scratch_is_block_sized():
     rng = np.random.default_rng(22)
     p = posterior(rng, c, spatial, np.float32)
     gt = rng.integers(0, c, size=spatial).astype(np.uint8)
-    h = pixel_entropy(p)
     block = 8 * BLOCK_PIXELS  # one float64 block
     slack = 128 * 1024  # numpy's cast buffers and interpreter objects
     # the float64 class sums of one block
     assert _peak(validate_probabilities, p) < block + slack
     # the map; the term and two bool blocks of the > 0 test
     assert _peak(pixel_entropy, p) < 8 * n + block + block // 4 + slack
-    # the uint8 image and the scaled block
-    assert _peak(entropy_to_gray, h, c) < n + block + slack
     # the uint8 labels; a float32 maximum and a bool block
     assert _peak(argmax_labels, p) < n + block // 2 + block // 8 + slack
     # the uint8 argmax and a few float64 blocks: the confidences, the intp

@@ -13,7 +13,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from uqseg.arrayio import read_array, read_rows, write_array
+from uqseg.arrayio import read_array, read_rows, write_array, write_rows
 from uqseg.arrays import BLOCK_PIXELS, pixel_blocks
 from uqseg.cli import build_parser, main
 from uqseg.ensemble import ensemble_mean
@@ -406,7 +406,8 @@ class TestOutdir:
         def interrupt(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(uqseg.pipeline, "write_entropy", interrupt)
+        # the entropy of the first block, once its mean rows are written
+        monkeypatch.setattr(uqseg.pipeline, "pixel_entropy", interrupt)
         with pytest.raises(KeyboardInterrupt):
             run_pipeline(small_config(small_run, outdir=str(tmp_path / "out")))
         assert not (tmp_path / "out").exists()
@@ -419,40 +420,37 @@ def _write_members(directory, ids, shape, rng):
         write_array(directory / f"{cid}.uqsg", (e / e.sum(axis=0)).astype(np.float32))
 
 
-def test_fuse_peaks_in_the_mean_not_at_the_write(tmp_path, monkeypatch):
+def test_fuse_holds_block_sized_scratch_at_every_write(tmp_path, monkeypatch):
     import uqseg.pipeline
 
     ids = [f"ep{k}" for k in range(6)]
     shape = (4, 25, 128, 128)  # six pixel blocks and a ragged seventh
     _write_members(tmp_path, ids, shape, np.random.default_rng(5))
     mean = 4 * int(np.prod(shape))  # float32, as is a member
+    rows = 4 * shape[0] * BLOCK_PIXELS  # the float32 mean rows of one block
     # one block of the float64 sum, of a float32 member and of the float64
-    # simplex sums
-    scratch = (8 * 4 + 4 * 4 + 8) * BLOCK_PIXELS
+    # simplex sums, and the block's float32 rows
+    scratch = (8 * 4 + 4 * 4 + 8) * BLOCK_PIXELS + rows
     # numpy's cast buffer (8,192 float64) and interpreter objects
     slack = 128 * 1024
     assert scratch + slack < mean  # less than a whole member
-    at_write = {}
+    at_write = []
 
-    def spy(path, arr):
-        at_write["held"], at_write["peak_before"] = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        write_array(path, arr)
-        at_write["peak_during"] = tracemalloc.get_traced_memory()[1]
+    def spy(path, shape, pixels, block):
+        at_write.append(tracemalloc.get_traced_memory())
+        write_rows(path, shape, pixels, block)
 
-    monkeypatch.setattr(uqseg.pipeline, "write_array", spy)
+    monkeypatch.setattr(uqseg.pipeline, "write_rows", spy)
     tracemalloc.start()
     try:
-        fused = fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+        fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fused.dtype == np.float32
-    # members are fused block by block into the float32 mean
-    assert at_write["peak_before"] < mean + scratch + slack
-    # the block scratch is gone by the write, which makes no copy
-    assert at_write["held"] < mean + slack
-    assert at_write["peak_during"] < mean + slack
-    assert at_write["peak_during"] < at_write["peak_before"]
+    assert len(at_write) == 7  # one write per block
+    # the mean is never whole: each write holds one block's rows
+    assert max(held for held, _ in at_write) < rows + slack
+    assert peak < scratch + slack
 
 
 @pytest.mark.parametrize("shape, block, blocks", [
@@ -466,13 +464,12 @@ def test_fuse_writes_the_float32_of_the_whole_member_mean(tmp_path, shape, block
     _write_members(tmp_path, ids, shape, np.random.default_rng(6))
     with patch.object(uqseg.arrays, "BLOCK_PIXELS", block):
         assert len(pixel_blocks(int(np.prod(shape[1:])))) == blocks
-        fused = fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+        fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
     write_array(
         tmp_path / "oracle.uqsg",
         ensemble_mean([read_array(tmp_path / f"{cid}.uqsg") for cid in ids]).astype(np.float32),
     )
     assert (tmp_path / "mean.uqsg").read_bytes() == (tmp_path / "oracle.uqsg").read_bytes()
-    assert fused.tobytes() == read_array(tmp_path / "oracle.uqsg").tobytes()
 
 
 class TestStreamedFuseErrors:
@@ -586,30 +583,76 @@ def _write_two_cycle_inputs(root, case_ids, shape, rng):
         write_array(root / "cases" / f"{case}_labels.uqsg", labels)
 
 
-def test_3d_run_peaks_below_one_mean_one_member_and_a_few_planes(tmp_path):
-    """A whole run holds the float32 mean and two float64 planes at most.
+def test_3d_run_peaks_below_half_of_one_float32_mean(tmp_path):
+    """A whole run holds less than half of one case's float32 mean.
 
-    So it never holds a float64 mean, which alone is four planes. The
-    volume spans seven pixel blocks, the last one ragged, so the fuse's
-    block scratch is about one plane.
+    Whole arrays are one byte per pixel: the three class masks, the labels,
+    the argmax and the gray image, six in all against the eight of half a
+    c=4 float32 mean; ringing a mask takes two more while the gray image is
+    gone. The volume spans a hundred pixel blocks, patched small so that the
+    block scratch stays a small part of that budget.
     """
+    import uqseg.arrays
+
     c, spatial = 4, (16, 160, 160)
-    assert len(pixel_blocks(int(np.prod(spatial)))) == 7
     _write_two_cycle_inputs(
         tmp_path, ["case0000", "case0001"], (c, *spatial), np.random.default_rng(8)
     )
     cfg = small_config(tmp_path, outdir="out", t0=10, eta=1.0, total_epochs=20)
-    plane = 8 * int(np.prod(spatial))  # one float64 plane
-    mean = c * plane // 2  # float32, as is a member
-    tracemalloc.start()
-    try:
-        run_pipeline(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    mean = 4 * c * int(np.prod(spatial))  # float32, as is a member
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", 4096):
+        assert len(pixel_blocks(int(np.prod(spatial)))) == 100
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     selected = len((tmp_path / "out" / "manifest.csv").read_text().splitlines()) - 1
     assert selected == 6
-    assert peak < mean + 2 * plane, peak / plane
+    assert peak < mean // 2, peak / mean
+
+
+@pytest.mark.parametrize("spatial, block, blocks", [
+    ((24, 24), BLOCK_PIXELS, 1),
+    ((3, 20, 20), 128, 10),  # nine blocks of 128 pixels and a ragged tenth
+])
+def test_contour_scores_are_uncertainty_score_on_the_stored_mean(
+    tmp_path, monkeypatch, spatial, block, blocks
+):
+    """``entropy_region = contour`` recomputes the ring's entropy from the stored mean."""
+    import uqseg.arrays
+    import uqseg.pipeline
+    import uqseg.uncertainty
+    from uqseg.uncertainty import uncertainty_score
+
+    _write_two_cycle_inputs(tmp_path, ["case0000"], (3, *spatial), np.random.default_rng(12))
+    scored = []
+
+    def spy(*args):
+        scored.append(uqseg.uncertainty.mask_score(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(uqseg.pipeline, "mask_score", spy)
+    cfg = small_config(
+        tmp_path, outdir="out", t0=10, eta=1.0, total_epochs=20, entropy_region="contour"
+    )
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", block):
+        assert len(pixel_blocks(int(np.prod(spatial)))) == blocks
+        run_pipeline(cfg)
+        mean = read_array(tmp_path / "out" / "mean" / "case0000.uqsg")
+        same_blocks = [uncertainty_score(mean, k, restrict_to_contour=True) for k in (1, 2)]
+    whole = [uncertainty_score(mean, k, restrict_to_contour=True) for k in (1, 2)]
+    assert all(s.contour_pixels > 0 for s in scored)
+    # the same blocks give the same sums, bit for bit
+    assert scored == same_blocks
+    # one sum over the whole ring adds in another order
+    for got, expected in zip(scored, whole):
+        assert got.contour_pixels == expected.contour_pixels
+        assert got.h_total == pytest.approx(expected.h_total, rel=1e-12, abs=0)
+        assert got.score == pytest.approx(expected.score, rel=1e-12, abs=0)
+    if blocks == 1:
+        assert scored == whole
 
 
 @pytest.mark.parametrize("foreground_only", [False, True])
