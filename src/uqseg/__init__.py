@@ -28,7 +28,6 @@ from .uncertainty import (
     contour_normalizer,
     dilate,
     pixel_entropy,
-    total_entropy,
     uncertainty_score,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "pixel_entropy",
     "read_array",
     "restart_epochs",
-    "total_entropy",
     "uncertainty_dice_table",
     "uncertainty_score",
     "validate_probabilities",

@@ -88,10 +88,10 @@ def validate_probabilities(p, *, name=None):
 
     Every entry must be in [0, 1] and each per-pixel class vector must sum
     to 1 within SIMPLEX_TOLERANCE, read at call time. The check runs on the
-    array's own dtype, with the class sums taken in float64 one block of
-    pixels at a time, and returns the array unchanged. Error messages start
-    with ``name`` when given. Posteriors are checked once, where they enter
-    the program; the kernels take them as trusted.
+    array's own dtype, with the class sums taken in float64, and returns the
+    array unchanged. Error messages start with ``name`` when given.
+    Posteriors are checked once, where they enter the program, one pixel
+    block at a time; the kernels take them as trusted.
     """
     arr = np.asarray(p)
     validate_probability_shape(arr.shape, name=name)
@@ -100,17 +100,13 @@ def validate_probabilities(p, *, name=None):
         if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an inf is an extreme
             raise ValidationError(_named("probability array contains NaN or Inf", name))
         raise ValidationError(_named(f"probabilities outside [0, 1]: min {lo}, max {hi}", name))
-    # per block, the class sums in class order, as sum(axis=0) adds the rows
-    # of a C-contiguous stack of more than one pixel
-    flat = arr.reshape(arr.shape[0], -1)
-    worst = 0.0
-    for sl in pixel_blocks(flat.shape[1]):
-        sums = flat[0, sl].astype(np.float64)
-        for plane in flat[1:, sl]:
-            sums += plane
-        # the largest |s - 1|, as rounding s - 1 is monotone and symmetric
-        worst = max(worst, float(sums.max()) - 1.0, 1.0 - float(sums.min()))
-        del sums  # one block of sums at a time
+    # the class sums in class order, as sum(axis=0) adds the rows of a
+    # C-contiguous stack of more than one pixel
+    sums = arr[0].astype(np.float64)
+    for plane in arr[1:]:
+        sums += plane
+    # the largest |s - 1|, as rounding s - 1 is monotone and symmetric
+    worst = max(float(sums.max()) - 1.0, 1.0 - float(sums.min()))
     if worst > SIMPLEX_TOLERANCE:
         raise ValidationError(_named(
             f"per-pixel class probabilities must sum to 1 within {SIMPLEX_TOLERANCE}; "

@@ -11,21 +11,20 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from pathlib import Path
 
 from . import __version__, reports
-from .arrayio import FORMAT_VERSION, read_array
-from .arrays import SIMPLEX_TOLERANCE, validate_probabilities
+from .arrayio import FORMAT_VERSION
+from .arrays import SIMPLEX_TOLERANCE
 from .errors import UqsegError, ValidationError
-from .metrics import DEFAULT_ECE_BINS, dice, ece
+from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice
 from .pipeline import (
     FIELD_PARSERS, PipelineConfig, fuse_members, read_labels, run_pipeline, select_checkpoints,
-    settings_of, write_entropy, write_summary,
+    score_posterior, settings_of, stored_blocks, write_entropy, write_summary,
 )
 from .scheduler import SgdrConfig, schedule_rows
 from .selection import SelectionPolicy, read_selection
 from .toy import generate_dataset, run_toy_training, write_cases
-from .uncertainty import FOREGROUND_THRESHOLD, pixel_entropy, uncertainty_score
+from .uncertainty import FOREGROUND_THRESHOLD
 
 _CASE_COLUMNS = {"case_id": str, "class_id": int, "uncertainty_score": float, "dice": float}
 
@@ -46,11 +45,6 @@ def _parse_shape(text):
     except ValueError:
         raise ValidationError(f"bad shape {text!r}; expected HxW like 64x64")
     return (h, w)
-
-
-def _read_posterior(path):
-    """The posterior file at ``path``, validated once, in its own dtype."""
-    return validate_probabilities(read_array(path), name=path)
 
 
 def _emit(lines, out_path):
@@ -93,20 +87,11 @@ def cmd_fuse(args):
 
 
 def cmd_entropy(args):
-    probs = _read_posterior(args.input)
-    if args.pgm:
-        Path(args.pgm).mkdir(parents=True, exist_ok=True)
-    write_entropy(probs, args.out, args.pgm)
+    write_entropy(args.input, args.out, args.pgm)
 
 
 def cmd_score(args):
-    probs = _read_posterior(args.input)
-    classes = _parse_classes(args.classes)
-    h = pixel_entropy(probs)
-    scores = [
-        uncertainty_score(probs, k, entropy=h, restrict_to_contour=args.contour_entropy)
-        for k in classes
-    ]
+    scores = score_posterior(args.input, _parse_classes(args.classes), args.contour_entropy)
     _emit([reports.SCORE_HEADER] + [reports.score_row(s) for s in scores], args.out)
 
 
@@ -122,10 +107,12 @@ def cmd_dice(args):
 
 
 def cmd_ece(args):
-    probs = _read_posterior(args.pred)
-    gt = read_labels(args.gt, probs.shape[0], probs.shape)
-    report = ece(probs, gt, args.bins, foreground_only=args.foreground_only)
-    reports.write_ece_csv(args.out, report)
+    shape, blocks = stored_blocks(args.pred)
+    gt = read_labels(args.gt, shape[0], shape).reshape(-1)
+    acc = CalibrationAccumulator(args.bins)
+    for pixels, rows in blocks:
+        acc.add(rows, gt[pixels], foreground_only=args.foreground_only)
+    reports.write_ece_csv(args.out, acc.report())
 
 
 def cmd_report(args):

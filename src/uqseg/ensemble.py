@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import pixel_blocks, validate_probabilities
+from .arrays import validate_probabilities
 from .errors import ValidationError
 
 
@@ -60,16 +60,9 @@ def argmax_labels(p) -> np.ndarray:
     Labels are uint8 up to 256 classes, wider above.
     """
     arr = np.asarray(p)
-    flat = arr.reshape(arr.shape[0], -1)
-    labels = np.zeros(flat.shape[1], dtype=np.min_scalar_type(arr.shape[0] - 1))
-    blocks = pixel_blocks(flat.shape[1])
-    best = np.empty(blocks[0].stop, dtype=arr.dtype)
-    for sl in blocks:
-        top = best[: sl.stop - sl.start]
-        np.copyto(top, flat[0, sl])
-        block = labels[sl]
-        for k in range(1, arr.shape[0]):
-            block[flat[k, sl] > top] = k
-            np.maximum(top, flat[k, sl], out=top)
-    return labels.reshape(arr.shape[1:])
-
+    labels = np.zeros(arr.shape[1:], dtype=np.min_scalar_type(arr.shape[0] - 1))
+    best = arr[0].copy()
+    for k in range(1, arr.shape[0]):
+        labels[arr[k] > best] = k
+        np.maximum(best, arr[k], out=best)
+    return labels

@@ -77,7 +77,8 @@ class CalibrationAccumulator:
     def add(self, p, gt, *, pred=None, foreground_only: bool = False):
         """Score one trusted posterior/label pair into the bins.
 
-        ``pred`` is the posterior's per-pixel argmax when already computed.
+        ``pred`` is the posterior's per-pixel argmax when already computed;
+        else each block's argmax is taken with that block.
         Each pixel block adds to each of its bins the pairwise float64 sum of
         the bin's confidences in pixel order, whatever the posterior's dtype,
         so adding a pair equals adding its pixel blocks in order, bit for bit.
@@ -88,14 +89,13 @@ class CalibrationAccumulator:
             raise ValidationError(
                 f"label shape {labels.shape} does not match posterior {arr.shape}"
             )
-        if pred is None:
-            pred = argmax_labels(arr)
         flat, truth = arr.reshape(arr.shape[0], -1), labels.reshape(-1)
-        pred = np.asarray(pred).reshape(-1)
+        pred = None if pred is None else np.asarray(pred).reshape(-1)
         for sl in pixel_blocks(truth.size):
             keep = truth[sl] > 0 if foreground_only else slice(None)
             confidence = flat[:, sl].max(axis=0)[keep].astype(np.float64)
-            correct = (pred[sl] == truth[sl])[keep]
+            block_pred = argmax_labels(flat[:, sl]) if pred is None else pred[sl]
+            correct = (block_pred == truth[sl])[keep]
             # the narrowest index type lets the stable argsort use radix sort
             idx = np.searchsorted(self._edges, confidence, side="left").astype(
                 np.min_scalar_type(self.n_bins - 1)

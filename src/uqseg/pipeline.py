@@ -2,11 +2,11 @@
 
 run_pipeline turns the artifacts of a training run (a trace CSV, member
 posteriors, labels) into the manifest, fused means, entropy maps, scores,
-Dice/ECE tables and a summary CSV. Each case is one pass over its pixel
-blocks, whose fused float32 mean rows every later stage analyzes, as the
-CLI subcommands analyze the stored mean. The tree is built in a sibling
-staging directory and renamed into ``outdir`` at the end, so ``outdir``
-holds a whole run or nothing; a failure names the stage and the case.
+Dice/ECE tables and a summary CSV. A case is one pass over the pixel blocks
+of its fused float32 mean (``fuse_blocks``); the CLI takes a stored posterior's
+validated blocks (``stored_blocks``) through the same steps. The tree is built
+in a sibling staging directory and renamed into ``outdir`` at the end, so
+``outdir`` holds a whole run or nothing; a failure names the stage and the case.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import shutil
 import stat
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .metrics import (
 )
 from .scheduler import SgdrConfig
 from .selection import SelectionPolicy, TrainingTrace, check_id, export_selection, find_cycle_peaks
-from .uncertainty import FOREGROUND_THRESHOLD, check_classes, mask_score, pixel_entropy
+from .uncertainty import FOREGROUND_THRESHOLD, check_classes, class_scores, pixel_entropy
 
 
 def settings_of(cls, source):
@@ -221,32 +222,69 @@ def fuse_blocks(checkpoint_ids, inputs):
     return first_shape, blocks(first)
 
 
-def fuse_members(checkpoint_ids, inputs, out):
-    """Write the members' float32 mean to ``out`` block by block; a failure removes ``out``."""
-    shape, blocks = fuse_blocks(checkpoint_ids, inputs)
-    write_rows(out, shape, *next(blocks))  # block 0 creates ``out``
+def stored_blocks(path):
+    """``fuse_blocks`` for the posterior file at ``path``: its shape, checked with the
+    header before this returns, and its ``(pixels, rows)`` per block, validated as read."""
+    shape = read_rows(path, slice(0, 0))[0]
+    validate_probability_shape(shape, name=str(path))
+
+    def blocks():
+        for pixels in pixel_blocks(math.prod(shape[1:])):
+            rows = read_rows(path, pixels)[1].reshape(shape[0], 1, -1)
+            yield pixels, arrays.validate_probabilities(rows, name=str(path))[:, 0]
+            del rows  # before the next block is read
+
+    return shape, blocks()
+
+
+def _write_blocks(out, inputs, blocks, write):
+    """``write(pixels, rows)`` per block; block 0 creates ``out``, a later failure removes
+    it, and an ``out`` that is one of the files ``inputs`` is refused before any write."""
+    for path in inputs:
+        if os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+            raise ValidationError(f"output {out} is the input {path}; name another output")
+    write(*next(blocks))
     try:
         for pixels, rows in blocks:
-            write_rows(out, shape, pixels, rows)
+            write(pixels, rows)
     except BaseException:
         Path(out).unlink(missing_ok=True)
         raise
 
 
-def write_entropy(probs, out, pgm_dir=None):
-    """Write the entropy map of ``probs`` to ``out`` as float32, block by block; with
-    ``pgm_dir`` (existing), also its 8-bit PGM images, one per 2D map or axial slice."""
-    flat = probs.reshape(probs.shape[0], -1)
-    gray = np.empty(flat.shape[1], dtype=np.uint8)
-    for pixels in pixel_blocks(flat.shape[1]):
-        _entropy_block(flat[:, pixels], out, probs.shape, pixels, gray)
+def fuse_members(checkpoint_ids, inputs, out):
+    """Write the members' float32 mean to ``out`` block by block; a failure removes ``out``."""
+    shape, blocks = fuse_blocks(checkpoint_ids, inputs)
+    members = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
+    _write_blocks(out, members, blocks, partial(write_rows, out, shape))
+
+
+def write_entropy(path, out, pgm_dir=None):
+    """Write the float32 entropy map of the posterior file at ``path`` to ``out`` block by
+    block; with ``pgm_dir``, then its 8-bit PGMs, one per 2D map or axial slice."""
+    shape, blocks = stored_blocks(path)
+    gray = np.empty(math.prod(shape[1:]), dtype=np.uint8)
+    _write_blocks(out, [path], blocks, partial(_entropy_block, out, shape, gray))
     if pgm_dir is not None:
-        _write_pgms(pgm_dir, Path(out).stem, gray.reshape(probs.shape[1:]))
+        Path(pgm_dir).mkdir(parents=True, exist_ok=True)
+        _write_pgms(pgm_dir, Path(out).stem, gray.reshape(shape[1:]))
 
 
-def _entropy_block(rows, out, shape, pixels, gray):
-    """Write one block's entropy into the map ``out`` and its part of the flat ``gray``
-    image; return the block's entropy total."""
+def score_posterior(path, classes, restrict_to_contour=False):
+    """The scores of ``classes`` on the posterior file at ``path``, from one pass as in ``run``."""
+    shape, blocks = stored_blocks(path)
+    classes = check_classes(classes, shape[0])
+    masks = np.empty((len(classes), math.prod(shape[1:])), dtype=bool)
+    h_total = 0.0
+    for pixels, rows in blocks:
+        h_total += float(pixel_entropy(rows).sum())
+        np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
+    return class_scores(masks.reshape(len(classes), *shape[1:]), classes, h_total,
+                        lambda pixels: read_rows(path, pixels)[1], restrict_to_contour)
+
+
+def _entropy_block(out, shape, gray, pixels, rows):
+    """Write one block's entropy rows to ``out`` and its 8-bit values to ``gray``; its total."""
     h = pixel_entropy(rows)
     write_rows(out, shape[1:], pixels, h.astype(np.float32)[None])
     gray[pixels] = entropy_to_gray(h, shape[0])
@@ -359,7 +397,7 @@ def _run_case(cfg, selection, case_dir, out, acc):
         for pixels, rows in blocks:
             write_rows(mean_path, shape, pixels, rows)
             with _stage("entropy", case_id):
-                h_case += _entropy_block(rows, entropy_path, shape, pixels, gray)
+                h_case += _entropy_block(entropy_path, shape, gray, pixels, rows)
             with _stage("score", case_id):
                 np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
             with _stage("metrics", case_id):
@@ -370,17 +408,10 @@ def _run_case(cfg, selection, case_dir, out, acc):
     with _stage("entropy", case_id):
         _write_pgms(out / "entropy", case_id, gray.reshape(shape[1:]))
     del gray
-
-    def entropy_total(ring):  # a ring's entropy is recomputed from the stored mean
-        if ring is None:
-            return h_case
-        parts = ((read_rows(mean_path, sl)[1], ring.reshape(-1)[sl]) for sl in pixel_blocks(n))
-        return sum(float(pixel_entropy(rows[:, keep]).sum()) for rows, keep in parts)
-
     with _stage("score", case_id):
-        contour = cfg.entropy_region == "contour"
-        scores = [mask_score(m.reshape(shape[1:]), k, entropy_total, contour)
-                  for m, k in zip(masks, classes)]
+        scores = class_scores(masks.reshape(len(classes), *shape[1:]), classes, h_case,
+                              lambda pixels: read_rows(mean_path, pixels)[1],
+                              cfg.entropy_region == "contour")
     del masks
     with _stage("metrics", case_id):
         pred = pred.reshape(shape[1:])

@@ -10,7 +10,7 @@ Entropy is base-2 (bits) throughout. Masks are bool arrays, dilated with a
 box (a full square or cube) one axis at a time. Scores always dilate slice by
 slice with the 3x3 square; only ``dilate`` and ``contour_normalizer`` take an
 element, such as a 3D box. Posteriors are validated where they enter the program
-(``ensemble_mean``, the CLI's readers), so these kernels take them as trusted.
+(``ensemble_mean``, ``pipeline.stored_blocks``), so these kernels trust them.
 """
 
 from __future__ import annotations
@@ -65,33 +65,27 @@ class UncertaintyScore:
 def pixel_entropy(p) -> np.ndarray:
     """Per-pixel Shannon entropy -sum_k p_k log2 p_k, with 0*log2(0) = 0.
 
-    ``p`` is a trusted posterior; the entropy is computed in float64, one
-    block of pixels and one class plane at a time, so the working set is the
-    map and one block-sized term whatever c is. Each plane's -(p log2 p) is
-    added into the map, which starts at +0.0, in class order, for every
-    shape and memory layout. That is what ``sum(axis=0)`` does on a
-    C-contiguous stack of more than one pixel; numpy sums the classes
+    ``p`` is a trusted posterior; the entropy is computed in float64 one
+    class plane at a time, so the working set is the map and one term plane
+    whatever c is (``run`` and the CLI pass one pixel block). Each plane's
+    -(p log2 p) is added into the map, which starts at +0.0, in class order,
+    for every shape and memory layout. That is what ``sum(axis=0)`` does on
+    a C-contiguous stack of more than one pixel; numpy sums the classes
     pairwise instead from c = 8 on when they are its innermost loop (a
     single pixel, a class-last layout), where the last bits can differ.
     """
     arr = np.asarray(p)
-    flat = arr.reshape(arr.shape[0], -1)
     h = np.zeros(arr.shape[1:], dtype=np.float64)
-    h_flat = h.reshape(-1)
-    blocks = pixel_blocks(flat.shape[1])
-    scratch = np.empty(blocks[0].stop, dtype=np.float64)
+    term = np.empty_like(h)
     # -(p * log2 p) in one buffer; it equals (-p) * log2 p bit for bit.
     # dtype= casts a float32 plane exactly, as a float64 copy would
     with np.errstate(divide="ignore", invalid="ignore"):
-        for sl in blocks:
-            total = h_flat[sl]
-            term = scratch[: sl.stop - sl.start]
-            for plane in flat[:, sl]:
-                np.log2(plane, out=term, dtype=np.float64)
-                np.multiply(term, plane, out=term, dtype=np.float64)
-                np.negative(term, out=term)
-                np.copyto(term, 0.0, where=~(plane > 0.0))
-                total += term
+        for plane in arr:
+            np.log2(plane, out=term, dtype=np.float64)
+            np.multiply(term, plane, out=term, dtype=np.float64)
+            np.negative(term, out=term)
+            np.copyto(term, 0.0, where=~(plane > 0.0))
+            h += term
     return h
 
 
@@ -126,17 +120,6 @@ def contour_normalizer(image, element=None) -> np.ndarray:
     return ring
 
 
-def total_entropy(entropy_map, region=None) -> float:
-    """Sum of entropy values over the whole map, or over a binary region: one
-    sum per pixel block, the block sums added in block order, as in ``run``."""
-    h = np.asarray(entropy_map, dtype=np.float64)
-    mask = np.broadcast_to(True, h.shape) if region is None else validate_binary(region)
-    if mask.shape != h.shape:
-        raise ValidationError(f"region shape {mask.shape} does not match map shape {h.shape}")
-    h, mask = h.reshape(-1), mask.reshape(-1)
-    return sum(float(h[sl][mask[sl]].sum()) for sl in pixel_blocks(h.size))
-
-
 def check_classes(classes, class_count) -> list:
     """``classes`` as a list; ValidationError unless each is a foreground class."""
     for k in classes:
@@ -148,27 +131,39 @@ def check_classes(classes, class_count) -> list:
     return list(classes)
 
 
-def mask_score(mask, class_id, entropy_total, restrict_to_contour=False) -> UncertaintyScore:
-    """The score of class ``class_id`` from its bool foreground ``mask``;
-    ``entropy_total(region)`` sums the entropy over a bool region, or over
-    the image for None. An empty contour gives score 0 and ``empty_contour``."""
-    ring = contour_normalizer(mask)
-    pixels = int(np.count_nonzero(ring))
-    h_total = entropy_total(ring if restrict_to_contour else None)
-    score = h_total / pixels if pixels else 0.0
-    return UncertaintyScore(class_id, h_total, pixels, score, not pixels)
+def class_scores(masks, classes, h_total, rows_of, restrict_to_contour=False) -> list:
+    """The score of each class of ``classes`` from its bool foreground mask in ``masks``.
+
+    ``h_total`` is the image's entropy total. With ``restrict_to_contour`` a ring's
+    entropy is recomputed from the posterior rows ``rows_of(pixels)`` of each pixel
+    block, the block sums added in block order. An empty contour scores 0.
+    """
+    scores = []
+    for mask, class_id in zip(masks, classes):
+        ring = contour_normalizer(mask).reshape(-1)
+        pixels = int(np.count_nonzero(ring))
+        total = h_total
+        if restrict_to_contour:
+            total = sum(float(pixel_entropy(rows_of(sl)[:, ring[sl]]).sum())
+                        for sl in pixel_blocks(ring.size))
+        del ring  # before the next class's ring is made
+        score = total / pixels if pixels else 0.0
+        scores.append(UncertaintyScore(class_id, total, pixels, score, not pixels))
+    return scores
 
 
-def uncertainty_score(p, class_id: int, *, entropy=None, restrict_to_contour=False):
+def uncertainty_score(p, class_id: int, *, restrict_to_contour=False):
     """Contour-normalized uncertainty score for one class of a trusted posterior.
 
-    ``entropy`` is the posterior's ``pixel_entropy`` map, computed here when
-    not given; one map serves every class of a case. ``restrict_to_contour``
-    limits the entropy sum to the contour ring instead of the whole image.
-    A ``class_id`` outside 1 to c - 1 is a ValidationError.
+    ``restrict_to_contour`` limits the entropy sum to the contour ring
+    instead of the whole image; either sum is taken per pixel block, the
+    block sums added in block order, as in ``run``. A ``class_id`` outside
+    1 to c - 1 is a ValidationError.
     """
     p = np.asarray(p)
     check_classes([class_id], p.shape[0])
-    h = pixel_entropy(p) if entropy is None else entropy
+    flat = p.reshape(p.shape[0], -1)
+    h_total = sum(float(pixel_entropy(flat[:, sl]).sum()) for sl in pixel_blocks(flat.shape[1]))
     mask = p[class_id] > FOREGROUND_THRESHOLD  # a trusted plane needs no value check
-    return mask_score(mask, class_id, lambda region: total_entropy(h, region), restrict_to_contour)
+    return class_scores([mask], [class_id], h_total, lambda pixels: flat[:, pixels],
+                        restrict_to_contour)[0]

@@ -1,11 +1,13 @@
-"""Block-wise per-pixel kernels against the whole-array kernels they replace.
+"""Per-pixel kernels against the former whole-array kernels; block-sized commands.
 
-Each ``former_*`` function below is the kernel as it was before the pixel
-passes ran block by block; the block-wise kernels must give the same bytes
-and the same error messages. The ECE bin sums are the exception: they are
-summed per block, so they must equal ``former_add`` applied to each block,
-and come close to its whole-array sums. Shapes span several blocks with a
-ragged last block, at the real block size and, patched, at tiny ones.
+Each ``former_*`` function below is a kernel as it was before the pixel
+passes ran block by block; the kernels, which ``run`` and the CLI hand one
+pixel block at a time, must give the same bytes and the same error messages.
+The ECE bin sums are the exception: they are summed per block, so they must
+equal ``former_add`` applied to each block, and come close to its
+whole-array sums. Shapes span several blocks with a ragged last block, at
+the real block size and, patched, at tiny ones. The ``entropy``, ``score``
+and ``ece`` commands hold their outputs and a few blocks of a posterior.
 """
 
 import tracemalloc
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqseg.arrays
-from uqseg.arrayio import entropy_to_gray
+from uqseg.arrayio import entropy_to_gray, write_array
 from uqseg.arrays import BLOCK_PIXELS, SIMPLEX_TOLERANCE, pixel_blocks, validate_probabilities
+from uqseg.cli import main
 from uqseg.ensemble import argmax_labels
 from uqseg.errors import ValidationError
 from uqseg.metrics import CalibrationAccumulator, ece
@@ -331,22 +334,43 @@ def _peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_scratch_is_block_sized():
-    """Ten blocks of pixels: each kernel holds its whole outputs and a few blocks."""
+def test_scratch_is_block_sized(tmp_path):
+    """Ten blocks of pixels: each command holds its whole outputs and a few blocks."""
     c, spatial = 4, (10, 128, 512)
     n = int(np.prod(spatial))
     assert n == 10 * BLOCK_PIXELS
     rng = np.random.default_rng(22)
     p = posterior(rng, c, spatial, np.float32)
     gt = rng.integers(0, c, size=spatial).astype(np.uint8)
-    block = 8 * BLOCK_PIXELS  # one float64 block
+    write_array(tmp_path / "p.uqsg", p)
+    write_array(tmp_path / "gt.uqsg", gt)
+    block = 8 * BLOCK_PIXELS  # one float64 block; a block of c = 4 float32 rows is two
     slack = 128 * 1024  # numpy's cast buffers and interpreter objects
-    # the float64 class sums of one block
-    assert _peak(validate_probabilities, p) < block + slack
-    # the map; the term and two bool blocks of the > 0 test
-    assert _peak(pixel_entropy, p) < 8 * n + block + block // 4 + slack
-    # the uint8 labels; a float32 maximum and a bool block
-    assert _peak(argmax_labels, p) < n + block // 2 + block // 8 + slack
+
+    def command_peak(*argv):
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    posterior_file = str(tmp_path / "p.uqsg")
+    # the uint8 gray image; the rows of the block read and of the one before
+    # it, and its float64 class sums or its entropy and term; the whole
+    # float32 posterior alone (16 * n = 20 blocks) would exceed it
+    entropy = ["entropy", "--in", posterior_file, "--out", str(tmp_path / "h.uqsg")]
+    assert command_peak(*entropy) < n + 6 * block + slack
+    assert command_peak(*entropy, "--pgm", str(tmp_path / "maps")) < n + 6 * block + slack
+    # three bool class masks and the dilation of one (two copies and the
+    # inverted mask), and the rows of two blocks and a ring's share of them
+    score = ["score", "--in", posterior_file, "--classes", "1,2,3", "--out", str(tmp_path / "s.csv")]
+    assert command_peak(*score) < 6 * n + 4 * block + slack
+    assert command_peak(*score, "--contour-entropy") < 6 * n + 4 * block + slack
+    # the uint8 labels; the rows of two blocks and the accumulator's scratch
+    ece = ["ece", "--pred", posterior_file, "--gt", str(tmp_path / "gt.uqsg"),
+           "--out", str(tmp_path / "e.csv")]
+    assert command_peak(*ece) < n + 6 * block + slack
     # the uint8 argmax and a few float64 blocks: the confidences, the intp
     # bin indices, the stable-sort permutation and the sorted confidences;
     # a whole float64 plane (8 * n = 10 blocks) would exceed it

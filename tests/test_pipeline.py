@@ -565,6 +565,82 @@ class TestBlockwiseFuse:
         assert reads == [f"{cid}.uqsg" for cid in self.ids] * blocks
 
 
+class TestOutputIsNoInput:
+    """An ``--out`` that is one of a command's input files is refused before any write."""
+
+    def test_fuse_out_naming_a_member(self, tmp_path, capsys):
+        ids = ["ep1", "ep2"]
+        (tmp_path / "in").mkdir()
+        _write_members(tmp_path / "in", ids, (3, 2, 200, 200), np.random.default_rng(13))
+        (tmp_path / "manifest.csv").write_text(
+            "cycle,epoch,checkpoint_id,metric\n1,2,ep2,0.6\n1,1,ep1,0.5\n"
+        )
+        member = tmp_path / "in" / "ep2.uqsg"
+        before = member.read_bytes()
+        out = tmp_path / "in" / ".." / "in" / "ep2.uqsg"  # the same file by another name
+        assert main([
+            "fuse", "--manifest", str(tmp_path / "manifest.csv"),
+            "--inputs", str(tmp_path / "in"), "--out", str(out),
+        ]) == 2
+        assert member.read_bytes() == before
+        assert capsys.readouterr().err == (
+            f"error: output {out} is the input {member}; name another output\n"
+        )
+
+    def test_entropy_out_naming_its_input(self, tmp_path, capsys):
+        path = tmp_path / "p.uqsg"
+        write_array(path, np.full((2, 8, 8), 0.5, dtype=np.float32))
+        before = path.read_bytes()
+        assert main(["entropy", "--in", str(path), "--out", str(path)]) == 2
+        assert path.read_bytes() == before
+        assert capsys.readouterr().err == (
+            f"error: output {path} is the input {path}; name another output\n"
+        )
+
+
+class TestStreamedPosteriorErrors:
+    """A posterior file fails in its last block only after the earlier blocks were analyzed."""
+
+    @pytest.fixture
+    def bad_posterior(self, tmp_path):
+        import uqseg.arrays
+
+        spatial = (10, 8, 8)
+        p = np.random.default_rng(14).random((3, *spatial))
+        p = (p / p.sum(axis=0)).astype(np.float32)
+        p[1, -1, -1, -1] = np.nan
+        write_array(tmp_path / "p.uqsg", p)
+        write_array(tmp_path / "gt.uqsg", np.zeros(spatial, dtype=np.uint8))
+        with patch.object(uqseg.arrays, "BLOCK_PIXELS", 64):
+            assert len(pixel_blocks(int(np.prod(spatial)))) == 10
+            yield tmp_path / "p.uqsg"
+
+    def assert_fails_in_the_last_block(self, capsys, argv, path):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: probability array contains NaN or Inf\n"
+
+    def test_entropy_leaves_no_map_and_no_pgm(self, bad_posterior, tmp_path, capsys):
+        out, maps = tmp_path / "h.uqsg", tmp_path / "maps"
+        argv = ["entropy", "--in", str(bad_posterior), "--out", str(out), "--pgm", str(maps)]
+        self.assert_fails_in_the_last_block(capsys, argv, bad_posterior)
+        assert not out.exists()
+        assert not maps.exists() or not any(maps.iterdir())
+
+    @pytest.mark.parametrize("contour", [False, True])
+    def test_score_writes_nothing(self, bad_posterior, tmp_path, capsys, contour):
+        out = tmp_path / "s.csv"
+        argv = ["score", "--in", str(bad_posterior), "--classes", "1,2", "--out", str(out)]
+        self.assert_fails_in_the_last_block(capsys, argv + ["--contour-entropy"] * contour, bad_posterior)
+        assert not out.exists()
+
+    def test_ece_writes_nothing(self, bad_posterior, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        argv = ["ece", "--pred", str(bad_posterior), "--gt", str(tmp_path / "gt.uqsg"),
+                "--out", str(out)]
+        self.assert_fails_in_the_last_block(capsys, argv, bad_posterior)
+        assert not out.exists()
+
+
 def _write_two_cycle_inputs(root, case_ids, shape, rng):
     """Write a trace of two 10-epoch cycles and, per case, labels and members.
 
@@ -630,10 +706,11 @@ def test_contour_scores_are_uncertainty_score_on_the_stored_mean(
     scored = []
 
     def spy(*args):
-        scored.append(uqseg.uncertainty.mask_score(*args))
-        return scored[-1]
+        scores = uqseg.uncertainty.class_scores(*args)
+        scored.extend(scores)
+        return scores
 
-    monkeypatch.setattr(uqseg.pipeline, "mask_score", spy)
+    monkeypatch.setattr(uqseg.pipeline, "class_scores", spy)
     cfg = small_config(
         tmp_path, outdir="out", t0=10, eta=1.0, total_epochs=20, entropy_region="contour"
     )

@@ -11,7 +11,6 @@ from uqseg.uncertainty import (
     contour_normalizer,
     dilate,
     pixel_entropy,
-    total_entropy,
     uncertainty_score,
 )
 
@@ -313,25 +312,30 @@ class TestContourNormalizer:
 
 
 class TestTotalEntropy:
+    """The entropy total ``h_total`` of a score, over the image or the contour ring."""
+
     def test_uniform_four_class_slice(self):
-        h = pixel_entropy(uniform_posterior(4, (2, 2)))
-        assert total_entropy(h) == pytest.approx(8.0, abs=1e-12)
+        s = uncertainty_score(uniform_posterior(4, (2, 2)), 1)
+        assert s.h_total == pytest.approx(8.0, abs=1e-12)
 
     def test_one_hot_slice(self):
         p = np.zeros((3, 4, 4))
         p[0] = 1.0
-        assert total_entropy(pixel_entropy(p)) == 0.0
+        assert uncertainty_score(p, 1).h_total == 0.0
 
     def test_masked_sum_matches_loop(self):
         rng = np.random.default_rng(20)
-        h = rng.random((9, 9))
-        mask = random_binary(rng, (9, 9))
-        expected = sum(h[pos] for pos in np.ndindex(h.shape) if mask[pos])
-        assert total_entropy(h, mask) == pytest.approx(expected, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            total_entropy(np.zeros((3, 3)), np.ones((2, 2), dtype=np.uint8))
+        foreground = random_binary(rng, (9, 9)).astype(bool)
+        p = np.empty((3, 9, 9))
+        p[1] = np.where(foreground, 0.7, 0.2)
+        p[2] = rng.random((9, 9)) * (1.0 - p[1])
+        p[0] = 1.0 - p[1] - p[2]
+        h = pixel_entropy(p)
+        ring = contour_normalizer(foreground)
+        assert ring.any()
+        expected = sum(h[pos] for pos in np.ndindex(h.shape) if ring[pos])
+        s = uncertainty_score(p, 1, restrict_to_contour=True)
+        assert s.h_total == pytest.approx(expected, abs=1e-12)
 
 
 class TestUncertaintyScore:
