@@ -9,8 +9,11 @@ Layout (all multi-byte integers little-endian):
     dims    rank * u32
     payload row-major array bytes
 
-Write followed by read reproduces shape, dtype, and payload bit-exactly.
-Also includes a binary PGM (P5) writer for 8-bit map visualization.
+Write followed by read reproduces shape, dtype, and payload bit-exactly; an
+array of either byte order is written little-endian and read back in native
+order. ``ArrayFile`` opens a file once and reads or writes it by pixel block;
+``read_array`` and ``write_array`` take the whole array through it. Also
+includes a binary PGM (P5) writer for 8-bit map visualization.
 """
 
 from __future__ import annotations
@@ -37,60 +40,78 @@ def write_array(path, array):
     arr = np.asarray(array)
     if not 0 < arr.ndim <= 255:
         raise ArrayFormatError(f"rank {arr.ndim} outside supported range 1..255")
-    write_rows(path, arr.shape, slice(None), arr.reshape(arr.shape[0], math.prod(arr.shape[1:])))
-
-
-def write_rows(path, shape, pixels, rows):
-    """Write the rows of one pixel block of an array of ``shape``: ``read_rows`` reversed.
-
-    The array is taken as ``(c, n)``, or, given one row, as one flat row.
-    Block 0 creates the file with its header and later blocks go to their
-    offsets, so the blocks of ``pixel_blocks(n)`` leave ``write_array``'s bytes.
-    """
-    code = _DTYPE_TO_CODE.get(rows.dtype)
-    if code is None:
-        raise ArrayFormatError(f"dtype {rows.dtype} not supported; use float32, uint8, or int32")
-    n = math.prod(shape[1:]) if len(rows) == shape[0] else math.prod(shape)
-    start, stop, _ = pixels.indices(n)
-    if rows.ndim != 2 or len(rows) not in (shape[0], 1) or rows.shape[1] != stop - start:
-        raise ArrayFormatError(f"rows of shape {rows.shape} are no block {pixels} of {shape}")
-    header = _HEAD.pack(MAGIC, FORMAT_VERSION, code, len(shape))
-    header += struct.pack(f"<{len(shape)}I", *shape)
-    with open(path, "wb" if start == 0 else "r+b") as f:
-        if start == 0:
-            f.write(header)
-        # little-endian on any host; a no-op on little-endian ones
-        for offset, view in _row_views(rows.astype(_CODE_TO_DTYPE[code], copy=False), n, start):
-            f.seek(len(header) + offset)
-            f.write(view)
+    with ArrayFile(path, arr.shape, arr.dtype) as f:
+        f.write(slice(None), arr.reshape(arr.shape[0], math.prod(arr.shape[1:])))
 
 
 def read_array(path):
     """Read an array written by write_array, bit-exact, straight into its one copy."""
-    shape, rows = read_rows(path, slice(None))
-    return rows.reshape(shape)
+    with ArrayFile(path) as f:
+        return f.rows(slice(None)).reshape(f.shape)
 
 
-def read_rows(path, pixels):
-    """The shape of the array file at ``path`` and the rows of one pixel block.
+class ArrayFile:
+    """One array file, opened once: ``ArrayFile(path)`` opens a file and checks its
+    header and size, ``ArrayFile(path, shape, dtype)`` creates one with its header.
+    The array is taken as ``(c, n)``, its first axis by the rest flattened; a pixel
+    block is a step-1 slice of n, clipped as numpy clips it."""
 
-    The array is taken as ``(c, n)``, its first axis by the rest flattened;
-    ``pixels`` is a step-1 slice of n, clipped as numpy clips it, and the
-    rows come back as ``(c, m)``. Header and size are checked as by
-    ``read_array``.
-    """
-    with open(path, "rb") as f:
-        dtype, shape = _read_header(f, path)
-        n = math.prod(shape[1:])
+    def __init__(self, path, shape=None, dtype=None):
+        self.path = path
+        if shape is None:
+            self._f = open(path, "rb")
+            try:
+                self._disk, self.shape = _read_header(self._f, path)
+            except BaseException:
+                self._f.close()
+                raise
+        else:  # the dtype is looked up in native byte order
+            code = _DTYPE_TO_CODE.get(np.dtype(dtype).newbyteorder("="))
+            if code is None:
+                raise ArrayFormatError(
+                    f"dtype {np.dtype(dtype)} not supported; use float32, uint8, or int32"
+                )
+            self._disk, self.shape = _CODE_TO_DTYPE[code], tuple(shape)
+            header = struct.pack(f"<4sHBB{len(shape)}I", MAGIC, FORMAT_VERSION, code,
+                                 len(shape), *shape)
+            self._f = open(path, "w+b")
+            self._f.write(header)
+        self._payload = self._f.tell()
+        self.dtype = self._disk.newbyteorder("=")
+        self.n = math.prod(self.shape[1:])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def rows(self, pixels):
+        """The ``(c, m)`` rows of one pixel block, read at their offsets."""
+        start, stop, _ = pixels.indices(self.n)
+        rows = np.empty((self.shape[0], max(stop - start, 0)), dtype=self._disk)
+        for offset, view in _row_views(rows, self.n, start):
+            self._f.seek(self._payload + offset)
+            if self._f.readinto(view) < len(view):
+                raise ArrayFormatError(f"{self.path}: file shrank while being read")
+        # a no-op on little-endian hosts
+        return rows.astype(self.dtype, copy=False)
+
+    def write(self, pixels, rows):
+        """Write the ``(c, m)`` rows of one pixel block at their offsets: ``rows``
+        reversed. One row is a block of the whole array flattened, as an entropy
+        map is written; the blocks of ``pixel_blocks`` leave ``write_array``'s bytes."""
+        n = self.n if len(rows) == self.shape[0] else math.prod(self.shape)
         start, stop, _ = pixels.indices(n)
-        rows = np.empty((shape[0], max(stop - start, 0)), dtype=dtype)
-        header = f.tell()
-        for offset, view in _row_views(rows, n, start):
-            f.seek(header + offset)
-            if f.readinto(view) < len(view):
-                raise ArrayFormatError(f"{path}: file shrank while being read")
-    # a no-op on little-endian hosts
-    return shape, rows.astype(dtype.newbyteorder("="), copy=False)
+        if rows.dtype.newbyteorder("=") != self.dtype:
+            raise ArrayFormatError(f"dtype {rows.dtype} not supported by {self.dtype} {self.path}")
+        if rows.ndim != 2 or len(rows) not in (self.shape[0], 1) or rows.shape[1] != stop - start:
+            raise ArrayFormatError(f"rows of shape {rows.shape} are no block {pixels} "
+                                   f"of {self.shape}")
+        # little-endian on any host; a no-op on little-endian ones
+        for offset, view in _row_views(rows.astype(self._disk, copy=False), n, start):
+            self._f.seek(self._payload + offset)
+            self._f.write(view)
 
 
 def _row_views(rows, n, start):

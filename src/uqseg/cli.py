@@ -107,11 +107,12 @@ def cmd_dice(args):
 
 
 def cmd_ece(args):
-    shape, blocks = stored_blocks(args.pred)
-    gt = read_labels(args.gt, shape[0], shape).reshape(-1)
-    acc = CalibrationAccumulator(args.bins)
-    for pixels, rows in blocks:
-        acc.add(rows, gt[pixels], foreground_only=args.foreground_only)
+    with stored_blocks(args.pred) as (f, blocks):
+        gt = read_labels(args.gt, f.shape[0], f.shape).reshape(-1)
+        acc = CalibrationAccumulator(args.bins)
+        for pixels, rows in blocks:
+            acc.add(rows, gt[pixels], foreground_only=args.foreground_only)
+            del rows  # before the next block is read
     reports.write_ece_csv(args.out, acc.report())
 
 

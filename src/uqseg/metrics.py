@@ -44,10 +44,7 @@ def dice(pred, gt, class_id: int) -> DiceResult:
     inter = int(np.count_nonzero(pm & gm))
     psz = int(np.count_nonzero(pm))
     gsz = int(np.count_nonzero(gm))
-    if psz + gsz == 0:
-        value = 1.0
-    else:
-        value = 2.0 * inter / (psz + gsz)
+    value = 2.0 * inter / (psz + gsz) if psz + gsz else 1.0
     return DiceResult(class_id, inter, psz, gsz, value)
 
 

@@ -4,9 +4,11 @@ run_pipeline turns the artifacts of a training run (a trace CSV, member
 posteriors, labels) into the manifest, fused means, entropy maps, scores,
 Dice/ECE tables and a summary CSV. A case is one pass over the pixel blocks
 of its fused float32 mean (``fuse_blocks``); the CLI takes a stored posterior's
-validated blocks (``stored_blocks``) through the same steps. The tree is built
-in a sibling staging directory and renamed into ``outdir`` at the end, so
-``outdir`` holds a whole run or nothing; a failure names the stage and the case.
+validated blocks (``stored_blocks``) through the same steps. Both context
+managers open each file once, as an ``ArrayFile``, for the whole pass. The
+tree is built in a sibling staging directory and renamed into ``outdir`` at
+the end, so ``outdir`` holds a whole run or nothing; a failure names the
+stage and the case.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import os
 import shutil
 import stat
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arrays, reports
-from .arrayio import entropy_to_gray, read_array, read_rows, write_pgm, write_rows
+from .arrayio import ArrayFile, entropy_to_gray, read_array, write_pgm
 from .arrays import pixel_blocks, validate_labels, validate_probability_shape
 from .ensemble import argmax_labels, ensemble_mean
 from .errors import StageError, ValidationError
@@ -179,74 +181,62 @@ def _stage(name, case_id=None):
         raise StageError(name, exc, case_id) from exc
 
 
+@contextmanager
 def fuse_blocks(checkpoint_ids, inputs):
-    """The mean's shape and its ``(pixels, float32 rows)`` per pixel block, in order.
-
-    Each block's member rows are read in manifest order and averaged in
-    float64 by ``ensemble_mean``, with the additions whole members would
-    get. Block 0 is fused first, so a missing member, a bad header or a
-    shape unlike the first member's fails before this returns.
-    """
+    """Open every member, checking its header and shape, and yield the mean's shape
+    and its ``(pixels, float32 rows)`` per pixel block, in order: each block's member
+    rows read in manifest order and averaged in float64 by ``ensemble_mean``."""
     paths = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
-    first_shape = None  # set when block 0 reads the first member
-
-    def member_block(cid, path, pixels):
-        nonlocal first_shape
-        try:
-            shape, rows = read_rows(path, pixels)
-        except FileNotFoundError:
-            raise ValidationError(
-                f"missing member posterior {path} for checkpoint {cid}"
-            ) from None
-        if first_shape is None:
+    with ExitStack() as stack:
+        members = []
+        for cid, path in zip(checkpoint_ids, paths):
+            if not path.exists():
+                raise ValidationError(f"missing member posterior {path} for checkpoint {cid}")
+            members.append(stack.enter_context(ArrayFile(path)))
+            shape = members[0].shape
+            if members[-1].shape != shape:
+                raise ValidationError(f"{path} has shape {members[-1].shape}, expected {shape}")
             validate_probability_shape(shape, name=str(path))
-            first_shape = shape
-        elif shape != first_shape:
-            raise ValidationError(f"{path} has shape {shape}, expected {first_shape}")
-        return rows.reshape(shape[0], 1, -1)
+        if not members:
+            raise ValidationError("ensemble needs at least one member")
 
-    def block_mean(pixels):
-        # a generator expression keeps no reference to the member it yielded
-        members = (member_block(cid, path, pixels) for cid, path in zip(checkpoint_ids, paths))
-        return ensemble_mean(members, list(map(str, paths)))[:, 0].astype(np.float32)
+        def blocks():
+            for pixels in pixel_blocks(members[0].n):
+                # a generator expression keeps no reference to the member it yielded
+                rows = (m.rows(pixels).reshape(shape[0], 1, -1) for m in members)
+                yield pixels, ensemble_mean(rows, list(map(str, paths)))[:, 0].astype(np.float32)
 
-    def blocks(first):
-        pixels = pixel_blocks(math.prod(first_shape[1:]))
-        yield pixels[0], first
-        del first
-        for sl in pixels[1:]:
-            yield sl, block_mean(sl)
-
-    # block 0 of any shape; the first member's shape then gives the rest
-    first = block_mean(slice(0, arrays.BLOCK_PIXELS))
-    return first_shape, blocks(first)
+        yield shape, blocks()
 
 
+@contextmanager
 def stored_blocks(path):
-    """``fuse_blocks`` for the posterior file at ``path``: its shape, checked with the
-    header before this returns, and its ``(pixels, rows)`` per block, validated as read."""
-    shape = read_rows(path, slice(0, 0))[0]
-    validate_probability_shape(shape, name=str(path))
+    """``fuse_blocks`` for the posterior file at ``path``: the open ``ArrayFile``, its
+    shape checked with its header, and its ``(pixels, rows)`` per block, validated as read."""
+    with ArrayFile(path) as f:
+        validate_probability_shape(f.shape, name=str(path))
 
-    def blocks():
-        for pixels in pixel_blocks(math.prod(shape[1:])):
-            rows = read_rows(path, pixels)[1].reshape(shape[0], 1, -1)
-            yield pixels, arrays.validate_probabilities(rows, name=str(path))[:, 0]
-            del rows  # before the next block is read
+        def blocks():
+            for pixels in pixel_blocks(f.n):  # no name holds the rows of the block before
+                yield pixels, arrays.validate_probabilities(
+                    f.rows(pixels).reshape(f.shape[0], 1, -1), name=str(path))[:, 0]
 
-    return shape, blocks()
+        yield f, blocks()
 
 
-def _write_blocks(out, inputs, blocks, write):
-    """``write(pixels, rows)`` per block; block 0 creates ``out``, a later failure removes
-    it, and an ``out`` that is one of the files ``inputs`` is refused before any write."""
+def _write_blocks(out, inputs, shape, blocks, write):
+    """Create the float32 array file ``out`` of ``shape`` and ``write(out_file, pixels,
+    rows)`` per block; a failure removes ``out``, and an ``out`` that is one of the
+    files ``inputs`` is refused before it is created."""
     for path in inputs:
         if os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
             raise ValidationError(f"output {out} is the input {path}; name another output")
-    write(*next(blocks))
+    out_file = ArrayFile(out, shape, np.float32)
     try:
-        for pixels, rows in blocks:
-            write(pixels, rows)
+        with out_file:
+            for pixels, rows in blocks:
+                write(out_file, pixels, rows)
+                del rows  # before the next block is read
     except BaseException:
         Path(out).unlink(missing_ok=True)
         raise
@@ -254,40 +244,41 @@ def _write_blocks(out, inputs, blocks, write):
 
 def fuse_members(checkpoint_ids, inputs, out):
     """Write the members' float32 mean to ``out`` block by block; a failure removes ``out``."""
-    shape, blocks = fuse_blocks(checkpoint_ids, inputs)
     members = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
-    _write_blocks(out, members, blocks, partial(write_rows, out, shape))
+    with fuse_blocks(checkpoint_ids, inputs) as (shape, blocks):
+        _write_blocks(out, members, shape, blocks, ArrayFile.write)
 
 
 def write_entropy(path, out, pgm_dir=None):
     """Write the float32 entropy map of the posterior file at ``path`` to ``out`` block by
     block; with ``pgm_dir``, then its 8-bit PGMs, one per 2D map or axial slice."""
-    shape, blocks = stored_blocks(path)
-    gray = np.empty(math.prod(shape[1:]), dtype=np.uint8)
-    _write_blocks(out, [path], blocks, partial(_entropy_block, out, shape, gray))
+    with stored_blocks(path) as (f, blocks):
+        gray = np.empty(f.n, dtype=np.uint8)
+        _write_blocks(out, [path], f.shape[1:], blocks, partial(_entropy_block, gray))
     if pgm_dir is not None:
         Path(pgm_dir).mkdir(parents=True, exist_ok=True)
-        _write_pgms(pgm_dir, Path(out).stem, gray.reshape(shape[1:]))
+        _write_pgms(pgm_dir, Path(out).stem, gray.reshape(f.shape[1:]))
 
 
 def score_posterior(path, classes, restrict_to_contour=False):
     """The scores of ``classes`` on the posterior file at ``path``, from one pass as in ``run``."""
-    shape, blocks = stored_blocks(path)
-    classes = check_classes(classes, shape[0])
-    masks = np.empty((len(classes), math.prod(shape[1:])), dtype=bool)
-    h_total = 0.0
-    for pixels, rows in blocks:
-        h_total += float(pixel_entropy(rows).sum())
-        np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
-    return class_scores(masks.reshape(len(classes), *shape[1:]), classes, h_total,
-                        lambda pixels: read_rows(path, pixels)[1], restrict_to_contour)
+    with stored_blocks(path) as (f, blocks):
+        classes = check_classes(classes, f.shape[0])
+        masks = np.empty((len(classes), f.n), dtype=bool)
+        h_total = 0.0
+        for pixels, rows in blocks:
+            h_total += float(pixel_entropy(rows).sum())
+            np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
+            del rows  # before the next block is read
+        return class_scores(masks.reshape(len(classes), *f.shape[1:]), classes, h_total,
+                            f.rows, restrict_to_contour)
 
 
-def _entropy_block(out, shape, gray, pixels, rows):
+def _entropy_block(gray, out, pixels, rows):
     """Write one block's entropy rows to ``out`` and its 8-bit values to ``gray``; its total."""
     h = pixel_entropy(rows)
-    write_rows(out, shape[1:], pixels, h.astype(np.float32)[None])
-    gray[pixels] = entropy_to_gray(h, shape[0])
+    out.write(pixels, h.astype(np.float32)[None])
+    gray[pixels] = entropy_to_gray(h, len(rows))
     return float(h.sum())
 
 
@@ -377,27 +368,29 @@ def _run_case(cfg, selection, case_dir, out, acc):
     """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels."""
     case_id = case_dir.name
     mean_path = out / "mean" / f"{case_id}.uqsg"
-    entropy_path = out / "entropy" / mean_path.name
-    with _stage("fuse", case_id):
-        shape, blocks = fuse_blocks(selection.checkpoint_ids, case_dir)
-    c, n = shape[0], math.prod(shape[1:])
-    with _stage("score", case_id):
-        classes = check_classes(cfg.classes or range(1, c), c)
-    with _stage("metrics", case_id):
-        gt_path = Path(cfg.cases_dir) / f"{case_id}_labels.uqsg"
-        if not gt_path.exists():
-            raise ValidationError(f"missing ground truth {gt_path}")
-        gt = read_labels(gt_path, c, shape)
-    # the only whole arrays: the class masks, the labels, the argmax and the gray image
-    masks = np.empty((len(classes), n), dtype=bool)
-    pred = np.empty(n, dtype=np.min_scalar_type(c - 1))
-    gray = np.empty(n, dtype=np.uint8)
-    h_case = 0.0
-    with _stage("fuse", case_id):  # the stages inside name their own failures
+    with (
+        _stage("fuse", case_id),  # the stages inside name their own failures
+        fuse_blocks(selection.checkpoint_ids, case_dir) as (shape, blocks),
+        ArrayFile(mean_path, shape, np.float32) as mean,
+        ArrayFile(out / "entropy" / mean_path.name, shape[1:], np.float32) as entropy,
+    ):
+        c, n = shape[0], math.prod(shape[1:])
+        with _stage("score", case_id):
+            classes = check_classes(cfg.classes or range(1, c), c)
+        with _stage("metrics", case_id):
+            gt_path = Path(cfg.cases_dir) / f"{case_id}_labels.uqsg"
+            if not gt_path.exists():
+                raise ValidationError(f"missing ground truth {gt_path}")
+            gt = read_labels(gt_path, c, shape)
+        # the only whole arrays: the class masks, the labels, the argmax and the gray image
+        masks = np.empty((len(classes), n), dtype=bool)
+        pred = np.empty(n, dtype=np.min_scalar_type(c - 1))
+        gray = np.empty(n, dtype=np.uint8)
+        h_case = 0.0
         for pixels, rows in blocks:
-            write_rows(mean_path, shape, pixels, rows)
+            mean.write(pixels, rows)
             with _stage("entropy", case_id):
-                h_case += _entropy_block(entropy_path, shape, gray, pixels, rows)
+                h_case += _entropy_block(gray, entropy, pixels, rows)
             with _stage("score", case_id):
                 np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
             with _stage("metrics", case_id):
@@ -405,17 +398,16 @@ def _run_case(cfg, selection, case_dir, out, acc):
                 acc.add(rows, gt.reshape(-1)[pixels], pred=pred[pixels],
                         foreground_only=cfg.ece_foreground_only)
             del rows  # before the next block is fused
-    with _stage("entropy", case_id):
-        _write_pgms(out / "entropy", case_id, gray.reshape(shape[1:]))
-    del gray
-    with _stage("score", case_id):
-        scores = class_scores(masks.reshape(len(classes), *shape[1:]), classes, h_case,
-                              lambda pixels: read_rows(mean_path, pixels)[1],
-                              cfg.entropy_region == "contour")
-    del masks
-    with _stage("metrics", case_id):
-        pred = pred.reshape(shape[1:])
-        return scores, [dice(pred, gt, k) for k in classes], h_case, n
+        with _stage("entropy", case_id):
+            _write_pgms(out / "entropy", case_id, gray.reshape(shape[1:]))
+        del gray
+        with _stage("score", case_id):
+            scores = class_scores(masks.reshape(len(classes), *shape[1:]), classes, h_case,
+                                  mean.rows, cfg.entropy_region == "contour")
+        del masks
+        with _stage("metrics", case_id):
+            pred = pred.reshape(shape[1:])
+            return scores, [dice(pred, gt, k) for k in classes], h_case, n
 
 
 def _case_dirs(cfg):

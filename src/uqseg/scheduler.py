@@ -90,10 +90,7 @@ def cycle_of(epoch: int, cfg: SgdrConfig) -> CycleIndex:
     """Return the unique cycle whose [cycle_start, cycle_end) contains epoch."""
     if not 0 <= epoch < cfg.total_epochs:
         raise ValidationError(f"epoch {epoch} outside [0, {cfg.total_epochs})")
-    for cyc in _cycle_iter(cfg):
-        if epoch < cyc.cycle_end:
-            return cyc
-    raise AssertionError("unreachable")
+    return next(cyc for cyc in _cycle_iter(cfg) if epoch < cyc.cycle_end)
 
 
 def restart_epochs(cfg: SgdrConfig) -> list[int]:
@@ -116,8 +113,5 @@ def lr_at(epoch: int, cfg: SgdrConfig) -> float:
 
 def schedule_rows(cfg: SgdrConfig):
     """(epoch, cycle, lr) triples for the whole run; backs the CSV emitter."""
-    rows = []
-    for cyc in _cycle_iter(cfg):
-        for epoch in range(cyc.cycle_start, min(cyc.cycle_end, cfg.total_epochs)):
-            rows.append((epoch, cyc.cycle, _cycle_lr(epoch, cyc, cfg)))
-    return rows
+    return [(epoch, cyc.cycle, _cycle_lr(epoch, cyc, cfg)) for cyc in _cycle_iter(cfg)
+            for epoch in range(cyc.cycle_start, min(cyc.cycle_end, cfg.total_epochs))]

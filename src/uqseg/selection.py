@@ -77,11 +77,9 @@ class TrainingTrace:
             prev = r.epoch
 
     def to_csv(self, path):
-        lines = [",".join(_TRACE_COLUMNS)]
-        for r in self.records:
-            cid = r.checkpoint_id or ""
-            lines.append(f"{r.epoch},{fmt9(r.lr)},{fmt9(r.val_metric)},{cid}")
-        write_lines(path, lines)
+        rows = [f"{r.epoch},{fmt9(r.lr)},{fmt9(r.val_metric)},{r.checkpoint_id or ''}"
+                for r in self.records]
+        write_lines(path, [",".join(_TRACE_COLUMNS), *rows])
 
     @classmethod
     def from_csv(cls, path):
@@ -189,10 +187,9 @@ def export_selection(selection: CheckpointSet, path):
     """Write the manifest CSV consumed by the fuse stage."""
     if not selection.entries:
         raise ValidationError("refusing to export an empty checkpoint selection")
-    lines = [",".join(_MANIFEST_COLUMNS)]
-    for e in selection.entries:
-        lines.append(f"{e.cycle},{e.epoch},{e.checkpoint_id},{fmt9(e.val_metric)}")
-    write_lines(path, lines)
+    rows = [f"{e.cycle},{e.epoch},{e.checkpoint_id},{fmt9(e.val_metric)}"
+            for e in selection.entries]
+    write_lines(path, [",".join(_MANIFEST_COLUMNS), *rows])
 
 
 def read_selection(path) -> CheckpointSet:

@@ -118,9 +118,8 @@ def generate_dataset(
         # classes to stable bands a shared linear model can separate;
         # alternating signs (class 1 dark, class 2 bright, ...) keep every
         # foreground band one-sided instead of squeezed between neighbors
-        blob_classes = list(range(1, class_count))
         blobs = []
-        for k in blob_classes:
+        for k in range(1, class_count):
             radius = int(rng.integers(r_lo, r_hi + 1))
             cy = int(rng.integers(radius, h - radius))
             cx = int(rng.integers(radius, w - radius))
@@ -131,9 +130,7 @@ def generate_dataset(
         image, labels = _render(int(rng.integers(0, 2**31)), (h, w), blobs, level)
         cases.append(ToyCase(f"case{i:04d}", image, labels, class_count, level))
 
-    present = set()
-    for case in cases:
-        present.update(int(v) for v in np.unique(case.labels))
+    present = {int(v) for case in cases for v in np.unique(case.labels)}
     missing = set(range(1, class_count)) - present
     if missing:
         raise ValidationError(f"generated dataset is missing classes {sorted(missing)}")

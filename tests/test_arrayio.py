@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 import uqseg.arrays
 from uqseg.arrayio import (
+    ArrayFile,
     _read_header,
     entropy_to_gray,
     read_array,
-    read_rows,
     write_array,
     write_pgm,
-    write_rows,
 )
 from uqseg.arrays import pixel_blocks
 from uqseg.errors import ArrayFormatError
@@ -186,13 +185,20 @@ def _row_blocks(draw):
     return array, pixels
 
 
+def _read_rows(path, pixels):
+    """The shape of the array file at ``path`` and the rows of one pixel block."""
+    with ArrayFile(path) as f:
+        return f.shape, f.rows(pixels)
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_row_blocks())
 def test_read_rows_is_a_block_of_read_array(tmp_path_factory, case):
+    """``ArrayFile.rows`` of one block is that block of ``read_array``."""
     array, pixels = case
     path = tmp_path_factory.mktemp("rows") / "a.uqsg"
     write_array(path, array)
-    shape, rows = read_rows(path, pixels)
+    shape, rows = _read_rows(path, pixels)
     whole = read_array(path)
     expected = whole.reshape(whole.shape[0], -1)[:, pixels]
     assert shape == whole.shape
@@ -205,28 +211,40 @@ def test_read_rows_of_a_one_block_file_is_the_whole_array(tmp_path):
     array = np.random.default_rng(3).random((3, 4, 5)).astype(np.float32)
     path = tmp_path / "a.uqsg"
     write_array(path, array)
-    shape, rows = read_rows(path, slice(0, 1 << 16))  # clipped to the 20 pixels
+    shape, rows = _read_rows(path, slice(0, 1 << 16))  # clipped to the 20 pixels
     assert shape == (3, 4, 5)
     assert rows.tobytes() == array.tobytes()
     assert rows.shape == (3, 20)
+
+
+def test_one_open_file_reads_every_block(tmp_path):
+    array = np.random.default_rng(5).random((3, 7, 9)).astype(np.float32)
+    write_array(tmp_path / "a.uqsg", array)
+    with ArrayFile(tmp_path / "a.uqsg") as f:
+        assert (f.shape, f.dtype, f.n) == ((3, 7, 9), np.float32, 63)
+        blocks = [f.rows(slice(i, i + 8)) for i in range(0, 63, 8)]
+    assert np.concatenate(blocks, axis=1).tobytes() == array.reshape(3, 63).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int32])
 @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("spatial", [(7, 9), (3, 5, 6), (1, 12)])
 def test_write_rows_over_pixel_blocks_is_write_array(tmp_path, dtype, c, spatial):
-    """Blocks of 8 pixels, the last one ragged, as class rows and as one flat row."""
+    """``ArrayFile.write`` of blocks of 8 pixels, the last one ragged, as class rows
+    and as one flat row."""
     array = (np.random.default_rng(c).random((c, *spatial)) * 100).astype(dtype)
     write_array(tmp_path / "whole.uqsg", array)
     flat = array.reshape(c, -1)
     with patch.object(uqseg.arrays, "BLOCK_PIXELS", 8):
         blocks = pixel_blocks(flat.shape[1])
         assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < 8
-        for pixels in blocks:
-            write_rows(tmp_path / "rows.uqsg", array.shape, pixels, flat[:, pixels])
+        with ArrayFile(tmp_path / "rows.uqsg", array.shape, dtype) as f:
+            for pixels in blocks:
+                f.write(pixels, flat[:, pixels])
         line = array.reshape(1, -1)  # an entropy map is written as one row
-        for pixels in pixel_blocks(line.shape[1]):
-            write_rows(tmp_path / "line.uqsg", array.shape, pixels, line[:, pixels])
+        with ArrayFile(tmp_path / "line.uqsg", array.shape, dtype) as f:
+            for pixels in pixel_blocks(line.shape[1]):
+                f.write(pixels, line[:, pixels])
     whole = (tmp_path / "whole.uqsg").read_bytes()
     assert (tmp_path / "rows.uqsg").read_bytes() == whole
     assert (tmp_path / "line.uqsg").read_bytes() == whole
@@ -241,11 +259,11 @@ def test_write_rows_of_all_pixels_is_one_payload_write(tmp_path, monkeypatch):
         def __init__(self, f):
             self.f = f
 
-        def __enter__(self):
-            return self
+        def close(self):
+            return self.f.close()
 
-        def __exit__(self, *exc):
-            return self.f.__exit__(*exc)
+        def tell(self):
+            return self.f.tell()
 
         def seek(self, offset):
             return self.f.seek(offset)
@@ -255,7 +273,8 @@ def test_write_rows_of_all_pixels_is_one_payload_write(tmp_path, monkeypatch):
             return self.f.write(data)
 
     monkeypatch.setattr("builtins.open", lambda *a, **k: Counted(real_open(*a, **k)))
-    write_rows(tmp_path / "a.uqsg", array.shape, slice(0, 20), array.reshape(3, 20))
+    with ArrayFile(tmp_path / "a.uqsg", array.shape, array.dtype) as f:
+        f.write(slice(0, 20), array.reshape(3, 20))
     monkeypatch.undo()
     assert writes == [8 + 12, array.nbytes]  # the header with its dims, the payload
     assert read_array(tmp_path / "a.uqsg").tobytes() == array.tobytes()
@@ -265,16 +284,31 @@ def test_write_rows_of_all_pixels_is_one_payload_write(tmp_path, monkeypatch):
     (np.zeros((2, 5), np.float32), slice(0, 5), "rows of shape (2, 5)"),
     (np.zeros((3, 4), np.float32), slice(0, 5), "rows of shape (3, 4)"),
     (np.zeros((3, 5), np.float64), slice(0, 5), "dtype float64 not supported"),
+    (np.zeros((3, 5), np.int32), slice(0, 5), "dtype int32 not supported by float32"),
+    (np.zeros((3, 5), ">f4"), slice(0, 6), "rows of shape (3, 5) are no block"),
 ])
 def test_write_rows_rejects_rows_that_are_no_block(tmp_path, rows, pixels, message):
-    with pytest.raises(ArrayFormatError, match=re.escape(message)):
-        write_rows(tmp_path / "a.uqsg", (3, 20), pixels, rows)
+    with ArrayFile(tmp_path / "a.uqsg", (3, 20), np.float32) as f:
+        with pytest.raises(ArrayFormatError, match=re.escape(message)):
+            f.write(pixels, rows)
+
+
+@pytest.mark.parametrize("dtype", [">f4", ">i4"])
+def test_big_endian_arrays_are_written_little_endian(tmp_path, dtype):
+    a = (np.arange(-6, 6).reshape(3, 4) * 1.5).astype(dtype[1:])
+    write_array(tmp_path / "native.uqsg", a)
+    write_array(tmp_path / "swapped.uqsg", a.astype(dtype))
+    assert (tmp_path / "swapped.uqsg").read_bytes() == (tmp_path / "native.uqsg").read_bytes()
+    back = read_array(tmp_path / "swapped.uqsg")
+    assert back.dtype == a.dtype and back.tobytes() == a.tobytes()
 
 
 def _rejections(path):
-    """The (type, text) of the errors read_array and read_rows raise on ``path``."""
+    """The (type, text) of the errors read_array and ``ArrayFile`` raise on ``path``."""
     errors = []
-    readers = (read_array, lambda p: read_rows(p, slice(0, 2)), lambda p: read_rows(p, slice(1, 2)))
+    readers = (
+        read_array, lambda p: _read_rows(p, slice(0, 2)), lambda p: _read_rows(p, slice(1, 2))
+    )
     for read in readers:
         with pytest.raises(Exception) as info:
             read(path)

@@ -376,3 +376,23 @@ def test_scratch_is_block_sized(tmp_path):
     # a whole float64 plane (8 * n = 10 blocks) would exceed it
     acc = CalibrationAccumulator(10)
     assert _peak(acc.add, p, gt) < n + 5 * block + slack
+
+
+def test_entropy_holds_the_rows_of_one_block(tmp_path):
+    """Ten blocks of pixels: the rows of a block are dropped before the next is read."""
+    c, spatial = 4, (10, 128, 512)
+    n = int(np.prod(spatial))
+    write_array(tmp_path / "p.uqsg", posterior(np.random.default_rng(23), c, spatial, np.float32))
+    block = 8 * BLOCK_PIXELS  # one float64 block; a block of c = 4 float32 rows is two
+    slack = 128 * 1024  # numpy's cast buffers and interpreter objects
+    tracemalloc.start()
+    try:
+        assert main(["entropy", "--in", str(tmp_path / "p.uqsg"),
+                     "--out", str(tmp_path / "h.uqsg")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the uint8 gray image; the float32 rows of one block, its float64 entropy
+    # and one term, and its float32 map rows; the rows of the block before
+    # would add two blocks
+    assert peak < n + 4.5 * block + slack

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -6,6 +7,8 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest.mock import patch
@@ -13,11 +16,11 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from uqseg.arrayio import read_array, read_rows, write_array, write_rows
+from uqseg.arrayio import ArrayFile, read_array, write_array
 from uqseg.arrays import BLOCK_PIXELS, pixel_blocks
 from uqseg.cli import build_parser, main
 from uqseg.ensemble import ensemble_mean
-from uqseg.errors import StageError, ValidationError
+from uqseg.errors import ArrayFormatError, StageError, ValidationError
 from uqseg.pipeline import PipelineConfig, fuse_members, run_pipeline, settings_of
 from uqseg.scheduler import SgdrConfig, lr_at
 from uqseg.selection import SelectionPolicy
@@ -436,11 +439,13 @@ def test_fuse_holds_block_sized_scratch_at_every_write(tmp_path, monkeypatch):
     assert scratch + slack < mean  # less than a whole member
     at_write = []
 
-    def spy(path, shape, pixels, block):
-        at_write.append(tracemalloc.get_traced_memory())
-        write_rows(path, shape, pixels, block)
+    write = ArrayFile.write
 
-    monkeypatch.setattr(uqseg.pipeline, "write_rows", spy)
+    def spy(out, pixels, block):
+        at_write.append(tracemalloc.get_traced_memory())
+        write(out, pixels, block)
+
+    monkeypatch.setattr(ArrayFile, "write", spy)
     tracemalloc.start()
     try:
         fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
@@ -486,10 +491,14 @@ class TestStreamedFuseErrors:
         assert str(err.value).startswith(f"{tmp_path / 'ep2.uqsg'}: per-pixel class")
 
     def test_invalid_member_before_a_missing_one(self, tmp_path):
+        """Every member is opened and its shape checked before any member's values,
+        so a missing member is reported before an earlier member's bad values."""
         _write_members(tmp_path, self.ids, (3, 4, 5), np.random.default_rng(2))
         write_array(tmp_path / "ep1.uqsg", np.full((3, 4, 5), 0.2, dtype=np.float32))
         (tmp_path / "ep3.uqsg").unlink()
-        with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / 'ep1.uqsg'}: ")):
+        with pytest.raises(ValidationError, match=re.escape(
+            f"missing member posterior {tmp_path / 'ep3.uqsg'} for checkpoint ep3"
+        )):
             fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
 
     def test_missing_member_before_an_invalid_one(self, tmp_path):
@@ -551,18 +560,26 @@ class TestBlockwiseFuse:
 
     @pytest.mark.parametrize("shape, blocks", [((3, 4, 5), 1), ((3, 2, 200, 400), 3)])
     def test_each_member_is_read_once_per_block(self, tmp_path, monkeypatch, shape, blocks):
-        import uqseg.pipeline
+        """One open per member and one read per member per block."""
+        opens, reads = [], []
+        init, rows = ArrayFile.__init__, ArrayFile.rows
 
-        reads = []
+        def counted_init(f, path, *args):
+            opens.append(Path(path).name)
+            init(f, path, *args)
 
-        def counted(path, pixels):
-            reads.append(Path(path).name)
-            return read_rows(path, pixels)
+        def counted_rows(f, pixels):
+            reads.append(Path(f.path).name)
+            return rows(f, pixels)
 
-        monkeypatch.setattr(uqseg.pipeline, "read_rows", counted)
+        monkeypatch.setattr(ArrayFile, "__init__", counted_init)
+        monkeypatch.setattr(ArrayFile, "rows", counted_rows)
         _write_members(tmp_path, self.ids, shape, np.random.default_rng(10))
+        opens.clear()
         fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
-        assert reads == [f"{cid}.uqsg" for cid in self.ids] * blocks
+        names = [f"{cid}.uqsg" for cid in self.ids]
+        assert opens == names + ["mean.uqsg"]
+        assert reads == names * blocks
 
 
 class TestOutputIsNoInput:
@@ -596,6 +613,11 @@ class TestOutputIsNoInput:
         assert capsys.readouterr().err == (
             f"error: output {path} is the input {path}; name another output\n"
         )
+
+
+needs_proc_fds = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc/self/fd"
+)
 
 
 class TestStreamedPosteriorErrors:
@@ -639,6 +661,68 @@ class TestStreamedPosteriorErrors:
                 "--out", str(out)]
         self.assert_fails_in_the_last_block(capsys, argv, bad_posterior)
         assert not out.exists()
+
+    @needs_proc_fds
+    @pytest.mark.parametrize("command", ["entropy", "score", "ece"])
+    def test_every_file_is_closed(self, bad_posterior, tmp_path, capsys, command):
+        argv = {
+            "entropy": ["entropy", "--in", str(bad_posterior), "--out", str(tmp_path / "h.uqsg")],
+            "score": ["score", "--in", str(bad_posterior), "--classes", "1,2", "--contour-entropy"],
+            "ece": ["ece", "--pred", str(bad_posterior), "--gt", str(tmp_path / "gt.uqsg"),
+                    "--out", str(tmp_path / "e.csv")],
+        }[command]
+        with closes_every_file():
+            self.assert_fails_in_the_last_block(capsys, argv, bad_posterior)
+
+
+@contextmanager
+def closes_every_file():
+    """Every file opened inside the block is closed by the code itself: none is left
+    open, and the garbage collector finds none to close (a ResourceWarning)."""
+    before = sorted(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+@needs_proc_fds
+class TestFilesAreClosed:
+    """Every file a call opens is closed when it returns or fails."""
+
+    def test_successful_run(self, small_run, tmp_path):
+        with closes_every_file():
+            run_pipeline(small_config(small_run, outdir=str(tmp_path / "out")))
+
+    def test_run_failing_at_a_missing_ground_truth(self, small_run, tmp_path):
+        (tmp_path / "no_cases").mkdir()
+        cfg = small_config(small_run, outdir=str(tmp_path / "out"),
+                           cases_dir=str(tmp_path / "no_cases"))
+        with closes_every_file(), pytest.raises(StageError, match="missing ground truth"):
+            run_pipeline(cfg)  # fails once the first case's members are open
+
+    def test_fuse_failing_in_block_3(self, tmp_path):
+        import uqseg.arrays
+
+        ids = ["ep0", "ep1", "ep2"]
+        _write_members(tmp_path, ids, (3, 10, 8, 8), np.random.default_rng(15))
+        bad = read_array(tmp_path / "ep1.uqsg")
+        bad[1, 3, 1, 0] = np.nan  # pixel 200: block 3 of ten blocks of 64
+        write_array(tmp_path / "ep1.uqsg", bad)
+        with patch.object(uqseg.arrays, "BLOCK_PIXELS", 64), closes_every_file():
+            with pytest.raises(ValidationError, match="NaN or Inf"):
+                fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+        assert not (tmp_path / "mean.uqsg").exists()
+
+    def test_fuse_failing_at_a_truncated_member(self, tmp_path):
+        ids = ["ep0", "ep1", "ep2"]
+        _write_members(tmp_path, ids, (3, 4, 5), np.random.default_rng(16))
+        data = (tmp_path / "ep2.uqsg").read_bytes()
+        (tmp_path / "ep2.uqsg").write_bytes(data[:-4])
+        with closes_every_file(), pytest.raises(ArrayFormatError, match="payload truncated"):
+            fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
 
 
 def _write_two_cycle_inputs(root, case_ids, shape, rng):
