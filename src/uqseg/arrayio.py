@@ -11,9 +11,9 @@ Layout (all multi-byte integers little-endian):
 
 Write followed by read reproduces shape, dtype, and payload bit-exactly; an
 array of either byte order is written little-endian and read back in native
-order. ``ArrayFile`` opens a file once and reads or writes it by pixel block;
-``read_array`` and ``write_array`` take the whole array through it. Also
-includes a binary PGM (P5) writer for 8-bit map visualization.
+order. ``ArrayFile`` opens a file once, reads or writes it by pixel block and
+removes a file it created if its block or its close fails; ``read_array`` and
+``write_array`` take the whole array through it. Also a binary PGM (P5) writer.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -52,12 +53,12 @@ def read_array(path):
 
 class ArrayFile:
     """One array file, opened once: ``ArrayFile(path)`` opens a file and checks its
-    header and size, ``ArrayFile(path, shape, dtype)`` creates one with its header.
-    The array is taken as ``(c, n)``, its first axis by the rest flattened; a pixel
-    block is a step-1 slice of n, clipped as numpy clips it."""
+    header and size; ``ArrayFile(path, shape, dtype)`` creates one, and removes it if its
+    ``with`` block or its close fails. The array is taken as ``(c, n)``, its first axis by
+    the rest flattened; a pixel block is a step-1 slice of n, clipped as numpy clips it."""
 
     def __init__(self, path, shape=None, dtype=None):
-        self.path = path
+        self.path, self._created = path, shape is not None
         if shape is None:
             self._f = open(path, "rb")
             try:
@@ -83,8 +84,15 @@ class ArrayFile:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self._f.close()
+    def __exit__(self, failed, *_):
+        try:
+            self._f.close()  # a full disk may first show at the last flush
+        except BaseException:
+            failed = True
+            raise
+        finally:
+            if failed and self._created:
+                Path(self.path).unlink(missing_ok=True)
 
     def rows(self, pixels):
         """The ``(c, m)`` rows of one pixel block, read at their offsets."""

@@ -15,11 +15,12 @@ from dataclasses import asdict, fields
 from . import __version__, reports
 from .arrayio import FORMAT_VERSION
 from .arrays import SIMPLEX_TOLERANCE
+from .ensemble import argmax_labels
 from .errors import UqsegError, ValidationError
 from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice
 from .pipeline import (
-    FIELD_PARSERS, PipelineConfig, fuse_members, read_labels, run_pipeline, select_checkpoints,
-    score_posterior, settings_of, stored_blocks, write_entropy, write_summary,
+    FIELD_PARSERS, PipelineConfig, check_output, fuse_members, read_labels, run_pipeline,
+    select_checkpoints, score_posterior, settings_of, stored_blocks, write_entropy, write_summary,
 )
 from .scheduler import SgdrConfig, schedule_rows
 from .selection import SelectionPolicy, read_selection
@@ -71,14 +72,13 @@ def _add_scene_args(p, cases, cases_help):
 
 
 def cmd_lr_schedule(args):
-    cfg = settings_of(SgdrConfig, args)
-    lines = ["epoch,cycle,lr"]
-    for epoch, cycle, lr in schedule_rows(cfg):
-        lines.append(f"{epoch},{cycle},{reports.fmt9(lr)}")
-    _emit(lines, args.out)
+    rows = schedule_rows(settings_of(SgdrConfig, args))
+    lines = [f"{epoch},{cycle},{reports.fmt9(lr)}" for epoch, cycle, lr in rows]
+    _emit(["epoch,cycle,lr"] + lines, args.out)
 
 
 def cmd_select(args):
+    check_output(args.out, [args.trace])
     select_checkpoints(args.trace, args, args.out)
 
 
@@ -91,11 +91,13 @@ def cmd_entropy(args):
 
 
 def cmd_score(args):
+    check_output(args.out, [args.input])
     scores = score_posterior(args.input, _parse_classes(args.classes), args.contour_entropy)
     _emit([reports.SCORE_HEADER] + [reports.score_row(s) for s in scores], args.out)
 
 
 def cmd_dice(args):
+    check_output(args.out, [args.pred, args.gt])
     pred = read_labels(args.pred, 256)
     gt = read_labels(args.gt, 256)
     if pred.shape != gt.shape:
@@ -107,16 +109,18 @@ def cmd_dice(args):
 
 
 def cmd_ece(args):
+    check_output(args.out, [args.pred, args.gt])
     with stored_blocks(args.pred) as (f, blocks):
         gt = read_labels(args.gt, f.shape[0], f.shape).reshape(-1)
         acc = CalibrationAccumulator(args.bins)
         for pixels, rows in blocks:
-            acc.add(rows, gt[pixels], foreground_only=args.foreground_only)
+            acc.add(rows, gt[pixels], argmax_labels(rows), foreground_only=args.foreground_only)
             del rows  # before the next block is read
     reports.write_ece_csv(args.out, acc.report())
 
 
 def cmd_report(args):
+    check_output(args.out, [args.cases])
     write_summary(args.out, reports.read_csv(args.cases, _CASE_COLUMNS))
 
 
@@ -158,12 +162,12 @@ def cmd_info(args):
     if args.json:
         sys.stdout.write(json.dumps(info, indent=2, sort_keys=True) + "\n")
     else:
-        lines = [f"uqseg {info['version']}"]
-        lines.append(f"array format version: {info['array_format_version']}")
-        for key, value in info["defaults"].items():
-            lines.append(f"default {key}: {value}")
-        lines.append("exit codes: 0 success, 2 validation, 3 io, 4 numeric")
-        _emit(lines, None)
+        _emit([
+            f"uqseg {info['version']}",
+            f"array format version: {info['array_format_version']}",
+            *(f"default {key}: {value}" for key, value in info["defaults"].items()),
+            "exit codes: 0 success, 2 validation, 3 io, 4 numeric",
+        ], None)
 
 
 def _command(sub, name, fn, help_text):

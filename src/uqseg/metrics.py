@@ -3,9 +3,9 @@
 Dice uses the both-empty = 1.0 convention. ECE bins per-pixel confidence
 (the maximum class probability) into equal-width bins over (0, 1], with
 values exactly on an interior edge going to the lower bin; the reported
-number is a percentage. An accumulator pools the bin counters of every
-case added to it; a bin's confidences are summed per pixel block, and the
-block sums are added in block order.
+number is a percentage. An accumulator bins one pixel block per call and
+pools the counters; a bin's confidence sums are added in call order, and
+``ece``, ``run`` and ``uqseg ece`` add a posterior's blocks in order.
 """
 
 from __future__ import annotations
@@ -71,40 +71,24 @@ class CalibrationAccumulator:
         self.confidence_sums = np.zeros(n_bins, dtype=np.float64)
         self.correct_counts = np.zeros(n_bins, dtype=np.int64)
 
-    def add(self, p, gt, *, pred=None, foreground_only: bool = False):
-        """Score one trusted posterior/label pair into the bins.
-
-        ``pred`` is the posterior's per-pixel argmax when already computed;
-        else each block's argmax is taken with that block.
-        Each pixel block adds to each of its bins the pairwise float64 sum of
-        the bin's confidences in pixel order, whatever the posterior's dtype,
-        so adding a pair equals adding its pixel blocks in order, bit for bit.
-        """
-        arr = np.asarray(p)
-        labels = np.asarray(gt)
-        if labels.shape != arr.shape[1:]:
-            raise ValidationError(
-                f"label shape {labels.shape} does not match posterior {arr.shape}"
-            )
-        flat, truth = arr.reshape(arr.shape[0], -1), labels.reshape(-1)
-        pred = None if pred is None else np.asarray(pred).reshape(-1)
-        for sl in pixel_blocks(truth.size):
-            keep = truth[sl] > 0 if foreground_only else slice(None)
-            confidence = flat[:, sl].max(axis=0)[keep].astype(np.float64)
-            block_pred = argmax_labels(flat[:, sl]) if pred is None else pred[sl]
-            correct = (block_pred == truth[sl])[keep]
-            # the narrowest index type lets the stable argsort use radix sort
-            idx = np.searchsorted(self._edges, confidence, side="left").astype(
-                np.min_scalar_type(self.n_bins - 1)
-            )
-            counts = np.bincount(idx, minlength=self.n_bins)
-            self.counts += counts
-            self.correct_counts += np.bincount(idx[correct], minlength=self.n_bins)
-            ordered = confidence[np.argsort(idx, kind="stable")]
-            stops = np.cumsum(counts)
-            for b in np.flatnonzero(counts):
-                self.confidence_sums[b] += float(np.sum(ordered[stops[b] - counts[b] : stops[b]]))
-        return self
+    def add(self, rows, truth, pred, *, foreground_only: bool = False):
+        """Bin one pixel block: its ``(c, m)`` trusted rows, their ``(m,)`` labels and
+        their argmax. Each bin adds the pairwise float64 sum of the block's confidences
+        in it, in pixel order, whatever the rows' dtype."""
+        keep = truth > 0 if foreground_only else slice(None)
+        confidence = rows.max(axis=0)[keep].astype(np.float64)
+        correct = (pred == truth)[keep]
+        # the narrowest index type lets the stable argsort use radix sort
+        idx = np.searchsorted(self._edges, confidence, side="left").astype(
+            np.min_scalar_type(self.n_bins - 1)
+        )
+        counts = np.bincount(idx, minlength=self.n_bins)
+        self.counts += counts
+        self.correct_counts += np.bincount(idx[correct], minlength=self.n_bins)
+        ordered = confidence[np.argsort(idx, kind="stable")]
+        stops = np.cumsum(counts)
+        for b in np.flatnonzero(counts):
+            self.confidence_sums[b] += float(np.sum(ordered[stops[b] - counts[b] : stops[b]]))
 
     def report(self) -> CalibrationReport:
         total = int(self.counts.sum())
@@ -120,11 +104,19 @@ class CalibrationAccumulator:
         return CalibrationReport(self.counts.copy(), mean_conf, accuracy, ece)
 
 
-def ece(
-    p, gt, n_bins: int = DEFAULT_ECE_BINS, *, foreground_only: bool = False
-) -> CalibrationReport:
-    """Expected calibration error (percent) of one posterior/label pair."""
-    return CalibrationAccumulator(n_bins).add(p, gt, foreground_only=foreground_only).report()
+def ece(p, gt, n_bins: int = DEFAULT_ECE_BINS, *,
+        foreground_only: bool = False) -> CalibrationReport:
+    """Expected calibration error (percent) of one posterior/label pair, binned by
+    ``CalibrationAccumulator.add`` one pixel block at a time, in order."""
+    acc = CalibrationAccumulator(n_bins)
+    arr, labels = np.asarray(p), np.asarray(gt)
+    if labels.shape != arr.shape[1:]:
+        raise ValidationError(f"label shape {labels.shape} does not match posterior {arr.shape}")
+    flat, truth = arr.reshape(arr.shape[0], -1), labels.reshape(-1)
+    for sl in pixel_blocks(truth.size):
+        block = flat[:, sl]
+        acc.add(block, truth[sl], argmax_labels(block), foreground_only=foreground_only)
+    return acc.report()
 
 
 @dataclass(frozen=True)

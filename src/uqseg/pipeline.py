@@ -19,7 +19,6 @@ import shutil
 import stat
 from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .arrays import pixel_blocks, validate_labels, validate_probability_shape
 from .ensemble import argmax_labels, ensemble_mean
 from .errors import StageError, ValidationError
 from .metrics import (
-    DEFAULT_ECE_BINS, MAX_ECE_BINS, CalibrationAccumulator, dice, uncertainty_dice_table,
+    DEFAULT_ECE_BINS, CalibrationAccumulator, dice, uncertainty_dice_table,
 )
 from .scheduler import SgdrConfig
 from .selection import SelectionPolicy, TrainingTrace, check_id, export_selection, find_cycle_peaks
@@ -73,9 +72,8 @@ class PipelineConfig:
             raise ValidationError(
                 f"entropy_region must be 'image' or 'contour', got {self.entropy_region!r}"
             )
-        if not 1 <= self.bins <= MAX_ECE_BINS:
-            raise ValidationError(f"bins must be in [1, {MAX_ECE_BINS}], got {self.bins}")
         # construction of these validates the numeric ranges
+        CalibrationAccumulator(self.bins)
         settings_of(SgdrConfig, self)
         settings_of(SelectionPolicy, self)
 
@@ -199,12 +197,13 @@ def fuse_blocks(checkpoint_ids, inputs):
             validate_probability_shape(shape, name=str(path))
         if not members:
             raise ValidationError("ensemble needs at least one member")
+        names = list(map(str, paths))
 
         def blocks():
             for pixels in pixel_blocks(members[0].n):
                 # a generator expression keeps no reference to the member it yielded
                 rows = (m.rows(pixels).reshape(shape[0], 1, -1) for m in members)
-                yield pixels, ensemble_mean(rows, list(map(str, paths)))[:, 0].astype(np.float32)
+                yield pixels, ensemble_mean(rows, names)[:, 0].astype(np.float32)
 
         yield shape, blocks()
 
@@ -224,37 +223,33 @@ def stored_blocks(path):
         yield f, blocks()
 
 
-def _write_blocks(out, inputs, shape, blocks, write):
-    """Create the float32 array file ``out`` of ``shape`` and ``write(out_file, pixels,
-    rows)`` per block; a failure removes ``out``, and an ``out`` that is one of the
-    files ``inputs`` is refused before it is created."""
+def check_output(out, inputs):
+    """ValidationError if the file ``out`` (None: stdout) is one of the files ``inputs``."""
     for path in inputs:
-        if os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+        if out and os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
             raise ValidationError(f"output {out} is the input {path}; name another output")
-    out_file = ArrayFile(out, shape, np.float32)
-    try:
-        with out_file:
-            for pixels, rows in blocks:
-                write(out_file, pixels, rows)
-                del rows  # before the next block is read
-    except BaseException:
-        Path(out).unlink(missing_ok=True)
-        raise
 
 
 def fuse_members(checkpoint_ids, inputs, out):
     """Write the members' float32 mean to ``out`` block by block; a failure removes ``out``."""
-    members = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
     with fuse_blocks(checkpoint_ids, inputs) as (shape, blocks):
-        _write_blocks(out, members, shape, blocks, ArrayFile.write)
+        check_output(out, [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids])
+        with ArrayFile(out, shape, np.float32) as f:
+            for pixels, rows in blocks:
+                f.write(pixels, rows)
+                del rows  # before the next block is read
 
 
 def write_entropy(path, out, pgm_dir=None):
     """Write the float32 entropy map of the posterior file at ``path`` to ``out`` block by
     block; with ``pgm_dir``, then its 8-bit PGMs, one per 2D map or axial slice."""
     with stored_blocks(path) as (f, blocks):
+        check_output(out, [path])
         gray = np.empty(f.n, dtype=np.uint8)
-        _write_blocks(out, [path], f.shape[1:], blocks, partial(_entropy_block, gray))
+        with ArrayFile(out, f.shape[1:], np.float32) as e:
+            for pixels, rows in blocks:
+                _entropy_block(gray, e, pixels, rows)
+                del rows  # before the next block is read
     if pgm_dir is not None:
         Path(pgm_dir).mkdir(parents=True, exist_ok=True)
         _write_pgms(pgm_dir, Path(out).stem, gray.reshape(f.shape[1:]))
@@ -369,7 +364,7 @@ def _run_case(cfg, selection, case_dir, out, acc):
     case_id = case_dir.name
     mean_path = out / "mean" / f"{case_id}.uqsg"
     with (
-        _stage("fuse", case_id),  # the stages inside name their own failures
+        _stage("fuse", case_id),  # and the block loop; the stages inside name theirs
         fuse_blocks(selection.checkpoint_ids, case_dir) as (shape, blocks),
         ArrayFile(mean_path, shape, np.float32) as mean,
         ArrayFile(out / "entropy" / mean_path.name, shape[1:], np.float32) as entropy,
@@ -389,14 +384,11 @@ def _run_case(cfg, selection, case_dir, out, acc):
         h_case = 0.0
         for pixels, rows in blocks:
             mean.write(pixels, rows)
-            with _stage("entropy", case_id):
-                h_case += _entropy_block(gray, entropy, pixels, rows)
-            with _stage("score", case_id):
-                np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
-            with _stage("metrics", case_id):
-                pred[pixels] = argmax_labels(rows)
-                acc.add(rows, gt.reshape(-1)[pixels], pred=pred[pixels],
-                        foreground_only=cfg.ece_foreground_only)
+            h_case += _entropy_block(gray, entropy, pixels, rows)
+            np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
+            pred[pixels] = argmax_labels(rows)
+            acc.add(rows, gt.reshape(-1)[pixels], pred[pixels],
+                    foreground_only=cfg.ece_foreground_only)
             del rows  # before the next block is fused
         with _stage("entropy", case_id):
             _write_pgms(out / "entropy", case_id, gray.reshape(shape[1:]))
@@ -405,9 +397,7 @@ def _run_case(cfg, selection, case_dir, out, acc):
             scores = class_scores(masks.reshape(len(classes), *shape[1:]), classes, h_case,
                                   mean.rows, cfg.entropy_region == "contour")
         del masks
-        with _stage("metrics", case_id):
-            pred = pred.reshape(shape[1:])
-            return scores, [dice(pred, gt, k) for k in classes], h_case, n
+        return scores, [dice(pred.reshape(shape[1:]), gt, k) for k in classes], h_case, n
 
 
 def _case_dirs(cfg):

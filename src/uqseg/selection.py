@@ -106,6 +106,10 @@ class SelectionPolicy:
         """Search-window length in epochs for a cycle of ``span`` epochs."""
         return max(1, math.ceil(self.window_fraction * span))
 
+    def window(self, cyc) -> range:
+        """The epochs of cycle ``cyc``'s search window, which ends with the cycle."""
+        return range(cyc.cycle_end - self.window_epochs(cyc.t_i), cyc.cycle_end)
+
 
 @dataclass(frozen=True)
 class SelectedCheckpoint:
@@ -169,8 +173,8 @@ def find_cycle_peaks(
     global_best = max(r.val_metric for r in trace.records)
     entries = []
     for cyc in cycles:
-        window_start = cyc.cycle_end - policy.window_epochs(cyc.t_i)
-        windowed = [r for r in trace.records if window_start <= r.epoch < cyc.cycle_end]
+        window = policy.window(cyc)
+        windowed = [r for r in trace.records if window.start <= r.epoch < window.stop]
         if not windowed:
             continue
         best = max(r.val_metric for r in windowed)

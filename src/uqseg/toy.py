@@ -202,11 +202,7 @@ def _case_gradient(feats, mask, counts, W):
 
 def checkpoint_epochs(cfg: SgdrConfig, policy: SelectionPolicy) -> list:
     """Epochs falling inside any cycle's selection window."""
-    epochs = []
-    for cyc in _cycle_iter(cfg):
-        start = cyc.cycle_end - policy.window_epochs(cyc.t_i)  # window <= span
-        epochs.extend(range(start, min(cyc.cycle_end, cfg.total_epochs)))
-    return epochs
+    return [e for cyc in _cycle_iter(cfg) for e in policy.window(cyc) if e < cfg.total_epochs]
 
 
 def validation_dice(weights, cases) -> float:

@@ -1,3 +1,4 @@
+import errno
 import math
 import re
 import struct
@@ -224,6 +225,61 @@ def test_one_open_file_reads_every_block(tmp_path):
         assert (f.shape, f.dtype, f.n) == ((3, 7, 9), np.float32, 63)
         blocks = [f.rows(slice(i, i + 8)) for i in range(0, 63, 8)]
     assert np.concatenate(blocks, axis=1).tobytes() == array.reshape(3, 63).tobytes()
+
+
+class _FullDiskOnClose:
+    """An open file whose close closes it and then fails as a full disk would."""
+
+    def __init__(self, f):
+        self._real = f
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def close(self):
+        self._real.close()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_created_file_is_removed_when_its_block_raises(tmp_path, error):
+    path = tmp_path / "a.uqsg"
+    with pytest.raises(error):
+        with ArrayFile(path, (2, 4), np.float32) as f:
+            f.write(slice(0, 2), np.zeros((2, 2), dtype=np.float32))
+            raise error
+    assert not path.exists()
+
+
+def test_a_created_file_is_removed_when_its_close_raises(tmp_path):
+    path = tmp_path / "a.uqsg"
+    f = ArrayFile(path, (2, 4), np.float32)
+    f._f = _FullDiskOnClose(f._f)
+    with pytest.raises(OSError, match="No space left on device"):
+        with f:
+            f.write(slice(None), np.zeros((2, 4), dtype=np.float32))
+    assert not path.exists()
+
+
+def test_a_file_opened_for_reading_is_never_removed(tmp_path):
+    path = tmp_path / "a.uqsg"
+    write_array(path, np.zeros((2, 4), dtype=np.float32))
+    with pytest.raises(RuntimeError):
+        with ArrayFile(path):
+            raise RuntimeError
+    f = ArrayFile(path)
+    f._f = _FullDiskOnClose(f._f)
+    with pytest.raises(OSError, match="No space left on device"):
+        with f:
+            raise RuntimeError
+    assert read_array(path).tobytes() == np.zeros((2, 4), dtype=np.float32).tobytes()
+
+
+def test_a_created_file_that_closes_is_kept(tmp_path):
+    path = tmp_path / "a.uqsg"
+    with ArrayFile(path, (2, 4), np.float32) as f:
+        f.write(slice(None), np.ones((2, 4), dtype=np.float32))
+    assert read_array(path).tobytes() == np.ones((2, 4), dtype=np.float32).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int32])

@@ -112,22 +112,38 @@ def posterior(rng, c, spatial, dtype, scale=2.0):
     return (e / e.sum(axis=0)).astype(dtype)
 
 
-def assert_add_matches(p, gt, n_bins, *, pred=None, foreground_only=False):
-    """The accumulator against ``former_add`` on each pixel block, bit for bit.
+def assert_same_report(report, acc):
+    """``report`` is ``acc``'s report, bit for bit; an accumulator with no pixels has none."""
+    if not acc.counts.any():
+        with pytest.raises(ValidationError, match="no pixels scored"):
+            report()
+        return
+    report, expected = report(), acc.report()
+    for name in ("counts", "mean_confidence", "accuracy"):
+        assert getattr(report, name).tobytes() == getattr(expected, name).tobytes()
+    assert report.ece == expected.ece
 
-    The oracle replays the block sums in the order the accumulator adds
-    them: per bin, block by block. The whole-array ``former_add`` gives the
-    same counts, and sums that may differ in the last bits.
+
+def assert_add_matches(p, gt, n_bins, *, pred=None, foreground_only=False):
+    """Per-block adds against ``former_add`` on each pixel block, bit for bit.
+
+    Each block is added with its slice of ``pred``, or else with its own
+    argmax, as ``ece`` adds it. The oracle replays the block sums in the
+    order the accumulator adds them: per bin, block by block. The
+    whole-array ``former_add`` gives the same counts, and sums that may
+    differ in the last bits.
     """
     acc = CalibrationAccumulator(n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)
     correct_counts = np.zeros(n_bins, dtype=np.int64)
     sums = np.zeros(n_bins)
     flat, truth = p.reshape(p.shape[0], -1), gt.reshape(-1)
-    for _ in range(2):  # a second add accumulates onto the first
-        acc.add(p, gt, pred=pred, foreground_only=foreground_only)
+    for repeat in range(2):  # the second pass accumulates onto the first
         for sl in pixel_blocks(truth.size):
             block_pred = None if pred is None else pred.reshape(-1)[sl]
+            acc.add(flat[:, sl], truth[sl],
+                    argmax_labels(flat[:, sl]) if pred is None else block_pred,
+                    foreground_only=foreground_only)
             block_counts, block_sums, block_correct = former_add(
                 flat[:, sl], truth[sl], n_bins, block_pred, foreground_only
             )
@@ -135,6 +151,8 @@ def assert_add_matches(p, gt, n_bins, *, pred=None, foreground_only=False):
             correct_counts += block_correct
             for b in np.flatnonzero(block_counts):
                 sums[b] += block_sums[b]
+        if repeat == 0 and pred is None:  # ece is one pass of these adds
+            assert_same_report(lambda: ece(p, gt, n_bins, foreground_only=foreground_only), acc)
     np.testing.assert_array_equal(acc.counts, counts)
     np.testing.assert_array_equal(acc.correct_counts, correct_counts)
     assert acc.confidence_sums.tobytes() == sums.tobytes()
@@ -277,17 +295,18 @@ def test_every_kernel_at_tiny_block_sizes(case):
 @settings(max_examples=100, deadline=None)
 @given(case=_small_block_cases(), with_pred=st.booleans())
 def test_adding_a_pair_equals_adding_its_blocks_in_order(case, with_pred):
+    """``ece`` of a pair is the report of its blocks added in order, each with its
+    argmax: taken per block, or sliced from the whole pair's."""
     p, gt, block, n_bins, foreground_only = case
-    pred = argmax_labels(p) if with_pred else None
+    pred = argmax_labels(p).reshape(-1)
     flat, truth = p.reshape(p.shape[0], -1), gt.reshape(-1)
-    whole, blockwise = CalibrationAccumulator(n_bins), CalibrationAccumulator(n_bins)
+    blockwise = CalibrationAccumulator(n_bins)
     with patch.object(uqseg.arrays, "BLOCK_PIXELS", block):
-        whole.add(p, gt, pred=pred, foreground_only=foreground_only)
         for sl in pixel_blocks(truth.size):
-            block_pred = None if pred is None else pred.reshape(-1)[sl]
-            blockwise.add(flat[:, sl], truth[sl], pred=block_pred, foreground_only=foreground_only)
-    for name in ("counts", "correct_counts", "confidence_sums"):
-        assert getattr(whole, name).tobytes() == getattr(blockwise, name).tobytes()
+            block_pred = pred[sl] if with_pred else argmax_labels(flat[:, sl])
+            blockwise.add(flat[:, sl], truth[sl], block_pred, foreground_only=foreground_only)
+        assert_same_report(lambda: ece(p, gt, n_bins, foreground_only=foreground_only),
+                           blockwise)
 
 
 @settings(max_examples=100, deadline=None)
@@ -368,14 +387,13 @@ def test_scratch_is_block_sized(tmp_path):
     assert command_peak(*score) < 6 * n + 4 * block + slack
     assert command_peak(*score, "--contour-entropy") < 6 * n + 4 * block + slack
     # the uint8 labels; the rows of two blocks and the accumulator's scratch
-    ece = ["ece", "--pred", posterior_file, "--gt", str(tmp_path / "gt.uqsg"),
-           "--out", str(tmp_path / "e.csv")]
-    assert command_peak(*ece) < n + 6 * block + slack
+    calibration = ["ece", "--pred", posterior_file, "--gt", str(tmp_path / "gt.uqsg"),
+                   "--out", str(tmp_path / "e.csv")]
+    assert command_peak(*calibration) < n + 6 * block + slack
     # the uint8 argmax and a few float64 blocks: the confidences, the intp
     # bin indices, the stable-sort permutation and the sorted confidences;
     # a whole float64 plane (8 * n = 10 blocks) would exceed it
-    acc = CalibrationAccumulator(10)
-    assert _peak(acc.add, p, gt) < n + 5 * block + slack
+    assert _peak(ece, p, gt) < n + 5 * block + slack
 
 
 def test_entropy_holds_the_rows_of_one_block(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqseg.ensemble import argmax_labels
 from uqseg.errors import ValidationError
 from uqseg.metrics import (
     CalibrationAccumulator,
@@ -218,7 +219,7 @@ def test_slice_sums_equal_per_bin_loop_bit_for_bit(case):
     p, gt, n_bins, foreground_only = case
     acc = CalibrationAccumulator(n_bins)
     for _ in range(2):  # a second add accumulates onto the first
-        acc.add(p, gt, foreground_only=foreground_only)
+        acc.add(p[:, 0], gt[0], argmax_labels(p[:, 0]), foreground_only=foreground_only)
     counts, sums, correct_counts = per_bin_loop(p, gt, n_bins, foreground_only)
     twice = np.zeros(n_bins)
     twice += sums

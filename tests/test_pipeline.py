@@ -614,6 +614,39 @@ class TestOutputIsNoInput:
             f"error: output {path} is the input {path}; name another output\n"
         )
 
+    @pytest.mark.parametrize("command, flag", [
+        ("score", "--in"), ("ece", "--pred"), ("ece", "--gt"), ("dice", "--pred"),
+        ("dice", "--gt"), ("report", "--cases"), ("select-checkpoints", "--trace"),
+    ])
+    def test_out_naming_an_input_file(self, tmp_path, capsys, command, flag):
+        write_array(tmp_path / "p.uqsg", np.full((2, 8, 8), 0.5, dtype=np.float32))
+        write_array(tmp_path / "pred.uqsg", np.eye(8, dtype=np.uint8))
+        write_array(tmp_path / "gt.uqsg", np.ones((8, 8), dtype=np.uint8))
+        (tmp_path / "cases.csv").write_text(
+            "case_id,class_id,uncertainty_score,dice\na,1,0.5,0.9\nb,1,0.25,0.8\n"
+        )
+        (tmp_path / "trace.csv").write_text("epoch,lr,val_metric,checkpoint_id\n" + "".join(
+            f"{e},0.01,{0.5 + e / 100},ep{e}\n" for e in range(8)
+        ))
+        argv = [command, *{
+            "score": ["--in", "p.uqsg", "--classes", "1"],
+            "ece": ["--pred", "p.uqsg", "--gt", "gt.uqsg"],
+            "dice": ["--pred", "pred.uqsg", "--gt", "gt.uqsg", "--classes", "1"],
+            "report": ["--cases", "cases.csv"],
+            "select-checkpoints": ["--trace", "trace.csv", "--t0", "2", "--epochs", "8"],
+        }[command]]
+        argv = [str(tmp_path / a) if a.endswith((".uqsg", ".csv")) else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "other")]) == 0  # the inputs are valid
+        capsys.readouterr()
+        target = Path(argv[argv.index(flag) + 1])
+        out = tmp_path / ".." / tmp_path.name / target.name  # the same file by another name
+        before = target.read_bytes()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert target.read_bytes() == before
+        assert capsys.readouterr().err == (
+            f"error: output {out} is the input {target}; name another output\n"
+        )
+
 
 needs_proc_fds = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc/self/fd"
