@@ -30,27 +30,3 @@ from .uncertainty import (
     pixel_entropy,
     uncertainty_score,
 )
-
-__all__ = [
-    "SgdrConfig",
-    "SelectionPolicy",
-    "StructuringElement",
-    "TrainingTrace",
-    "argmax_labels",
-    "contour_normalizer",
-    "cycle_of",
-    "dice",
-    "dilate",
-    "ece",
-    "ensemble_mean",
-    "find_cycle_peaks",
-    "lr_at",
-    "pixel_entropy",
-    "read_array",
-    "restart_epochs",
-    "uncertainty_dice_table",
-    "uncertainty_score",
-    "validate_probabilities",
-    "write_array",
-    "zscore_normalize",
-]

@@ -30,9 +30,7 @@ BLOCK_PIXELS = 1 << 16
 
 def pixel_blocks(n):
     """Slices of at most BLOCK_PIXELS covering ``range(n)`` in order, at least one."""
-    if n <= BLOCK_PIXELS:
-        return [slice(0, n)]
-    return [slice(i, min(i + BLOCK_PIXELS, n)) for i in range(0, n, BLOCK_PIXELS)]
+    return [slice(i, min(i + BLOCK_PIXELS, n)) for i in range(0, max(n, 1), BLOCK_PIXELS)]
 
 
 def validate_labels(labels, class_count, *, name=None):

@@ -5,10 +5,11 @@ posteriors, labels) into the manifest, fused means, entropy maps, scores,
 Dice/ECE tables and a summary CSV. A case is one pass over the pixel blocks
 of its fused float32 mean (``fuse_blocks``); the CLI takes a stored posterior's
 validated blocks (``stored_blocks``) through the same steps. Both context
-managers open each file once, as an ``ArrayFile``, for the whole pass. The
-tree is built in a sibling staging directory and renamed into ``outdir`` at
-the end, so ``outdir`` holds a whole run or nothing; a failure names the
-stage and the case.
+managers open each file once, as an ``ArrayFile``, for the whole pass; one
+helper thread creates each case's output files, empty, ahead of the case
+loop. The tree is built in a sibling staging directory and renamed into
+``outdir`` at the end, so ``outdir`` holds a whole run or nothing; a failure
+names the stage and the case.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import os
 import shutil
 import stat
+import threading
 from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -102,7 +104,7 @@ class PipelineConfig:
                 raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 values[key] = parsers[key](value)
-            except ValueError:
+            except (ValueError, KeyError):  # KeyError: not a word of _BOOLS
                 raise ValidationError(
                     f"{path}:{lineno}: bad value {value!r} for key {key!r}"
                 ) from None
@@ -112,18 +114,11 @@ class PipelineConfig:
         return cls(**values)
 
 
-def _parse_bool(value):
-    if value.lower() in ("1", "true", "yes"):
-        return True
-    if value.lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(value)
-
-
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 # a setting's parser by the annotation name of its field: the values of the
 # run config and the schedule and policy flags of the CLI
 FIELD_PARSERS = {
-    "str": str, "int": int, "float": float, "bool": _parse_bool,
+    "str": str, "int": int, "float": float, "bool": lambda value: _BOOLS[value.lower()],
     "tuple": lambda value: tuple(int(v) for v in value.split(",") if v.strip()),
 }
 
@@ -197,13 +192,12 @@ def fuse_blocks(checkpoint_ids, inputs):
             validate_probability_shape(shape, name=str(path))
         if not members:
             raise ValidationError("ensemble needs at least one member")
-        names = list(map(str, paths))
 
         def blocks():
             for pixels in pixel_blocks(members[0].n):
                 # a generator expression keeps no reference to the member it yielded
                 rows = (m.rows(pixels).reshape(shape[0], 1, -1) for m in members)
-                yield pixels, ensemble_mean(rows, names)[:, 0].astype(np.float32)
+                yield pixels, ensemble_mean(rows, paths)[:, 0].astype(np.float32)
 
         yield shape, blocks()
 
@@ -245,13 +239,14 @@ def write_entropy(path, out, pgm_dir=None):
     block; with ``pgm_dir``, then its 8-bit PGMs, one per 2D map or axial slice."""
     with stored_blocks(path) as (f, blocks):
         check_output(out, [path])
+        if pgm_dir is not None:  # before ``out`` is created, so a failure here writes nothing
+            Path(pgm_dir).mkdir(parents=True, exist_ok=True)
         gray = np.empty(f.n, dtype=np.uint8)
         with ArrayFile(out, f.shape[1:], np.float32) as e:
             for pixels, rows in blocks:
                 _entropy_block(gray, e, pixels, rows)
                 del rows  # before the next block is read
     if pgm_dir is not None:
-        Path(pgm_dir).mkdir(parents=True, exist_ok=True)
         _write_pgms(pgm_dir, Path(out).stem, gray.reshape(f.shape[1:]))
 
 
@@ -277,12 +272,16 @@ def _entropy_block(gray, out, pixels, rows):
     return float(h.sum())
 
 
+def _output_names(stem, spatial):
+    """The file names of the map ``stem`` of shape ``spatial``: its ``.uqsg`` file, then its
+    8-bit PGMs, one per 2D map or axial slice. A ``run`` case's mean takes the first."""
+    slices = [""] if len(spatial) == 2 else [f"_z{k:03d}" for k in range(spatial[0])]
+    return [f"{stem}.uqsg", *(f"{stem}{z}.pgm" for z in slices)]
+
+
 def _write_pgms(pgm_dir, stem, gray):
-    if gray.ndim == 2:
-        write_pgm(Path(pgm_dir) / f"{stem}.pgm", gray)
-    else:
-        for k, image in enumerate(gray):
-            write_pgm(Path(pgm_dir) / f"{stem}_z{k:03d}.pgm", image)
+    for name, image in zip(_output_names(stem, gray.shape)[1:], gray.reshape(-1, *gray.shape[-2:])):
+        write_pgm(Path(pgm_dir) / name, image)
 
 
 def select_checkpoints(trace_path, settings, out):
@@ -315,10 +314,11 @@ def write_summary(path, cases, dataset_rows=()):
     note on why it was omitted, followed by ``dataset_rows``.
     """
     table = uncertainty_dice_table([(s, d) for _, _, s, d in cases])
-    lines = [reports.SUMMARY_HEADER]
-    for case_id, class_id, score, dice_value in cases:
-        lines.append(reports.summary_case_row(case_id, class_id, "uncertainty_score", score))
-        lines.append(reports.summary_case_row(case_id, class_id, "dice", dice_value))
+    lines = [reports.SUMMARY_HEADER] + [
+        reports.summary_case_row(case_id, class_id, metric, value)
+        for case_id, class_id, score, dice_value in cases
+        for metric, value in (("uncertainty_score", score), ("dice", dice_value))
+    ]
     if table.spearman is None:
         lines.append(reports.summary_dataset_row("spearman_note", table.note))
     else:
@@ -339,12 +339,20 @@ def _run(cfg, out):
     cases = []  # (case_id, class_id, score, dice) rows of the summary
     acc = CalibrationAccumulator(cfg.bins)
     entropy_sum, entropy_count = 0.0, 0
-    for case_id in case_ids:
-        scores, dices, h_case, n = _run_case(cfg, selection, pred_root / case_id, out, acc)
-        score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
-        dice_lines += [reports.dice_row(d, case_id=case_id) for d in dices]
-        cases += [(case_id, s.class_id, s.score, d.dice) for s, d in zip(scores, dices)]
-        entropy_sum, entropy_count = entropy_sum + h_case, entropy_count + n
+    stop = threading.Event()
+    helper = threading.Thread(target=_create_outputs, args=(
+        out, pred_root, case_ids, selection.checkpoint_ids[0], stop))
+    helper.start()
+    try:
+        for case_id in case_ids:
+            scores, dices, h_case, n = _run_case(cfg, selection, pred_root / case_id, out, acc)
+            score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
+            dice_lines += [reports.dice_row(d, case_id=case_id) for d in dices]
+            cases += [(case_id, s.class_id, s.score, d.dice) for s, d in zip(scores, dices)]
+            entropy_sum, entropy_count = entropy_sum + h_case, entropy_count + n
+    finally:  # the helper stops before ``run_pipeline`` publishes or removes ``out``
+        stop.set()
+        helper.join()
     with _stage("score"):
         reports.write_lines(out / "scores.csv", score_lines)
     with _stage("metrics"):
@@ -359,15 +367,33 @@ def _run(cfg, out):
         ])
 
 
+def _create_outputs(out, pred_root, case_ids, member, stop):
+    """Create, empty, the files that each case of ``case_ids`` writes into ``out``, in loop
+    order until ``stop`` is set, so that the loop's own opens find them made. The case's
+    ``member`` header names them; a case that fails here is left to the loop to report."""
+    for case_id in case_ids:
+        if stop.is_set():
+            return
+        try:
+            with ArrayFile(pred_root / case_id / f"{member}.uqsg") as f:
+                validate_probability_shape(f.shape)  # bounds the number of slices
+            names = _output_names(case_id, f.shape[1:])
+            for path in [out / "mean" / names[0], *(out / "entropy" / name for name in names)]:
+                # no O_TRUNC: a file the loop wrote keeps its bytes; 0o666 is open()'s mode
+                os.close(os.open(path, os.O_CREAT | os.O_WRONLY, 0o666))
+        except Exception:  # the loop opens the same file and reports it with stage and case
+            continue
+
+
 def _run_case(cfg, selection, case_dir, out, acc):
     """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels."""
     case_id = case_dir.name
-    mean_path = out / "mean" / f"{case_id}.uqsg"
     with (
         _stage("fuse", case_id),  # and the block loop; the stages inside name theirs
         fuse_blocks(selection.checkpoint_ids, case_dir) as (shape, blocks),
-        ArrayFile(mean_path, shape, np.float32) as mean,
-        ArrayFile(out / "entropy" / mean_path.name, shape[1:], np.float32) as entropy,
+        ArrayFile(out / "mean" / (name := _output_names(case_id, shape[1:])[0]), shape,
+                  np.float32) as mean,
+        ArrayFile(out / "entropy" / name, shape[1:], np.float32) as entropy,
     ):
         c, n = shape[0], math.prod(shape[1:])
         with _stage("score", case_id):

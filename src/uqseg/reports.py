@@ -52,16 +52,13 @@ def dice_row(result, case_id=None):
 
 
 def write_ece_csv(path, report):
-    lines = ["record,lower,upper,count,mean_confidence,accuracy"]
     n = len(report.counts)
-    for b in range(n):
-        lines.append(_row(
-            f"bin{b}", fmt9(b / n), fmt9((b + 1) / n), int(report.counts[b]),
-            fmt9(report.mean_confidence[b]), fmt9(report.accuracy[b]),
-        ))
-    total = int(report.counts.sum())
-    lines.append(f"ece_percent,,,{total},,{fmt9(report.ece)}")
-    write_lines(path, lines)
+    bins = [_row(
+        f"bin{b}", fmt9(b / n), fmt9((b + 1) / n), int(report.counts[b]),
+        fmt9(report.mean_confidence[b]), fmt9(report.accuracy[b]),
+    ) for b in range(n)]
+    write_lines(path, ["record,lower,upper,count,mean_confidence,accuracy", *bins,
+                       f"ece_percent,,,{int(report.counts.sum())},,{fmt9(report.ece)}"])
 
 
 SUMMARY_HEADER = "kind,case_id,class_id,metric,value"

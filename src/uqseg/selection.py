@@ -62,19 +62,17 @@ class TrainingTrace:
     def __post_init__(self):
         recs = tuple(self.records)
         object.__setattr__(self, "records", recs)
-        prev = None
-        for r in recs:
+        for prev, r in zip((None, *recs), recs):
             if r.epoch < 0:
                 raise ValidationError(f"trace epochs must be >= 0, got {r.epoch}")
-            if prev is not None and r.epoch <= prev:
+            if prev is not None and r.epoch <= prev.epoch:
                 raise ValidationError(
-                    f"trace epochs must be strictly increasing, got {prev} then {r.epoch}"
+                    f"trace epochs must be strictly increasing, got {prev.epoch} then {r.epoch}"
                 )
             if not math.isfinite(r.val_metric) or not 0.0 <= r.val_metric <= 1.0:
                 raise ValidationError(
                     f"val_metric must be finite in [0, 1], got {r.val_metric} at epoch {r.epoch}"
                 )
-            prev = r.epoch
 
     def to_csv(self, path):
         rows = [f"{r.epoch},{fmt9(r.lr)},{fmt9(r.val_metric)},{r.checkpoint_id or ''}"
@@ -160,11 +158,8 @@ def find_cycle_peaks(
             f"trace epoch {max_epoch} exceeds schedule total_epochs {cfg.total_epochs}"
         )
 
-    cycles = []
-    for cyc in _cycle_iter(cfg):
-        if cyc.cycle_start > max_epoch:
-            break
-        cycles.append(cyc)
+    # the cycles the trace reaches; their starts increase, and the schedule ends
+    cycles = [cyc for cyc in _cycle_iter(cfg) if cyc.cycle_start <= max_epoch]
     if max_epoch < cycles[0].cycle_end - 1:
         raise ValidationError(
             f"trace must span at least one full cycle (need epoch {cycles[0].cycle_end - 1})"

@@ -244,11 +244,9 @@ def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0
     _check_cases([*train_cases, *val_cases], class_count)
 
     classes = np.arange(class_count)
-    feats, masks, counts = [], [], []
-    for case in train_cases:
-        feats.append(case.features)
-        masks.append(case.labels.reshape(1, -1) == classes[:, None])
-        counts.append(masks[-1].sum(axis=1).astype(np.float64))
+    feats = [case.features for case in train_cases]
+    masks = [case.labels.reshape(1, -1) == classes[:, None] for case in train_cases]
+    counts = [mask.sum(axis=1).astype(np.float64) for mask in masks]
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, 0.01, size=(class_count, FEATURE_COUNT))
 

@@ -114,6 +114,21 @@ class TestConfigFile:
         with pytest.raises(ValidationError, match="bad value"):
             PipelineConfig.from_file(path)
 
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("true", True), ("Yes", True), ("0", False), ("FALSE", False), ("no", False),
+        ("maybe", None), ("", None), ("2", None),
+    ])
+    def test_bool_values(self, tmp_path, text, value):
+        path = self.write(tmp_path, "trace = t\npredictions_dir = p\ncases_dir = c\noutdir = o\n"
+                          f"t0 = 1\ntotal_epochs = 2\nece_foreground_only = {text}\n")
+        if value is None:
+            with pytest.raises(ValidationError, match=re.escape(
+                f"{path}:7: bad value {text!r} for key 'ece_foreground_only'"
+            )):
+                PipelineConfig.from_file(path)
+        else:
+            assert PipelineConfig.from_file(path).ece_foreground_only is value
+
     def test_bad_region(self):
         with pytest.raises(ValidationError):
             small_config(Path("."), entropy_region="everywhere")
@@ -1485,3 +1500,164 @@ class TestInputChecks:
         from uqseg.scheduler import MAX_EPOCHS
 
         assert SgdrConfig(total_epochs=MAX_EPOCHS).total_epochs == 100_000
+
+
+def test_entropy_pgm_dir_that_cannot_be_made_writes_no_map(tmp_path, capsys):
+    path, out, pgm_dir = tmp_path / "p.uqsg", tmp_path / "e.uqsg", tmp_path / "notadir"
+    write_array(path, np.full((2, 8, 8), 0.5, dtype=np.float32))
+    pgm_dir.write_text("")
+    assert main(["entropy", "--in", str(path), "--out", str(out), "--pgm", str(pgm_dir)]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{pgm_dir}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notadir", "p.uqsg"]
+
+
+def _three_2d_cases(root):
+    _write_two_cycle_inputs(
+        root, ["case0000", "case0001", "case0002"], (3, 16, 16), np.random.default_rng(21)
+    )
+    return small_config(root, outdir="out", eta=1.0)
+
+
+def _no_helper(monkeypatch):
+    import uqseg.pipeline
+
+    monkeypatch.setattr(uqseg.pipeline, "_create_outputs", lambda *args: None)
+
+
+def _modes(root):
+    return {p.relative_to(root): p.stat().st_mode for p in sorted(root.rglob("*"))}
+
+
+class TestOutputCreator:
+    """The helper thread that creates each case's output files ahead of the case loop
+    changes no byte, mode, name, error or open file of a run; it only saves time."""
+
+    @pytest.fixture(params=["2d", "3d"])
+    def inputs(self, request, small_run, tmp_path):
+        if request.param == "2d":
+            return small_config(small_run, outdir=str(tmp_path / "out"))
+        root = tmp_path / "in"
+        root.mkdir()
+        _write_two_cycle_inputs(
+            root, ["case0000", "case0001"], (3, 4, 12, 12), np.random.default_rng(22)
+        )
+        return small_config(root, outdir="out", eta=1.0)
+
+    def test_helper_changes_nothing_but_time(self, inputs, monkeypatch):
+        from uqseg.pipeline import _output_names
+
+        shipped = Path(run_pipeline(inputs)).parent
+        _no_helper(monkeypatch)
+        alone = Path(run_pipeline(replace(inputs, outdir=str(shipped.parent / "alone")))).parent
+        assert tree_bytes(shipped) == tree_bytes(alone)
+        assert _modes(shipped) == _modes(alone)
+        case_ids = sorted(p.name for p in Path(inputs.predictions_dir).iterdir())
+        shape = read_array(shipped / "mean" / f"{case_ids[0]}.uqsg").shape
+        names = {case_id: _output_names(case_id, shape[1:]) for case_id in case_ids}
+        assert sorted(p.name for p in (shipped / "mean").iterdir()) == sorted(
+            n[0] for n in names.values())
+        assert sorted(p.name for p in (shipped / "entropy").iterdir()) == sorted(
+            name for n in names.values() for name in n)
+        assert len(names[case_ids[0]]) == (2 if len(shape) == 3 else 1 + shape[1])
+
+    def test_helper_racing_the_loop_changes_no_byte(self, tmp_path, monkeypatch):
+        """Many one-block cases and a short switch interval interleave the two threads."""
+        cases = [f"case{k:04d}" for k in range(40)]
+        _write_two_cycle_inputs(tmp_path, cases, (3, 8, 8), np.random.default_rng(23))
+        cfg = small_config(tmp_path, outdir="raced", eta=1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            raced = Path(run_pipeline(cfg)).parent
+        finally:
+            sys.setswitchinterval(interval)
+        _no_helper(monkeypatch)
+        alone = Path(run_pipeline(replace(cfg, outdir=str(tmp_path / "alone")))).parent
+        assert tree_bytes(raced) == tree_bytes(alone)
+        assert _modes(raced) == _modes(alone)
+
+    def test_creates_each_file_empty_and_truncates_none(self, small_run, tmp_path):
+        import threading
+
+        from uqseg.pipeline import _create_outputs
+
+        out, cases = tmp_path / "out", ["case0004", "case0005", "nocase"]
+        (out / "mean").mkdir(parents=True)
+        (out / "entropy").mkdir()
+        (out / "mean" / "case0004.uqsg").write_bytes(b"written")
+        member = sorted(p.stem for p in (small_run / "predictions" / "case0004").iterdir())[0]
+        _create_outputs(out, small_run / "predictions", cases, member, threading.Event())
+        assert tree_bytes(out) == {
+            Path("mean/case0004.uqsg"): b"written", Path("mean/case0005.uqsg"): b"",
+            **{Path("entropy") / f"case000{k}.{ext}": b"" for k in (4, 5) for ext in ("uqsg", "pgm")},
+        }
+        stop = threading.Event()
+        stop.set()
+        _create_outputs(tmp_path / "none", small_run / "predictions", cases, member, stop)
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_bad_first_member_of_a_later_case_fails_as_without_the_helper(
+        self, tmp_path, damage, monkeypatch, capsys
+    ):
+        from uqseg.selection import read_selection
+
+        cfg = _three_2d_cases(tmp_path)
+        run_pipeline(replace(cfg, outdir=str(tmp_path / "ref")))
+        first = read_selection(tmp_path / "ref" / "manifest.csv").checkpoint_ids[0]
+        member = tmp_path / "predictions" / "case0002" / f"{first}.uqsg"
+        if damage == "missing":
+            member.unlink()
+            message = f"missing member posterior {member} for checkpoint {first}"
+        else:
+            member.write_bytes(member.read_bytes()[:-4])
+            message = f"{member}: payload truncated, expected 3072 bytes, got 3068"
+        config = _write_run_config(tmp_path, tmp_path / "p.cfg", eta=1)
+        results = []
+        for helper in (True, False):
+            if not helper:
+                _no_helper(monkeypatch)
+            results.append((main(["run", "--config", str(config)]), capsys.readouterr().err))
+            assert not (tmp_path / "out").exists()
+            assert staged(tmp_path / "out") == []
+        assert results[0] == results[1] == (
+            2 if damage == "missing" else 3,
+            f"error: stage 'fuse' failed for case case0002: {message}\n",
+        )
+
+    @pytest.mark.parametrize("end", ["success", "stage-error", "interrupt"])
+    def test_helper_has_ended_when_the_run_returns_or_raises(self, tmp_path, end, monkeypatch):
+        import threading
+
+        import uqseg.pipeline
+
+        cfg = _three_2d_cases(tmp_path)
+        if end == "stage-error":
+            (tmp_path / "cases" / "case0001_labels.uqsg").unlink()
+        if end == "interrupt":
+            def interrupt(*args):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(uqseg.pipeline, "pixel_entropy", interrupt)
+        threads = threading.active_count()
+        if end == "success":
+            run_pipeline(cfg)
+        else:
+            with pytest.raises(StageError if end == "stage-error" else KeyboardInterrupt):
+                run_pipeline(cfg)
+            assert not (tmp_path / "out").exists()
+        assert threading.active_count() == threads
+        assert staged(tmp_path / "out") == []
+
+    @needs_proc_fds
+    @pytest.mark.parametrize("missing_labels", [None, "case0001"])
+    def test_every_file_of_a_run_of_several_cases_is_closed(self, tmp_path, missing_labels):
+        cfg = _three_2d_cases(tmp_path)
+        if missing_labels:
+            (tmp_path / "cases" / f"{missing_labels}_labels.uqsg").unlink()
+        with closes_every_file():
+            if missing_labels:
+                with pytest.raises(StageError, match="missing ground truth"):
+                    run_pipeline(cfg)
+            else:
+                run_pipeline(cfg)
