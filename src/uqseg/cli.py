@@ -9,23 +9,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
+from pathlib import Path
 
-from . import __version__, reports
-from .arrayio import FORMAT_VERSION
-from .arrays import SIMPLEX_TOLERANCE
+import numpy as np
+
+from . import __version__, arrays, reports
+from .arrayio import FORMAT_VERSION, ArrayFile
+from .arrays import SIMPLEX_TOLERANCE, pixel_blocks, validate_probability_shape
 from .ensemble import argmax_labels
 from .errors import UqsegError, ValidationError
 from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice
 from .pipeline import (
-    FIELD_PARSERS, PipelineConfig, check_output, fuse_members, read_labels, run_pipeline,
-    select_checkpoints, score_posterior, settings_of, stored_blocks, write_entropy, write_summary,
+    FIELD_PARSERS, PipelineConfig, entropy_block, fuse_blocks, output_names, read_labels,
+    run_pipeline, select_checkpoints, settings_of, write_pgms, write_summary,
 )
 from .scheduler import SgdrConfig, schedule_rows
 from .selection import SelectionPolicy, read_selection
 from .toy import generate_dataset, run_toy_training, write_cases
-from .uncertainty import FOREGROUND_THRESHOLD
+from .uncertainty import FOREGROUND_THRESHOLD, check_classes, class_scores, pixel_entropy
 
 _CASE_COLUMNS = {"case_id": str, "class_id": int, "uncertainty_score": float, "dice": float}
 
@@ -71,45 +76,87 @@ def _add_scene_args(p, cases, cases_help):
     p.add_argument("--noise", type=float, default=0.1)
 
 
+@contextmanager
+def stored_blocks(path):
+    """``pipeline.fuse_blocks`` for the posterior file at ``path``: the open ``ArrayFile``,
+    its shape checked with its header, and its ``(pixels, rows)`` per block, validated as read."""
+    with ArrayFile(path) as f:
+        validate_probability_shape(f.shape, name=str(path))
+        yield f, ((pixels, arrays.validate_probabilities(
+            f.rows(pixels).reshape(f.shape[0], 1, -1), name=str(path))[:, 0])
+            for pixels in pixel_blocks(f.n))  # no name holds the rows of the block before
+
+
+def check_output(out, inputs):
+    """ValidationError if the file ``out`` (None: stdout) is one of the files ``inputs``."""
+    for path in inputs:
+        if out and os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+            raise ValidationError(f"output {out} is the input {path}; name another output")
+
+
 def cmd_lr_schedule(args):
     rows = schedule_rows(settings_of(SgdrConfig, args))
-    lines = [f"{epoch},{cycle},{reports.fmt9(lr)}" for epoch, cycle, lr in rows]
-    _emit(["epoch,cycle,lr"] + lines, args.out)
+    _emit(["epoch,cycle,lr"] + [f"{e},{c},{reports.fmt9(lr)}" for e, c, lr in rows], args.out)
 
 
 def cmd_select(args):
-    check_output(args.out, [args.trace])
     select_checkpoints(args.trace, args, args.out)
 
 
 def cmd_fuse(args):
-    fuse_members(read_selection(args.manifest).checkpoint_ids, args.inputs, args.out)
+    ids = read_selection(args.manifest).checkpoint_ids
+    with fuse_blocks(ids, args.inputs) as (shape, blocks):
+        check_output(args.out, [Path(args.inputs) / f"{cid}.uqsg" for cid in ids])
+        with ArrayFile(args.out, shape, np.float32) as f:
+            for pixels, rows in blocks:
+                f.write(pixels, rows)
+                del rows  # before the next block is read
 
 
 def cmd_entropy(args):
-    write_entropy(args.input, args.out, args.pgm)
+    with stored_blocks(args.input) as (f, blocks):
+        if args.pgm is not None:  # before ``--out`` is created, so a failure here writes nothing
+            for name in output_names(Path(args.out).stem, f.shape[1:])[1:]:
+                check_output(pgm := Path(args.pgm) / name, [args.input])
+                if os.path.realpath(pgm) == os.path.realpath(args.out):
+                    raise ValidationError(f"PGM {pgm} would replace --out; name another output")
+            Path(args.pgm).mkdir(parents=True, exist_ok=True)
+        gray = np.empty(f.n, dtype=np.uint8)
+        with ArrayFile(args.out, f.shape[1:], np.float32) as e:
+            for pixels, rows in blocks:
+                entropy_block(gray, e, pixels, rows)
+                del rows  # before the next block is read
+    if args.pgm is not None:
+        write_pgms(args.pgm, Path(args.out).stem, gray.reshape(f.shape[1:]))
 
 
 def cmd_score(args):
-    check_output(args.out, [args.input])
-    scores = score_posterior(args.input, _parse_classes(args.classes), args.contour_entropy)
+    classes = _parse_classes(args.classes)
+    with stored_blocks(args.input) as (f, blocks):
+        classes = check_classes(classes, f.shape[0])
+        masks = np.empty((len(classes), f.n), dtype=bool)
+        h_total = 0.0
+        for pixels, rows in blocks:
+            h_total += float(pixel_entropy(rows).sum())
+            np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
+            del rows  # before the next block is read
+        scores = class_scores(masks.reshape(len(classes), *f.shape[1:]), classes, h_total,
+                              f.rows, args.contour_entropy)
     _emit([reports.SCORE_HEADER] + [reports.score_row(s) for s in scores], args.out)
 
 
 def cmd_dice(args):
-    check_output(args.out, [args.pred, args.gt])
     pred = read_labels(args.pred, 256)
     gt = read_labels(args.gt, 256)
     if pred.shape != gt.shape:
         raise ValidationError(
             f"{args.pred}: labels shape {pred.shape} does not match {args.gt} shape {gt.shape}"
         )
-    results = [dice(pred, gt, k) for k in _parse_classes(args.classes)]
-    _emit([reports.DICE_HEADER] + [reports.dice_row(r) for r in results], args.out)
+    rows = [reports.dice_row(dice(pred, gt, k)) for k in _parse_classes(args.classes)]
+    _emit([reports.DICE_HEADER] + rows, args.out)
 
 
 def cmd_ece(args):
-    check_output(args.out, [args.pred, args.gt])
     with stored_blocks(args.pred) as (f, blocks):
         gt = read_labels(args.gt, f.shape[0], f.shape).reshape(-1)
         acc = CalibrationAccumulator(args.bins)
@@ -120,7 +167,6 @@ def cmd_ece(args):
 
 
 def cmd_report(args):
-    check_output(args.out, [args.cases])
     write_summary(args.out, reports.read_csv(args.cases, _CASE_COLUMNS))
 
 
@@ -170,9 +216,11 @@ def cmd_info(args):
         ], None)
 
 
-def _command(sub, name, fn, help_text):
+def _command(sub, name, fn, help_text, *reads):
+    """The subcommand ``name`` of ``fn``; ``reads`` are the dests of its flags that name
+    the files it reads, none of which ``main`` lets its ``--out`` name."""
     p = sub.add_parser(name, help=help_text)
-    p.set_defaults(fn=fn)
+    p.set_defaults(fn=fn, reads=reads)
     return p
 
 
@@ -187,22 +235,23 @@ def build_parser():
     _add_settings_args(p, SgdrConfig)
     p.add_argument("--out")
 
-    p = _command(sub, "select-checkpoints", cmd_select, "pick peak checkpoints per cycle")
+    p = _command(sub, "select-checkpoints", cmd_select, "pick peak checkpoints per cycle", "trace")
     p.add_argument("--trace", required=True)
     _add_settings_args(p, SgdrConfig, SelectionPolicy)
     p.add_argument("--out", required=True)
 
-    p = _command(sub, "fuse", cmd_fuse, "average member posteriors from a manifest")
+    p = _command(sub, "fuse", cmd_fuse, "average member posteriors from a manifest", "manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--inputs", required=True, help="dir of <checkpoint_id>.uqsg files")
     p.add_argument("--out", required=True)
 
-    p = _command(sub, "entropy", cmd_entropy, "per-pixel entropy map of a posterior")
+    p = _command(sub, "entropy", cmd_entropy, "per-pixel entropy map of a posterior", "input")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", help="also write 8-bit PGM maps here")
 
-    p = _command(sub, "score", cmd_score, "contour-normalized per-class uncertainty scores")
+    p = _command(sub, "score", cmd_score, "contour-normalized per-class uncertainty scores",
+                 "input")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--classes", required=True)
     p.add_argument("--out")
@@ -212,20 +261,20 @@ def build_parser():
         help="sum entropy over the contour ring instead of the whole image",
     )
 
-    p = _command(sub, "dice", cmd_dice, "per-class Dice between two label files")
+    p = _command(sub, "dice", cmd_dice, "per-class Dice between two label files", "pred", "gt")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--classes", required=True)
     p.add_argument("--out")
 
-    p = _command(sub, "ece", cmd_ece, "expected calibration error report")
+    p = _command(sub, "ece", cmd_ece, "expected calibration error report", "pred", "gt")
     p.add_argument("--pred", required=True, help="posterior .uqsg file")
     p.add_argument("--gt", required=True, help="label .uqsg file")
     p.add_argument("--bins", type=int, default=DEFAULT_ECE_BINS)
     p.add_argument("--out", required=True)
     p.add_argument("--foreground-only", action="store_true")
 
-    p = _command(sub, "report", cmd_report, "score/Dice table with rank correlation")
+    p = _command(sub, "report", cmd_report, "score/Dice table with rank correlation", "cases")
     p.add_argument("--cases", required=True)
     p.add_argument("--out", required=True)
 
@@ -252,6 +301,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_output(vars(args).get("out"), [getattr(args, dest) for dest in args.reads])
         return args.fn(args) or 0
     except (UqsegError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -3,13 +3,12 @@
 run_pipeline turns the artifacts of a training run (a trace CSV, member
 posteriors, labels) into the manifest, fused means, entropy maps, scores,
 Dice/ECE tables and a summary CSV. A case is one pass over the pixel blocks
-of its fused float32 mean (``fuse_blocks``); the CLI takes a stored posterior's
-validated blocks (``stored_blocks``) through the same steps. Both context
-managers open each file once, as an ``ArrayFile``, for the whole pass; one
-helper thread creates each case's output files, empty, ahead of the case
-loop. The tree is built in a sibling staging directory and renamed into
-``outdir`` at the end, so ``outdir`` holds a whole run or nothing; a failure
-names the stage and the case.
+of its fused float32 mean (``fuse_blocks``), which opens each member once, as
+an ``ArrayFile``, for the whole pass; one helper thread creates each case's
+output files, empty, ahead of the case loop. The tree is built in a sibling
+staging directory and renamed into ``outdir`` at the end, so ``outdir`` holds
+a whole run or nothing; a failure names the stage and the case. The steps
+that ``run`` shares with the stage commands of ``cli`` are public.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arrays, reports
+from . import reports
 from .arrayio import ArrayFile, entropy_to_gray, read_array, write_pgm
 from .arrays import pixel_blocks, validate_labels, validate_probability_shape
 from .ensemble import argmax_labels, ensemble_mean
@@ -202,69 +201,7 @@ def fuse_blocks(checkpoint_ids, inputs):
         yield shape, blocks()
 
 
-@contextmanager
-def stored_blocks(path):
-    """``fuse_blocks`` for the posterior file at ``path``: the open ``ArrayFile``, its
-    shape checked with its header, and its ``(pixels, rows)`` per block, validated as read."""
-    with ArrayFile(path) as f:
-        validate_probability_shape(f.shape, name=str(path))
-
-        def blocks():
-            for pixels in pixel_blocks(f.n):  # no name holds the rows of the block before
-                yield pixels, arrays.validate_probabilities(
-                    f.rows(pixels).reshape(f.shape[0], 1, -1), name=str(path))[:, 0]
-
-        yield f, blocks()
-
-
-def check_output(out, inputs):
-    """ValidationError if the file ``out`` (None: stdout) is one of the files ``inputs``."""
-    for path in inputs:
-        if out and os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
-            raise ValidationError(f"output {out} is the input {path}; name another output")
-
-
-def fuse_members(checkpoint_ids, inputs, out):
-    """Write the members' float32 mean to ``out`` block by block; a failure removes ``out``."""
-    with fuse_blocks(checkpoint_ids, inputs) as (shape, blocks):
-        check_output(out, [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids])
-        with ArrayFile(out, shape, np.float32) as f:
-            for pixels, rows in blocks:
-                f.write(pixels, rows)
-                del rows  # before the next block is read
-
-
-def write_entropy(path, out, pgm_dir=None):
-    """Write the float32 entropy map of the posterior file at ``path`` to ``out`` block by
-    block; with ``pgm_dir``, then its 8-bit PGMs, one per 2D map or axial slice."""
-    with stored_blocks(path) as (f, blocks):
-        check_output(out, [path])
-        if pgm_dir is not None:  # before ``out`` is created, so a failure here writes nothing
-            Path(pgm_dir).mkdir(parents=True, exist_ok=True)
-        gray = np.empty(f.n, dtype=np.uint8)
-        with ArrayFile(out, f.shape[1:], np.float32) as e:
-            for pixels, rows in blocks:
-                _entropy_block(gray, e, pixels, rows)
-                del rows  # before the next block is read
-    if pgm_dir is not None:
-        _write_pgms(pgm_dir, Path(out).stem, gray.reshape(f.shape[1:]))
-
-
-def score_posterior(path, classes, restrict_to_contour=False):
-    """The scores of ``classes`` on the posterior file at ``path``, from one pass as in ``run``."""
-    with stored_blocks(path) as (f, blocks):
-        classes = check_classes(classes, f.shape[0])
-        masks = np.empty((len(classes), f.n), dtype=bool)
-        h_total = 0.0
-        for pixels, rows in blocks:
-            h_total += float(pixel_entropy(rows).sum())
-            np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
-            del rows  # before the next block is read
-        return class_scores(masks.reshape(len(classes), *f.shape[1:]), classes, h_total,
-                            f.rows, restrict_to_contour)
-
-
-def _entropy_block(gray, out, pixels, rows):
+def entropy_block(gray, out, pixels, rows):
     """Write one block's entropy rows to ``out`` and its 8-bit values to ``gray``; its total."""
     h = pixel_entropy(rows)
     out.write(pixels, h.astype(np.float32)[None])
@@ -272,15 +209,15 @@ def _entropy_block(gray, out, pixels, rows):
     return float(h.sum())
 
 
-def _output_names(stem, spatial):
+def output_names(stem, spatial):
     """The file names of the map ``stem`` of shape ``spatial``: its ``.uqsg`` file, then its
     8-bit PGMs, one per 2D map or axial slice. A ``run`` case's mean takes the first."""
     slices = [""] if len(spatial) == 2 else [f"_z{k:03d}" for k in range(spatial[0])]
     return [f"{stem}.uqsg", *(f"{stem}{z}.pgm" for z in slices)]
 
 
-def _write_pgms(pgm_dir, stem, gray):
-    for name, image in zip(_output_names(stem, gray.shape)[1:], gray.reshape(-1, *gray.shape[-2:])):
+def write_pgms(pgm_dir, stem, gray):
+    for name, image in zip(output_names(stem, gray.shape)[1:], gray.reshape(-1, *gray.shape[-2:])):
         write_pgm(Path(pgm_dir) / name, image)
 
 
@@ -289,9 +226,9 @@ def select_checkpoints(trace_path, settings, out):
     manifest to ``out``; ``settings`` carries the schedule and policy fields."""
     if not Path(trace_path).exists():
         raise ValidationError(f"trace file {Path(trace_path)} does not exist")
-    trace = TrainingTrace.from_csv(trace_path)
-    schedule, policy = settings_of(SgdrConfig, settings), settings_of(SelectionPolicy, settings)
-    selection = find_cycle_peaks(trace, schedule, policy)
+    selection = find_cycle_peaks(TrainingTrace.from_csv(trace_path),
+                                 settings_of(SgdrConfig, settings),
+                                 settings_of(SelectionPolicy, settings))
     export_selection(selection, out)
     return selection
 
@@ -339,13 +276,14 @@ def _run(cfg, out):
     cases = []  # (case_id, class_id, score, dice) rows of the summary
     acc = CalibrationAccumulator(cfg.bins)
     entropy_sum, entropy_count = 0.0, 0
+    pgms = {}  # the case of each slice PGM of a 3D case so far
     stop = threading.Event()
     helper = threading.Thread(target=_create_outputs, args=(
         out, pred_root, case_ids, selection.checkpoint_ids[0], stop))
     helper.start()
     try:
         for case_id in case_ids:
-            scores, dices, h_case, n = _run_case(cfg, selection, pred_root / case_id, out, acc)
+            scores, dices, h_case, n = _run_case(cfg, selection, pred_root, case_id, out, acc, pgms)
             score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
             dice_lines += [reports.dice_row(d, case_id=case_id) for d in dices]
             cases += [(case_id, s.class_id, s.score, d.dice) for s, d in zip(scores, dices)]
@@ -377,7 +315,7 @@ def _create_outputs(out, pred_root, case_ids, member, stop):
         try:
             with ArrayFile(pred_root / case_id / f"{member}.uqsg") as f:
                 validate_probability_shape(f.shape)  # bounds the number of slices
-            names = _output_names(case_id, f.shape[1:])
+            names = output_names(case_id, f.shape[1:])
             for path in [out / "mean" / names[0], *(out / "entropy" / name for name in names)]:
                 # no O_TRUNC: a file the loop wrote keeps its bytes; 0o666 is open()'s mode
                 os.close(os.open(path, os.O_CREAT | os.O_WRONLY, 0o666))
@@ -385,13 +323,23 @@ def _create_outputs(out, pred_root, case_ids, member, stop):
             continue
 
 
-def _run_case(cfg, selection, case_dir, out, acc):
+def _case_names(pgms, case_id, spatial):
+    """``output_names`` of a case, refused if its 2D PGM is the slice PGM of an earlier 3D
+    case: the only name two cases can share. ``pgms`` maps each such slice PGM to its case."""
+    names = output_names(case_id, spatial)
+    if names[1] in pgms:
+        raise ValidationError(f"entropy/{names[1]} is also a slice of case {pgms[names[1]]}")
+    if len(spatial) == 3:
+        pgms.update(dict.fromkeys(names[1:], case_id))
+    return names
+
+
+def _run_case(cfg, selection, pred_root, case_id, out, acc, pgms):
     """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels."""
-    case_id = case_dir.name
     with (
         _stage("fuse", case_id),  # and the block loop; the stages inside name theirs
-        fuse_blocks(selection.checkpoint_ids, case_dir) as (shape, blocks),
-        ArrayFile(out / "mean" / (name := _output_names(case_id, shape[1:])[0]), shape,
+        fuse_blocks(selection.checkpoint_ids, pred_root / case_id) as (shape, blocks),
+        ArrayFile(out / "mean" / (name := _case_names(pgms, case_id, shape[1:])[0]), shape,
                   np.float32) as mean,
         ArrayFile(out / "entropy" / name, shape[1:], np.float32) as entropy,
     ):
@@ -410,14 +358,14 @@ def _run_case(cfg, selection, case_dir, out, acc):
         h_case = 0.0
         for pixels, rows in blocks:
             mean.write(pixels, rows)
-            h_case += _entropy_block(gray, entropy, pixels, rows)
+            h_case += entropy_block(gray, entropy, pixels, rows)
             np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
             pred[pixels] = argmax_labels(rows)
             acc.add(rows, gt.reshape(-1)[pixels], pred[pixels],
                     foreground_only=cfg.ece_foreground_only)
             del rows  # before the next block is fused
         with _stage("entropy", case_id):
-            _write_pgms(out / "entropy", case_id, gray.reshape(shape[1:]))
+            write_pgms(out / "entropy", case_id, gray.reshape(shape[1:]))
         del gray
         with _stage("score", case_id):
             scores = class_scores(masks.reshape(len(classes), *shape[1:]), classes, h_case,

@@ -10,7 +10,7 @@ Entropy is base-2 (bits) throughout. Masks are bool arrays, dilated with a
 box (a full square or cube) one axis at a time. Scores always dilate slice by
 slice with the 3x3 square; only ``dilate`` and ``contour_normalizer`` take an
 element, such as a 3D box. Posteriors are validated where they enter the program
-(``ensemble_mean``, ``pipeline.stored_blocks``), so these kernels trust them.
+(``ensemble_mean``, ``cli.stored_blocks``), so these kernels trust them.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -18,10 +19,10 @@ import pytest
 
 from uqseg.arrayio import ArrayFile, read_array, write_array
 from uqseg.arrays import BLOCK_PIXELS, pixel_blocks
-from uqseg.cli import build_parser, main
+from uqseg.cli import build_parser, cmd_fuse, main
 from uqseg.ensemble import ensemble_mean
 from uqseg.errors import ArrayFormatError, StageError, ValidationError
-from uqseg.pipeline import PipelineConfig, fuse_members, run_pipeline, settings_of
+from uqseg.pipeline import PipelineConfig, run_pipeline, settings_of
 from uqseg.scheduler import SgdrConfig, lr_at
 from uqseg.selection import SelectionPolicy
 from uqseg.toy import run_toy_training
@@ -317,6 +318,30 @@ class TestCaseErrors:
         assert "stage 'metrics' failed for case case0005" in err
         assert f"missing ground truth {labels}" in err
 
+    def test_2d_case_named_as_a_slice_pgm_of_a_3d_case(self, tmp_path, capsys, monkeypatch):
+        """A 3D case ``vol`` of one slice and a 2D case ``vol_z000`` would both write
+        ``entropy/vol_z000.pgm``: the second case is refused before it creates a file."""
+        root = tmp_path / "run"
+        for case, shape in (("vol", (3, 1, 8, 8)), ("vol_z000", (3, 8, 8))):
+            (tmp_path / case).mkdir()
+            _write_two_cycle_inputs(tmp_path / case, [case], shape, np.random.default_rng(24))
+            shutil.copytree(tmp_path / case, root, dirs_exist_ok=True)
+        created, init = [], ArrayFile.__init__
+
+        def spy(f, path, *args):
+            if args:  # a file created for writing
+                created.append(Path(path).name)
+            init(f, path, *args)
+
+        monkeypatch.setattr(ArrayFile, "__init__", spy)
+        code, err = self.run_main(root, capsys)
+        assert code == 2
+        assert err == (
+            "error: stage 'fuse' failed for case vol_z000: entropy/vol_z000.pgm is also a slice "
+            "of case vol\n"
+        )
+        assert created == ["vol.uqsg", "vol.uqsg"]  # the mean and entropy map of vol
+
     def test_case_directory_that_is_no_case_id(self, small_run, tmp_path, capsys):
         # the name would become a CSV field: "case,9" splits every row it is in
         root = self.copy(small_run, tmp_path)
@@ -438,6 +463,14 @@ def _write_members(directory, ids, shape, rng):
         write_array(directory / f"{cid}.uqsg", (e / e.sum(axis=0)).astype(np.float32))
 
 
+def _fuse(ids, inputs, out):
+    """``cmd_fuse`` of the members ``ids`` in ``inputs``, from a manifest that lists them in order."""
+    manifest = Path(inputs) / "manifest.csv"
+    manifest.write_text("cycle,epoch,checkpoint_id,metric\n" + "".join(
+        f"1,{len(ids) - k},{cid},0.5\n" for k, cid in enumerate(ids)))
+    cmd_fuse(argparse.Namespace(manifest=manifest, inputs=inputs, out=out))
+
+
 def test_fuse_holds_block_sized_scratch_at_every_write(tmp_path, monkeypatch):
     import uqseg.pipeline
 
@@ -463,7 +496,7 @@ def test_fuse_holds_block_sized_scratch_at_every_write(tmp_path, monkeypatch):
     monkeypatch.setattr(ArrayFile, "write", spy)
     tracemalloc.start()
     try:
-        fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+        _fuse(ids, tmp_path, tmp_path / "mean.uqsg")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,7 +517,7 @@ def test_fuse_writes_the_float32_of_the_whole_member_mean(tmp_path, shape, block
     _write_members(tmp_path, ids, shape, np.random.default_rng(6))
     with patch.object(uqseg.arrays, "BLOCK_PIXELS", block):
         assert len(pixel_blocks(int(np.prod(shape[1:])))) == blocks
-        fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+        _fuse(ids, tmp_path, tmp_path / "mean.uqsg")
     write_array(
         tmp_path / "oracle.uqsg",
         ensemble_mean([read_array(tmp_path / f"{cid}.uqsg") for cid in ids]).astype(np.float32),
@@ -502,7 +535,7 @@ class TestStreamedFuseErrors:
         for cid in ("ep4", "ep2"):
             write_array(tmp_path / f"{cid}.uqsg", np.full((3, 4, 5), 0.2, dtype=np.float32))
         with pytest.raises(ValidationError) as err:
-            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+            _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
         assert str(err.value).startswith(f"{tmp_path / 'ep2.uqsg'}: per-pixel class")
 
     def test_invalid_member_before_a_missing_one(self, tmp_path):
@@ -514,14 +547,14 @@ class TestStreamedFuseErrors:
         with pytest.raises(ValidationError, match=re.escape(
             f"missing member posterior {tmp_path / 'ep3.uqsg'} for checkpoint ep3"
         )):
-            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+            _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
 
     def test_missing_member_before_an_invalid_one(self, tmp_path):
         _write_members(tmp_path, self.ids, (3, 4, 5), np.random.default_rng(3))
         (tmp_path / "ep1.uqsg").unlink()
         write_array(tmp_path / "ep3.uqsg", np.full((3, 4, 6), 0.5, dtype=np.float32))
         with pytest.raises(ValidationError) as err:
-            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+            _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
         assert str(err.value) == (
             f"missing member posterior {tmp_path / 'ep1.uqsg'} for checkpoint ep1"
         )
@@ -533,7 +566,7 @@ class TestStreamedFuseErrors:
         with pytest.raises(ValidationError, match=re.escape(
             f"{tmp_path / 'ep5.uqsg'} has shape (3, 4, 6), expected (3, 4, 5)"
         )):
-            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+            _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
 
 
 class TestBlockwiseFuse:
@@ -548,7 +581,7 @@ class TestBlockwiseFuse:
         bad[:, -1, -1, -5:] *= np.float32(0.5)  # the last pixels of the last block
         write_array(tmp_path / "ep3.uqsg", bad)
         with pytest.raises(ValidationError) as err:
-            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+            _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
         assert str(err.value).startswith(f"{tmp_path / 'ep3.uqsg'}: per-pixel class")
         assert not (tmp_path / "mean.uqsg").exists()
 
@@ -561,7 +594,7 @@ class TestBlockwiseFuse:
         with pytest.raises(ValidationError, match=re.escape(
             f"missing member posterior {tmp_path / 'ep4.uqsg'} for checkpoint ep4"
         )):
-            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+            _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
 
     def test_member_of_another_rank_is_named_with_its_whole_shape(self, tmp_path):
         _write_members(tmp_path, self.ids[1:], self.shape, np.random.default_rng(9))
@@ -571,7 +604,7 @@ class TestBlockwiseFuse:
             f"{tmp_path / 'ep0.uqsg'}: probability array must be (c,H,W) or (c,D,H,W), "
             f"got shape (3, 160000)"
         )):
-            fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+            _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
 
     @pytest.mark.parametrize("shape, blocks", [((3, 4, 5), 1), ((3, 2, 200, 400), 3)])
     def test_each_member_is_read_once_per_block(self, tmp_path, monkeypatch, shape, blocks):
@@ -591,7 +624,7 @@ class TestBlockwiseFuse:
         monkeypatch.setattr(ArrayFile, "rows", counted_rows)
         _write_members(tmp_path, self.ids, shape, np.random.default_rng(10))
         opens.clear()
-        fuse_members(self.ids, tmp_path, tmp_path / "mean.uqsg")
+        _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
         names = [f"{cid}.uqsg" for cid in self.ids]
         assert opens == names + ["mean.uqsg"]
         assert reads == names * blocks
@@ -632,6 +665,7 @@ class TestOutputIsNoInput:
     @pytest.mark.parametrize("command, flag", [
         ("score", "--in"), ("ece", "--pred"), ("ece", "--gt"), ("dice", "--pred"),
         ("dice", "--gt"), ("report", "--cases"), ("select-checkpoints", "--trace"),
+        ("fuse", "--manifest"),
     ])
     def test_out_naming_an_input_file(self, tmp_path, capsys, command, flag):
         write_array(tmp_path / "p.uqsg", np.full((2, 8, 8), 0.5, dtype=np.float32))
@@ -643,12 +677,14 @@ class TestOutputIsNoInput:
         (tmp_path / "trace.csv").write_text("epoch,lr,val_metric,checkpoint_id\n" + "".join(
             f"{e},0.01,{0.5 + e / 100},ep{e}\n" for e in range(8)
         ))
+        (tmp_path / "manifest.csv").write_text("cycle,epoch,checkpoint_id,metric\n1,1,p,0.5\n")
         argv = [command, *{
             "score": ["--in", "p.uqsg", "--classes", "1"],
             "ece": ["--pred", "p.uqsg", "--gt", "gt.uqsg"],
             "dice": ["--pred", "pred.uqsg", "--gt", "gt.uqsg", "--classes", "1"],
             "report": ["--cases", "cases.csv"],
             "select-checkpoints": ["--trace", "trace.csv", "--t0", "2", "--epochs", "8"],
+            "fuse": ["--manifest", "manifest.csv", "--inputs", str(tmp_path)],  # member p.uqsg
         }[command]]
         argv = [str(tmp_path / a) if a.endswith((".uqsg", ".csv")) else a for a in argv]
         assert main([*argv, "--out", str(tmp_path / "other")]) == 0  # the inputs are valid
@@ -660,6 +696,34 @@ class TestOutputIsNoInput:
         assert target.read_bytes() == before
         assert capsys.readouterr().err == (
             f"error: output {out} is the input {target}; name another output\n"
+        )
+
+    def test_entropy_pgm_naming_its_out(self, tmp_path, capsys):
+        """A 2D map's PGM is ``<stem of --out>.pgm``: with ``--out`` that very file, the
+        PGM would replace the entropy map."""
+        path, maps = tmp_path / "p.uqsg", tmp_path / "maps"
+        write_array(path, np.full((2, 8, 8), 0.5, dtype=np.float32))
+        out = maps / "x.pgm"
+        assert main(["entropy", "--in", str(path), "--out", str(out), "--pgm", str(maps)]) == 2
+        assert not maps.exists()
+        assert capsys.readouterr().err == (
+            f"error: PGM {out} would replace --out; name another output\n"
+        )
+
+    @pytest.mark.parametrize("spatial, pgm", [((8, 8), "x.pgm"), ((3, 8, 8), "x_z001.pgm")])
+    def test_entropy_pgm_naming_its_input(self, tmp_path, capsys, spatial, pgm):
+        path = tmp_path / pgm  # a posterior file by the name of one of its PGMs
+        write_array(path, np.full((2, *spatial), 0.5, dtype=np.float32))
+        before = path.read_bytes()
+        (tmp_path / "y").mkdir()
+        argv = ["entropy", "--in", str(path), "--out", str(tmp_path / "y" / "x.uqsg"),
+                "--pgm", str(tmp_path / "y" / "..")]
+        assert main(argv) == 2
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.rglob("*")) == [path, tmp_path / "y"]
+        assert capsys.readouterr().err == (
+            f"error: output {tmp_path / 'y' / '..' / pgm} is the input {path}; "
+            "name another output\n"
         )
 
 
@@ -761,7 +825,7 @@ class TestFilesAreClosed:
         write_array(tmp_path / "ep1.uqsg", bad)
         with patch.object(uqseg.arrays, "BLOCK_PIXELS", 64), closes_every_file():
             with pytest.raises(ValidationError, match="NaN or Inf"):
-                fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+                _fuse(ids, tmp_path, tmp_path / "mean.uqsg")
         assert not (tmp_path / "mean.uqsg").exists()
 
     def test_fuse_failing_at_a_truncated_member(self, tmp_path):
@@ -770,7 +834,7 @@ class TestFilesAreClosed:
         data = (tmp_path / "ep2.uqsg").read_bytes()
         (tmp_path / "ep2.uqsg").write_bytes(data[:-4])
         with closes_every_file(), pytest.raises(ArrayFormatError, match="payload truncated"):
-            fuse_members(ids, tmp_path, tmp_path / "mean.uqsg")
+            _fuse(ids, tmp_path, tmp_path / "mean.uqsg")
 
 
 def _write_two_cycle_inputs(root, case_ids, shape, rng):
@@ -1544,7 +1608,7 @@ class TestOutputCreator:
         return small_config(root, outdir="out", eta=1.0)
 
     def test_helper_changes_nothing_but_time(self, inputs, monkeypatch):
-        from uqseg.pipeline import _output_names
+        from uqseg.pipeline import output_names
 
         shipped = Path(run_pipeline(inputs)).parent
         _no_helper(monkeypatch)
@@ -1553,7 +1617,7 @@ class TestOutputCreator:
         assert _modes(shipped) == _modes(alone)
         case_ids = sorted(p.name for p in Path(inputs.predictions_dir).iterdir())
         shape = read_array(shipped / "mean" / f"{case_ids[0]}.uqsg").shape
-        names = {case_id: _output_names(case_id, shape[1:]) for case_id in case_ids}
+        names = {case_id: output_names(case_id, shape[1:]) for case_id in case_ids}
         assert sorted(p.name for p in (shipped / "mean").iterdir()) == sorted(
             n[0] for n in names.values())
         assert sorted(p.name for p in (shipped / "entropy").iterdir()) == sorted(
