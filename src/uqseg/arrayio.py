@@ -13,7 +13,8 @@ Write followed by read reproduces shape, dtype, and payload bit-exactly; an
 array of either byte order is written little-endian and read back in native
 order. ``ArrayFile`` opens a file once, reads or writes it by pixel block and
 removes a file it created if its block or its close fails; ``read_array`` and
-``write_array`` take the whole array through it. Also a binary PGM (P5) writer.
+``write_array`` take the whole array through it. Also a binary PGM (P5) writer,
+which writes a 3D map as one image of its axial slices stacked top to bottom.
 """
 
 from __future__ import annotations
@@ -164,14 +165,14 @@ def _read_header(f, path):
 
 
 def write_pgm(path, gray):
-    """Write a 2D uint8 array as a binary PGM (P5) image."""
-    img = np.asarray(gray)
-    if img.ndim != 2 or img.dtype != np.uint8:
-        raise ArrayFormatError(f"PGM writer needs a 2D uint8 array, got {img.shape} {img.dtype}")
-    h, w = img.shape
+    """Write a 2D or 3D uint8 array as one binary PGM (P5) image from its own buffer:
+    a (D, H, W) array is its D slices stacked top to bottom, a W x D*H image."""
+    img = np.ascontiguousarray(gray)
+    if img.ndim not in (2, 3) or img.dtype != np.uint8:
+        raise ArrayFormatError(f"a PGM needs a 2D or 3D uint8 array, got {img.shape} {img.dtype}")
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(img).tobytes())
+        f.write(f"P5\n{img.shape[-1]} {math.prod(img.shape[:-1])}\n255\n".encode("ascii"))
+        f.write(img)
 
 
 def entropy_to_gray(entropy_map, class_count):

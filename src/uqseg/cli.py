@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, arrays, reports
-from .arrayio import FORMAT_VERSION, ArrayFile
+from .arrayio import FORMAT_VERSION, ArrayFile, write_pgm
 from .arrays import SIMPLEX_TOLERANCE, pixel_blocks, validate_probability_shape
 from .ensemble import argmax_labels
 from .errors import UqsegError, ValidationError
 from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice
 from .pipeline import (
-    FIELD_PARSERS, PipelineConfig, entropy_block, fuse_blocks, output_names, read_labels,
-    run_pipeline, select_checkpoints, settings_of, write_pgms, write_summary,
+    FIELD_PARSERS, PipelineConfig, entropy_block, fuse_blocks, read_labels, run_pipeline,
+    select_checkpoints, settings_of, write_summary,
 )
 from .scheduler import SgdrConfig, schedule_rows
 from .selection import SelectionPolicy, read_selection
@@ -116,10 +116,9 @@ def cmd_fuse(args):
 def cmd_entropy(args):
     with stored_blocks(args.input) as (f, blocks):
         if args.pgm is not None:  # before ``--out`` is created, so a failure here writes nothing
-            for name in output_names(Path(args.out).stem, f.shape[1:])[1:]:
-                check_output(pgm := Path(args.pgm) / name, [args.input])
-                if os.path.realpath(pgm) == os.path.realpath(args.out):
-                    raise ValidationError(f"PGM {pgm} would replace --out; name another output")
+            check_output(pgm := Path(args.pgm) / f"{Path(args.out).stem}.pgm", [args.input])
+            if os.path.realpath(pgm) == os.path.realpath(args.out):
+                raise ValidationError(f"PGM {pgm} would replace --out; name another output")
             Path(args.pgm).mkdir(parents=True, exist_ok=True)
         gray = np.empty(f.n, dtype=np.uint8)
         with ArrayFile(args.out, f.shape[1:], np.float32) as e:
@@ -127,7 +126,7 @@ def cmd_entropy(args):
                 entropy_block(gray, e, pixels, rows)
                 del rows  # before the next block is read
     if args.pgm is not None:
-        write_pgms(args.pgm, Path(args.out).stem, gray.reshape(f.shape[1:]))
+        write_pgm(pgm, gray.reshape(f.shape[1:]))
 
 
 def cmd_score(args):
@@ -248,7 +247,7 @@ def build_parser():
     p = _command(sub, "entropy", cmd_entropy, "per-pixel entropy map of a posterior", "input")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pgm", help="also write 8-bit PGM maps here")
+    p.add_argument("--pgm", help="also write the 8-bit PGM image of the map here")
 
     p = _command(sub, "score", cmd_score, "contour-normalized per-class uncertainty scores",
                  "input")

@@ -4,11 +4,14 @@ run_pipeline turns the artifacts of a training run (a trace CSV, member
 posteriors, labels) into the manifest, fused means, entropy maps, scores,
 Dice/ECE tables and a summary CSV. A case is one pass over the pixel blocks
 of its fused float32 mean (``fuse_blocks``), which opens each member once, as
-an ``ArrayFile``, for the whole pass; one helper thread creates each case's
-output files, empty, ahead of the case loop. The tree is built in a sibling
-staging directory and renamed into ``outdir`` at the end, so ``outdir`` holds
-a whole run or nothing; a failure names the stage and the case. The steps
-that ``run`` shares with the stage commands of ``cli`` are public.
+an ``ArrayFile``, for the whole pass. A case writes ``mean/<case>.uqsg``,
+``entropy/<case>.uqsg`` and one 8-bit ``entropy/<case>.pgm`` (a 3D map's
+slices stacked top to bottom), names known from the case id alone, so one
+helper thread creates them, empty, ahead of the case loop. The tree is built
+in a sibling staging directory and renamed into ``outdir`` at the end, so
+``outdir`` holds a whole run or nothing; a failure names the stage and the
+case. The steps that ``run`` shares with the stage commands of ``cli`` are
+public.
 """
 
 from __future__ import annotations
@@ -181,9 +184,7 @@ def fuse_blocks(checkpoint_ids, inputs):
     paths = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
     with ExitStack() as stack:
         members = []
-        for cid, path in zip(checkpoint_ids, paths):
-            if not path.exists():
-                raise ValidationError(f"missing member posterior {path} for checkpoint {cid}")
+        for path in paths:
             members.append(stack.enter_context(ArrayFile(path)))
             shape = members[0].shape
             if members[-1].shape != shape:
@@ -209,23 +210,9 @@ def entropy_block(gray, out, pixels, rows):
     return float(h.sum())
 
 
-def output_names(stem, spatial):
-    """The file names of the map ``stem`` of shape ``spatial``: its ``.uqsg`` file, then its
-    8-bit PGMs, one per 2D map or axial slice. A ``run`` case's mean takes the first."""
-    slices = [""] if len(spatial) == 2 else [f"_z{k:03d}" for k in range(spatial[0])]
-    return [f"{stem}.uqsg", *(f"{stem}{z}.pgm" for z in slices)]
-
-
-def write_pgms(pgm_dir, stem, gray):
-    for name, image in zip(output_names(stem, gray.shape)[1:], gray.reshape(-1, *gray.shape[-2:])):
-        write_pgm(Path(pgm_dir) / name, image)
-
-
 def select_checkpoints(trace_path, settings, out):
     """Select the checkpoints of the trace CSV at ``trace_path`` and write the
     manifest to ``out``; ``settings`` carries the schedule and policy fields."""
-    if not Path(trace_path).exists():
-        raise ValidationError(f"trace file {Path(trace_path)} does not exist")
     selection = find_cycle_peaks(TrainingTrace.from_csv(trace_path),
                                  settings_of(SgdrConfig, settings),
                                  settings_of(SelectionPolicy, settings))
@@ -276,14 +263,12 @@ def _run(cfg, out):
     cases = []  # (case_id, class_id, score, dice) rows of the summary
     acc = CalibrationAccumulator(cfg.bins)
     entropy_sum, entropy_count = 0.0, 0
-    pgms = {}  # the case of each slice PGM of a 3D case so far
     stop = threading.Event()
-    helper = threading.Thread(target=_create_outputs, args=(
-        out, pred_root, case_ids, selection.checkpoint_ids[0], stop))
+    helper = threading.Thread(target=_create_outputs, args=(out, case_ids, stop))
     helper.start()
     try:
         for case_id in case_ids:
-            scores, dices, h_case, n = _run_case(cfg, selection, pred_root, case_id, out, acc, pgms)
+            scores, dices, h_case, n = _run_case(cfg, selection, pred_root, case_id, out, acc)
             score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
             dice_lines += [reports.dice_row(d, case_id=case_id) for d in dices]
             cases += [(case_id, s.class_id, s.score, d.dice) for s, d in zip(scores, dices)]
@@ -305,52 +290,33 @@ def _run(cfg, out):
         ])
 
 
-def _create_outputs(out, pred_root, case_ids, member, stop):
-    """Create, empty, the files that each case of ``case_ids`` writes into ``out``, in loop
-    order until ``stop`` is set, so that the loop's own opens find them made. The case's
-    ``member`` header names them; a case that fails here is left to the loop to report."""
+def _create_outputs(out, case_ids, stop):
+    """Create, empty, the three files that each case of ``case_ids`` writes into ``out``, in
+    loop order until ``stop`` is set, so that the loop's own opens find them made."""
     for case_id in case_ids:
         if stop.is_set():
             return
-        try:
-            with ArrayFile(pred_root / case_id / f"{member}.uqsg") as f:
-                validate_probability_shape(f.shape)  # bounds the number of slices
-            names = output_names(case_id, f.shape[1:])
-            for path in [out / "mean" / names[0], *(out / "entropy" / name for name in names)]:
-                # no O_TRUNC: a file the loop wrote keeps its bytes; 0o666 is open()'s mode
-                os.close(os.open(path, os.O_CREAT | os.O_WRONLY, 0o666))
-        except Exception:  # the loop opens the same file and reports it with stage and case
+        try:  # no O_TRUNC: a file the loop wrote keeps its bytes; 0o666 is open()'s mode
+            for name in (f"mean/{case_id}.uqsg", f"entropy/{case_id}.uqsg",
+                         f"entropy/{case_id}.pgm"):
+                os.close(os.open(out / name, os.O_CREAT | os.O_WRONLY, 0o666))
+        except OSError:  # the loop opens the same files and reports a failure with its case
             continue
 
 
-def _case_names(pgms, case_id, spatial):
-    """``output_names`` of a case, refused if its 2D PGM is the slice PGM of an earlier 3D
-    case: the only name two cases can share. ``pgms`` maps each such slice PGM to its case."""
-    names = output_names(case_id, spatial)
-    if names[1] in pgms:
-        raise ValidationError(f"entropy/{names[1]} is also a slice of case {pgms[names[1]]}")
-    if len(spatial) == 3:
-        pgms.update(dict.fromkeys(names[1:], case_id))
-    return names
-
-
-def _run_case(cfg, selection, pred_root, case_id, out, acc, pgms):
+def _run_case(cfg, selection, pred_root, case_id, out, acc):
     """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels."""
     with (
         _stage("fuse", case_id),  # and the block loop; the stages inside name theirs
         fuse_blocks(selection.checkpoint_ids, pred_root / case_id) as (shape, blocks),
-        ArrayFile(out / "mean" / (name := _case_names(pgms, case_id, shape[1:])[0]), shape,
-                  np.float32) as mean,
-        ArrayFile(out / "entropy" / name, shape[1:], np.float32) as entropy,
+        ArrayFile(out / "mean" / f"{case_id}.uqsg", shape, np.float32) as mean,
+        ArrayFile(out / "entropy" / f"{case_id}.uqsg", shape[1:], np.float32) as entropy,
     ):
         c, n = shape[0], math.prod(shape[1:])
         with _stage("score", case_id):
             classes = check_classes(cfg.classes or range(1, c), c)
         with _stage("metrics", case_id):
-            gt_path = Path(cfg.cases_dir) / f"{case_id}_labels.uqsg"
-            if not gt_path.exists():
-                raise ValidationError(f"missing ground truth {gt_path}")
-            gt = read_labels(gt_path, c, shape)
+            gt = read_labels(Path(cfg.cases_dir) / f"{case_id}_labels.uqsg", c, shape)
         # the only whole arrays: the class masks, the labels, the argmax and the gray image
         masks = np.empty((len(classes), n), dtype=bool)
         pred = np.empty(n, dtype=np.min_scalar_type(c - 1))
@@ -365,7 +331,7 @@ def _run_case(cfg, selection, pred_root, case_id, out, acc, pgms):
                     foreground_only=cfg.ece_foreground_only)
             del rows  # before the next block is fused
         with _stage("entropy", case_id):
-            write_pgms(out / "entropy", case_id, gray.reshape(shape[1:]))
+            write_pgm(out / "entropy" / f"{case_id}.pgm", gray.reshape(shape[1:]))
         del gray
         with _stage("score", case_id):
             scores = class_scores(masks.reshape(len(classes), *shape[1:]), classes, h_case,
@@ -376,8 +342,6 @@ def _run_case(cfg, selection, pred_root, case_id, out, acc, pgms):
 
 def _case_dirs(cfg):
     pred_root = Path(cfg.predictions_dir)
-    if not pred_root.is_dir():
-        raise ValidationError(f"predictions dir {pred_root} does not exist")
     case_ids = sorted(d.name for d in pred_root.iterdir() if d.is_dir())
     if not case_ids:
         raise ValidationError(f"no case directories under {pred_root}")

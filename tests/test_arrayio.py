@@ -165,6 +165,15 @@ def test_pgm_writer(tmp_path):
         write_pgm(tmp_path / "bad.pgm", img.astype(np.int32))
 
 
+def test_pgm_writer_stacks_the_slices_of_a_3d_array(tmp_path):
+    vol = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+    write_pgm(tmp_path / "v.pgm", vol[:, :, ::-1])  # a strided view is written in C order
+    assert (tmp_path / "v.pgm").read_bytes() == (
+        b"P5\n4 6\n255\n" + vol[0, :, ::-1].tobytes() + vol[1, :, ::-1].tobytes())
+    with pytest.raises(ArrayFormatError):
+        write_pgm(tmp_path / "bad.pgm", vol[None])
+
+
 def test_entropy_to_gray_scaling():
     h = np.array([[0.0, 1.0], [2.0, 2.0]])
     gray = entropy_to_gray(h, class_count=4)  # ceiling log2(4) = 2 bits

@@ -17,15 +17,16 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from uqseg.arrayio import ArrayFile, read_array, write_array
+from uqseg.arrayio import ArrayFile, entropy_to_gray, read_array, write_array
 from uqseg.arrays import BLOCK_PIXELS, pixel_blocks
 from uqseg.cli import build_parser, cmd_fuse, main
 from uqseg.ensemble import ensemble_mean
 from uqseg.errors import ArrayFormatError, StageError, ValidationError
-from uqseg.pipeline import PipelineConfig, run_pipeline, settings_of
+from uqseg.pipeline import PipelineConfig, run_pipeline, select_checkpoints, settings_of
 from uqseg.scheduler import SgdrConfig, lr_at
 from uqseg.selection import SelectionPolicy
 from uqseg.toy import run_toy_training
+from uqseg.uncertainty import pixel_entropy
 
 GOLDEN = Path(__file__).parent / "data" / "golden_summary_seed7.csv"
 
@@ -234,6 +235,12 @@ class TestRunPipeline:
         assert staged(small_run / "g1") == []
 
 
+def _first_member(root, tmp_path):
+    """The first checkpoint id of the manifest that a ``run`` of ``root`` selects."""
+    return select_checkpoints(root / "trace.csv", small_config(root), tmp_path / "m.csv"
+                              ).checkpoint_ids[0]
+
+
 def _write_run_config(root, path, **overrides):
     values = dict(
         trace=root / "trace.csv",
@@ -248,7 +255,7 @@ def _write_run_config(root, path, **overrides):
 
 
 class TestCaseErrors:
-    """A bad input of one case exits 2 and names the case and the file."""
+    """A bad input of one case exits 2, a missing one 3, and names the case and the file."""
 
     def run_main(self, root, capsys):
         code = main(["run", "--config", str(_write_run_config(root, root / "p.cfg"))])
@@ -300,47 +307,43 @@ class TestCaseErrors:
         case_dir = root / "predictions" / "case0004"
         for member in case_dir.iterdir():
             member.unlink()
+        first = _first_member(root, tmp_path)  # the first member the manifest lists
         code, err = self.run_main(root, capsys)
-        assert code == 2
-        assert "stage 'fuse' failed for case case0004" in err
-        named = (
-            rf"missing member posterior {re.escape(str(case_dir))}/(ep\d+)\.uqsg"
-            r" for checkpoint \1"
+        assert code == 3
+        assert err == (
+            f"error: stage 'fuse' failed for case case0004: "
+            f"[Errno 2] No such file or directory: '{case_dir / first}.uqsg'\n"
         )
-        assert re.search(named, err), err
 
     def test_missing_labels(self, small_run, tmp_path, capsys):
         root = self.copy(small_run, tmp_path)
         labels = root / "cases" / "case0005_labels.uqsg"
         labels.unlink()
         code, err = self.run_main(root, capsys)
-        assert code == 2
-        assert "stage 'metrics' failed for case case0005" in err
-        assert f"missing ground truth {labels}" in err
-
-    def test_2d_case_named_as_a_slice_pgm_of_a_3d_case(self, tmp_path, capsys, monkeypatch):
-        """A 3D case ``vol`` of one slice and a 2D case ``vol_z000`` would both write
-        ``entropy/vol_z000.pgm``: the second case is refused before it creates a file."""
-        root = tmp_path / "run"
-        for case, shape in (("vol", (3, 1, 8, 8)), ("vol_z000", (3, 8, 8))):
-            (tmp_path / case).mkdir()
-            _write_two_cycle_inputs(tmp_path / case, [case], shape, np.random.default_rng(24))
-            shutil.copytree(tmp_path / case, root, dirs_exist_ok=True)
-        created, init = [], ArrayFile.__init__
-
-        def spy(f, path, *args):
-            if args:  # a file created for writing
-                created.append(Path(path).name)
-            init(f, path, *args)
-
-        monkeypatch.setattr(ArrayFile, "__init__", spy)
-        code, err = self.run_main(root, capsys)
-        assert code == 2
+        assert code == 3
         assert err == (
-            "error: stage 'fuse' failed for case vol_z000: entropy/vol_z000.pgm is also a slice "
-            "of case vol\n"
+            f"error: stage 'metrics' failed for case case0005: "
+            f"[Errno 2] No such file or directory: '{labels}'\n"
         )
-        assert created == ["vol.uqsg", "vol.uqsg"]  # the mean and entropy map of vol
+
+    @pytest.mark.parametrize("key", ["trace", "predictions_dir", "member", "labels"])
+    def test_missing_run_input(self, small_run, tmp_path, capsys, key):
+        """Each input of a ``run`` config, missing: exit 3, the stage, the case and the OS
+        error that names the file, and no tree."""
+        root = self.copy(small_run, tmp_path)
+        case = root / "predictions" / "case0004"
+        where, missing = {
+            "trace": ("'select-checkpoints' failed", root / "trace.csv"),
+            "predictions_dir": ("'fuse' failed", root / "predictions"),
+            "member": ("'fuse' failed for case case0004",
+                       case / f"{_first_member(root, tmp_path)}.uqsg"),
+            "labels": ("'metrics' failed for case case0004",
+                       root / "cases" / "case0004_labels.uqsg"),
+        }[key]
+        (shutil.rmtree if missing.is_dir() else Path.unlink)(missing)
+        assert self.run_main(root, capsys) == (
+            3, f"error: stage {where}: [Errno 2] No such file or directory: '{missing}'\n"
+        )
 
     def test_case_directory_that_is_no_case_id(self, small_run, tmp_path, capsys):
         # the name would become a CSV field: "case,9" splits every row it is in
@@ -544,20 +547,18 @@ class TestStreamedFuseErrors:
         _write_members(tmp_path, self.ids, (3, 4, 5), np.random.default_rng(2))
         write_array(tmp_path / "ep1.uqsg", np.full((3, 4, 5), 0.2, dtype=np.float32))
         (tmp_path / "ep3.uqsg").unlink()
-        with pytest.raises(ValidationError, match=re.escape(
-            f"missing member posterior {tmp_path / 'ep3.uqsg'} for checkpoint ep3"
-        )):
+        with pytest.raises(FileNotFoundError) as err:
             _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{tmp_path / 'ep3.uqsg'}'"
+        assert not (tmp_path / "mean.uqsg").exists()
 
     def test_missing_member_before_an_invalid_one(self, tmp_path):
         _write_members(tmp_path, self.ids, (3, 4, 5), np.random.default_rng(3))
         (tmp_path / "ep1.uqsg").unlink()
         write_array(tmp_path / "ep3.uqsg", np.full((3, 4, 6), 0.5, dtype=np.float32))
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(FileNotFoundError) as err:
             _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
-        assert str(err.value) == (
-            f"missing member posterior {tmp_path / 'ep1.uqsg'} for checkpoint ep1"
-        )
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{tmp_path / 'ep1.uqsg'}'"
         assert not (tmp_path / "mean.uqsg").exists()
 
     def test_member_of_another_shape_is_named(self, tmp_path):
@@ -591,10 +592,10 @@ class TestBlockwiseFuse:
         bad[0, -1, -1, -1] = np.nan
         write_array(tmp_path / "ep1.uqsg", bad)
         (tmp_path / "ep4.uqsg").unlink()
-        with pytest.raises(ValidationError, match=re.escape(
-            f"missing member posterior {tmp_path / 'ep4.uqsg'} for checkpoint ep4"
-        )):
+        with pytest.raises(FileNotFoundError) as err:
             _fuse(self.ids, tmp_path, tmp_path / "mean.uqsg")
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{tmp_path / 'ep4.uqsg'}'"
+        assert not (tmp_path / "mean.uqsg").exists()
 
     def test_member_of_another_rank_is_named_with_its_whole_shape(self, tmp_path):
         _write_members(tmp_path, self.ids[1:], self.shape, np.random.default_rng(9))
@@ -628,6 +629,55 @@ class TestBlockwiseFuse:
         names = [f"{cid}.uqsg" for cid in self.ids]
         assert opens == names + ["mean.uqsg"]
         assert reads == names * blocks
+
+
+def _stage_argv(tmp_path, command):
+    """The argv of ``command``, but for its ``--out``, on valid inputs written to ``tmp_path``."""
+    write_array(tmp_path / "p.uqsg", np.full((2, 8, 8), 0.5, dtype=np.float32))
+    write_array(tmp_path / "pred.uqsg", np.eye(8, dtype=np.uint8))
+    write_array(tmp_path / "gt.uqsg", np.ones((8, 8), dtype=np.uint8))
+    (tmp_path / "cases.csv").write_text(
+        "case_id,class_id,uncertainty_score,dice\na,1,0.5,0.9\nb,1,0.25,0.8\n"
+    )
+    (tmp_path / "trace.csv").write_text("epoch,lr,val_metric,checkpoint_id\n" + "".join(
+        f"{e},0.01,{0.5 + e / 100},ep{e}\n" for e in range(8)
+    ))
+    (tmp_path / "manifest.csv").write_text("cycle,epoch,checkpoint_id,metric\n1,1,p,0.5\n")
+    argv = [command, *{
+        "score": ["--in", "p.uqsg", "--classes", "1"],
+        "entropy": ["--in", "p.uqsg"],
+        "ece": ["--pred", "p.uqsg", "--gt", "gt.uqsg"],
+        "dice": ["--pred", "pred.uqsg", "--gt", "gt.uqsg", "--classes", "1"],
+        "report": ["--cases", "cases.csv"],
+        "select-checkpoints": ["--trace", "trace.csv", "--t0", "2", "--epochs", "8"],
+        "fuse": ["--manifest", "manifest.csv", "--inputs", str(tmp_path)],  # member p.uqsg
+    }[command]]
+    return [str(tmp_path / a) if a.endswith((".uqsg", ".csv")) else a for a in argv]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("score", "--in"), ("entropy", "--in"), ("ece", "--pred"), ("ece", "--gt"),
+    ("dice", "--pred"), ("dice", "--gt"), ("report", "--cases"),
+    ("select-checkpoints", "--trace"), ("fuse", "--manifest"), ("fuse", "--inputs"),
+    ("run", "--config"),
+])
+def test_missing_input_file_exits_io(tmp_path, capsys, command, flag):
+    """A file that a flag names, or a ``fuse`` member, that does not exist: exit 3 with
+    the OS error that names it, and nothing written. ``run``'s own inputs are in
+    ``TestCaseErrors``."""
+    if command == "run":
+        argv = ["run", "--config", str(tmp_path / "run.cfg")]
+    else:
+        argv = [*_stage_argv(tmp_path, command), "--out", str(tmp_path / "out")]
+    # ``fuse --inputs`` names the directory of the manifest's one member, p.uqsg
+    missing = tmp_path / "p.uqsg" if flag == "--inputs" else Path(argv[argv.index(flag) + 1])
+    missing.unlink(missing_ok=True)
+    files = sorted(tmp_path.iterdir())
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    assert sorted(tmp_path.iterdir()) == files
 
 
 class TestOutputIsNoInput:
@@ -668,25 +718,7 @@ class TestOutputIsNoInput:
         ("fuse", "--manifest"),
     ])
     def test_out_naming_an_input_file(self, tmp_path, capsys, command, flag):
-        write_array(tmp_path / "p.uqsg", np.full((2, 8, 8), 0.5, dtype=np.float32))
-        write_array(tmp_path / "pred.uqsg", np.eye(8, dtype=np.uint8))
-        write_array(tmp_path / "gt.uqsg", np.ones((8, 8), dtype=np.uint8))
-        (tmp_path / "cases.csv").write_text(
-            "case_id,class_id,uncertainty_score,dice\na,1,0.5,0.9\nb,1,0.25,0.8\n"
-        )
-        (tmp_path / "trace.csv").write_text("epoch,lr,val_metric,checkpoint_id\n" + "".join(
-            f"{e},0.01,{0.5 + e / 100},ep{e}\n" for e in range(8)
-        ))
-        (tmp_path / "manifest.csv").write_text("cycle,epoch,checkpoint_id,metric\n1,1,p,0.5\n")
-        argv = [command, *{
-            "score": ["--in", "p.uqsg", "--classes", "1"],
-            "ece": ["--pred", "p.uqsg", "--gt", "gt.uqsg"],
-            "dice": ["--pred", "pred.uqsg", "--gt", "gt.uqsg", "--classes", "1"],
-            "report": ["--cases", "cases.csv"],
-            "select-checkpoints": ["--trace", "trace.csv", "--t0", "2", "--epochs", "8"],
-            "fuse": ["--manifest", "manifest.csv", "--inputs", str(tmp_path)],  # member p.uqsg
-        }[command]]
-        argv = [str(tmp_path / a) if a.endswith((".uqsg", ".csv")) else a for a in argv]
+        argv = _stage_argv(tmp_path, command)
         assert main([*argv, "--out", str(tmp_path / "other")]) == 0  # the inputs are valid
         capsys.readouterr()
         target = Path(argv[argv.index(flag) + 1])
@@ -710,9 +742,9 @@ class TestOutputIsNoInput:
             f"error: PGM {out} would replace --out; name another output\n"
         )
 
-    @pytest.mark.parametrize("spatial, pgm", [((8, 8), "x.pgm"), ((3, 8, 8), "x_z001.pgm")])
+    @pytest.mark.parametrize("spatial, pgm", [((8, 8), "x.pgm"), ((3, 8, 8), "x.pgm")])
     def test_entropy_pgm_naming_its_input(self, tmp_path, capsys, spatial, pgm):
-        path = tmp_path / pgm  # a posterior file by the name of one of its PGMs
+        path = tmp_path / pgm  # a posterior file by the name of its PGM
         write_array(path, np.full((2, *spatial), 0.5, dtype=np.float32))
         before = path.read_bytes()
         (tmp_path / "y").mkdir()
@@ -812,7 +844,11 @@ class TestFilesAreClosed:
         (tmp_path / "no_cases").mkdir()
         cfg = small_config(small_run, outdir=str(tmp_path / "out"),
                            cases_dir=str(tmp_path / "no_cases"))
-        with closes_every_file(), pytest.raises(StageError, match="missing ground truth"):
+        labels = tmp_path / "no_cases" / "case0004_labels.uqsg"
+        with closes_every_file(), pytest.raises(StageError, match=re.escape(
+            f"stage 'metrics' failed for case case0004: "
+            f"[Errno 2] No such file or directory: '{labels}'"
+        )):
             run_pipeline(cfg)  # fails once the first case's members are open
 
     def test_fuse_failing_in_block_3(self, tmp_path):
@@ -1103,7 +1139,7 @@ class TestCli:
         pgm_dir = tmp_path / "maps" / "h"
         assert main(["entropy", "--in", str(path), "--out", str(tmp_path / "h.uqsg"),
                      "--pgm", str(pgm_dir)]) == 0
-        assert sorted(p.name for p in pgm_dir.iterdir()) == [f"h_z00{k}.pgm" for k in range(3)]
+        assert sorted(p.name for p in pgm_dir.iterdir()) == ["h.pgm"]
 
     def test_numeric_exit_code_reserved_for_numeric_failures(self):
         from uqseg.errors import NumericError
@@ -1321,7 +1357,7 @@ class TestCli:
         assert main(["info", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["defaults"]["ece_bins"] == DEFAULT_ECE_BINS
 
-    def test_run_with_missing_trace_exits_validation(self, tmp_path, capsys):
+    def test_run_with_missing_trace_exits_io(self, tmp_path, capsys):
         cfg_path = tmp_path / "p.cfg"
         cfg_path.write_text(
             f"trace = {tmp_path / 'absent.csv'}\n"
@@ -1332,8 +1368,12 @@ class TestCli:
             "total_epochs = 20\n"
         )
         code = main(["run", "--config", str(cfg_path)])
-        assert code == 2
-        assert "select-checkpoints" in capsys.readouterr().err
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: stage 'select-checkpoints' failed: "
+            f"[Errno 2] No such file or directory: '{tmp_path / 'absent.csv'}'\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "select-checkpoints"])
     def test_missing_trace_file_has_one_exit_code_and_message(self, command, tmp_path, capsys):
@@ -1344,9 +1384,13 @@ class TestCli:
         else:
             argv = ["select-checkpoints", "--trace", str(trace), "--t0", "10", "--epochs", "20",
                     "--out", str(tmp_path / "m.csv")]
-        assert main(argv) == 2
-        assert f"trace file {trace} does not exist\n" in capsys.readouterr().err
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "".join([
+            "error: ", "stage 'select-checkpoints' failed: " if command == "run" else "",
+            f"[Errno 2] No such file or directory: '{trace}'\n",
+        ])
         assert not (tmp_path / "m.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("shape", ["64xab", "64", "8x8x8", "x"])
     def test_bad_shape_exits_validation(self, shape, tmp_path, capsys):
@@ -1575,6 +1619,36 @@ def test_entropy_pgm_dir_that_cannot_be_made_writes_no_map(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["notadir", "p.uqsg"]
 
 
+def test_entropy_pgm_of_a_3d_map_stacks_its_slices(tmp_path):
+    """A (D, H, W) map's PGM is one W x D*H image: the 8-bit map of each slice in order."""
+    path, maps = tmp_path / "p.uqsg", tmp_path / "maps"
+    e = np.random.default_rng(25).random((3, 4, 5, 6))
+    write_array(path, (e / e.sum(axis=0)).astype(np.float32))
+    assert main(["entropy", "--in", str(path), "--out", str(tmp_path / "h.uqsg"),
+                 "--pgm", str(maps)]) == 0
+    probs = read_array(path)
+    slices = [entropy_to_gray(pixel_entropy(probs[:, z].reshape(3, -1)), 3) for z in range(4)]
+    assert [p.name for p in maps.iterdir()] == ["h.pgm"]
+    assert (maps / "h.pgm").read_bytes() == b"P5\n6 20\n255\n" + b"".join(
+        s.tobytes() for s in slices)
+
+
+def test_3d_case_vol_and_2d_case_vol_z000_keep_their_own_pgms(tmp_path):
+    """A 3D case ``vol`` and a 2D case ``vol_z000`` both run, each into its own one PGM."""
+    root = tmp_path / "run"
+    for case, shape in (("vol", (3, 2, 8, 8)), ("vol_z000", (3, 8, 8))):
+        (tmp_path / case).mkdir()
+        _write_two_cycle_inputs(tmp_path / case, [case], shape, np.random.default_rng(24))
+        shutil.copytree(tmp_path / case, root, dirs_exist_ok=True)
+    out = Path(run_pipeline(small_config(root, outdir="out", eta=1.0))).parent
+    assert sorted(p.name for p in (out / "entropy").iterdir()) == [
+        "vol.pgm", "vol.uqsg", "vol_z000.pgm", "vol_z000.uqsg"]
+    for case, header in (("vol", b"P5\n8 16\n255\n"), ("vol_z000", b"P5\n8 8\n255\n")):
+        h = pixel_entropy(read_array(out / "mean" / f"{case}.uqsg").reshape(3, -1))
+        assert (out / "entropy" / f"{case}.pgm").read_bytes() == (
+            header + entropy_to_gray(h, 3).tobytes())
+
+
 def _three_2d_cases(root):
     _write_two_cycle_inputs(
         root, ["case0000", "case0001", "case0002"], (3, 16, 16), np.random.default_rng(21)
@@ -1608,21 +1682,16 @@ class TestOutputCreator:
         return small_config(root, outdir="out", eta=1.0)
 
     def test_helper_changes_nothing_but_time(self, inputs, monkeypatch):
-        from uqseg.pipeline import output_names
-
         shipped = Path(run_pipeline(inputs)).parent
         _no_helper(monkeypatch)
         alone = Path(run_pipeline(replace(inputs, outdir=str(shipped.parent / "alone")))).parent
         assert tree_bytes(shipped) == tree_bytes(alone)
         assert _modes(shipped) == _modes(alone)
         case_ids = sorted(p.name for p in Path(inputs.predictions_dir).iterdir())
-        shape = read_array(shipped / "mean" / f"{case_ids[0]}.uqsg").shape
-        names = {case_id: output_names(case_id, shape[1:]) for case_id in case_ids}
-        assert sorted(p.name for p in (shipped / "mean").iterdir()) == sorted(
-            n[0] for n in names.values())
-        assert sorted(p.name for p in (shipped / "entropy").iterdir()) == sorted(
-            name for n in names.values() for name in n)
-        assert len(names[case_ids[0]]) == (2 if len(shape) == 3 else 1 + shape[1])
+        assert sorted(p.name for p in (shipped / "mean").iterdir()) == [
+            f"{case_id}.uqsg" for case_id in case_ids]
+        assert sorted(p.name for p in (shipped / "entropy").iterdir()) == [
+            f"{case_id}.{ext}" for case_id in case_ids for ext in ("pgm", "uqsg")]
 
     def test_helper_racing_the_loop_changes_no_byte(self, tmp_path, monkeypatch):
         """Many one-block cases and a short switch interval interleave the two threads."""
@@ -1640,7 +1709,7 @@ class TestOutputCreator:
         assert tree_bytes(raced) == tree_bytes(alone)
         assert _modes(raced) == _modes(alone)
 
-    def test_creates_each_file_empty_and_truncates_none(self, small_run, tmp_path):
+    def test_creates_each_file_empty_and_truncates_none(self, tmp_path):
         import threading
 
         from uqseg.pipeline import _create_outputs
@@ -1649,16 +1718,38 @@ class TestOutputCreator:
         (out / "mean").mkdir(parents=True)
         (out / "entropy").mkdir()
         (out / "mean" / "case0004.uqsg").write_bytes(b"written")
-        member = sorted(p.stem for p in (small_run / "predictions" / "case0004").iterdir())[0]
-        _create_outputs(out, small_run / "predictions", cases, member, threading.Event())
+        _create_outputs(out, cases, threading.Event())
         assert tree_bytes(out) == {
-            Path("mean/case0004.uqsg"): b"written", Path("mean/case0005.uqsg"): b"",
-            **{Path("entropy") / f"case000{k}.{ext}": b"" for k in (4, 5) for ext in ("uqsg", "pgm")},
+            **{Path("mean") / f"{case}.uqsg": b"" for case in cases},
+            Path("mean/case0004.uqsg"): b"written",
+            **{Path("entropy") / f"{case}.{ext}": b"" for case in cases for ext in ("uqsg", "pgm")},
         }
+        _create_outputs(tmp_path / "none", cases, threading.Event())  # raises no OSError
         stop = threading.Event()
         stop.set()
-        _create_outputs(tmp_path / "none", small_run / "predictions", cases, member, stop)
+        (tmp_path / "stopped" / "mean").mkdir(parents=True)
+        _create_outputs(tmp_path / "stopped", cases, stop)
         assert not (tmp_path / "none").exists()
+        assert tree_bytes(tmp_path / "stopped") == {}
+
+    def test_helper_opens_no_input(self, tmp_path, monkeypatch):
+        """The member files a run reads are opened once each, by ``fuse_blocks``: the helper
+        opens no input."""
+        from uqseg.selection import read_selection
+
+        cfg = _three_2d_cases(tmp_path)
+        opened, init = [], ArrayFile.__init__
+
+        def spy(f, path, *args):
+            if not args:  # a file opened for reading
+                opened.append(Path(path).relative_to(tmp_path))
+            init(f, path, *args)
+
+        monkeypatch.setattr(ArrayFile, "__init__", spy)
+        run_pipeline(cfg)
+        ids = read_selection(tmp_path / "out" / "manifest.csv").checkpoint_ids
+        assert sorted(p for p in opened if p.parts[0] == "predictions") == sorted(
+            Path("predictions", f"case000{k}", f"{cid}.uqsg") for k in range(3) for cid in ids)
 
     @pytest.mark.parametrize("damage", ["missing", "truncated"])
     def test_bad_first_member_of_a_later_case_fails_as_without_the_helper(
@@ -1672,7 +1763,7 @@ class TestOutputCreator:
         member = tmp_path / "predictions" / "case0002" / f"{first}.uqsg"
         if damage == "missing":
             member.unlink()
-            message = f"missing member posterior {member} for checkpoint {first}"
+            message = f"[Errno 2] No such file or directory: '{member}'"
         else:
             member.write_bytes(member.read_bytes()[:-4])
             message = f"{member}: payload truncated, expected 3072 bytes, got 3068"
@@ -1685,8 +1776,7 @@ class TestOutputCreator:
             assert not (tmp_path / "out").exists()
             assert staged(tmp_path / "out") == []
         assert results[0] == results[1] == (
-            2 if damage == "missing" else 3,
-            f"error: stage 'fuse' failed for case case0002: {message}\n",
+            3, f"error: stage 'fuse' failed for case case0002: {message}\n",
         )
 
     @pytest.mark.parametrize("end", ["success", "stage-error", "interrupt"])
@@ -1721,7 +1811,9 @@ class TestOutputCreator:
             (tmp_path / "cases" / f"{missing_labels}_labels.uqsg").unlink()
         with closes_every_file():
             if missing_labels:
-                with pytest.raises(StageError, match="missing ground truth"):
+                with pytest.raises(StageError, match=re.escape(
+                    f"No such file or directory: '{tmp_path / 'cases' / missing_labels}_labels"
+                )):
                     run_pipeline(cfg)
             else:
                 run_pipeline(cfg)
