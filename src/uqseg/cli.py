@@ -96,7 +96,7 @@ def check_output(out, inputs):
 
 def cmd_lr_schedule(args):
     rows = schedule_rows(settings_of(SgdrConfig, args))
-    _emit(["epoch,cycle,lr"] + [f"{e},{c},{reports.fmt9(lr)}" for e, c, lr in rows], args.out)
+    _emit(["epoch,cycle,lr"] + [reports.csv_line(*row) for row in rows], args.out)
 
 
 def cmd_select(args):
@@ -119,14 +119,14 @@ def cmd_entropy(args):
             check_output(pgm := Path(args.pgm) / f"{Path(args.out).stem}.pgm", [args.input])
             if os.path.realpath(pgm) == os.path.realpath(args.out):
                 raise ValidationError(f"PGM {pgm} would replace --out; name another output")
-            Path(args.pgm).mkdir(parents=True, exist_ok=True)
         gray = np.empty(f.n, dtype=np.uint8)
         with ArrayFile(args.out, f.shape[1:], np.float32) as e:
             for pixels, rows in blocks:
                 entropy_block(gray, e, pixels, rows)
                 del rows  # before the next block is read
-    if args.pgm is not None:
-        write_pgm(pgm, gray.reshape(f.shape[1:]))
+            if args.pgm is not None:  # after the last block, so a failure removes ``--out``
+                Path(args.pgm).mkdir(parents=True, exist_ok=True)
+                write_pgm(pgm, gray.reshape(f.shape[1:]))
 
 
 def cmd_score(args):
@@ -141,7 +141,7 @@ def cmd_score(args):
             del rows  # before the next block is read
         scores = class_scores(masks.reshape(len(classes), *f.shape[1:]), classes, h_total,
                               f.rows, args.contour_entropy)
-    _emit([reports.SCORE_HEADER] + [reports.score_row(s) for s in scores], args.out)
+    _emit([reports.SCORE_HEADER] + [reports.csv_line(*vars(s).values()) for s in scores], args.out)
 
 
 def cmd_dice(args):
@@ -151,8 +151,8 @@ def cmd_dice(args):
         raise ValidationError(
             f"{args.pred}: labels shape {pred.shape} does not match {args.gt} shape {gt.shape}"
         )
-    rows = [reports.dice_row(dice(pred, gt, k)) for k in _parse_classes(args.classes)]
-    _emit([reports.DICE_HEADER] + rows, args.out)
+    rows = [vars(dice(pred, gt, k)).values() for k in _parse_classes(args.classes)]
+    _emit([reports.DICE_HEADER] + [reports.csv_line(*row) for row in rows], args.out)
 
 
 def cmd_ece(args):

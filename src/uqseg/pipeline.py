@@ -130,12 +130,12 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
 
     ``outdir`` must be absent or empty, and must not lie inside
     ``predictions_dir``, whose every directory is read as a case. The tree
-    is built in the sibling ``<outdir>.partial-<pid>`` and published by one
-    ``os.replace``; on any failure it is removed and ``outdir`` is left as
-    it was (a stage failure raises StageError). Missing parents of
-    ``outdir`` are created; an empty ``outdir`` keeps its permission bits,
-    not its group or ACLs. A case holds its class masks, labels, argmax and
-    gray image whole, and everything else block-sized.
+    is built in the sibling ``<outdir>.partial``, which must not exist, and
+    published by one ``os.replace``; on any failure it is removed and
+    ``outdir`` is left as it was (a stage failure raises StageError). Missing
+    parents of ``outdir`` are created; an empty ``outdir`` keeps its
+    permission bits, not its group or ACLs. A case holds its class masks,
+    labels, argmax and gray image whole, and everything else block-sized.
     """
     out = check_outdir(cfg.outdir)
     if out.is_relative_to(Path(cfg.predictions_dir).resolve()):
@@ -143,8 +143,12 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
             f"outdir {cfg.outdir} lies inside predictions_dir {cfg.predictions_dir}, "
             "whose every directory is read as a case"
         )
-    staging = out.with_name(f"{out.name}.partial-{os.getpid()}")
-    staging.mkdir(parents=True)
+    staging = out.with_name(f"{out.name}.partial")
+    try:  # one staging tree per outdir: a run never removes a tree it did not create
+        staging.mkdir(parents=True)
+    except FileExistsError:
+        raise ValidationError(f"staging tree {staging} exists: a run into {cfg.outdir} is "
+                              "under way or was killed; remove it to run again") from None
     try:
         _run(cfg, staging)
         if out.is_dir():  # set last, so a read-only mode cannot stop the run
@@ -235,19 +239,17 @@ def write_summary(path, cases, dataset_rows=()):
 
     ``cases`` holds (case_id, class_id, score, dice) tuples, each giving two
     case rows. The dataset rows start with the Spearman coefficient, or the
-    note on why it was omitted, followed by ``dataset_rows``.
+    note on why it was omitted, followed by the (metric, value) pairs of
+    ``dataset_rows``.
     """
     table = uncertainty_dice_table([(s, d) for _, _, s, d in cases])
-    lines = [reports.SUMMARY_HEADER] + [
-        reports.summary_case_row(case_id, class_id, metric, value)
+    first = ("spearman_note", table.note) if table.spearman is None else (
+        "spearman_score_dice", table.spearman)
+    reports.write_lines(path, [reports.SUMMARY_HEADER] + [
+        reports.csv_line("case", case_id, class_id, metric, value)
         for case_id, class_id, score, dice_value in cases
         for metric, value in (("uncertainty_score", score), ("dice", dice_value))
-    ]
-    if table.spearman is None:
-        lines.append(reports.summary_dataset_row("spearman_note", table.note))
-    else:
-        lines.append(reports.summary_dataset_row("spearman_score_dice", table.spearman))
-    reports.write_lines(path, lines + list(dataset_rows))
+    ] + [reports.csv_line("dataset", None, None, *row) for row in (first, *dataset_rows)])
 
 
 def _run(cfg, out):
@@ -269,8 +271,8 @@ def _run(cfg, out):
     try:
         for case_id in case_ids:
             scores, dices, h_case, n = _run_case(cfg, selection, pred_root, case_id, out, acc)
-            score_lines += [reports.score_row(s, case_id=case_id) for s in scores]
-            dice_lines += [reports.dice_row(d, case_id=case_id) for d in dices]
+            score_lines += [reports.csv_line(case_id, *vars(s).values()) for s in scores]
+            dice_lines += [reports.csv_line(case_id, *vars(d).values()) for d in dices]
             cases += [(case_id, s.class_id, s.score, d.dice) for s, d in zip(scores, dices)]
             entropy_sum, entropy_count = entropy_sum + h_case, entropy_count + n
     finally:  # the helper stops before ``run_pipeline`` publishes or removes ``out``
@@ -284,10 +286,8 @@ def _run(cfg, out):
         reports.write_ece_csv(out / "ece.csv", calibration)
     with _stage("report"):
         write_summary(out / "summary.csv", cases, [
-            reports.summary_dataset_row("ece_percent", calibration.ece),
-            reports.summary_dataset_row("avg_entropy_bits", entropy_sum / entropy_count),
-            reports.summary_dataset_row("h_total_region", cfg.entropy_region),
-        ])
+            ("ece_percent", calibration.ece), ("avg_entropy_bits", entropy_sum / entropy_count),
+            ("h_total_region", cfg.entropy_region)])
 
 
 def _create_outputs(out, case_ids, stop):

@@ -1,7 +1,8 @@
-"""Deterministic CSV writers and the CSV reader shared by the pipeline and CLI.
+"""The CSV cell rule, the writers built on it, and the CSV reader.
 
-Every float is rendered with 9 significant digits so outputs are stable
-enough for byte-for-byte golden-file comparison.
+``csv_line`` renders every CSV line the package writes; its floats have 9 significant
+digits, stable enough for byte-for-byte golden files. A result's row is its dataclass
+fields in declaration order, the order of its CSV columns and of its readers.
 """
 
 from __future__ import annotations
@@ -27,50 +28,24 @@ def read_text(path):
         raise ValidationError(f"{path}: not a UTF-8 text file") from None
 
 
-def _row(case_id, *fields):
-    return ",".join(([] if case_id is None else [case_id]) + [str(f) for f in fields])
-
-
-def score_row(score, case_id=None):
-    return _row(
-        case_id, score.class_id, fmt9(score.h_total), score.contour_pixels,
-        fmt9(score.score), int(score.empty_contour),
-    )
+def csv_line(*cells):
+    """One CSV line of ``cells``: a float by ``fmt9``, a bool as 0/1, None as an empty
+    cell, anything else (an int, a string) by ``str``."""
+    return ",".join("" if c is None else str(int(c)) if isinstance(c, bool) else
+                    fmt9(c) if isinstance(c, float) else str(c) for c in cells)
 
 
 SCORE_HEADER = "class,h_total,contour_pixels,score,empty_contour_flag"
-
-
 DICE_HEADER = "class,intersection,pred_size,gt_size,dice"
-
-
-def dice_row(result, case_id=None):
-    return _row(
-        case_id, result.class_id, result.intersection, result.pred_size, result.gt_size,
-        fmt9(result.dice),
-    )
+SUMMARY_HEADER = "kind,case_id,class_id,metric,value"
 
 
 def write_ece_csv(path, report):
     n = len(report.counts)
-    bins = [_row(
-        f"bin{b}", fmt9(b / n), fmt9((b + 1) / n), int(report.counts[b]),
-        fmt9(report.mean_confidence[b]), fmt9(report.accuracy[b]),
-    ) for b in range(n)]
-    write_lines(path, ["record,lower,upper,count,mean_confidence,accuracy", *bins,
-                       f"ece_percent,,,{int(report.counts.sum())},,{fmt9(report.ece)}"])
-
-
-SUMMARY_HEADER = "kind,case_id,class_id,metric,value"
-
-
-def summary_case_row(case_id, class_id, metric, value):
-    return f"case,{case_id},{class_id},{metric},{fmt9(value)}"
-
-
-def summary_dataset_row(metric, value):
-    text = fmt9(value) if isinstance(value, (int, float)) else str(value)
-    return f"dataset,,,{metric},{text}"
+    bins = zip(report.counts, report.mean_confidence, report.accuracy)
+    write_lines(path, ["record,lower,upper,count,mean_confidence,accuracy"] + [
+        csv_line(f"bin{b}", b / n, (b + 1) / n, *row) for b, row in enumerate(bins)] + [
+        csv_line("ece_percent", None, None, report.counts.sum(), None, report.ece)])
 
 
 def read_csv(path, columns):

@@ -74,10 +74,7 @@ def _cycle_iter(cfg: SgdrConfig):
     prev = 0
     i = 0
     while prev < cfg.total_epochs:
-        try:
-            t_i = min(cfg.t0 * cfg.eta**i, sys.float_info.max)
-        except OverflowError:
-            t_i = sys.float_info.max
+        t_i = min(cfg.t0 * cfg.eta**i, sys.float_info.max)
         # next zero of mod(t, t_i) strictly after the previous boundary
         mult = math.floor(prev / t_i) + 1
         end = max(prev + 1, int(round(mult * t_i)))

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .reports import fmt9, read_csv, write_lines
+from .reports import csv_line, read_csv, write_lines
 from .scheduler import SgdrConfig, _cycle_iter
 
 
@@ -75,9 +75,8 @@ class TrainingTrace:
                 )
 
     def to_csv(self, path):
-        rows = [f"{r.epoch},{fmt9(r.lr)},{fmt9(r.val_metric)},{r.checkpoint_id or ''}"
-                for r in self.records]
-        write_lines(path, [",".join(_TRACE_COLUMNS), *rows])
+        write_lines(path, [",".join(_TRACE_COLUMNS),
+                           *(csv_line(*vars(r).values()) for r in self.records)])
 
     @classmethod
     def from_csv(cls, path):
@@ -186,9 +185,8 @@ def export_selection(selection: CheckpointSet, path):
     """Write the manifest CSV consumed by the fuse stage."""
     if not selection.entries:
         raise ValidationError("refusing to export an empty checkpoint selection")
-    rows = [f"{e.cycle},{e.epoch},{e.checkpoint_id},{fmt9(e.val_metric)}"
-            for e in selection.entries]
-    write_lines(path, [",".join(_MANIFEST_COLUMNS), *rows])
+    write_lines(path, [",".join(_MANIFEST_COLUMNS),
+                       *(csv_line(*vars(e).values()) for e in selection.entries)])
 
 
 def read_selection(path) -> CheckpointSet:

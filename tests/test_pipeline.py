@@ -44,9 +44,9 @@ def small_run(tmp_path_factory):
 
 
 def staged(outdir):
-    """Staging siblings ``<outdir>.partial-*`` left next to ``outdir``."""
+    """Staging siblings ``<outdir>.partial*`` left next to ``outdir``."""
     outdir = Path(outdir)
-    return sorted(outdir.parent.glob(f"{outdir.name}.partial-*"))
+    return sorted(outdir.parent.glob(f"{outdir.name}.partial*"))
 
 
 def tree_bytes(root):
@@ -458,6 +458,30 @@ class TestOutdir:
             run_pipeline(small_config(small_run, outdir=str(tmp_path / "out")))
         assert not (tmp_path / "out").exists()
         assert staged(tmp_path / "out") == []
+
+    def test_run_stages_in_outdir_partial(self, small_run, tmp_path, monkeypatch):
+        import uqseg.pipeline
+
+        real_run, seen = uqseg.pipeline._run, []
+        monkeypatch.setattr(uqseg.pipeline, "_run",
+                            lambda cfg, staging: seen.append(staging) or real_run(cfg, staging))
+        run_pipeline(small_config(small_run, outdir=str(tmp_path / "out")))
+        assert seen == [(tmp_path / "out.partial").resolve()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_leftover_staging_tree_is_refused_and_kept(self, small_run, tmp_path, capsys):
+        # a killed run's tree, or one that a running run still writes
+        leftover = tmp_path / "out.partial"
+        (leftover / "mean").mkdir(parents=True)
+        (leftover / "manifest.csv").write_text("cycle\n")
+        config = _write_run_config(small_run, tmp_path / "p.cfg", outdir=tmp_path / "out")
+        before = sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: staging tree {leftover.resolve()} exists: a run into {tmp_path / 'out'} "
+            "is under way or was killed; remove it to run again\n"
+        )
+        assert (sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)) == before
 
 
 def _write_members(directory, ids, shape, rng):
@@ -1617,6 +1641,27 @@ def test_entropy_pgm_dir_that_cannot_be_made_writes_no_map(tmp_path, capsys):
     assert main(["entropy", "--in", str(path), "--out", str(out), "--pgm", str(pgm_dir)]) == 3
     assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{pgm_dir}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["notadir", "p.uqsg"]
+
+
+def test_entropy_failing_in_a_block_leaves_no_pgm_dir(tmp_path, capsys):
+    path, out, maps = tmp_path / "p.uqsg", tmp_path / "h.uqsg", tmp_path / "maps"
+    write_array(path, np.full((2, 8, 8), 0.6, dtype=np.float32))  # off the simplex
+    assert main(["entropy", "--in", str(path), "--out", str(out), "--pgm", str(maps)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: per-pixel class probabilities must sum to 1 within 1e-05; "
+        "worst deviation 2.000e-01\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.uqsg"]
+
+
+def test_entropy_pgm_that_cannot_be_written_removes_its_out(tmp_path, capsys):
+    path, out, pgm = tmp_path / "p.uqsg", tmp_path / "h.uqsg", tmp_path / "maps" / "h.pgm"
+    write_array(path, np.full((2, 8, 8), 0.5, dtype=np.float32))
+    pgm.mkdir(parents=True)
+    argv = ["entropy", "--in", str(path), "--out", str(out), "--pgm", str(pgm.parent)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{pgm}'\n"
+    assert not out.exists()
 
 
 def test_entropy_pgm_of_a_3d_map_stacks_its_slices(tmp_path):
