@@ -12,9 +12,9 @@ Layout (all multi-byte integers little-endian):
 Write followed by read reproduces shape, dtype, and payload bit-exactly; an
 array of either byte order is written little-endian and read back in native
 order. ``ArrayFile`` opens a file once, reads or writes it by pixel block and
-removes a file it created if its block or its close fails; ``read_array`` and
-``write_array`` take the whole array through it. Also a binary PGM (P5) writer,
-which writes a 3D map as one image of its axial slices stacked top to bottom.
+removes a file it created if its block or its close fails; ``read_array``,
+``write_array`` and ``write_pgm``, a binary PGM (P5) writer, take the whole
+array through it. A 3D map's PGM is one image of its slices top to bottom.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ def read_array(path):
 
 
 class ArrayFile:
-    """One array file, opened once: ``ArrayFile(path)`` opens a file and checks its
-    header and size; ``ArrayFile(path, shape, dtype)`` creates one, and removes it if its
-    ``with`` block or its close fails. The array is taken as ``(c, n)``, its first axis by
-    the rest flattened; a pixel block is a step-1 slice of n, clipped as numpy clips it."""
+    """One array file, opened once: ``ArrayFile(path)`` opens a file and checks its header
+    and size; ``ArrayFile(path, shape, dtype)`` creates one (``header``, a PGM's, replaces its
+    own) and removes it if its ``with`` block or its close fails. The array is ``(c, n)``, its
+    first axis by the rest flattened; a pixel block is a step-1 slice of n, clipped as numpy is."""
 
-    def __init__(self, path, shape=None, dtype=None):
+    def __init__(self, path, shape=None, dtype=None, header=None):
         self.path, self._created = path, shape is not None
         if shape is None:
             self._f = open(path, "rb")
@@ -74,8 +74,8 @@ class ArrayFile:
                     f"dtype {np.dtype(dtype)} not supported; use float32, uint8, or int32"
                 )
             self._disk, self.shape = _CODE_TO_DTYPE[code], tuple(shape)
-            header = struct.pack(f"<4sHBB{len(shape)}I", MAGIC, FORMAT_VERSION, code,
-                                 len(shape), *shape)
+            header = header or struct.pack(f"<4sHBB{len(shape)}I", MAGIC, FORMAT_VERSION,
+                                           code, len(shape), *shape)
             self._f = open(path, "w+b")
             self._f.write(header)
         self._payload = self._f.tell()
@@ -165,14 +165,14 @@ def _read_header(f, path):
 
 
 def write_pgm(path, gray):
-    """Write a 2D or 3D uint8 array as one binary PGM (P5) image from its own buffer:
-    a (D, H, W) array is its D slices stacked top to bottom, a W x D*H image."""
+    """Write a 2D or 3D uint8 array from its own buffer as one binary PGM (P5) image, which
+    ``ArrayFile`` removes if it fails; a (D, H, W) array is a W x D*H image of its slices."""
     img = np.ascontiguousarray(gray)
     if img.ndim not in (2, 3) or img.dtype != np.uint8:
         raise ArrayFormatError(f"a PGM needs a 2D or 3D uint8 array, got {img.shape} {img.dtype}")
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.shape[-1]} {math.prod(img.shape[:-1])}\n255\n".encode("ascii"))
-        f.write(img)
+    header = f"P5\n{img.shape[-1]} {math.prod(img.shape[:-1])}\n255\n".encode("ascii")
+    with ArrayFile(path, (1, img.size), np.uint8, header) as f:
+        f.write(slice(None), img.reshape(1, img.size))
 
 
 def entropy_to_gray(entropy_map, class_count):

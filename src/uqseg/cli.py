@@ -151,8 +151,8 @@ def cmd_dice(args):
         raise ValidationError(
             f"{args.pred}: labels shape {pred.shape} does not match {args.gt} shape {gt.shape}"
         )
-    rows = [vars(dice(pred, gt, k)).values() for k in _parse_classes(args.classes)]
-    _emit([reports.DICE_HEADER] + [reports.csv_line(*row) for row in rows], args.out)
+    _emit([reports.DICE_HEADER] + [reports.csv_line(*vars(dice(pred, gt, k)).values())
+                                   for k in _parse_classes(args.classes)], args.out)
 
 
 def cmd_ece(args):

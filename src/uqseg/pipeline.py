@@ -32,9 +32,7 @@ from .arrayio import ArrayFile, entropy_to_gray, read_array, write_pgm
 from .arrays import pixel_blocks, validate_labels, validate_probability_shape
 from .ensemble import argmax_labels, ensemble_mean
 from .errors import StageError, ValidationError
-from .metrics import (
-    DEFAULT_ECE_BINS, CalibrationAccumulator, dice, uncertainty_dice_table,
-)
+from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice, uncertainty_dice_table
 from .scheduler import SgdrConfig
 from .selection import SelectionPolicy, TrainingTrace, check_id, export_selection, find_cycle_peaks
 from .uncertainty import FOREGROUND_THRESHOLD, check_classes, class_scores, pixel_entropy
@@ -154,8 +152,9 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         if out.is_dir():  # set last, so a read-only mode cannot stop the run
             staging.chmod(stat.S_IMODE(out.stat().st_mode))
         os.replace(staging, out)
-    finally:
+    except BaseException:  # never once published: the name may then be another run's
         shutil.rmtree(staging, ignore_errors=True)
+        raise
     return Path(cfg.outdir) / "summary.csv"
 
 

@@ -67,14 +67,14 @@ def _cycle_iter(cfg: SgdrConfig):
     """Yield CycleIndex values from epoch 0 through the cycle that reaches
     ``total_epochs``.
 
-    A span t0 * eta**i beyond the float range is taken as the largest float:
-    the cycle then outlasts the run, and every rate in it is the one an
-    unbounded span gives (cos(pi * x) rounds to 1 for such tiny x).
+    A span t0 * eta**i beyond the float range, an int t0 beyond it too, is
+    taken as the largest float: the cycle then outlasts the run, and every
+    rate in it is the one an unbounded span gives (cos(pi * x) rounds to 1).
     """
     prev = 0
     i = 0
     while prev < cfg.total_epochs:
-        t_i = min(cfg.t0 * cfg.eta**i, sys.float_info.max)
+        t_i = min(min(cfg.t0, sys.float_info.max) * cfg.eta**i, sys.float_info.max)
         # next zero of mod(t, t_i) strictly after the previous boundary
         mult = math.floor(prev / t_i) + 1
         end = max(prev + 1, int(round(mult * t_i)))

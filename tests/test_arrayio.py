@@ -270,6 +270,20 @@ def test_a_created_file_is_removed_when_its_close_raises(tmp_path):
     assert not path.exists()
 
 
+def test_a_pgm_whose_write_fails_partway_is_removed(tmp_path):
+    path = tmp_path / "h.pgm"
+
+    def full_disk(self, pixels, rows):
+        self._f.flush()
+        assert path.read_bytes() == b"P5\n4 2\n255\n"  # the header is on disk
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with patch.object(ArrayFile, "write", full_disk):
+        with pytest.raises(OSError, match="No space left on device"):
+            write_pgm(path, np.zeros((2, 4), dtype=np.uint8))
+    assert not path.exists()
+
+
 def test_a_file_opened_for_reading_is_never_removed(tmp_path):
     path = tmp_path / "a.uqsg"
     write_array(path, np.zeros((2, 4), dtype=np.float32))

@@ -469,6 +469,19 @@ class TestOutdir:
         assert seen == [(tmp_path / "out.partial").resolve()]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
+    def test_a_published_run_keeps_the_next_runs_staging_tree(self, small_run, tmp_path):
+        # once this run's tree is renamed, another run into the same outdir may stage
+        staging, replace = tmp_path / "out.partial", os.replace
+
+        def publish_then_next_run_stages(src, dst):
+            replace(src, dst)
+            (staging / "mean").mkdir(parents=True)
+
+        with patch("uqseg.pipeline.os.replace", publish_then_next_run_stages):
+            run_pipeline(small_config(small_run, outdir=str(tmp_path / "out")))
+        assert (staging / "mean").is_dir()
+        assert (tmp_path / "out" / "summary.csv").is_file()
+
     def test_leftover_staging_tree_is_refused_and_kept(self, small_run, tmp_path, capsys):
         # a killed run's tree, or one that a running run still writes
         leftover = tmp_path / "out.partial"
@@ -1662,6 +1675,23 @@ def test_entropy_pgm_that_cannot_be_written_removes_its_out(tmp_path, capsys):
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{pgm}'\n"
     assert not out.exists()
+
+
+def test_entropy_pgm_failing_partway_removes_it_and_its_out(tmp_path, capsys):
+    path, out, maps = tmp_path / "p.uqsg", tmp_path / "h.uqsg", tmp_path / "maps"
+    write_array(path, np.full((2, 8, 8), 0.5, dtype=np.float32))
+    write = ArrayFile.write
+
+    def full_disk_at_the_pgm(self, pixels, rows):
+        if str(self.path).endswith(".pgm"):
+            raise OSError(28, "No space left on device")
+        write(self, pixels, rows)
+
+    with patch.object(ArrayFile, "write", full_disk_at_the_pgm):
+        assert main(["entropy", "--in", str(path), "--out", str(out), "--pgm", str(maps)]) == 3
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["maps", "p.uqsg"]
+    assert list(maps.iterdir()) == []
 
 
 def test_entropy_pgm_of_a_3d_map_stacks_its_slices(tmp_path):

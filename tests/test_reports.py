@@ -51,6 +51,11 @@ def test_an_int_in_a_float_field_renders_as_the_float_would():
         assert csv_line(value) == csv_line(float(value))
 
 
+def test_an_int_is_rendered_whole_whatever_its_size():
+    # the cell rule goes by the value's type, not the field's: lr_max=10**10 stays whole
+    assert csv_line(10**10, 1e10) == "10000000000,1e+10"
+
+
 def _trace_header(tmp_path):
     path = tmp_path / "trace.csv"
     TrainingTrace((TraceRecord(0, 0.1, 0.5),)).to_csv(path)

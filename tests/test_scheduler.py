@@ -150,6 +150,17 @@ class TestHugeSpans:
         cfg = SgdrConfig(t0=1, eta=1e300, total_epochs=5)
         assert schedule_rows(cfg) == [(0, 0, 0.1)] + [(e, 1, 0.1) for e in range(1, 5)]
 
+    @pytest.mark.parametrize("eta", [2.0, 2])
+    def test_int_t0_past_the_float_range_is_the_largest_span(self, eta):
+        # an int this large cannot be converted to a float, so t0 * 2.0 would raise
+        cfg = SgdrConfig(t0=10**309, eta=eta, total_epochs=5)
+        assert schedule_rows(cfg) == [(e, 0, 0.1) for e in range(5)]
+        assert restart_epochs(cfg) == []
+
+    def test_lr_schedule_cli_takes_an_int_t0_past_the_float_range(self, capsys):
+        assert main(["lr-schedule", "--t0", str(10**309), "--epochs", "3"]) == 0
+        assert capsys.readouterr().out == "epoch,cycle,lr\n0,0,0.1\n1,0,0.1\n2,0,0.1\n"
+
 
 @settings(max_examples=60, deadline=None)
 @given(
