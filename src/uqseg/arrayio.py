@@ -32,7 +32,7 @@ MAGIC = b"UQSG"
 FORMAT_VERSION = 1
 
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("u1"), 2: np.dtype("<i4")}
-_DTYPE_TO_CODE = {np.dtype("float32"): 0, np.dtype("uint8"): 1, np.dtype("int32"): 2}
+_DTYPE_TO_CODE = {dtype.newbyteorder("="): code for code, dtype in _CODE_TO_DTYPE.items()}
 
 _HEAD = struct.Struct("<4sHBB")
 
@@ -40,7 +40,7 @@ _HEAD = struct.Struct("<4sHBB")
 def write_array(path, array):
     """Write a float32, uint8 or int32 array to ``path`` from its own buffer."""
     arr = np.asarray(array)
-    if not 0 < arr.ndim <= 255:
+    if arr.ndim == 0:
         raise ArrayFormatError(f"rank {arr.ndim} outside supported range 1..255")
     with ArrayFile(path, arr.shape, arr.dtype) as f:
         f.write(slice(None), arr.reshape(arr.shape[0], math.prod(arr.shape[1:])))
@@ -61,7 +61,7 @@ class ArrayFile:
     def __init__(self, path, shape=None, dtype=None, header=None):
         self.path, self._created = path, shape is not None
         if shape is None:
-            self._f = open(path, "rb")
+            self._f = open(path, "rb", buffering=0)  # no buffer holds bytes the file lost
             try:
                 self._disk, self.shape = _read_header(self._f, path)
             except BaseException:
@@ -101,8 +101,11 @@ class ArrayFile:
         rows = np.empty((self.shape[0], max(stop - start, 0)), dtype=self._disk)
         for offset, view in _row_views(rows, self.n, start):
             self._f.seek(self._payload + offset)
-            if self._f.readinto(view) < len(view):
-                raise ArrayFormatError(f"{self.path}: file shrank while being read")
+            while len(view):  # one raw read returns at most ~2 GiB
+                got = self._f.readinto(view)
+                if not got:
+                    raise ArrayFormatError(f"{self.path}: file shrank while being read")
+                view = view[got:]
         # a no-op on little-endian hosts
         return rows.astype(self.dtype, copy=False)
 

@@ -105,8 +105,9 @@ def cmd_select(args):
 
 def cmd_fuse(args):
     ids = read_selection(args.manifest).checkpoint_ids
-    with fuse_blocks(ids, args.inputs) as (shape, blocks):
-        check_output(args.out, [Path(args.inputs) / f"{cid}.uqsg" for cid in ids])
+    paths = [Path(args.inputs) / f"{cid}.uqsg" for cid in ids]
+    with fuse_blocks(paths) as (shape, blocks):
+        check_output(args.out, paths)
         with ArrayFile(args.out, shape, np.float32) as f:
             for pixels, rows in blocks:
                 f.write(pixels, rows)

@@ -180,11 +180,10 @@ def _stage(name, case_id=None):
 
 
 @contextmanager
-def fuse_blocks(checkpoint_ids, inputs):
-    """Open every member, checking its header and shape, and yield the mean's shape
-    and its ``(pixels, float32 rows)`` per pixel block, in order: each block's member
-    rows read in manifest order and averaged in float64 by ``ensemble_mean``."""
-    paths = [Path(inputs) / f"{cid}.uqsg" for cid in checkpoint_ids]
+def fuse_blocks(paths):
+    """Open every member file of ``paths``, checking its header and shape, and yield the
+    mean's shape and its ``(pixels, float32 rows)`` per pixel block, in order: each block's
+    member rows read in ``paths`` order and averaged in float64 by ``ensemble_mean``."""
     with ExitStack() as stack:
         members = []
         for path in paths:
@@ -254,7 +253,7 @@ def write_summary(path, cases, dataset_rows=()):
 def _run(cfg, out):
     """Write the whole tree into the existing directory ``out``."""
     with _stage("select-checkpoints"):
-        selection = select_checkpoints(cfg.trace, cfg, out / "manifest.csv")
+        ids = select_checkpoints(cfg.trace, cfg, out / "manifest.csv").checkpoint_ids
     with _stage("fuse"):
         pred_root, case_ids = _case_dirs(cfg)
         (out / "mean").mkdir()
@@ -269,7 +268,7 @@ def _run(cfg, out):
     helper.start()
     try:
         for case_id in case_ids:
-            scores, dices, h_case, n = _run_case(cfg, selection, pred_root, case_id, out, acc)
+            scores, dices, h_case, n = _run_case(cfg, ids, pred_root, case_id, out, acc)
             score_lines += [reports.csv_line(case_id, *vars(s).values()) for s in scores]
             dice_lines += [reports.csv_line(case_id, *vars(d).values()) for d in dices]
             cases += [(case_id, s.class_id, s.score, d.dice) for s, d in zip(scores, dices)]
@@ -303,11 +302,11 @@ def _create_outputs(out, case_ids, stop):
             continue
 
 
-def _run_case(cfg, selection, pred_root, case_id, out, acc):
+def _run_case(cfg, ids, pred_root, case_id, out, acc):
     """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels."""
     with (
         _stage("fuse", case_id),  # and the block loop; the stages inside name theirs
-        fuse_blocks(selection.checkpoint_ids, pred_root / case_id) as (shape, blocks),
+        fuse_blocks([pred_root / case_id / f"{cid}.uqsg" for cid in ids]) as (shape, blocks),
         ArrayFile(out / "mean" / f"{case_id}.uqsg", shape, np.float32) as mean,
         ArrayFile(out / "entropy" / f"{case_id}.uqsg", shape[1:], np.float32) as entropy,
     ):

@@ -12,10 +12,6 @@ from pathlib import Path
 from .errors import ValidationError
 
 
-def fmt9(value) -> str:
-    return format(float(value), ".9g")
-
-
 def write_lines(path, lines):
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -29,10 +25,10 @@ def read_text(path):
 
 
 def csv_line(*cells):
-    """One CSV line of ``cells``: a float by ``fmt9``, a bool as 0/1, None as an empty
-    cell, anything else (an int, a string) by ``str``."""
+    """One CSV line of ``cells``: a float to 9 significant digits, a bool as 0/1, None as
+    an empty cell, anything else (an int, a string) by ``str``."""
     return ",".join("" if c is None else str(int(c)) if isinstance(c, bool) else
-                    fmt9(c) if isinstance(c, float) else str(c) for c in cells)
+                    format(float(c), ".9g") if isinstance(c, float) else str(c) for c in cells)
 
 
 SCORE_HEADER = "class,h_total,contour_pixels,score,empty_contour_flag"
@@ -52,9 +48,9 @@ def read_csv(path, columns):
     """Rows of a CSV whose header is the names of ``columns``, in order.
 
     ``columns`` maps each column name to a parser of its text, such as
-    ``int`` or ``float``, that raises ValueError on a bad field. Blank lines
-    are skipped. A wrong header, a wrong field count or a bad field raises
-    ValidationError naming the file and the line.
+    ``int`` or ``float``, that raises ValueError or ValidationError on a bad
+    field. Blank lines are skipped. A wrong header, a wrong field count or a bad
+    field raises ValidationError naming the file and the line.
     """
     lines = read_text(path).splitlines()
     header = ",".join(columns)
@@ -73,7 +69,7 @@ def read_csv(path, columns):
         for (name, parse), text in zip(columns.items(), fields):
             try:
                 row.append(parse(text))
-            except ValueError:
+            except (ValueError, ValidationError):
                 raise ValidationError(f"{path}:{lineno}: bad {name} {text!r}") from None
         rows.append(tuple(row))
     return rows

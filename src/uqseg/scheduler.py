@@ -36,7 +36,7 @@ class SgdrConfig:
     def __post_init__(self):
         for name in ("eta", "lr_max", "lr_min"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.t0 < 1:
             raise ValidationError(f"t0 must be >= 1, got {self.t0}")
@@ -104,7 +104,7 @@ def _cycle_lr(epoch: int, cyc: CycleIndex, cfg: SgdrConfig) -> float:
 
 
 def lr_at(epoch: int, cfg: SgdrConfig) -> float:
-    """Learning rate at the start of ``epoch``."""
+    """Learning rate at the start of ``epoch``; a whole run reads ``schedule_rows``."""
     return _cycle_lr(epoch, cycle_of(epoch, cfg), cfg)
 
 

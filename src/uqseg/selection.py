@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -17,28 +18,20 @@ from .reports import csv_line, read_csv, write_lines
 from .scheduler import SgdrConfig, _cycle_iter
 
 
-def _checkpoint_id(text):
-    """A checkpoint id names a member file, so it may not hold a path separator."""
-    if not (isinstance(text, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", text)):
-        raise ValueError(text)
-    return text
-
-
 def check_id(text, what="checkpoint_id"):
-    """The CSV readers' id check, for ids that do not come from a CSV field."""
-    try:
-        _checkpoint_id(text)
-    except ValueError:
-        raise ValidationError(f"{what} must match [A-Za-z0-9_.-]+, got {text!r}") from None
+    """``text``, a checkpoint id: it names a member file, so it may not hold a path separator."""
+    if not (isinstance(text, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", text)):
+        raise ValidationError(f"{what} must match [A-Za-z0-9_.-]+, got {text!r}")
+    return text
 
 
 _TRACE_COLUMNS = {
     "epoch": int,
     "lr": float,
     "val_metric": float,
-    "checkpoint_id": lambda text: _checkpoint_id(text) if text else None,
+    "checkpoint_id": lambda text: check_id(text) if text else None,
 }
-_MANIFEST_COLUMNS = {"cycle": int, "epoch": int, "checkpoint_id": _checkpoint_id, "metric": float}
+_MANIFEST_COLUMNS = {"cycle": int, "epoch": int, "checkpoint_id": check_id, "metric": float}
 
 
 @dataclass(frozen=True)
@@ -165,10 +158,12 @@ def find_cycle_peaks(
         )
 
     global_best = max(r.val_metric for r in trace.records)
+    epochs = [r.epoch for r in trace.records]  # strictly increasing
     entries = []
     for cyc in cycles:
         window = policy.window(cyc)
-        windowed = [r for r in trace.records if window.start <= r.epoch < window.stop]
+        windowed = trace.records[bisect_left(epochs, window.start):
+                                 bisect_left(epochs, window.stop)]
         if not windowed:
             continue
         best = max(r.val_metric for r in windowed)

@@ -35,7 +35,7 @@ from .ensemble import argmax_labels
 from .errors import NumericError, ValidationError
 from .metrics import dice
 from .pipeline import check_outdir
-from .scheduler import SgdrConfig, _cycle_iter, lr_at
+from .scheduler import SgdrConfig, _cycle_iter, schedule_rows
 from .selection import SelectionPolicy, TraceRecord, TrainingTrace
 
 FEATURE_COUNT = 6
@@ -253,8 +253,7 @@ def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0
     save_at = set(checkpoint_epochs(cfg, policy))
     records = []
     checkpoints = {}
-    for epoch in range(cfg.total_epochs):
-        lr = lr_at(epoch, cfg)
+    for epoch, _, lr in schedule_rows(cfg):
         grad = np.zeros_like(W)
         loss_total = 0.0
         for X, mask, count in zip(feats, masks, counts):

@@ -425,3 +425,41 @@ def test_read_rows_oversized_header_fails_before_allocating(tmp_path):
     assert peak < 2**20
     message = f"{path}: payload truncated, expected {2**34} bytes, got 8"
     assert errors == [(ArrayFormatError, message)] * 3
+
+
+def test_a_small_file_that_shrinks_after_opening_is_caught(tmp_path):
+    """No read buffer holds the payload taken in with the header: a file far smaller
+    than any buffer that loses its last 4 bytes after the open fails its read."""
+    path = tmp_path / "a.uqsg"
+    write_array(path, np.ones((2, 8), dtype=np.float32))
+    with ArrayFile(path) as f:
+        with open(path, "r+b") as g:
+            g.truncate(g.seek(0, 2) - 4)
+        with pytest.raises(ArrayFormatError, match="a.uqsg: file shrank while being read"):
+            f.rows(slice(None))
+
+
+class _FewBytesPerRead:
+    """An open file whose ``readinto`` fills at most ``cap`` bytes a call."""
+
+    def __init__(self, f, cap):
+        self._real, self._cap = f, cap
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def readinto(self, view):
+        return self._real.readinto(memoryview(view)[: self._cap])
+
+
+@pytest.mark.parametrize("pixels", [slice(None), slice(3, 11)])
+def test_short_reads_are_repeated_until_the_rows_are_full(tmp_path, pixels):
+    """One raw read may return fewer bytes than asked (at most ~2 GiB on Linux): the
+    rows are read until they are full, so a whole-array view is never cut short."""
+    array = np.random.default_rng(11).random((3, 4, 5)).astype(np.float32)
+    write_array(tmp_path / "a.uqsg", array)
+    with ArrayFile(tmp_path / "a.uqsg") as f:
+        f._f = _FewBytesPerRead(f._f, 3)
+        rows = f.rows(pixels)
+    assert rows.tobytes() == array.reshape(3, 20)[:, pixels].tobytes()
+    assert read_array(tmp_path / "a.uqsg").tobytes() == array.tobytes()

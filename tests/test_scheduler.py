@@ -123,6 +123,14 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             SgdrConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value", [("eta", 10**400), ("lr_max", 10**400), ("lr_min", -(10**400))],
+        ids=["eta", "lr_max", "lr_min"])
+    def test_rejects_an_int_past_the_float_range(self, name, value):
+        # such an int cannot be converted to a float, so math.isfinite would raise
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            SgdrConfig(**{name: value})
+
 
 def test_schedule_rows_cover_run():
     cfg = SgdrConfig(t0=3, eta=2, total_epochs=10)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from uqseg.selection import (
     SelectionPolicy,
     TraceRecord,
     TrainingTrace,
+    check_id,
     export_selection,
     find_cycle_peaks,
     read_selection,
@@ -142,6 +145,27 @@ class TestFindCyclePeaks:
         with pytest.raises(ValidationError, match="full cycle"):
             find_cycle_peaks(TrainingTrace(records), CFG, SelectionPolicy())
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_many_short_cycles_with_gaps_match_the_oracle(self, seed):
+        """Hundreds of short cycles, some epochs missing from the trace: each cycle's
+        window is found among the records by its epochs, as the per-record oracle finds it."""
+        rng = np.random.default_rng(seed)
+        cfg = SgdrConfig(t0=int(rng.integers(1, 4)), eta=float(rng.choice([1.0, 1.003])),
+                         total_epochs=600)
+        kept = [e for e in range(cfg.total_epochs - 1) if rng.random() < 0.7]
+        metrics = rng.choice([0.2, 0.5, 0.8, 0.81, 1.0], size=len(kept) + 1)
+        trace = TrainingTrace(tuple(TraceRecord(e, 0.1, float(m), None)
+                                    for e, m in zip([*kept, cfg.total_epochs - 1], metrics)))
+        policy = SelectionPolicy(per_cycle=int(rng.integers(1, 4)),
+                                 window_fraction=float(rng.choice([0.3, 0.5, 1.0])),
+                                 min_peak_ratio=float(rng.choice([0.1, 0.9])))
+        selected = find_cycle_peaks(trace, cfg, policy)
+        assert len({e.cycle for e in selected.entries}) > 50
+        got = {}
+        for e in selected.entries:
+            got.setdefault(e.cycle, []).append(e.epoch)
+        assert got == brute_force_pick(trace, cfg, policy)
+
 
 @st.composite
 def _selection_cases(draw):
@@ -193,6 +217,33 @@ def test_find_cycle_peaks_returns_a_canonical_checkpoint_set(case):
 
 class TestCheckpointIds:
     """Ids built in Python get the CSV readers' ``[A-Za-z0-9_.-]+`` check."""
+
+    @pytest.mark.parametrize(
+        "cid", ["ep00001", "a", "run-1.best_2", "..", "../a", "a/b", "/a", "a\\b", "a b", "\u00e9",
+                "a\x00", "a\tb"])
+    def test_the_readers_and_check_id_take_the_same_ids(self, cid, tmp_path):
+        """One rule: ``check_id`` returns an id the trace and manifest readers take, and
+        raises, with its own message, for an id they reject as a bad field."""
+        trace, manifest = tmp_path / "trace.csv", tmp_path / "manifest.csv"
+        trace.write_text(f"epoch,lr,val_metric,checkpoint_id\n0,0.1,0.5,\n1,0.1,0.9,{cid}\n")
+        manifest.write_text(f"cycle,epoch,checkpoint_id,metric\n0,1,{cid},0.9\n")
+        if re.fullmatch(r"[A-Za-z0-9_.-]+", cid):
+            assert check_id(cid) == cid
+            assert TrainingTrace.from_csv(trace).records[1].checkpoint_id == cid
+            assert read_selection(manifest).checkpoint_ids == [cid]
+            return
+        with pytest.raises(ValidationError) as raised:
+            check_id(cid)
+        assert str(raised.value) == f"checkpoint_id must match [A-Za-z0-9_.-]+, got {cid!r}"
+        with pytest.raises(ValidationError) as raised:
+            check_id(cid, "case directory under predictions_dir p")
+        assert str(raised.value) == (
+            f"case directory under predictions_dir p must match [A-Za-z0-9_.-]+, got {cid!r}")
+        for path, line in ((trace, 3), (manifest, 2)):
+            reader = TrainingTrace.from_csv if path == trace else read_selection
+            with pytest.raises(ValidationError) as raised:
+                reader(path)
+            assert str(raised.value) == f"{path}:{line}: bad checkpoint_id {cid!r}"
 
     BAD = ["../a", "/etc/x", "a/b", "a\\b", "a b", "", "a,b", 7]
 

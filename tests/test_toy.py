@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqseg import toy
+from uqseg import scheduler, toy
 from uqseg.arrayio import read_array
 from uqseg.errors import NumericError, ValidationError
 from uqseg.metrics import dice
-from uqseg.scheduler import SgdrConfig, lr_at
+from uqseg.scheduler import SgdrConfig, lr_at, restart_epochs, schedule_rows
 from uqseg.selection import SelectionPolicy, TraceRecord, TrainingTrace
 from uqseg.toy import (
     FEATURE_COUNT,
@@ -132,6 +132,35 @@ class TestTrain:
         trace, _ = train(cases[:6], cases[6:], SMALL_CFG, seed=3)
         for r in trace.records:
             assert r.lr == lr_at(r.epoch, SMALL_CFG)
+
+    def test_many_cycles_take_the_rates_of_schedule_rows_bit_for_bit(self):
+        cases = generate_dataset(5, 2, shape=(16, 16))
+        cfg = SgdrConfig(t0=2, eta=1.01, lr_max=0.3, lr_min=1e-3, total_epochs=300)
+        trace, _ = train(cases[:1], cases[1:], cfg, seed=5)
+        rows = schedule_rows(cfg)
+        assert rows[-1][1] > 50  # cycles
+        assert [r.epoch for r in trace.records] == [epoch for epoch, _, _ in rows]
+        recorded = np.array([r.lr for r in trace.records]).view(np.uint64)
+        np.testing.assert_array_equal(recorded, np.array([lr for _, _, lr in rows]).view(np.uint64))
+
+    def test_a_run_walks_the_schedule_a_bounded_number_of_times(self, monkeypatch):
+        """The cycles a run draws grow with the cycles, not with epochs times cycles."""
+        cases = generate_dataset(5, 2, shape=(16, 16))
+        cfg = SgdrConfig(t0=1, eta=1, total_epochs=200)
+        cycles = len(restart_epochs(cfg))
+        walk, drawn = scheduler._cycle_iter, []
+
+        def counted(cfg):
+            for cyc in walk(cfg):
+                drawn.append(cyc)
+                yield cyc
+
+        monkeypatch.setattr(scheduler, "_cycle_iter", counted)
+        monkeypatch.setattr(toy, "_cycle_iter", counted)
+        train(cases[:1], cases[1:], cfg, seed=5)
+        # one walk for the checkpoint epochs and one for the rates; a walk per
+        # epoch would draw cycles * (cycles + 1) / 2
+        assert cycles == 200 and len(drawn) <= 2 * cycles
 
     def test_zero_rate_leaves_weights_unchanged(self):
         cases = small_dataset()
