@@ -17,8 +17,6 @@ removes a file it created if its block or its close fails; ``read_array``,
 array through it. A 3D map's PGM is one image of its slices top to bottom.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import struct

@@ -13,8 +13,6 @@ Arrays are plain numpy ndarrays with these shape conventions:
 All functions are pure; nothing here mutates its inputs.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .errors import ValidationError

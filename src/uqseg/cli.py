@@ -5,8 +5,6 @@ failure. Every subcommand is a pure function of its input files and flags;
 it returns on success and raises an error that carries its exit code.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -37,7 +35,7 @@ _CASE_COLUMNS = {"case_id": str, "class_id": int, "uncertainty_score": float, "d
 
 def _parse_classes(text):
     try:
-        classes = FIELD_PARSERS["tuple"](text)
+        classes = FIELD_PARSERS[tuple](text)
     except ValueError:
         raise ValidationError(f"bad class list {text!r}; expected e.g. 1,2,3")
     if not classes:
@@ -152,8 +150,11 @@ def cmd_dice(args):
         raise ValidationError(
             f"{args.pred}: labels shape {pred.shape} does not match {args.gt} shape {gt.shape}"
         )
+    classes = _parse_classes(args.classes)
+    if len(set(classes)) < len(classes) or not all(0 <= k < 256 for k in classes):
+        raise ValidationError(f"label codes must be in [0, 256), each once; got {args.classes!r}")
     _emit([reports.DICE_HEADER] + [reports.csv_line(*vars(dice(pred, gt, k)).values())
-                                   for k in _parse_classes(args.classes)], args.out)
+                                   for k in classes], args.out)
 
 
 def cmd_ece(args):

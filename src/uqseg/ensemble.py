@@ -4,8 +4,6 @@ Members are weighted uniformly (1/n); averaging is per pixel and per class,
 so it works identically on 2D slices (c, H, W) and 3D volumes (c, D, H, W).
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .arrays import validate_probabilities

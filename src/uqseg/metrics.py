@@ -8,8 +8,6 @@ pools the counters; a bin's confidence sums are added in call order, and
 ``ece``, ``run`` and ``uqseg ece`` add a posterior's blocks in order.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

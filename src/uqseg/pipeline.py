@@ -14,8 +14,6 @@ case. The steps that ``run`` shares with the stage commands of ``cli`` are
 public.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import shutil
@@ -115,11 +113,11 @@ class PipelineConfig:
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-# a setting's parser by the annotation name of its field: the values of the
+# a setting's parser by the annotated type of its field: the values of the
 # run config and the schedule and policy flags of the CLI
 FIELD_PARSERS = {
-    "str": str, "int": int, "float": float, "bool": lambda value: _BOOLS[value.lower()],
-    "tuple": lambda value: tuple(int(v) for v in value.split(",") if v.strip()),
+    str: str, int: int, float: float, bool: lambda value: _BOOLS[value.lower()],
+    tuple: lambda value: tuple(int(v) for v in value.split(",") if v.strip()),
 }
 
 

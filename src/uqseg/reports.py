@@ -5,8 +5,6 @@ digits, stable enough for byte-for-byte golden files. A result's row is its data
 fields in declaration order, the order of its CSV columns and of its readers.
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 
 from .errors import ValidationError

@@ -12,8 +12,6 @@ The published formula differs: its amplitude is lr_min/2, so it only spans
 [lr_min, 2*lr_min], and its phase is the absolute epoch modulo t0 * eta**i.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from dataclasses import dataclass

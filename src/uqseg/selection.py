@@ -6,8 +6,6 @@ if its best windowed metric reaches ``min_peak_ratio`` of the best metric
 seen anywhere in the trace; flat cycles are skipped entirely.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from bisect import bisect_left

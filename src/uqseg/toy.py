@@ -21,8 +21,6 @@ operands are C-contiguous (a copy of ``W.T``, the (c, P) gradient); the
 products match the pixel-major ones bit for bit (``TestTrainerOracle``).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path

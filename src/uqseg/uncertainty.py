@@ -13,8 +13,6 @@ element, such as a 3D box. Posteriors are validated where they enter the program
 (``ensemble_mean``, ``cli.stored_blocks``), so these kernels trust them.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +119,15 @@ def contour_normalizer(image, element=None) -> np.ndarray:
 
 
 def check_classes(classes, class_count) -> list:
-    """``classes`` as a list; ValidationError unless each is a foreground class."""
+    """``classes`` as a list; ValidationError unless each is a foreground class, named once."""
     for k in classes:
         if not 0 < k < class_count:
             raise ValidationError(
                 f"class {k} out of range for {class_count} classes; "
                 "background (class 0) has no uncertainty score"
             )
+    if len(set(classes)) < len(classes):
+        raise ValidationError(f"class list {list(classes)} names a class more than once")
     return list(classes)
 
 

@@ -1646,6 +1646,67 @@ class TestInputChecks:
 
         assert SgdrConfig(total_epochs=MAX_EPOCHS).total_epochs == 100_000
 
+    def test_run_key_naming_a_class_twice_exits_validation(self, small_run, tmp_path, capsys):
+        config = _write_run_config(small_run, tmp_path / "p.cfg", outdir=tmp_path / "out",
+                                   classes="1,1,2")
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'score' failed for case case0004: "
+            "class list [1, 1, 2] names a class more than once\n"
+        )
+        assert not (tmp_path / "out").exists()
+        assert staged(tmp_path / "out") == []
+
+    def test_score_naming_a_class_twice_exits_validation(self, tmp_path, capsys):
+        mean, out = tmp_path / "mean.uqsg", tmp_path / "scores.csv"
+        write_array(mean, np.full((3, 4, 4), 1 / 3, dtype=np.float32))
+        assert main(["score", "--in", str(mean), "--classes", "1,1,2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: class list [1, 1, 2] names a class more than once\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("classes", ["1,1", "2,1,2", "-1,300", "256", "-1"])
+    def test_dice_names_each_label_code_once(self, classes, tmp_path, capsys):
+        pred, gt, out = tmp_path / "pred.uqsg", tmp_path / "gt.uqsg", tmp_path / "dice.csv"
+        for path in (pred, gt):
+            write_array(path, np.zeros((4, 4), dtype=np.uint8))
+        argv = ["dice", "--pred", str(pred), "--gt", str(gt), f"--classes={classes}"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: label codes must be in [0, 256), each once; got {classes!r}\n"
+        )
+        assert not out.exists()
+
+    def test_dice_takes_the_whole_label_code_range(self, tmp_path, capsys):
+        pred, gt = tmp_path / "pred.uqsg", tmp_path / "gt.uqsg"
+        for path in (pred, gt):
+            write_array(path, np.zeros((4, 4), dtype=np.uint8))
+        assert main(["dice", "--pred", str(pred), "--gt", str(gt), "--classes", "0,255"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "255"]
+
+    def test_run_config_line_without_a_key_exits_validation(self, tmp_path, capsys):
+        config = tmp_path / "p.cfg"
+        config.write_text("# settings\ntrace = t.csv\n  just words\n")
+        with pytest.raises(ValidationError) as err:
+            PipelineConfig.from_file(config)
+        message = f"{config}:3: expected key=value, got '  just words'"
+        assert str(err.value) == message
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_one_class_exits_validation(self, tmp_path, capsys):
+        from uqseg.toy import generate_dataset
+
+        with pytest.raises(ValidationError, match=r"^class_count must be >= 2, got 1$"):
+            generate_dataset(seed=7, n_cases=2, shape=(16, 16), class_count=1)
+        out = tmp_path / "out"
+        argv = ["toy-gen", "--classes", "1", "--cases", "2", "--shape", "16x16"]
+        assert main([*argv, "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: class_count must be >= 2, got 1\n"
+        assert not out.exists()
+
 
 def test_entropy_pgm_dir_that_cannot_be_made_writes_no_map(tmp_path, capsys):
     path, out, pgm_dir = tmp_path / "p.uqsg", tmp_path / "e.uqsg", tmp_path / "notadir"
