@@ -93,11 +93,12 @@ class ArrayFile:
             if failed and self._created:
                 Path(self.path).unlink(missing_ok=True)
 
-    def rows(self, pixels):
-        """The ``(c, m)`` rows of one pixel block, read at their offsets."""
+    def rows(self, pixels, classes=slice(None)):
+        """The ``(c, m)`` rows of one pixel block, or only those of ``classes``, a step-1 slice."""
         start, stop, _ = pixels.indices(self.n)
-        rows = np.empty((self.shape[0], max(stop - start, 0)), dtype=self._disk)
-        for offset, view in _row_views(rows, self.n, start):
+        first, last, _ = classes.indices(self.shape[0])
+        rows = np.empty((max(last - first, 0), max(stop - start, 0)), dtype=self._disk)
+        for offset, view in _row_views(rows, self.n, first * self.n + start):
             self._f.seek(self._payload + offset)
             while len(view):  # one raw read returns at most ~2 GiB
                 got = self._f.readinto(view)

@@ -132,14 +132,11 @@ def cmd_score(args):
     classes = _parse_classes(args.classes)
     with stored_blocks(args.input) as (f, blocks):
         classes = check_classes(classes, f.shape[0])
-        masks = np.empty((len(classes), f.n), dtype=bool)
         h_total = 0.0
-        for pixels, rows in blocks:
+        for pixels, rows in blocks:  # validates every block before a mask is made
             h_total += float(pixel_entropy(rows).sum())
-            np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
             del rows  # before the next block is read
-        scores = class_scores(masks.reshape(len(classes), *f.shape[1:]), classes, h_total,
-                              f.rows, args.contour_entropy)
+        scores = class_scores(f.shape[1:], classes, h_total, f.rows, args.contour_entropy)
     _emit([reports.SCORE_HEADER] + [reports.csv_line(*vars(s).values()) for s in scores], args.out)
 
 

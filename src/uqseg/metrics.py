@@ -33,17 +33,21 @@ class DiceResult:
 
 def dice(pred, gt, class_id: int) -> DiceResult:
     """Overlap 2|A&B| / (|A|+|B|) for one class; 1.0 when both masks are empty."""
-    p = np.asarray(pred)
-    g = np.asarray(gt)
+    p, g = np.asarray(pred), np.asarray(gt)
     if p.shape != g.shape:
         raise ValidationError(f"pred shape {p.shape} != gt shape {g.shape}")
-    pm = p == class_id
-    gm = g == class_id
-    inter = int(np.count_nonzero(pm & gm))
-    psz = int(np.count_nonzero(pm))
-    gsz = int(np.count_nonzero(gm))
-    value = 2.0 * inter / (psz + gsz) if psz + gsz else 1.0
-    return DiceResult(class_id, inter, psz, gsz, value)
+    return dice_of_counts(class_id, *dice_counts(p, g, class_id))
+
+
+def dice_counts(pred, gt, class_id):
+    """|A&B|, |A| and |B| of one class in two label arrays (or blocks) of one shape."""
+    pm, gm = pred == class_id, gt == class_id
+    return int(np.count_nonzero(pm & gm)), int(np.count_nonzero(pm)), int(np.count_nonzero(gm))
+
+
+def dice_of_counts(class_id, inter, psz, gsz) -> DiceResult:
+    """The Dice of one class from its int ``dice_counts``; 1.0 when both masks are empty."""
+    return DiceResult(class_id, inter, psz, gsz, 2.0 * inter / (psz + gsz) if psz + gsz else 1.0)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,15 @@ run_pipeline turns the artifacts of a training run (a trace CSV, member
 posteriors, labels) into the manifest, fused means, entropy maps, scores,
 Dice/ECE tables and a summary CSV. A case is one pass over the pixel blocks
 of its fused float32 mean (``fuse_blocks``), which opens each member once, as
-an ``ArrayFile``, for the whole pass. A case writes ``mean/<case>.uqsg``,
-``entropy/<case>.uqsg`` and one 8-bit ``entropy/<case>.pgm`` (a 3D map's
-slices stacked top to bottom), names known from the case id alone, so one
-helper thread creates them, empty, ahead of the case loop. The tree is built
-in a sibling staging directory and renamed into ``outdir`` at the end, so
-``outdir`` holds a whole run or nothing; a failure names the stage and the
-case. The steps that ``run`` shares with the stage commands of ``cli`` are
-public.
+an ``ArrayFile``, for the whole pass; only the labels and the gray image are
+whole, and after it each scored class's mask is rebuilt from its row of the
+stored mean. A case writes ``mean/<case>.uqsg``, ``entropy/<case>.uqsg`` and
+one 8-bit ``entropy/<case>.pgm`` (a 3D map's slices stacked top to bottom),
+names known from the case id alone, so one helper thread creates them, empty,
+ahead of the case loop. The tree is built in a sibling staging directory and
+renamed into ``outdir`` at the end, so ``outdir`` holds a whole run or
+nothing; a failure names the stage and the case. The steps that ``run``
+shares with the stage commands of ``cli`` are public.
 """
 
 import math
@@ -30,10 +31,11 @@ from .arrayio import ArrayFile, entropy_to_gray, read_array, write_pgm
 from .arrays import pixel_blocks, validate_labels, validate_probability_shape
 from .ensemble import argmax_labels, ensemble_mean
 from .errors import StageError, ValidationError
-from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice, uncertainty_dice_table
+from .metrics import (DEFAULT_ECE_BINS, CalibrationAccumulator, dice_counts, dice_of_counts,
+                      uncertainty_dice_table)
 from .scheduler import SgdrConfig
 from .selection import SelectionPolicy, TrainingTrace, check_id, export_selection, find_cycle_peaks
-from .uncertainty import FOREGROUND_THRESHOLD, check_classes, class_scores, pixel_entropy
+from .uncertainty import check_classes, class_scores, pixel_entropy
 
 
 def settings_of(cls, source):
@@ -130,8 +132,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     published by one ``os.replace``; on any failure it is removed and
     ``outdir`` is left as it was (a stage failure raises StageError). Missing
     parents of ``outdir`` are created; an empty ``outdir`` keeps its
-    permission bits, not its group or ACLs. A case holds its class masks,
-    labels, argmax and gray image whole, and everything else block-sized.
+    permission bits, not its group or ACLs. A case holds its labels and gray
+    image whole, then one class mask at a time, and everything else block-sized.
     """
     out = check_outdir(cfg.outdir)
     if out.is_relative_to(Path(cfg.predictions_dir).resolve()):
@@ -313,27 +315,23 @@ def _run_case(cfg, ids, pred_root, case_id, out, acc):
             classes = check_classes(cfg.classes or range(1, c), c)
         with _stage("metrics", case_id):
             gt = read_labels(Path(cfg.cases_dir) / f"{case_id}_labels.uqsg", c, shape)
-        # the only whole arrays: the class masks, the labels, the argmax and the gray image
-        masks = np.empty((len(classes), n), dtype=bool)
-        pred = np.empty(n, dtype=np.min_scalar_type(c - 1))
         gray = np.empty(n, dtype=np.uint8)
+        counts = np.zeros((len(classes), 3), dtype=np.int64)  # each class's dice_counts
         h_case = 0.0
         for pixels, rows in blocks:
             mean.write(pixels, rows)
             h_case += entropy_block(gray, entropy, pixels, rows)
-            np.greater(rows[classes], FOREGROUND_THRESHOLD, out=masks[:, pixels])
-            pred[pixels] = argmax_labels(rows)
-            acc.add(rows, gt.reshape(-1)[pixels], pred[pixels],
-                    foreground_only=cfg.ece_foreground_only)
+            pred, truth = argmax_labels(rows), gt.reshape(-1)[pixels]
+            acc.add(rows, truth, pred, foreground_only=cfg.ece_foreground_only)
+            counts += [dice_counts(pred, truth, k) for k in classes]
             del rows  # before the next block is fused
         with _stage("entropy", case_id):
             write_pgm(out / "entropy" / f"{case_id}.pgm", gray.reshape(shape[1:]))
-        del gray
-        with _stage("score", case_id):
-            scores = class_scores(masks.reshape(len(classes), *shape[1:]), classes, h_case,
-                                  mean.rows, cfg.entropy_region == "contour")
-        del masks
-        return scores, [dice(pred.reshape(shape[1:]), gt, k) for k in classes], h_case, n
+        del gt, truth, gray  # the labels, a view of them and the gray image: before the masks
+        with _stage("score", case_id):  # each class's mask, from the mean just written
+            scores = class_scores(shape[1:], classes, h_case, mean.rows,
+                                  cfg.entropy_region == "contour")
+        return scores, list(map(dice_of_counts, classes, *counts.T.tolist())), h_case, n
 
 
 def _case_dirs(cfg):

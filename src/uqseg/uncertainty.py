@@ -131,22 +131,23 @@ def check_classes(classes, class_count) -> list:
     return list(classes)
 
 
-def class_scores(masks, classes, h_total, rows_of, restrict_to_contour=False) -> list:
-    """The score of each class of ``classes`` from its bool foreground mask in ``masks``.
-
-    ``h_total`` is the image's entropy total. With ``restrict_to_contour`` a ring's
-    entropy is recomputed from the posterior rows ``rows_of(pixels)`` of each pixel
-    block, the block sums added in block order. An empty contour scores 0.
-    """
+def class_scores(shape, classes, h_total, rows_of, restrict_to_contour=False) -> list:
+    """The score of each class of ``classes`` in a ``shape`` image whose posterior rows of a
+    pixel block ``rows_of(pixels, classes=slice(None))`` reads: one class at a time, its bool
+    mask is filled from its own row of each block, one more read, and ringed. Its entropy
+    total is ``h_total``, or with ``restrict_to_contour`` the ring's, from each block's rows,
+    the block sums added in block order. An empty contour scores 0."""
     scores = []
-    for mask, class_id in zip(masks, classes):
+    for class_id in classes:
+        mask = np.empty(shape, dtype=bool)
+        for sl in pixel_blocks(mask.size):
+            np.greater(rows_of(sl, slice(class_id, class_id + 1))[0], FOREGROUND_THRESHOLD,
+                       out=mask.reshape(-1)[sl])
         ring = contour_normalizer(mask).reshape(-1)
         pixels = int(np.count_nonzero(ring))
-        total = h_total
-        if restrict_to_contour:
-            total = sum(float(pixel_entropy(rows_of(sl)[:, ring[sl]]).sum())
-                        for sl in pixel_blocks(ring.size))
-        del ring  # before the next class's ring is made
+        total = sum(float(pixel_entropy(rows_of(sl)[:, ring[sl]]).sum())
+                    for sl in pixel_blocks(ring.size)) if restrict_to_contour else h_total
+        del mask, ring  # before the next class's mask is made
         score = total / pixels if pixels else 0.0
         scores.append(UncertaintyScore(class_id, total, pixels, score, not pixels))
     return scores
@@ -164,6 +165,5 @@ def uncertainty_score(p, class_id: int, *, restrict_to_contour=False):
     check_classes([class_id], p.shape[0])
     flat = p.reshape(p.shape[0], -1)
     h_total = sum(float(pixel_entropy(flat[:, sl]).sum()) for sl in pixel_blocks(flat.shape[1]))
-    mask = p[class_id] > FOREGROUND_THRESHOLD  # a trusted plane needs no value check
-    return class_scores([mask], [class_id], h_total, lambda pixels: flat[:, pixels],
+    return class_scores(p.shape[1:], [class_id], h_total, lambda sl, ks=slice(None): flat[ks, sl],
                         restrict_to_contour)[0]

@@ -7,7 +7,8 @@ The ECE bin sums are the exception: they are summed per block, so they must
 equal ``former_add`` applied to each block, and come close to its
 whole-array sums. Shapes span several blocks with a ragged last block, at
 the real block size and, patched, at tiny ones. The ``entropy``, ``score``
-and ``ece`` commands hold their outputs and a few blocks of a posterior.
+and ``ece`` commands hold their outputs and a few blocks of a posterior;
+``run`` and ``score`` hold one class mask at a time.
 """
 
 import tracemalloc
@@ -414,3 +415,68 @@ def test_entropy_holds_the_rows_of_one_block(tmp_path):
     # and one term, and its float32 map rows; the rows of the block before
     # would add two blocks
     assert peak < n + 4.5 * block + slack
+
+
+def _write_run_inputs(root, c, spatial, rng):
+    """One case of two members and its labels; the path of a ``run`` config over them
+    that scores classes 1 to 3. The trace's two 2-epoch cycles peak at ep1 and ep3."""
+    (root / "trace.csv").write_text("epoch,lr,val_metric,checkpoint_id\n" + "".join(
+        f"{e},0.1,{0.5 + 0.1 * (e % 2)},ep{e}\n" for e in range(4)))
+    (root / "predictions" / "case0000").mkdir(parents=True)
+    for cid in ("ep1", "ep3"):
+        write_array(root / "predictions" / "case0000" / f"{cid}.uqsg",
+                    posterior(rng, c, spatial, np.float32))
+    (root / "cases").mkdir()
+    write_array(root / "cases" / "case0000_labels.uqsg",
+                rng.integers(0, c, size=spatial).astype(np.uint8))
+    config = root / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in (
+        ("trace", root / "trace.csv"), ("predictions_dir", root / "predictions"),
+        ("cases_dir", root / "cases"), ("outdir", root / "out"), ("t0", 2), ("eta", 1),
+        ("total_epochs", 4), ("per_cycle", 1), ("classes", "1,2,3"),
+        ("entropy_region", "contour"))))
+    return config
+
+
+def _command_peak(*argv):
+    tracemalloc.start()
+    try:
+        assert main(list(argv)) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# 64 blocks of 4,096 pixels: each byte per pixel of a whole array is 8 float64 blocks
+RUN_SPATIAL, RUN_BLOCK = (8, 128, 256), 4096
+
+
+def test_run_holds_one_class_mask_at_a_time(tmp_path):
+    """A 3D case of c = 4 and two members, three classes scored: ``run`` holds, whole, the
+    uint8 labels and gray image in the pass and then one bool class mask and its two
+    dilation copies, and block-sized scratch: the fuse's float64 class sums and a few
+    more blocks. Three whole class masks and an argmax (four more bytes) would exceed it."""
+    c, n = 4, int(np.prod(RUN_SPATIAL))
+    config = _write_run_inputs(tmp_path, c, RUN_SPATIAL, np.random.default_rng(24))
+    block = 8 * RUN_BLOCK  # one float64 block
+    slack = 128 * 1024  # numpy's cast buffers and interpreter objects
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
+        assert len(pixel_blocks(n)) == 64
+        peak = _command_peak("run", "--config", str(config))
+    assert len((tmp_path / "out" / "manifest.csv").read_text().splitlines()) == 3  # two members
+    assert peak < 5 * n + 6 * block + slack, peak / n
+
+
+@pytest.mark.parametrize("contour", [False, True])
+def test_score_holds_one_class_mask_at_a_time(tmp_path, contour):
+    """``score`` of three classes holds one bool class mask and its two dilation copies, the
+    rows of a block or two and a ring's share of them; three whole masks would exceed it."""
+    c, n = 4, int(np.prod(RUN_SPATIAL))
+    write_array(tmp_path / "p.uqsg",
+                posterior(np.random.default_rng(25), c, RUN_SPATIAL, np.float32))
+    block = 8 * RUN_BLOCK  # one float64 block; a block of c = 4 float32 rows is two
+    slack = 128 * 1024  # numpy's cast buffers and interpreter objects
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
+        peak = _command_peak("score", "--in", str(tmp_path / "p.uqsg"), "--classes", "1,2,3",
+                             "--out", str(tmp_path / "s.csv"), *["--contour-entropy"] * contour)
+    assert peak < 3 * n + 4 * block + slack, peak / n

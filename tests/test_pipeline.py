@@ -497,9 +497,12 @@ class TestOutdir:
         assert (sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)) == before
 
 
-def _write_members(directory, ids, shape, rng):
+def _write_members(directory, ids, shape, rng, empty_last=False):
+    """Random members; with ``empty_last`` the last class has probability 0 at every pixel."""
     for cid in ids:
         e = rng.random(shape)
+        if empty_last:
+            e[-1] = 0.0
         write_array(directory / f"{cid}.uqsg", (e / e.sum(axis=0)).astype(np.float32))
 
 
@@ -910,10 +913,11 @@ class TestFilesAreClosed:
             _fuse(ids, tmp_path, tmp_path / "mean.uqsg")
 
 
-def _write_two_cycle_inputs(root, case_ids, shape, rng):
+def _write_two_cycle_inputs(root, case_ids, shape, rng, empty_last=False):
     """Write a trace of two 10-epoch cycles and, per case, labels and members.
 
     Members exist only for the checkpoints a run selects: the top three epochs of each cycle.
+    With ``empty_last`` the last class is in no label and no member's argmax.
     """
     ids = [f"ep{e:05d}" for e in range(20)]
     lines = ["epoch,lr,val_metric,checkpoint_id"]
@@ -923,19 +927,19 @@ def _write_two_cycle_inputs(root, case_ids, shape, rng):
     selected = [cid for e, cid in enumerate(ids) if e % 10 >= 7]
     for case in case_ids:
         (root / "predictions" / case).mkdir(parents=True)
-        _write_members(root / "predictions" / case, selected, shape, rng)
-        labels = rng.integers(0, shape[0], shape[1:]).astype(np.uint8)
+        _write_members(root / "predictions" / case, selected, shape, rng, empty_last)
+        labels = rng.integers(0, shape[0] - empty_last, shape[1:]).astype(np.uint8)
         write_array(root / "cases" / f"{case}_labels.uqsg", labels)
 
 
 def test_3d_run_peaks_below_half_of_one_float32_mean(tmp_path):
     """A whole run holds less than half of one case's float32 mean.
 
-    Whole arrays are one byte per pixel: the three class masks, the labels,
-    the argmax and the gray image, six in all against the eight of half a
-    c=4 float32 mean; ringing a mask takes two more while the gray image is
-    gone. The volume spans a hundred pixel blocks, patched small so that the
-    block scratch stays a small part of that budget.
+    Whole arrays are one byte per pixel: the labels and the gray image in
+    the pass, then one class mask and its two dilation copies at a time,
+    against the eight of half a c=4 float32 mean. The volume spans a hundred
+    pixel blocks, patched small so that the block scratch stays a small part
+    of that budget.
     """
     import uqseg.arrays
 
@@ -961,6 +965,7 @@ def test_3d_run_peaks_below_half_of_one_float32_mean(tmp_path):
 @pytest.mark.parametrize("spatial, block, blocks", [
     ((24, 24), BLOCK_PIXELS, 1),
     ((3, 20, 20), 128, 10),  # nine blocks of 128 pixels and a ragged tenth
+    ((3, 17, 19), 64, 16),  # fifteen blocks of 64 pixels and a ragged sixteenth
 ])
 def test_contour_scores_are_uncertainty_score_on_the_stored_mean(
     tmp_path, monkeypatch, spatial, block, blocks
@@ -999,6 +1004,39 @@ def test_contour_scores_are_uncertainty_score_on_the_stored_mean(
         assert got.score == pytest.approx(expected.score, rel=1e-12, abs=0)
     if blocks == 1:
         assert scored == whole
+
+
+@pytest.mark.parametrize("region", ["image", "contour"])
+def test_ragged_run_with_an_empty_class_is_the_analysis_of_its_stored_mean(tmp_path, region):
+    """A case of sixteen ragged blocks, whose class 3 neither the labels nor the argmax
+    hold: ``dice.csv`` is ``dice`` of the whole stored argmax, 1.0 for the empty class,
+    and ``scores.csv`` is ``uncertainty_score`` of the stored mean, in either region."""
+    import uqseg.arrays
+    from uqseg.ensemble import argmax_labels
+    from uqseg.metrics import DiceResult, dice
+    from uqseg.reports import DICE_HEADER, SCORE_HEADER, csv_line
+    from uqseg.uncertainty import uncertainty_score
+
+    spatial = (3, 17, 19)  # 969 pixels
+    _write_two_cycle_inputs(
+        tmp_path, ["case0000"], (4, *spatial), np.random.default_rng(13), empty_last=True
+    )
+    cfg = small_config(tmp_path, outdir="out", t0=10, eta=1.0, total_epochs=20,
+                       entropy_region=region)
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", 64):
+        assert len(pixel_blocks(int(np.prod(spatial)))) == 16
+        run_pipeline(cfg)
+        mean = read_array(tmp_path / "out" / "mean" / "case0000.uqsg")
+        scores = [uncertainty_score(mean, k, restrict_to_contour=region == "contour")
+                  for k in (1, 2, 3)]
+    gt = read_array(tmp_path / "cases" / "case0000_labels.uqsg")
+    dices = [dice(argmax_labels(mean), gt, k) for k in (1, 2, 3)]
+    assert dices[2] == DiceResult(3, 0, 0, 0, 1.0)
+    assert [s.empty_contour for s in scores] == [False, False, True]
+    for name, header, rows in (("dice.csv", DICE_HEADER, dices),
+                               ("scores.csv", SCORE_HEADER, scores)):
+        lines = [f"case_id,{header}"] + [csv_line("case0000", *vars(r).values()) for r in rows]
+        assert (tmp_path / "out" / name).read_text().splitlines() == lines
 
 
 @pytest.mark.parametrize("foreground_only", [False, True])
