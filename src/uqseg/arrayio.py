@@ -52,11 +52,11 @@ def read_array(path):
 
 class ArrayFile:
     """One array file, opened once: ``ArrayFile(path)`` opens a file and checks its header
-    and size; ``ArrayFile(path, shape, dtype)`` creates one (``header``, a PGM's, replaces its
-    own) and removes it if its ``with`` block or its close fails. The array is ``(c, n)``, its
+    and size; ``ArrayFile(path, shape, dtype)`` creates one (``pgm``: a uint8 map's P5 image)
+    and removes it if its ``with`` block or its close fails. The array is ``(c, n)``, its
     first axis by the rest flattened; a pixel block is a step-1 slice of n, clipped as numpy is."""
 
-    def __init__(self, path, shape=None, dtype=None, header=None):
+    def __init__(self, path, shape=None, dtype=None, pgm=False):
         self.path, self._created = path, shape is not None
         if shape is None:
             self._f = open(path, "rb", buffering=0)  # no buffer holds bytes the file lost
@@ -72,10 +72,10 @@ class ArrayFile:
                     f"dtype {np.dtype(dtype)} not supported; use float32, uint8, or int32"
                 )
             self._disk, self.shape = _CODE_TO_DTYPE[code], tuple(shape)
-            header = header or struct.pack(f"<4sHBB{len(shape)}I", MAGIC, FORMAT_VERSION,
-                                           code, len(shape), *shape)
             self._f = open(path, "w+b")
-            self._f.write(header)
+            self._f.write(f"P5\n{shape[-1]} {math.prod(shape[:-1])}\n255\n".encode("ascii") if pgm
+                          else struct.pack(f"<4sHBB{len(shape)}I", MAGIC, FORMAT_VERSION, code,
+                                           len(shape), *shape))
         self._payload = self._f.tell()
         self.dtype = self._disk.newbyteorder("=")
         self.n = math.prod(self.shape[1:])
@@ -93,12 +93,11 @@ class ArrayFile:
             if failed and self._created:
                 Path(self.path).unlink(missing_ok=True)
 
-    def rows(self, pixels, classes=slice(None)):
-        """The ``(c, m)`` rows of one pixel block, or only those of ``classes``, a step-1 slice."""
+    def rows(self, pixels):
+        """The ``(c, m)`` rows of one pixel block."""
         start, stop, _ = pixels.indices(self.n)
-        first, last, _ = classes.indices(self.shape[0])
-        rows = np.empty((max(last - first, 0), max(stop - start, 0)), dtype=self._disk)
-        for offset, view in _row_views(rows, self.n, first * self.n + start):
+        rows = np.empty((self.shape[0], max(stop - start, 0)), dtype=self._disk)
+        for offset, view in _row_views(rows, self.n, start):
             self._f.seek(self._payload + offset)
             while len(view):  # one raw read returns at most ~2 GiB
                 got = self._f.readinto(view)
@@ -172,8 +171,7 @@ def write_pgm(path, gray):
     img = np.ascontiguousarray(gray)
     if img.ndim not in (2, 3) or img.dtype != np.uint8:
         raise ArrayFormatError(f"a PGM needs a 2D or 3D uint8 array, got {img.shape} {img.dtype}")
-    header = f"P5\n{img.shape[-1]} {math.prod(img.shape[:-1])}\n255\n".encode("ascii")
-    with ArrayFile(path, (1, img.size), np.uint8, header) as f:
+    with ArrayFile(path, img.shape, np.uint8, pgm=True) as f:
         f.write(slice(None), img.reshape(1, img.size))
 
 

@@ -93,8 +93,8 @@ def check_output(out, inputs):
 
 
 def cmd_lr_schedule(args):
-    rows = schedule_rows(settings_of(SgdrConfig, args))
-    _emit(["epoch,cycle,lr"] + [reports.csv_line(*row) for row in rows], args.out)
+    _emit(["epoch,cycle,lr"] + [reports.csv_line(*row)
+                                for row in schedule_rows(settings_of(SgdrConfig, args))], args.out)
 
 
 def cmd_select(args):
@@ -121,7 +121,7 @@ def cmd_entropy(args):
         gray = np.empty(f.n, dtype=np.uint8)
         with ArrayFile(args.out, f.shape[1:], np.float32) as e:
             for pixels, rows in blocks:
-                entropy_block(gray, e, pixels, rows)
+                gray[pixels], _ = entropy_block(e, pixels, rows)
                 del rows  # before the next block is read
             if args.pgm is not None:  # after the last block, so a failure removes ``--out``
                 Path(args.pgm).mkdir(parents=True, exist_ok=True)

@@ -2,20 +2,19 @@
 
 run_pipeline turns the artifacts of a training run (a trace CSV, member
 posteriors, labels) into the manifest, fused means, entropy maps, scores,
-Dice/ECE tables and a summary CSV. A case is one pass over the pixel blocks
-of its fused float32 mean (``fuse_blocks``), which opens each member once, as
-an ``ArrayFile``, for the whole pass; only the labels and the gray image are
-whole, and after it each scored class's mask is rebuilt from its row of the
-stored mean. A case writes ``mean/<case>.uqsg``, ``entropy/<case>.uqsg`` and
+Dice/ECE tables and a summary CSV. A case is one pass over the pixel blocks of
+its fused float32 mean (``fuse_blocks``), writing each map by block, then one
+scoring pass over the stored mean. Only the labels are whole: the benchmark
+counts ``run``'s ``read_array`` calls, so they stream once its tracer counts
+block reads. A case writes ``mean/<case>.uqsg``, ``entropy/<case>.uqsg`` and
 one 8-bit ``entropy/<case>.pgm`` (a 3D map's slices stacked top to bottom),
 names known from the case id alone, so one helper thread creates them, empty,
 ahead of the case loop. The tree is built in a sibling staging directory and
-renamed into ``outdir`` at the end, so ``outdir`` holds a whole run or
-nothing; a failure names the stage and the case. The steps that ``run``
-shares with the stage commands of ``cli`` are public.
+renamed into ``outdir`` at the end, so ``outdir`` holds a whole run or nothing;
+a failure names the stage and the case. The steps that ``run`` shares with the
+stage commands of ``cli`` are public.
 """
 
-import math
 import os
 import shutil
 import stat
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .arrayio import ArrayFile, entropy_to_gray, read_array, write_pgm
+from .arrayio import ArrayFile, entropy_to_gray, read_array
 from .arrays import pixel_blocks, validate_labels, validate_probability_shape
 from .ensemble import argmax_labels, ensemble_mean
 from .errors import StageError, ValidationError
@@ -132,8 +131,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     published by one ``os.replace``; on any failure it is removed and
     ``outdir`` is left as it was (a stage failure raises StageError). Missing
     parents of ``outdir`` are created; an empty ``outdir`` keeps its
-    permission bits, not its group or ACLs. A case holds its labels and gray
-    image whole, then one class mask at a time, and everything else block-sized.
+    permission bits, not its group or ACLs. A case holds its labels whole and
+    everything else block-sized, its scoring pass included.
     """
     out = check_outdir(cfg.outdir)
     if out.is_relative_to(Path(cfg.predictions_dir).resolve()):
@@ -204,12 +203,11 @@ def fuse_blocks(paths):
         yield shape, blocks()
 
 
-def entropy_block(gray, out, pixels, rows):
-    """Write one block's entropy rows to ``out`` and its 8-bit values to ``gray``; its total."""
+def entropy_block(out, pixels, rows):
+    """Write one block's entropy rows to ``out``; its 8-bit values and its total."""
     h = pixel_entropy(rows)
     out.write(pixels, h.astype(np.float32)[None])
-    gray[pixels] = entropy_to_gray(h, len(rows))
-    return float(h.sum())
+    return entropy_to_gray(h, len(rows)), float(h.sum())
 
 
 def select_checkpoints(trace_path, settings, out):
@@ -260,9 +258,8 @@ def _run(cfg, out):
         (out / "entropy").mkdir()
     score_lines = ["case_id," + reports.SCORE_HEADER]
     dice_lines = ["case_id," + reports.DICE_HEADER]
-    cases = []  # (case_id, class_id, score, dice) rows of the summary
     acc = CalibrationAccumulator(cfg.bins)
-    entropy_sum, entropy_count = 0.0, 0
+    cases, entropy_sum, entropy_count = [], 0.0, 0  # cases: (case, class, score, dice) rows
     stop = threading.Event()
     helper = threading.Thread(target=_create_outputs, args=(out, case_ids, stop))
     helper.start()
@@ -309,29 +306,26 @@ def _run_case(cfg, ids, pred_root, case_id, out, acc):
         fuse_blocks([pred_root / case_id / f"{cid}.uqsg" for cid in ids]) as (shape, blocks),
         ArrayFile(out / "mean" / f"{case_id}.uqsg", shape, np.float32) as mean,
         ArrayFile(out / "entropy" / f"{case_id}.uqsg", shape[1:], np.float32) as entropy,
+        ArrayFile(out / "entropy" / f"{case_id}.pgm", shape[1:], np.uint8, pgm=True) as pgm,
     ):
-        c, n = shape[0], math.prod(shape[1:])
         with _stage("score", case_id):
-            classes = check_classes(cfg.classes or range(1, c), c)
+            classes = check_classes(cfg.classes or range(1, shape[0]), shape[0])
         with _stage("metrics", case_id):
-            gt = read_labels(Path(cfg.cases_dir) / f"{case_id}_labels.uqsg", c, shape)
-        gray = np.empty(n, dtype=np.uint8)
-        counts = np.zeros((len(classes), 3), dtype=np.int64)  # each class's dice_counts
-        h_case = 0.0
+            gt = read_labels(Path(cfg.cases_dir) / f"{case_id}_labels.uqsg", shape[0], shape)
+        counts, h_case = np.zeros((len(classes), 3), dtype=np.int64), 0.0  # dice_counts per class
         for pixels, rows in blocks:
             mean.write(pixels, rows)
-            h_case += entropy_block(gray, entropy, pixels, rows)
+            gray, h_block = entropy_block(entropy, pixels, rows)
+            pgm.write(pixels, gray[None])
+            h_case += h_block
             pred, truth = argmax_labels(rows), gt.reshape(-1)[pixels]
             acc.add(rows, truth, pred, foreground_only=cfg.ece_foreground_only)
             counts += [dice_counts(pred, truth, k) for k in classes]
             del rows  # before the next block is fused
-        with _stage("entropy", case_id):
-            write_pgm(out / "entropy" / f"{case_id}.pgm", gray.reshape(shape[1:]))
-        del gt, truth, gray  # the labels, a view of them and the gray image: before the masks
-        with _stage("score", case_id):  # each class's mask, from the mean just written
+        with _stage("score", case_id):  # one more pass, over the mean just written
             scores = class_scores(shape[1:], classes, h_case, mean.rows,
                                   cfg.entropy_region == "contour")
-        return scores, list(map(dice_of_counts, classes, *counts.T.tolist())), h_case, n
+        return scores, list(map(dice_of_counts, classes, *counts.T.tolist())), h_case, mean.n
 
 
 def _case_dirs(cfg):

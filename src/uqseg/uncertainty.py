@@ -13,11 +13,12 @@ element, such as a 3D box. Posteriors are validated where they enter the program
 (``ensemble_mean``, ``cli.stored_blocks``), so these kernels trust them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import pixel_blocks, validate_binary
+from .arrays import pixel_blocks, validate_binary, validate_probability_shape
 from .errors import ValidationError
 
 FOREGROUND_THRESHOLD = 0.5
@@ -132,25 +133,31 @@ def check_classes(classes, class_count) -> list:
 
 
 def class_scores(shape, classes, h_total, rows_of, restrict_to_contour=False) -> list:
-    """The score of each class of ``classes`` in a ``shape`` image whose posterior rows of a
-    pixel block ``rows_of(pixels, classes=slice(None))`` reads: one class at a time, its bool
-    mask is filled from its own row of each block, one more read, and ringed. Its entropy
-    total is ``h_total``, or with ``restrict_to_contour`` the ring's, from each block's rows,
-    the block sums added in block order. An empty contour scores 0."""
-    scores = []
-    for class_id in classes:
-        mask = np.empty(shape, dtype=bool)
-        for sl in pixel_blocks(mask.size):
-            np.greater(rows_of(sl, slice(class_id, class_id + 1))[0], FOREGROUND_THRESHOLD,
-                       out=mask.reshape(-1)[sl])
-        ring = contour_normalizer(mask).reshape(-1)
-        pixels = int(np.count_nonzero(ring))
-        total = sum(float(pixel_entropy(rows_of(sl)[:, ring[sl]]).sum())
-                    for sl in pixel_blocks(ring.size)) if restrict_to_contour else h_total
-        del mask, ring  # before the next class's mask is made
-        score = total / pixels if pixels else 0.0
-        scores.append(UncertaintyScore(class_id, total, pixels, score, not pixels))
-    return scores
+    """Each class's score in a ``shape`` image, in one pass over the ``(c, m)`` rows that
+    ``rows_of(pixels)`` reads: a block's image rows and one either side. Its own ring pixels count;
+    ``restrict_to_contour`` sums their entropy in block order for ``h_total``. No ring scores 0."""
+    width, height, n = shape[-1], shape[-2], math.prod(shape)
+    counts = np.zeros(len(classes), dtype=np.int64)
+    totals = [0.0 if restrict_to_contour else h_total] * len(classes)
+    for sl in pixel_blocks(n):
+        top, end = max(sl.start // width - 1, 0), min((sl.stop - 1) // width + 2, n // width)
+        rows = rows_of(slice(top * width, end * width))  # the window of image rows
+        rings = np.empty((len(classes), end - top, width), dtype=bool)
+        for mask, k in zip(rings, classes):  # each class's mask, with no c-row scratch
+            np.greater(rows[k].reshape(-1, width), FOREGROUND_THRESHOLD, out=mask)
+        for lo in range(top - top % height, end, height):  # each slice's rows, ringed in place
+            seg = slice(max(top, lo) - top, min(end, lo + height) - top)
+            rings[:, seg] = contour_normalizer(rings[:, seg])
+        block = slice(sl.start - top * width, sl.stop - top * width)
+        ring = rings.reshape(len(classes), -1)[:, block]
+        counts += [np.count_nonzero(own) for own in ring]  # no axis: no reduction buffer
+        if restrict_to_contour:  # each ring pixel's entropy, summed in block order
+            union = ring.any(axis=0)
+            h = pixel_entropy(rows[:, block][:, union])
+            totals = [total + float(h[own[union]].sum()) for total, own in zip(totals, ring)]
+        del rows, rings, ring  # before the next window is read
+    return [UncertaintyScore(k, total, p, total / p if p else 0.0, not p)
+            for k, total, p in zip(classes, totals, counts.tolist())]
 
 
 def uncertainty_score(p, class_id: int, *, restrict_to_contour=False):
@@ -159,11 +166,12 @@ def uncertainty_score(p, class_id: int, *, restrict_to_contour=False):
     ``restrict_to_contour`` limits the entropy sum to the contour ring
     instead of the whole image; either sum is taken per pixel block, the
     block sums added in block order, as in ``run``. A ``class_id`` outside
-    1 to c - 1 is a ValidationError.
+    1 to c - 1, or a shape other than (c, H, W) or (c, D, H, W), is a ValidationError.
     """
     p = np.asarray(p)
     check_classes([class_id], p.shape[0])
+    validate_probability_shape(p.shape)
     flat = p.reshape(p.shape[0], -1)
     h_total = sum(float(pixel_entropy(flat[:, sl]).sum()) for sl in pixel_blocks(flat.shape[1]))
-    return class_scores(p.shape[1:], [class_id], h_total, lambda sl, ks=slice(None): flat[ks, sl],
+    return class_scores(p.shape[1:], [class_id], h_total, lambda sl: flat[:, sl],
                         restrict_to_contour)[0]

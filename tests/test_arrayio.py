@@ -204,8 +204,7 @@ def _read_rows(path, pixels):
 @settings(max_examples=100, deadline=None)
 @given(case=_row_blocks())
 def test_read_rows_is_a_block_of_read_array(tmp_path_factory, case):
-    """``ArrayFile.rows`` of one block is that block of ``read_array``, and its rows of a
-    slice of classes, clipped as numpy clips it, are those rows of the block."""
+    """``ArrayFile.rows`` of one block is that block of ``read_array``."""
     array, pixels = case
     path = tmp_path_factory.mktemp("rows") / "a.uqsg"
     write_array(path, array)
@@ -216,13 +215,6 @@ def test_read_rows_is_a_block_of_read_array(tmp_path_factory, case):
     assert rows.dtype == expected.dtype
     assert rows.shape == expected.shape
     assert rows.tobytes() == expected.tobytes()
-    with ArrayFile(path) as f:
-        for first in range(-1, shape[0] + 1):
-            for last in range(first, shape[0] + 2):
-                part = f.rows(pixels, slice(first, last))
-                assert part.dtype == expected.dtype
-                assert part.shape == expected[first:last].shape
-                assert part.tobytes() == expected[first:last].tobytes()
 
 
 def test_read_rows_of_a_one_block_file_is_the_whole_array(tmp_path):

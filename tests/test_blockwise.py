@@ -8,7 +8,8 @@ equal ``former_add`` applied to each block, and come close to its
 whole-array sums. Shapes span several blocks with a ragged last block, at
 the real block size and, patched, at tiny ones. The ``entropy``, ``score``
 and ``ece`` commands hold their outputs and a few blocks of a posterior;
-``run`` and ``score`` hold one class mask at a time.
+``run`` and ``score`` score from a window of block rows, never a class mask
+of the whole case.
 """
 
 import tracemalloc
@@ -20,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqseg.arrays
+import uqseg.pipeline
+import uqseg.uncertainty
 from uqseg.arrayio import entropy_to_gray, write_array
 from uqseg.arrays import BLOCK_PIXELS, SIMPLEX_TOLERANCE, pixel_blocks, validate_probabilities
 from uqseg.cli import main
@@ -480,3 +483,47 @@ def test_score_holds_one_class_mask_at_a_time(tmp_path, contour):
         peak = _command_peak("score", "--in", str(tmp_path / "p.uqsg"), "--classes", "1,2,3",
                              "--out", str(tmp_path / "s.csv"), *["--contour-entropy"] * contour)
     assert peak < 3 * n + 4 * block + slack, peak / n
+
+
+@pytest.mark.parametrize("contour", [False, True])
+def test_score_peak_does_not_grow_with_the_case(tmp_path, contour):
+    """``score`` of three classes peaks alike on 8 and on 32 slices: its scoring pass holds
+    the rows of a window (a block's image rows and one row either side) and the rings of its
+    classes, not a mask of the case (one bool mask of 32 slices is 32 float64 blocks)."""
+    block = 8 * RUN_BLOCK  # one float64 block; a block of c = 4 float32 rows is two
+    slack = 128 * 1024  # numpy's cast buffers and interpreter objects
+    peaks = []
+    for depth in (8, 32):
+        path = tmp_path / f"p{depth}.uqsg"
+        write_array(path, posterior(np.random.default_rng(26), 4, (depth, *RUN_SPATIAL[1:]),
+                                    np.float32))
+        with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
+            peaks.append(_command_peak("score", "--in", str(path), "--classes", "1,2,3",
+                                       "--out", str(tmp_path / "s.csv"),
+                                       *["--contour-entropy"] * contour))
+    assert abs(peaks[1] - peaks[0]) < 2 * block, peaks
+    assert max(peaks) < 10 * block + slack, peaks
+
+
+def test_run_scoring_pass_holds_a_window_of_rows(tmp_path, monkeypatch):
+    """After its pass, a ``run`` case of 32 slices allocates no array of its size: scoring
+    three classes in the contour region holds the float32 rows of one window, the rings of
+    its classes, their dilation scratch and the entropy of their union, a few blocks; one bool
+    mask of the case is 32 blocks, and the labels, held since the pass, are not counted."""
+    spatial = (32, *RUN_SPATIAL[1:])
+    config = _write_run_inputs(tmp_path, 4, spatial, np.random.default_rng(27))
+    block = 8 * RUN_BLOCK  # one float64 block
+    peaks = []
+
+    def spy(*args):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        scores = uqseg.uncertainty.class_scores(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return scores
+
+    monkeypatch.setattr(uqseg.pipeline, "class_scores", spy)
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
+        _command_peak("run", "--config", str(config))
+    assert len(peaks) == 1
+    assert peaks[0] < 12 * block, peaks[0] / block

@@ -1914,10 +1914,10 @@ class TestOutputCreator:
         cfg = _three_2d_cases(tmp_path)
         opened, init = [], ArrayFile.__init__
 
-        def spy(f, path, *args):
+        def spy(f, path, *args, **kwargs):
             if not args:  # a file opened for reading
                 opened.append(Path(path).relative_to(tmp_path))
-            init(f, path, *args)
+            init(f, path, *args, **kwargs)
 
         monkeypatch.setattr(ArrayFile, "__init__", spy)
         run_pipeline(cfg)

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uqseg.arrays
+import uqseg.uncertainty
 from uqseg.errors import ValidationError
 from uqseg.uncertainty import (
     StructuringElement,
+    class_scores,
     contour_normalizer,
     dilate,
     pixel_entropy,
@@ -410,3 +413,62 @@ class TestUncertaintyScore:
         assert s3d.contour_pixels == k * s2d.contour_pixels
         assert s3d.h_total == pytest.approx(k * s2d.h_total, rel=1e-12)
         assert s3d.score == pytest.approx(s2d.score, abs=1e-9)
+
+
+def _slices_mask():
+    """Three slices that differ: foreground on the last row of slice 0 and the first row of
+    slice 2, whose dilation must not reach across into slice 1."""
+    mask = np.zeros((3, 4, 5), dtype=bool)
+    mask[0, -1] = mask[2, 0] = True
+    mask[1, 1:3, 2] = True
+    return mask
+
+
+def _edges_mask():
+    """Foreground on every edge of the image, and a block in its middle."""
+    mask = np.zeros((6, 7), dtype=bool)
+    mask[0, 2] = mask[-1, 4] = mask[3, 0] = mask[2, -1] = True
+    mask[2:4, 2:5] = True
+    return mask
+
+
+class TestHaloRing:
+    """``class_scores`` rings each pixel block from its image rows and one row either side;
+    its ring pixels, in order, are those of ``contour_normalizer`` on the whole mask."""
+
+    @staticmethod
+    def ring_pixels(mask, block, monkeypatch):
+        """The ring pixels the block pass finds, read off the rows it hands ``pixel_entropy``:
+        each pixel's class-1 probability names it."""
+        n = mask.size
+        index = np.arange(n)
+        p1 = np.where(mask.reshape(-1), 0.75 + 0.2 * index / n, 0.25 - 0.2 * index / n)
+        flat = np.stack([1.0 - p1, p1])
+        seen, entropy = [], uqseg.uncertainty.pixel_entropy
+        monkeypatch.setattr(uqseg.uncertainty, "pixel_entropy",
+                            lambda rows: seen.append(rows[1].copy()) or entropy(rows))
+        monkeypatch.setattr(uqseg.arrays, "BLOCK_PIXELS", block)
+        (score,) = class_scores(mask.shape, [1], 0.0, lambda sl: flat[:, sl], True)
+        monkeypatch.setattr(uqseg.uncertainty, "pixel_entropy", entropy)
+        names = {value: i for i, value in enumerate(p1)}
+        pixels = [names[value] for value in np.concatenate(seen)]
+        assert score.contour_pixels == len(pixels)
+        return pixels
+
+    @pytest.mark.parametrize("mask", [
+        np.zeros((4, 5), dtype=bool),
+        np.ones((4, 5), dtype=bool),
+        _edges_mask(),
+        np.random.default_rng(30).random((7, 1)) < 0.5,  # W = 1
+        np.random.default_rng(31).random((1, 9)) < 0.5,  # H = 1
+        _slices_mask(),
+        np.random.default_rng(32).random((3, 1, 6)) < 0.5,
+        np.random.default_rng(33).random((3, 5, 1)) < 0.5,
+    ], ids=["empty", "full", "edges", "w1", "h1", "slices", "3d_h1", "3d_w1"])
+    def test_ring_is_the_whole_mask_ring_at_every_block_size(self, mask, monkeypatch):
+        width, plane, n = mask.shape[-1], mask.shape[-1] * mask.shape[-2], mask.size
+        expected = list(np.flatnonzero(contour_normalizer(mask)))
+        # blocks shorter than a row, of a row and a row and one, of a slice, of the image
+        for block in sorted({1, 2, max(width - 1, 1), width, width + 1, plane, plane + 1, n,
+                             n + 1}):
+            assert self.ring_pixels(mask, block, monkeypatch) == expected, block
