@@ -118,11 +118,13 @@ def cmd_entropy(args):
             check_output(pgm := Path(args.pgm) / f"{Path(args.out).stem}.pgm", [args.input])
             if os.path.realpath(pgm) == os.path.realpath(args.out):
                 raise ValidationError(f"PGM {pgm} would replace --out; name another output")
-        gray = np.empty(f.n, dtype=np.uint8)
+            gray = np.empty(f.n, dtype=np.uint8)  # the one whole array, and only for the PGM
         with ArrayFile(args.out, f.shape[1:], np.float32) as e:
             for pixels, rows in blocks:
-                gray[pixels], _ = entropy_block(e, pixels, rows)
-                del rows  # before the next block is read
+                block_gray, _ = entropy_block(e, pixels, rows)
+                if args.pgm is not None:
+                    gray[pixels] = block_gray
+                del rows, block_gray  # before the next block is read
             if args.pgm is not None:  # after the last block, so a failure removes ``--out``
                 Path(args.pgm).mkdir(parents=True, exist_ok=True)
                 write_pgm(pgm, gray.reshape(f.shape[1:]))

@@ -73,6 +73,7 @@ class PipelineConfig:
             raise ValidationError(
                 f"entropy_region must be 'image' or 'contour', got {self.entropy_region!r}"
             )
+        check_classes(self.classes)  # the range check against c waits for the first case
         # construction of these validates the numeric ranges
         CalibrationAccumulator(self.bins)
         settings_of(SgdrConfig, self)
@@ -256,33 +257,31 @@ def _run(cfg, out):
         pred_root, case_ids = _case_dirs(cfg)
         (out / "mean").mkdir()
         (out / "entropy").mkdir()
-    score_lines = ["case_id," + reports.SCORE_HEADER]
-    dice_lines = ["case_id," + reports.DICE_HEADER]
     acc = CalibrationAccumulator(cfg.bins)
-    cases, entropy_sum, entropy_count = [], 0.0, 0  # cases: (case, class, score, dice) rows
     stop = threading.Event()
     helper = threading.Thread(target=_create_outputs, args=(out, case_ids, stop))
     helper.start()
-    try:
-        for case_id in case_ids:
-            scores, dices, h_case, n = _run_case(cfg, ids, pred_root, case_id, out, acc)
-            score_lines += [reports.csv_line(case_id, *vars(s).values()) for s in scores]
-            dice_lines += [reports.csv_line(case_id, *vars(d).values()) for d in dices]
-            cases += [(case_id, s.class_id, s.score, d.dice) for s, d in zip(scores, dices)]
-            entropy_sum, entropy_count = entropy_sum + h_case, entropy_count + n
+    try:  # each case's scores, Dice, entropy total and pixels, in case order
+        results = {case: _run_case(cfg, ids, pred_root, case, out, acc) for case in case_ids}
     finally:  # the helper stops before ``run_pipeline`` publishes or removes ``out``
         stop.set()
         helper.join()
+    per_class = [(case_id, s, d) for case_id, (scores, dices, *_) in results.items()
+                 for s, d in zip(scores, dices)]
     with _stage("score"):
-        reports.write_lines(out / "scores.csv", score_lines)
+        reports.write_lines(out / "scores.csv", ["case_id," + reports.SCORE_HEADER] + [
+            reports.csv_line(case_id, *vars(s).values()) for case_id, s, _ in per_class])
     with _stage("metrics"):
-        reports.write_lines(out / "dice.csv", dice_lines)
+        reports.write_lines(out / "dice.csv", ["case_id," + reports.DICE_HEADER] + [
+            reports.csv_line(case_id, *vars(d).values()) for case_id, _, d in per_class])
         calibration = acc.report()
         reports.write_ece_csv(out / "ece.csv", calibration)
-    with _stage("report"):
-        write_summary(out / "summary.csv", cases, [
-            ("ece_percent", calibration.ece), ("avg_entropy_bits", entropy_sum / entropy_count),
-            ("h_total_region", cfg.entropy_region)])
+    with _stage("report"):  # left to right: ``sum`` of floats compensates from Python 3.12
+        h_sum, n_sum = np.add.accumulate([(h, n) for *_, h, n in results.values()])[-1]
+        write_summary(out / "summary.csv",
+                      [(case_id, s.class_id, s.score, d.dice) for case_id, s, d in per_class],
+                      [("ece_percent", calibration.ece), ("avg_entropy_bits", h_sum / n_sum),
+                       ("h_total_region", cfg.entropy_region)])
 
 
 def _create_outputs(out, case_ids, stop):

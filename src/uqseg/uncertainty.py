@@ -119,14 +119,13 @@ def contour_normalizer(image, element=None) -> np.ndarray:
     return ring
 
 
-def check_classes(classes, class_count) -> list:
+def check_classes(classes, class_count=None) -> list:
     """``classes`` as a list; ValidationError unless each is a foreground class, named once."""
     for k in classes:
-        if not 0 < k < class_count:
-            raise ValidationError(
-                f"class {k} out of range for {class_count} classes; "
-                "background (class 0) has no uncertainty score"
-            )
+        if not 0 < k < (class_count or math.inf):  # None: c is not known yet, no upper bound
+            where = f" for {class_count} classes" if class_count else ""
+            raise ValidationError(f"class {k} out of range{where}; "
+                                  "background (class 0) has no uncertainty score")
     if len(set(classes)) < len(classes):
         raise ValidationError(f"class list {list(classes)} names a class more than once")
     return list(classes)

@@ -7,9 +7,10 @@ The ECE bin sums are the exception: they are summed per block, so they must
 equal ``former_add`` applied to each block, and come close to its
 whole-array sums. Shapes span several blocks with a ragged last block, at
 the real block size and, patched, at tiny ones. The ``entropy``, ``score``
-and ``ece`` commands hold their outputs and a few blocks of a posterior;
-``run`` and ``score`` score from a window of block rows, never a class mask
-of the whole case.
+and ``ece`` commands hold a few blocks of a posterior and, whole, only the
+gray image of ``entropy --pgm`` and the labels of ``ece``; ``run`` holds its
+labels whole. ``run`` and ``score`` score from a window of block rows, never
+a class mask of the whole case.
 """
 
 import tracemalloc
@@ -379,17 +380,22 @@ def test_scratch_is_block_sized(tmp_path):
             tracemalloc.stop()
 
     posterior_file = str(tmp_path / "p.uqsg")
-    # the uint8 gray image; the rows of the block read and of the one before
-    # it, and its float64 class sums or its entropy and term; the whole
-    # float32 posterior alone (16 * n = 20 blocks) would exceed it
+    # the rows of the block read and of the one before it, and its float64
+    # class sums or its entropy and term; with ``--pgm``, the uint8 gray image
+    # too; the whole float32 posterior alone (16 * n = 20 blocks) would exceed it
     entropy = ["entropy", "--in", posterior_file, "--out", str(tmp_path / "h.uqsg")]
-    assert command_peak(*entropy) < n + 6 * block + slack
+    assert command_peak(*entropy) < 6 * block + slack
     assert command_peak(*entropy, "--pgm", str(tmp_path / "maps")) < n + 6 * block + slack
-    # three bool class masks and the dilation of one (two copies and the
-    # inverted mask), and the rows of two blocks and a ring's share of them
+    # scored in blocks of 4,096 pixels, where one bool class mask of the case
+    # (n bytes) is 20 float64 blocks, so that it would exceed either bound: the
+    # float32 rows of a window (a block's image rows and one either side), its
+    # classes' rings and their dilation scratch; in the contour region also the
+    # union's rows and their entropy and term
     score = ["score", "--in", posterior_file, "--classes", "1,2,3", "--out", str(tmp_path / "s.csv")]
-    assert command_peak(*score) < 6 * n + 4 * block + slack
-    assert command_peak(*score, "--contour-entropy") < 6 * n + 4 * block + slack
+    small = 8 * RUN_BLOCK  # one float64 block of 4,096 pixels
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
+        assert command_peak(*score) < 10 * small + slack
+        assert command_peak(*score, "--contour-entropy") < 14 * small + slack
     # the uint8 labels; the rows of two blocks and the accumulator's scratch
     calibration = ["ece", "--pred", posterior_file, "--gt", str(tmp_path / "gt.uqsg"),
                    "--out", str(tmp_path / "e.csv")]
@@ -414,10 +420,10 @@ def test_entropy_holds_the_rows_of_one_block(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the uint8 gray image; the float32 rows of one block, its float64 entropy
-    # and one term, and its float32 map rows; the rows of the block before
-    # would add two blocks
-    assert peak < n + 4.5 * block + slack
+    # the float32 rows of one block, its float64 entropy and one term, and its
+    # float32 map rows; the rows of the block before would add two blocks, and
+    # the uint8 gray image, which only ``--pgm`` keeps, n = 1.25 blocks
+    assert peak < 4.5 * block + slack
 
 
 def _write_run_inputs(root, c, spatial, rng):
@@ -454,35 +460,35 @@ def _command_peak(*argv):
 RUN_SPATIAL, RUN_BLOCK = (8, 128, 256), 4096
 
 
-def test_run_holds_one_class_mask_at_a_time(tmp_path):
-    """A 3D case of c = 4 and two members, three classes scored: ``run`` holds, whole, the
-    uint8 labels and gray image in the pass and then one bool class mask and its two
-    dilation copies, and block-sized scratch: the fuse's float64 class sums and a few
-    more blocks. Three whole class masks and an argmax (four more bytes) would exceed it."""
-    c, n = 4, int(np.prod(RUN_SPATIAL))
-    config = _write_run_inputs(tmp_path, c, RUN_SPATIAL, np.random.default_rng(24))
+def test_run_peak_minus_labels_does_not_grow_with_the_case(tmp_path):
+    """A 3D case of c = 4 and two members, three classes scored: ``run`` holds its uint8
+    labels whole and everything else block-sized (the fuse's float64 class sums, a window
+    of the scoring pass and a few more blocks), so its peak less the labels is alike on 8
+    and on 32 slices. One whole bool class mask would add 8 blocks at 8 slices and 32 at 32."""
     block = 8 * RUN_BLOCK  # one float64 block
-    slack = 128 * 1024  # numpy's cast buffers and interpreter objects
-    with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
-        assert len(pixel_blocks(n)) == 64
-        peak = _command_peak("run", "--config", str(config))
-    assert len((tmp_path / "out" / "manifest.csv").read_text().splitlines()) == 3  # two members
-    assert peak < 5 * n + 6 * block + slack, peak / n
+    beyond_labels = []
+    for depth in (8, 32):
+        spatial = (depth, *RUN_SPATIAL[1:])
+        root = tmp_path / f"d{depth}"
+        root.mkdir()
+        config = _write_run_inputs(root, 4, spatial, np.random.default_rng(24))
+        with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
+            beyond_labels.append(_command_peak("run", "--config", str(config)) - np.prod(spatial))
+        assert len((root / "out" / "manifest.csv").read_text().splitlines()) == 3  # two members
+    assert abs(beyond_labels[1] - beyond_labels[0]) < 2 * block, [b / block for b in beyond_labels]
 
 
-@pytest.mark.parametrize("contour", [False, True])
-def test_score_holds_one_class_mask_at_a_time(tmp_path, contour):
-    """``score`` of three classes holds one bool class mask and its two dilation copies, the
-    rows of a block or two and a ring's share of them; three whole masks would exceed it."""
-    c, n = 4, int(np.prod(RUN_SPATIAL))
-    write_array(tmp_path / "p.uqsg",
-                posterior(np.random.default_rng(25), c, RUN_SPATIAL, np.float32))
-    block = 8 * RUN_BLOCK  # one float64 block; a block of c = 4 float32 rows is two
-    slack = 128 * 1024  # numpy's cast buffers and interpreter objects
-    with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
-        peak = _command_peak("score", "--in", str(tmp_path / "p.uqsg"), "--classes", "1,2,3",
-                             "--out", str(tmp_path / "s.csv"), *["--contour-entropy"] * contour)
-    assert peak < 3 * n + 4 * block + slack, peak / n
+def _peaks_at_depths(tmp_path, *argv):
+    """The peaks of the command ``argv`` on a (4, D, 128, 256) posterior given as ``--in``,
+    at D = 8 and D = 32, with blocks of 4,096 pixels."""
+    peaks = []
+    for depth in (8, 32):
+        path = tmp_path / f"p{depth}.uqsg"
+        write_array(path, posterior(np.random.default_rng(26), 4, (depth, *RUN_SPATIAL[1:]),
+                                    np.float32))
+        with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
+            peaks.append(_command_peak(argv[0], "--in", str(path), *argv[1:]))
+    return peaks
 
 
 @pytest.mark.parametrize("contour", [False, True])
@@ -492,15 +498,18 @@ def test_score_peak_does_not_grow_with_the_case(tmp_path, contour):
     classes, not a mask of the case (one bool mask of 32 slices is 32 float64 blocks)."""
     block = 8 * RUN_BLOCK  # one float64 block; a block of c = 4 float32 rows is two
     slack = 128 * 1024  # numpy's cast buffers and interpreter objects
-    peaks = []
-    for depth in (8, 32):
-        path = tmp_path / f"p{depth}.uqsg"
-        write_array(path, posterior(np.random.default_rng(26), 4, (depth, *RUN_SPATIAL[1:]),
-                                    np.float32))
-        with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
-            peaks.append(_command_peak("score", "--in", str(path), "--classes", "1,2,3",
-                                       "--out", str(tmp_path / "s.csv"),
-                                       *["--contour-entropy"] * contour))
+    peaks = _peaks_at_depths(tmp_path, "score", "--classes", "1,2,3",
+                             "--out", str(tmp_path / "s.csv"), *["--contour-entropy"] * contour)
+    assert abs(peaks[1] - peaks[0]) < 2 * block, peaks
+    assert max(peaks) < 10 * block + slack, peaks
+
+
+def test_entropy_peak_does_not_grow_with_the_case(tmp_path):
+    """Plain ``entropy`` (no ``--pgm``) peaks alike on 8 and on 32 slices: it holds the rows
+    of a block and their entropy, not a uint8 gray image of the case (32 blocks at 32 slices)."""
+    block = 8 * RUN_BLOCK  # one float64 block; a block of c = 4 float32 rows is two
+    slack = 128 * 1024  # numpy's cast buffers and interpreter objects
+    peaks = _peaks_at_depths(tmp_path, "entropy", "--out", str(tmp_path / "h.uqsg"))
     assert abs(peaks[1] - peaks[0]) < 2 * block, peaks
     assert max(peaks) < 10 * block + slack, peaks
 

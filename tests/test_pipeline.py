@@ -1685,12 +1685,25 @@ class TestInputChecks:
         assert SgdrConfig(total_epochs=MAX_EPOCHS).total_epochs == 100_000
 
     def test_run_key_naming_a_class_twice_exits_validation(self, small_run, tmp_path, capsys):
-        config = _write_run_config(small_run, tmp_path / "p.cfg", outdir=tmp_path / "out",
-                                   classes="1,1,2")
+        background = "; background (class 0) has no uncertainty score"
+        for classes, message in [
+            ("1,1,2", "class list [1, 1, 2] names a class more than once"),
+            ("0,1", "class 0 out of range" + background),
+            ("-1,2", "class -1 out of range" + background),
+        ]:
+            config = _write_run_config(small_run, tmp_path / "p.cfg", outdir=tmp_path / "out",
+                                       classes=classes)
+            assert main(["run", "--config", str(config)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "out").exists()
+            assert staged(tmp_path / "out") == []
+
+    def test_run_refuses_a_bad_class_list_before_reading_any_input(self, tmp_path, capsys):
+        """The config is refused as it is read: its trace, members and labels do not exist."""
+        config = _write_run_config(tmp_path, tmp_path / "p.cfg", classes="1,1,2")
         assert main(["run", "--config", str(config)]) == 2
         assert capsys.readouterr().err == (
-            "error: stage 'score' failed for case case0004: "
-            "class list [1, 1, 2] names a class more than once\n"
+            "error: class list [1, 1, 2] names a class more than once\n"
         )
         assert not (tmp_path / "out").exists()
         assert staged(tmp_path / "out") == []
