@@ -123,11 +123,10 @@ def zscore_normalize(volume):
         raise ValidationError("empty intensity array")
     if not np.all(np.isfinite(v)):
         raise ValidationError("intensity array contains NaN or Inf")
-    mean = v.mean()
     std = v.std()
     if std == 0.0:
         raise ValidationError("constant volume has zero standard deviation")
-    return (v - mean) / std
+    return (v - v.mean()) / std
 
 
 def _named(message, name):

@@ -102,8 +102,8 @@ def cmd_select(args):
 
 
 def cmd_fuse(args):
-    ids = read_selection(args.manifest).checkpoint_ids
-    paths = [Path(args.inputs) / f"{cid}.uqsg" for cid in ids]
+    paths = [Path(args.inputs) / f"{cid}.uqsg"
+             for cid in read_selection(args.manifest).checkpoint_ids]
     with fuse_blocks(paths) as (shape, blocks):
         check_output(args.out, paths)
         with ArrayFile(args.out, shape, np.float32) as f:
@@ -298,8 +298,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         check_output(vars(args).get("out"), [getattr(args, dest) for dest in args.reads])
         return args.fn(args) or 0

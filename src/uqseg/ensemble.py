@@ -23,15 +23,11 @@ def ensemble_mean(members, names=None) -> np.ndarray:
     members in error messages (default: their index); when given, there must
     be one per member.
     """
-    total = None
-    n = 0
+    total, n = None, 0
     for m in members:
-        if names is None:
-            name = f"member {n}"
-        elif n < len(names):
-            name = names[n]
-        else:
+        if names is not None and n >= len(names):
             raise ValidationError(f"more members than the {len(names)} names given")
+        name = f"member {n}" if names is None else names[n]
         m = np.asarray(m)
         if total is None:
             # numpy's sum starts from +0.0 too, which turns a -0.0 into 0.0

@@ -32,11 +32,14 @@ class DiceResult:
 
 
 def dice(pred, gt, class_id: int) -> DiceResult:
-    """Overlap 2|A&B| / (|A|+|B|) for one class; 1.0 when both masks are empty."""
+    """Overlap 2|A&B| / (|A|+|B|) for one class; 1.0 when both masks are empty. Its counts
+    are summed over pixel blocks, as ``run`` sums them, so no mask of the arrays is whole."""
     p, g = np.asarray(pred), np.asarray(gt)
     if p.shape != g.shape:
         raise ValidationError(f"pred shape {p.shape} != gt shape {g.shape}")
-    return dice_of_counts(class_id, *dice_counts(p, g, class_id))
+    p, g = p.reshape(-1), g.reshape(-1)
+    blocks = [dice_counts(p[pixels], g[pixels], class_id) for pixels in pixel_blocks(p.size)]
+    return dice_of_counts(class_id, *map(sum, zip(*blocks)))
 
 
 def dice_counts(pred, gt, class_id):

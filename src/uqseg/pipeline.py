@@ -9,7 +9,9 @@ counts ``run``'s ``read_array`` calls, so they stream once its tracer counts
 block reads. A case writes ``mean/<case>.uqsg``, ``entropy/<case>.uqsg`` and
 one 8-bit ``entropy/<case>.pgm`` (a 3D map's slices stacked top to bottom),
 names known from the case id alone, so one helper thread creates them, empty,
-ahead of the case loop. The tree is built in a sibling staging directory and
+ahead of the case loop; its rows of the score, Dice and summary CSVs are written
+as it ends. Beyond its block-sized case a run keeps two floats per scored class,
+for the Spearman row. The tree is built in a sibling staging directory and
 renamed into ``outdir`` at the end, so ``outdir`` holds a whole run or nothing;
 a failure names the stage and the case. The steps that ``run`` shares with the
 stage commands of ``cli`` are public.
@@ -96,8 +98,7 @@ class PipelineConfig:
                 continue
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
             if key not in parsers:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
@@ -232,56 +233,66 @@ def read_labels(path, class_count, posterior_shape=None):
 
 
 def write_summary(path, cases, dataset_rows=()):
-    """Write the summary CSV of the score/Dice table.
+    """Write the summary CSV of the score/Dice table, one case at a time.
 
-    ``cases`` holds (case_id, class_id, score, dice) tuples, each giving two
-    case rows. The dataset rows start with the Spearman coefficient, or the
-    note on why it was omitted, followed by the (metric, value) pairs of
-    ``dataset_rows``.
+    ``cases`` yields (case_id, class_id, score, dice) tuples, each written as two case
+    rows as it comes; only its (score, dice) pair is kept. After the last case come the
+    dataset rows: the Spearman coefficient, or the note on why it was omitted, then the
+    (metric, value) pairs of ``dataset_rows``, which is read only then.
     """
-    table = uncertainty_dice_table([(s, d) for _, _, s, d in cases])
-    first = ("spearman_note", table.note) if table.spearman is None else (
-        "spearman_score_dice", table.spearman)
-    reports.write_lines(path, [reports.SUMMARY_HEADER] + [
-        reports.csv_line("case", case_id, class_id, metric, value)
-        for case_id, class_id, score, dice_value in cases
-        for metric, value in (("uncertainty_score", score), ("dice", dice_value))
-    ] + [reports.csv_line("dataset", None, None, *row) for row in (first, *dataset_rows)])
+    pairs = []  # two floats per scored class, for the Spearman row
+    with open(path, "w") as f:
+        print(reports.SUMMARY_HEADER, file=f)
+        for case_id, class_id, score, dice_value in cases:
+            pairs.append((score, dice_value))
+            print(reports.csv_line("case", case_id, class_id, "uncertainty_score", score),
+                  reports.csv_line("case", case_id, class_id, "dice", dice_value),
+                  sep="\n", file=f)
+        table = uncertainty_dice_table(pairs)
+        first = ("spearman_note", table.note) if table.spearman is None else (
+            "spearman_score_dice", table.spearman)
+        print(*(reports.csv_line("dataset", None, None, *row) for row in (first, *dataset_rows)),
+              sep="\n", file=f)
 
 
 def _run(cfg, out):
-    """Write the whole tree into the existing directory ``out``."""
+    """Write the whole tree into the existing directory ``out``; the rows of ``scores.csv``,
+    ``dice.csv`` and ``summary.csv`` are written as each case ends."""
     with _stage("select-checkpoints"):
         ids = select_checkpoints(cfg.trace, cfg, out / "manifest.csv").checkpoint_ids
     with _stage("fuse"):
-        pred_root, case_ids = _case_dirs(cfg)
+        pred_root, cases_root, case_ids = _case_dirs(cfg)
         (out / "mean").mkdir()
         (out / "entropy").mkdir()
-    acc = CalibrationAccumulator(cfg.bins)
+    acc, totals = CalibrationAccumulator(cfg.bins), np.zeros(2)  # entropy and pixels of the run
+
+    def cases(scores_csv, dice_csv):  # runs each case, prints its rows, yields its summary
+        for case_id in case_ids:
+            scores, dices, *h_n = _run_case(cfg, ids, pred_root, cases_root, case_id, out, acc)
+            np.add(totals, h_n, out=totals)  # not ``sum``: it compensates from Python 3.12
+            for s, d in zip(scores, dices):
+                print(reports.csv_line(case_id, *vars(s).values()), file=scores_csv)
+                print(reports.csv_line(case_id, *vars(d).values()), file=dice_csv)
+                yield case_id, s.class_id, s.score, d.dice
+
+    def dataset_rows():  # read after the last case
+        calibration = acc.report()
+        reports.write_ece_csv(out / "ece.csv", calibration)
+        yield from (("ece_percent", calibration.ece), ("avg_entropy_bits", totals[0] / totals[1]),
+                    ("h_total_region", cfg.entropy_region))
+
     stop = threading.Event()
     helper = threading.Thread(target=_create_outputs, args=(out, case_ids, stop))
     helper.start()
-    try:  # each case's scores, Dice, entropy total and pixels, in case order
-        results = {case: _run_case(cfg, ids, pred_root, case, out, acc) for case in case_ids}
+    try:
+        with (_stage("report"), open(out / "scores.csv", "w") as scores_csv,
+              open(out / "dice.csv", "w") as dice_csv):
+            print("case_id," + reports.SCORE_HEADER, file=scores_csv)
+            print("case_id," + reports.DICE_HEADER, file=dice_csv)
+            write_summary(out / "summary.csv", cases(scores_csv, dice_csv), dataset_rows())
     finally:  # the helper stops before ``run_pipeline`` publishes or removes ``out``
         stop.set()
         helper.join()
-    per_class = [(case_id, s, d) for case_id, (scores, dices, *_) in results.items()
-                 for s, d in zip(scores, dices)]
-    with _stage("score"):
-        reports.write_lines(out / "scores.csv", ["case_id," + reports.SCORE_HEADER] + [
-            reports.csv_line(case_id, *vars(s).values()) for case_id, s, _ in per_class])
-    with _stage("metrics"):
-        reports.write_lines(out / "dice.csv", ["case_id," + reports.DICE_HEADER] + [
-            reports.csv_line(case_id, *vars(d).values()) for case_id, _, d in per_class])
-        calibration = acc.report()
-        reports.write_ece_csv(out / "ece.csv", calibration)
-    with _stage("report"):  # left to right: ``sum`` of floats compensates from Python 3.12
-        h_sum, n_sum = np.add.accumulate([(h, n) for *_, h, n in results.values()])[-1]
-        write_summary(out / "summary.csv",
-                      [(case_id, s.class_id, s.score, d.dice) for case_id, s, d in per_class],
-                      [("ece_percent", calibration.ece), ("avg_entropy_bits", h_sum / n_sum),
-                       ("h_total_region", cfg.entropy_region)])
 
 
 def _create_outputs(out, case_ids, stop):
@@ -293,24 +304,28 @@ def _create_outputs(out, case_ids, stop):
         try:  # no O_TRUNC: a file the loop wrote keeps its bytes; 0o666 is open()'s mode
             for name in (f"mean/{case_id}.uqsg", f"entropy/{case_id}.uqsg",
                          f"entropy/{case_id}.pgm"):
-                os.close(os.open(out / name, os.O_CREAT | os.O_WRONLY, 0o666))
+                os.close(os.open(os.path.join(out, name), os.O_CREAT | os.O_WRONLY, 0o666))
         except OSError:  # the loop opens the same files and reports a failure with its case
             continue
 
 
-def _run_case(cfg, ids, pred_root, case_id, out, acc):
-    """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels."""
+def _run_case(cfg, ids, pred_root, cases_root, case_id, out, acc):
+    """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels. Its
+    file names are strings joined onto the three roots: a ``pathlib`` join interns its parts."""
     with (
         _stage("fuse", case_id),  # and the block loop; the stages inside name theirs
-        fuse_blocks([pred_root / case_id / f"{cid}.uqsg" for cid in ids]) as (shape, blocks),
-        ArrayFile(out / "mean" / f"{case_id}.uqsg", shape, np.float32) as mean,
-        ArrayFile(out / "entropy" / f"{case_id}.uqsg", shape[1:], np.float32) as entropy,
-        ArrayFile(out / "entropy" / f"{case_id}.pgm", shape[1:], np.uint8, pgm=True) as pgm,
+        fuse_blocks([os.path.join(pred_root, case_id, f"{cid}.uqsg") for cid in ids]) as (
+            shape, blocks),
+        ArrayFile(os.path.join(out, "mean", f"{case_id}.uqsg"), shape, np.float32) as mean,
+        ArrayFile(os.path.join(out, "entropy", f"{case_id}.uqsg"), shape[1:],
+                  np.float32) as entropy,
+        ArrayFile(os.path.join(out, "entropy", f"{case_id}.pgm"), shape[1:], np.uint8,
+                  pgm=True) as pgm,
     ):
         with _stage("score", case_id):
             classes = check_classes(cfg.classes or range(1, shape[0]), shape[0])
         with _stage("metrics", case_id):
-            gt = read_labels(Path(cfg.cases_dir) / f"{case_id}_labels.uqsg", shape[0], shape)
+            gt = read_labels(os.path.join(cases_root, f"{case_id}_labels.uqsg"), shape[0], shape)
         counts, h_case = np.zeros((len(classes), 3), dtype=np.int64), 0.0  # dice_counts per class
         for pixels, rows in blocks:
             mean.write(pixels, rows)
@@ -327,11 +342,11 @@ def _run_case(cfg, ids, pred_root, case_id, out, acc):
         return scores, list(map(dice_of_counts, classes, *counts.T.tolist())), h_case, mean.n
 
 
-def _case_dirs(cfg):
+def _case_dirs(cfg):  # the predictions and cases roots, each built once, and the case ids
     pred_root = Path(cfg.predictions_dir)
     case_ids = sorted(d.name for d in pred_root.iterdir() if d.is_dir())
     if not case_ids:
         raise ValidationError(f"no case directories under {pred_root}")
     for case_id in case_ids:  # a case id is a CSV field and a file name stem
         check_id(case_id, f"case directory under predictions_dir {pred_root}")
-    return pred_root, case_ids
+    return pred_root, Path(cfg.cases_dir), case_ids

@@ -69,8 +69,7 @@ def _cycle_iter(cfg: SgdrConfig):
     taken as the largest float: the cycle then outlasts the run, and every
     rate in it is the one an unbounded span gives (cos(pi * x) rounds to 1).
     """
-    prev = 0
-    i = 0
+    prev, i = 0, 0
     while prev < cfg.total_epochs:
         t_i = min(min(cfg.t0, sys.float_info.max) * cfg.eta**i, sys.float_info.max)
         # next zero of mod(t, t_i) strictly after the previous boundary

@@ -164,8 +164,7 @@ def find_cycle_peaks(
                                  bisect_left(epochs, window.stop)]
         if not windowed:
             continue
-        best = max(r.val_metric for r in windowed)
-        if best < policy.min_peak_ratio * global_best:
+        if max(r.val_metric for r in windowed) < policy.min_peak_ratio * global_best:
             continue
         ranked = sorted(windowed, key=lambda r: (-r.val_metric, -r.epoch))
         for r in ranked[: policy.per_cycle]:

@@ -75,13 +75,8 @@ class ToyCase:
         return case_features(self.image)
 
 
-def generate_dataset(
-    seed: int,
-    n_cases: int,
-    shape=(64, 64),
-    class_count: int = 3,
-    noise_std: float = 0.1,
-) -> list:
+def generate_dataset(seed: int, n_cases: int, shape=(64, 64), class_count: int = 3,
+                     noise_std: float = 0.1) -> list:
     """Deterministically generate blob cases; every class appears somewhere.
 
     The per-case noise level ramps from 0.5x to 1.5x of ``noise_std`` across
@@ -211,8 +206,8 @@ def validation_dice(weights, cases) -> float:
         if not np.isfinite(probs).all():
             raise NumericError(f"validation posterior of case {case.case_id} is not finite")
         pred = argmax_labels(probs)
-        scores = [dice(pred, case.labels, k).dice for k in range(1, case.class_count)]
-        per_case.append(float(np.mean(scores)))
+        per_case.append(float(np.mean([dice(pred, case.labels, k).dice
+                                        for k in range(1, case.class_count)])))
     return float(np.mean(per_case))
 
 
@@ -258,16 +253,13 @@ def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0
             loss, g = _case_gradient(X, mask, count, W)
             loss_total += loss
             grad += g
-        loss_mean = loss_total / len(feats)
-        if not np.isfinite(loss_mean):
+        if not np.isfinite(loss_total):  # so is the mean loss
             raise NumericError(f"training diverged: non-finite loss at epoch {epoch}")
         W = W - lr * (grad / len(feats))
-        metric = validation_dice(W, val_cases)
-        cid = None
-        if epoch in save_at:
-            cid = f"ep{epoch:05d}"
+        cid = f"ep{epoch:05d}" if epoch in save_at else None
+        if cid:
             checkpoints[cid] = W.copy()
-        records.append(TraceRecord(epoch, lr, metric, cid))
+        records.append(TraceRecord(epoch, lr, validation_dice(W, val_cases), cid))
     return TrainingTrace(tuple(records)), checkpoints
 
 
@@ -329,18 +321,8 @@ def write_cases(cases, outdir):
         write_array(cases_dir / f"{case.case_id}_labels.uqsg", case.labels)
 
 
-def run_toy_training(
-    outdir,
-    *,
-    seed: int,
-    n_train: int,
-    n_test: int,
-    shape=(64, 64),
-    class_count: int = 3,
-    cfg: SgdrConfig,
-    policy=None,
-    noise_std: float = 0.1,
-):
+def run_toy_training(outdir, *, seed: int, n_train: int, n_test: int, shape=(64, 64),
+                     class_count: int = 3, cfg: SgdrConfig, policy=None, noise_std: float = 0.1):
     """Generate data, train, and write every artifact the pipeline consumes.
 
     ``outdir`` must be absent or empty (checked before training). Layout

@@ -9,8 +9,8 @@ whole-array sums. Shapes span several blocks with a ragged last block, at
 the real block size and, patched, at tiny ones. The ``entropy``, ``score``
 and ``ece`` commands hold a few blocks of a posterior and, whole, only the
 gray image of ``entropy --pgm`` and the labels of ``ece``; ``run`` holds its
-labels whole. ``run`` and ``score`` score from a window of block rows, never
-a class mask of the whole case.
+labels whole and ``dice`` its two label files. ``run`` and ``score`` score
+from a window of block rows, never a class mask of the whole case.
 """
 
 import tracemalloc
@@ -24,12 +24,13 @@ from hypothesis import strategies as st
 import uqseg.arrays
 import uqseg.pipeline
 import uqseg.uncertainty
-from uqseg.arrayio import entropy_to_gray, write_array
+from uqseg.arrayio import entropy_to_gray, read_array, write_array
 from uqseg.arrays import BLOCK_PIXELS, SIMPLEX_TOLERANCE, pixel_blocks, validate_probabilities
 from uqseg.cli import main
 from uqseg.ensemble import argmax_labels
 from uqseg.errors import ValidationError
-from uqseg.metrics import CalibrationAccumulator, ece
+from uqseg.metrics import CalibrationAccumulator, DiceResult, dice, ece
+from uqseg.reports import csv_line
 from uqseg.uncertainty import pixel_entropy
 
 
@@ -79,6 +80,13 @@ def former_argmax_labels(arr):
         labels[arr[k] > best] = k
         np.maximum(best, arr[k], out=best)
     return labels
+
+
+def former_dice(pred, gt, class_id):
+    """One class's Dice from whole masks of both label arrays."""
+    pm, gm = pred == class_id, gt == class_id
+    inter, psz, gsz = (int(np.count_nonzero(m)) for m in (pm & gm, pm, gm))
+    return DiceResult(class_id, inter, psz, gsz, 2.0 * inter / (psz + gsz) if psz + gsz else 1.0)
 
 
 def former_add(arr, labels, n_bins, pred=None, foreground_only=False):
@@ -290,6 +298,9 @@ def test_every_kernel_at_tiny_block_sizes(case):
         assert h.tobytes() == former_pixel_entropy(p).tobytes()
         assert entropy_to_gray(h, c).tobytes() == former_entropy_to_gray(h, c).tobytes()
         assert argmax_labels(p).tobytes() == former_argmax_labels(p).tobytes()
+        pred = argmax_labels(p)
+        for k in range(c):
+            assert dice(pred, gt, k) == former_dice(pred, gt, k)
         assert_add_matches(p, gt, n_bins, foreground_only=foreground_only)
         bad = p.copy()
         bad[(0,) + tuple(n - 1 for n in p.shape[1:])] = np.nan
@@ -512,6 +523,28 @@ def test_entropy_peak_does_not_grow_with_the_case(tmp_path):
     peaks = _peaks_at_depths(tmp_path, "entropy", "--out", str(tmp_path / "h.uqsg"))
     assert abs(peaks[1] - peaks[0]) < 2 * block, peaks
     assert max(peaks) < 10 * block + slack, peaks
+
+
+def test_dice_holds_its_two_label_files_and_block_masks(tmp_path):
+    """``dice`` of four label codes on (32, 128, 256) labels counts each class by block: it
+    holds its two uint8 label files whole (2 n bytes, n = 32 float64 blocks) and block-sized
+    masks. Three whole bool masks of one class (both labels' and their overlap) would add
+    3 n bytes, 96 blocks. Its rows are the Dice of whole masks."""
+    spatial = (32, *RUN_SPATIAL[1:])
+    n = int(np.prod(spatial))
+    rng = np.random.default_rng(28)
+    for name in ("pred", "gt"):
+        write_array(tmp_path / f"{name}.uqsg", rng.integers(0, 4, size=spatial).astype(np.uint8))
+    argv = ["dice", "--pred", str(tmp_path / "pred.uqsg"), "--gt", str(tmp_path / "gt.uqsg"),
+            "--classes", "0,1,2,3", "--out", str(tmp_path / "d.csv")]
+    block = 8 * RUN_BLOCK  # one float64 block
+    slack = 128 * 1024  # numpy's cast buffers and interpreter objects
+    with patch.object(uqseg.arrays, "BLOCK_PIXELS", RUN_BLOCK):
+        peak = _command_peak(*argv)
+    assert peak < 2 * n + 2 * block + slack, (peak - 2 * n) / block
+    pred, gt = (read_array(tmp_path / f"{name}.uqsg") for name in ("pred", "gt"))
+    assert (tmp_path / "d.csv").read_text().splitlines()[1:] == [
+        csv_line(*vars(former_dice(pred, gt, k)).values()) for k in range(4)]
 
 
 def test_run_scoring_pass_holds_a_window_of_rows(tmp_path, monkeypatch):

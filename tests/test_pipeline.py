@@ -2004,3 +2004,86 @@ class TestOutputCreator:
                     run_pipeline(cfg)
             else:
                 run_pipeline(cfg)
+
+
+class TestStreamedRows:
+    """``run`` writes each case's rows of ``scores.csv``, ``dice.csv`` and ``summary.csv``
+    as the case ends and keeps two floats per scored class for the Spearman row."""
+
+    def test_peak_grows_by_less_than_a_kib_per_case(self, tmp_path):
+        """From 20 to 200 cases of c = 3 (two scored classes), 16x16 and six members.
+        Holding every case's results until the last CSV cost ~2.3 KiB per case."""
+        peaks = []
+        for n in (20, 200):
+            root = tmp_path / f"n{n}"
+            root.mkdir()
+            _write_two_cycle_inputs(root, [f"case{i:04d}" for i in range(n)], (3, 16, 16),
+                                    np.random.default_rng(29))
+            cfg = small_config(root, outdir="out", eta=1.0)
+            tracemalloc.start()
+            try:
+                run_pipeline(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len((root / "out" / "dice.csv").read_text().splitlines()) == 1 + 2 * 200
+        assert peaks[1] - peaks[0] < 180 * 1024, (peaks[1] - peaks[0]) / 180
+
+    def test_a_fault_in_the_last_case_publishes_nothing(self, tmp_path, monkeypatch):
+        """The last of three cases has no labels. The rows of the first two are handed to
+        their files before it starts, yet the run raises a StageError naming it, leaves the
+        empty ``outdir`` as it was and removes its staging tree."""
+        import uqseg.pipeline
+        import uqseg.reports
+
+        cfg = _three_2d_cases(tmp_path)
+        (tmp_path / "cases" / "case0002_labels.uqsg").unlink()
+        (tmp_path / "out").mkdir()
+        rendered, before_last = [], []
+        csv_line, read_labels = uqseg.reports.csv_line, uqseg.pipeline.read_labels
+
+        def spy_csv_line(*cells):
+            rendered.append(cells[:2])
+            return csv_line(*cells)
+
+        def spy_read_labels(path, *args):
+            if "case0002" in str(path):
+                before_last.extend(rendered)
+            return read_labels(path, *args)
+
+        monkeypatch.setattr(uqseg.reports, "csv_line", spy_csv_line)
+        monkeypatch.setattr(uqseg.pipeline, "read_labels", spy_read_labels)
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert str(err.value).startswith("stage 'metrics' failed for case case0002: ")
+        for case_id in ("case0000", "case0001"):  # two classes: a score and a Dice row each
+            assert before_last.count((case_id, 1)) == before_last.count((case_id, 2)) == 2
+            assert before_last.count(("case", case_id)) == 4  # summary: two rows per class
+        assert list((tmp_path / "out").iterdir()) == []
+        assert staged(tmp_path / "out") == []
+
+    def test_write_summary_writes_a_generator_as_it_writes_a_list(self, tmp_path):
+        """The same bytes from generators as from lists; ``dataset_rows`` is drawn only
+        after the last case."""
+        from uqseg.pipeline import write_summary
+
+        cases = [("a", 1, 0.1, 0.9), ("a", 2, 0.4, 0.5), ("b", 1, 0.2, 0.8),
+                 ("c", 1, 0.3, 1.0)]
+        rows = [("ece_percent", 1.5), ("h_total_region", "image")]
+        drawn = []
+
+        def case_stream():
+            for case in cases:
+                drawn.append(case)
+                yield case
+
+        def row_stream():
+            assert drawn == cases
+            yield from rows
+
+        write_summary(tmp_path / "list.csv", cases, rows)
+        write_summary(tmp_path / "stream.csv", case_stream(), row_stream())
+        lines = (tmp_path / "list.csv").read_text().splitlines()
+        assert (tmp_path / "stream.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+        assert len(lines) == 1 + 2 * len(cases) + 1 + len(rows)
+        assert lines[-3].startswith("dataset,,,spearman_score_dice,")
