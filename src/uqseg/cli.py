@@ -9,15 +9,14 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, arrays, reports
+from . import __version__, reports
 from .arrayio import FORMAT_VERSION, ArrayFile, write_pgm
-from .arrays import SIMPLEX_TOLERANCE, pixel_blocks, validate_probability_shape
+from .arrays import SIMPLEX_TOLERANCE
 from .ensemble import argmax_labels
 from .errors import UqsegError, ValidationError
 from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice
@@ -74,17 +73,6 @@ def _add_scene_args(p, cases, cases_help):
     p.add_argument("--noise", type=float, default=0.1)
 
 
-@contextmanager
-def stored_blocks(path):
-    """``pipeline.fuse_blocks`` for the posterior file at ``path``: the open ``ArrayFile``,
-    its shape checked with its header, and its ``(pixels, rows)`` per block, validated as read."""
-    with ArrayFile(path) as f:
-        validate_probability_shape(f.shape, name=str(path))
-        yield f, ((pixels, arrays.validate_probabilities(
-            f.rows(pixels).reshape(f.shape[0], 1, -1), name=str(path))[:, 0])
-            for pixels in pixel_blocks(f.n))  # no name holds the rows of the block before
-
-
 def check_output(out, inputs):
     """ValidationError if the file ``out`` (None: stdout) is one of the files ``inputs``."""
     for path in inputs:
@@ -104,16 +92,16 @@ def cmd_select(args):
 def cmd_fuse(args):
     paths = [Path(args.inputs) / f"{cid}.uqsg"
              for cid in read_selection(args.manifest).checkpoint_ids]
-    with fuse_blocks(paths) as (shape, blocks):
+    with fuse_blocks(paths) as (first, blocks):
         check_output(args.out, paths)
-        with ArrayFile(args.out, shape, np.float32) as f:
+        with ArrayFile(args.out, first.shape, np.float32) as f:
             for pixels, rows in blocks:
                 f.write(pixels, rows)
                 del rows  # before the next block is read
 
 
 def cmd_entropy(args):
-    with stored_blocks(args.input) as (f, blocks):
+    with fuse_blocks([args.input]) as (f, blocks):
         if args.pgm is not None:  # before ``--out`` is created, so a failure here writes nothing
             check_output(pgm := Path(args.pgm) / f"{Path(args.out).stem}.pgm", [args.input])
             if os.path.realpath(pgm) == os.path.realpath(args.out):
@@ -132,7 +120,7 @@ def cmd_entropy(args):
 
 def cmd_score(args):
     classes = _parse_classes(args.classes)
-    with stored_blocks(args.input) as (f, blocks):
+    with fuse_blocks([args.input]) as (f, blocks):
         classes = check_classes(classes, f.shape[0])
         h_total = 0.0
         for pixels, rows in blocks:  # validates every block before a mask is made
@@ -143,23 +131,23 @@ def cmd_score(args):
 
 
 def cmd_dice(args):
+    classes = _parse_classes(args.classes)  # before any file is read, so a bad flag wins
+    if len(set(classes)) < len(classes) or not all(0 <= k < 256 for k in classes):
+        raise ValidationError(f"label codes must be in [0, 256), each once; got {args.classes!r}")
     pred = read_labels(args.pred, 256)
     gt = read_labels(args.gt, 256)
     if pred.shape != gt.shape:
         raise ValidationError(
             f"{args.pred}: labels shape {pred.shape} does not match {args.gt} shape {gt.shape}"
         )
-    classes = _parse_classes(args.classes)
-    if len(set(classes)) < len(classes) or not all(0 <= k < 256 for k in classes):
-        raise ValidationError(f"label codes must be in [0, 256), each once; got {args.classes!r}")
     _emit([reports.DICE_HEADER] + [reports.csv_line(*vars(dice(pred, gt, k)).values())
                                    for k in classes], args.out)
 
 
 def cmd_ece(args):
-    with stored_blocks(args.pred) as (f, blocks):
+    acc = CalibrationAccumulator(args.bins)  # before any file is read, so a bad flag wins
+    with fuse_blocks([args.pred]) as (f, blocks):
         gt = read_labels(args.gt, f.shape[0], f.shape).reshape(-1)
-        acc = CalibrationAccumulator(args.bins)
         for pixels, rows in blocks:
             acc.add(rows, gt[pixels], argmax_labels(rows), foreground_only=args.foreground_only)
             del rows  # before the next block is read

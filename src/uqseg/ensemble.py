@@ -14,8 +14,8 @@ def ensemble_mean(members, names=None) -> np.ndarray:
     """Uniform per-pixel, per-class mean of member posteriors, in float64.
 
     ``members`` is any iterable of probability arrays of one shape, such as
-    a generator that reads them. This is where member posteriors enter the
-    analysis, so each one is validated here, once, in its own dtype. The
+    the generator with which ``pipeline.fuse_blocks`` reads two or more files.
+    Each member is validated here, once, in its own dtype. The
     members are added in order into a float64 running sum that is then
     divided by n: bit for bit the float64 mean of the stacked members,
     without building the stack. Each member is dropped before the next is

@@ -14,7 +14,8 @@ as it ends. Beyond its block-sized case a run keeps two floats per scored class,
 for the Spearman row. The tree is built in a sibling staging directory and
 renamed into ``outdir`` at the end, so ``outdir`` holds a whole run or nothing;
 a failure names the stage and the case. The steps that ``run`` shares with the
-stage commands of ``cli`` are public.
+stage commands of ``cli`` are public; ``fuse_blocks`` is the one reader of posterior
+files, for ``run`` and for ``uqseg fuse``, ``entropy``, ``score`` and ``ece``.
 """
 
 import os
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import reports
 from .arrayio import ArrayFile, entropy_to_gray, read_array
-from .arrays import pixel_blocks, validate_labels, validate_probability_shape
+from .arrays import (pixel_blocks, validate_labels, validate_probabilities,
+                     validate_probability_shape)
 from .ensemble import argmax_labels, ensemble_mean
 from .errors import StageError, ValidationError
 from .metrics import (DEFAULT_ECE_BINS, CalibrationAccumulator, dice_counts, dice_of_counts,
@@ -62,7 +64,7 @@ class PipelineConfig:
     per_cycle: int = SelectionPolicy.per_cycle
     window_fraction: float = SelectionPolicy.window_fraction
     min_peak_ratio: float = SelectionPolicy.min_peak_ratio
-    classes: tuple = ()  # empty: every foreground class found in the data
+    classes: tuple = ()  # empty: classes 1 to c - 1 of the posterior
     bins: int = DEFAULT_ECE_BINS
     entropy_region: str = "image"  # or "contour"
     ece_foreground_only: bool = False
@@ -182,9 +184,10 @@ def _stage(name, case_id=None):
 
 @contextmanager
 def fuse_blocks(paths):
-    """Open every member file of ``paths``, checking its header and shape, and yield the
-    mean's shape and its ``(pixels, float32 rows)`` per pixel block, in order: each block's
-    member rows read in ``paths`` order and averaged in float64 by ``ensemble_mean``."""
+    """Open every posterior file of ``paths``, checking its header and shape, and yield the
+    first open ``ArrayFile`` and the mean's ``(pixels, float32 rows)`` per pixel block, in
+    order, validated as read: one file's own rows, or the member rows read in ``paths`` order
+    and averaged in float64 by ``ensemble_mean``. Either mean holds no ``-0.0``."""
     with ExitStack() as stack:
         members = []
         for path in paths:
@@ -200,9 +203,13 @@ def fuse_blocks(paths):
             for pixels in pixel_blocks(members[0].n):
                 # a generator expression keeps no reference to the member it yielded
                 rows = (m.rows(pixels).reshape(shape[0], 1, -1) for m in members)
-                yield pixels, ensemble_mean(rows, paths)[:, 0].astype(np.float32)
+                block = (validate_probabilities(next(rows), name=paths[0]) if len(members) == 1
+                         else ensemble_mean(rows, paths)).astype(np.float32, copy=False)
+                block += 0.0  # in place: one file's -0.0 is +0.0, as in ensemble_mean's sum
+                yield pixels, block[:, 0]
+                del block  # before the next block is read
 
-        yield shape, blocks()
+        yield members[0], blocks()
 
 
 def entropy_block(out, pixels, rows):
@@ -315,17 +322,18 @@ def _run_case(cfg, ids, pred_root, cases_root, case_id, out, acc):
     with (
         _stage("fuse", case_id),  # and the block loop; the stages inside name theirs
         fuse_blocks([os.path.join(pred_root, case_id, f"{cid}.uqsg") for cid in ids]) as (
-            shape, blocks),
-        ArrayFile(os.path.join(out, "mean", f"{case_id}.uqsg"), shape, np.float32) as mean,
-        ArrayFile(os.path.join(out, "entropy", f"{case_id}.uqsg"), shape[1:],
+            first, blocks),
+        ArrayFile(os.path.join(out, "mean", f"{case_id}.uqsg"), first.shape, np.float32) as mean,
+        ArrayFile(os.path.join(out, "entropy", f"{case_id}.uqsg"), first.shape[1:],
                   np.float32) as entropy,
-        ArrayFile(os.path.join(out, "entropy", f"{case_id}.pgm"), shape[1:], np.uint8,
+        ArrayFile(os.path.join(out, "entropy", f"{case_id}.pgm"), first.shape[1:], np.uint8,
                   pgm=True) as pgm,
     ):
         with _stage("score", case_id):
-            classes = check_classes(cfg.classes or range(1, shape[0]), shape[0])
+            classes = check_classes(cfg.classes or range(1, first.shape[0]), first.shape[0])
         with _stage("metrics", case_id):
-            gt = read_labels(os.path.join(cases_root, f"{case_id}_labels.uqsg"), shape[0], shape)
+            gt = read_labels(os.path.join(cases_root, f"{case_id}_labels.uqsg"), first.shape[0],
+                             first.shape)
         counts, h_case = np.zeros((len(classes), 3), dtype=np.int64), 0.0  # dice_counts per class
         for pixels, rows in blocks:
             mean.write(pixels, rows)
@@ -337,7 +345,7 @@ def _run_case(cfg, ids, pred_root, cases_root, case_id, out, acc):
             counts += [dice_counts(pred, truth, k) for k in classes]
             del rows  # before the next block is fused
         with _stage("score", case_id):  # one more pass, over the mean just written
-            scores = class_scores(shape[1:], classes, h_case, mean.rows,
+            scores = class_scores(first.shape[1:], classes, h_case, mean.rows,
                                   cfg.entropy_region == "contour")
         return scores, list(map(dice_of_counts, classes, *counts.T.tolist())), h_case, mean.n
 

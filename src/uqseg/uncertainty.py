@@ -10,7 +10,7 @@ Entropy is base-2 (bits) throughout. Masks are bool arrays, dilated with a
 box (a full square or cube) one axis at a time. Scores always dilate slice by
 slice with the 3x3 square; only ``dilate`` and ``contour_normalizer`` take an
 element, such as a 3D box. Posteriors are validated where they enter the program
-(``ensemble_mean``, ``cli.stored_blocks``), so these kernels trust them.
+(``pipeline.fuse_blocks`` for files, ``ensemble_mean`` for arrays), so these kernels trust them.
 """
 
 import math
@@ -171,6 +171,8 @@ def uncertainty_score(p, class_id: int, *, restrict_to_contour=False):
     check_classes([class_id], p.shape[0])
     validate_probability_shape(p.shape)
     flat = p.reshape(p.shape[0], -1)
-    h_total = sum(float(pixel_entropy(flat[:, sl]).sum()) for sl in pixel_blocks(flat.shape[1]))
+    h_total = 0.0
+    for sl in pixel_blocks(flat.shape[1]):  # not ``sum``: it compensates from Python 3.12
+        h_total += float(pixel_entropy(flat[:, sl]).sum())
     return class_scores(p.shape[1:], [class_id], h_total, lambda sl: flat[:, sl],
                         restrict_to_contour)[0]

@@ -568,6 +568,22 @@ def test_fuse_writes_the_float32_of_the_whole_member_mean(tmp_path, shape, block
     assert (tmp_path / "mean.uqsg").read_bytes() == (tmp_path / "oracle.uqsg").read_bytes()
 
 
+def test_one_member_fuse_writes_no_negative_zero(tmp_path):
+    """``uqseg fuse`` of one member writes +0.0 where the member holds -0.0, as the float64
+    sum of ``ensemble_mean`` does for any number of members: a mean holds no -0.0."""
+    labels = np.random.default_rng(11).integers(0, 3, size=(4, 5))
+    member = np.where(np.arange(3)[:, None, None] == labels, 1.0, -0.0).astype(np.float32)
+    write_array(tmp_path / "ep0.uqsg", member)
+    (tmp_path / "manifest.csv").write_text("cycle,epoch,checkpoint_id,metric\n1,0,ep0,0.5\n")
+    assert main(["fuse", "--manifest", str(tmp_path / "manifest.csv"), "--inputs", str(tmp_path),
+                 "--out", str(tmp_path / "mean.uqsg")]) == 0
+    mean = read_array(tmp_path / "mean.uqsg")
+    assert np.signbit(member).sum() == 2 * 4 * 5
+    assert not np.signbit(mean).any()
+    assert mean.tobytes() == ensemble_mean([member]).astype(np.float32).tobytes()
+    np.testing.assert_array_equal(mean, member)
+
+
 class TestStreamedFuseErrors:
     """Members are read in manifest order, so the first bad one is reported."""
 
@@ -1728,6 +1744,21 @@ class TestInputChecks:
             f"error: label codes must be in [0, 256), each once; got {classes!r}\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dice", "--gt", "gt.uqsg", "--classes", "1x"], "bad class list '1x'; expected e.g. 1,2,3"),
+        (["dice", "--gt", "gt.uqsg", "--classes", "1,1"],
+         "label codes must be in [0, 256), each once; got '1,1'"),
+        (["ece", "--gt", "gt.uqsg", "--bins", "0", "--out", "e.csv"],
+         "n_bins must be in [1, 10000], got 0"),
+    ])
+    def test_dice_and_ece_check_their_flags_before_reading_any_file(
+            self, argv, message, tmp_path, capsys):
+        """A bad flag exits 2 even when ``--pred`` names no file, as ``score --classes`` does."""
+        argv = [str(tmp_path / a) if a.endswith((".uqsg", ".csv")) else a for a in argv]
+        assert main([*argv, "--pred", str(tmp_path / "missing.uqsg")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_dice_takes_the_whole_label_code_range(self, tmp_path, capsys):
         pred, gt = tmp_path / "pred.uqsg", tmp_path / "gt.uqsg"

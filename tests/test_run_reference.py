@@ -9,9 +9,13 @@ and ``csv_line`` for every row. ``run`` pools the ECE bins of every case into
 one accumulator, so the reference adds each case's pixel blocks as
 ``metrics.ece`` does for one posterior. The sums that ``run`` takes per pixel
 block (a case's entropy total, the ECE bin sums) are taken over the same
-blocks, so every byte must match, at any block size.
+blocks and added left to right, so every byte must match, at any block size.
+Some member pixels are one-hot with their zeros written as ``-0.0``; the
+reference's ``ensemble_mean`` writes ``+0.0`` there, also for one member.
 """
 
+from functools import reduce
+from operator import add
 from unittest.mock import patch
 
 import numpy as np
@@ -32,12 +36,19 @@ from uqseg.uncertainty import (FOREGROUND_THRESHOLD, UncertaintyScore, contour_n
 OUTPUTS = ("scores.csv", "dice.csv", "ece.csv", "summary.csv")
 
 
+def in_order(values):
+    """The float sum of ``values`` added left to right: not ``sum``, which compensates
+    from Python 3.12 on."""
+    return reduce(add, values, 0.0)
+
+
 def whole_score(mean, k, contour):
     """Class ``k``'s score from its whole mask and ring; each entropy sum per pixel block."""
     flat, ring = mean.reshape(len(mean), -1), contour_normalizer(mean[k] > FOREGROUND_THRESHOLD)
     ring = ring.reshape(-1)
-    total = sum(float(pixel_entropy(flat[:, sl][:, ring[sl]] if contour else flat[:, sl]).sum())
-                for sl in pixel_blocks(ring.size))
+    blocks = (flat[:, sl][:, ring[sl]] if contour else flat[:, sl]
+              for sl in pixel_blocks(ring.size))
+    total = in_order(float(pixel_entropy(rows).sum()) for rows in blocks)
     pixels = int(np.count_nonzero(ring))
     score = UncertaintyScore(k, total, pixels, total / pixels if pixels else 0.0, not pixels)
     assert uncertainty_score(mean, k, restrict_to_contour=contour) == score
@@ -63,7 +74,7 @@ def reference(inputs, ids, case_ids, out, classes, region, foreground_only, bins
         for sl in pixel_blocks(truth.size):
             acc.add(flat[:, sl], truth[sl], argmax_labels(flat[:, sl]),
                     foreground_only=foreground_only)
-        entropy_sum += sum(float(h.reshape(-1)[sl].sum()) for sl in pixel_blocks(truth.size))
+        entropy_sum += in_order(float(h.reshape(-1)[sl].sum()) for sl in pixel_blocks(truth.size))
         entropy_count += truth.size
         for k in classes or range(1, c):
             s = whole_score(mean, k, region == "contour")
@@ -112,7 +123,8 @@ def runs(draw):
 
 def write_inputs(root, spatial, c, members, cases, seed, **_):
     """A trace whose ``members`` 2-epoch cycles select ep1, ep3, ...; the members of each
-    case, from small integer logits (so ties and 0.5 exactly occur); uint8 labels."""
+    case, from small integer logits (so ties and 0.5 exactly occur), with about a quarter
+    of their pixels one-hot, their zeros written as ``-0.0``; uint8 labels."""
     rng = np.random.default_rng(seed)
     epochs = 2 * members
     (root / "trace.csv").write_text("epoch,lr,val_metric,checkpoint_id\n" + "".join(
@@ -124,8 +136,10 @@ def write_inputs(root, spatial, c, members, cases, seed, **_):
         (root / "predictions" / case_id).mkdir(parents=True)
         for cid in ids:
             logits = rng.integers(-2, 3, size=(c, *spatial)).astype(np.float64)
-            p = np.exp(logits) / np.exp(logits).sum(axis=0)
-            write_array(root / "predictions" / case_id / f"{cid}.uqsg", p.astype(np.float32))
+            p = (np.exp(logits) / np.exp(logits).sum(axis=0)).astype(np.float32)
+            hot = rng.random(spatial) < 0.25
+            p[:, hot] = np.where(np.arange(c)[:, None] == rng.integers(0, c, hot.sum()), 1.0, -0.0)
+            write_array(root / "predictions" / case_id / f"{cid}.uqsg", p)
         write_array(root / "cases" / f"{case_id}_labels.uqsg",
                     rng.integers(0, c, size=spatial).astype(np.uint8))
     return ids, case_ids, epochs

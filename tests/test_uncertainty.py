@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqseg.arrays
+import uqseg.cli
 import uqseg.uncertainty
+from uqseg.arrayio import write_array
+from uqseg.arrays import pixel_blocks
+from uqseg.cli import main
 from uqseg.errors import ValidationError
 from uqseg.uncertainty import (
     StructuringElement,
@@ -339,6 +344,30 @@ class TestTotalEntropy:
         expected = sum(h[pos] for pos in np.ndindex(h.shape) if ring[pos])
         s = uncertainty_score(p, 1, restrict_to_contour=True)
         assert s.h_total == pytest.approx(expected, abs=1e-12)
+
+    def test_image_total_adds_its_block_sums_as_uqseg_score_does(self, tmp_path, monkeypatch):
+        """On a posterior of 858 pixel blocks, ``h_total`` is the block sums added left to
+        right, bit for bit the total ``uqseg score`` hands ``class_scores``; the built-in
+        ``sum`` compensates from Python 3.12 on, and these sums round apart."""
+        e = np.random.default_rng(35).random((4, 3, 40, 50))
+        p = (e / e.sum(axis=0)).astype(np.float32)
+        write_array(tmp_path / "p.uqsg", p)
+        monkeypatch.setattr(uqseg.arrays, "BLOCK_PIXELS", 7)
+        flat = p.reshape(4, -1)
+        sums = [float(pixel_entropy(flat[:, sl]).sum()) for sl in pixel_blocks(flat.shape[1])]
+        assert len(sums) == 858
+        in_order = 0.0
+        for value in sums:
+            in_order += value
+        assert in_order != math.fsum(sums)  # the data tells the two sums apart
+        totals, scores = [], uqseg.cli.class_scores
+        monkeypatch.setattr(uqseg.cli, "class_scores",
+                            lambda shape, classes, h, *args: totals.append(h) or scores(
+                                shape, classes, h, *args))
+        assert main(["score", "--in", str(tmp_path / "p.uqsg"), "--classes", "2",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert totals == [in_order]
+        assert uncertainty_score(p, 2).h_total == in_order
 
 
 class TestUncertaintyScore:
