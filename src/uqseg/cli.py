@@ -119,9 +119,9 @@ def cmd_entropy(args):
 
 
 def cmd_score(args):
-    classes = _parse_classes(args.classes)
+    classes = check_classes(_parse_classes(args.classes))  # before any file is read
     with fuse_blocks([args.input]) as (f, blocks):
-        classes = check_classes(classes, f.shape[0])
+        check_classes(classes, f.shape[0])  # only the upper bound waits for c
         h_total = 0.0
         for pixels, rows in blocks:  # validates every block before a mask is made
             h_total += float(pixel_entropy(rows).sum())

@@ -220,11 +220,10 @@ def entropy_block(out, pixels, rows):
 
 
 def select_checkpoints(trace_path, settings, out):
-    """Select the checkpoints of the trace CSV at ``trace_path`` and write the
-    manifest to ``out``; ``settings`` carries the schedule and policy fields."""
-    selection = find_cycle_peaks(TrainingTrace.from_csv(trace_path),
-                                 settings_of(SgdrConfig, settings),
-                                 settings_of(SelectionPolicy, settings))
+    """Select the checkpoints of the trace CSV at ``trace_path`` and write the manifest to
+    ``out``; ``settings`` carries the schedule and policy fields, checked before the read."""
+    cfg, policy = settings_of(SgdrConfig, settings), settings_of(SelectionPolicy, settings)
+    selection = find_cycle_peaks(TrainingTrace.from_csv(trace_path), cfg, policy)
     export_selection(selection, out)
     return selection
 

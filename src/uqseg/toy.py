@@ -69,6 +69,9 @@ class ToyCase:
     class_count: int
     noise_std: float
 
+    def __post_init__(self):  # the image is stored as float32, so it must fit
+        _float32(self.image, f"case {self.case_id} image")
+
     @cached_property
     def features(self) -> np.ndarray:
         """``case_features`` of the image, computed on first use only."""
@@ -93,7 +96,7 @@ def generate_dataset(seed: int, n_cases: int, shape=(64, 64), class_count: int =
     h, w = shape
     m = min(h, w)
     r_lo, r_hi = max(2, m // 7), max(2, m // 5)
-    if m < 8 or r_hi < r_lo:
+    if m < 8:
         raise ValidationError(f"shape {shape} too small for blob radii >= {r_lo}")
     if h * w > MAX_SCENE_PIXELS:
         raise ValidationError(f"shape {shape} has more than {MAX_SCENE_PIXELS} pixels")
@@ -302,22 +305,17 @@ def _float32(array, what):
     return out
 
 
-def _float32_images(cases):
-    return [_float32(case.image, f"case {case.case_id} image") for case in cases]
-
-
 def write_cases(cases, outdir):
     """Write cases/<id>_image.uqsg (float32) and <id>_labels.uqsg under ``outdir``.
 
-    Every image is checked to fit float32, and ``outdir`` to be absent or
-    empty, before the first file is written.
+    ``outdir`` is checked to be absent or empty before the first file is
+    written; every image fits float32 (``ToyCase`` checks it when made).
     """
-    images = _float32_images(cases)
     check_outdir(outdir)
     cases_dir = Path(outdir) / "cases"
     cases_dir.mkdir(parents=True, exist_ok=True)
-    for case, image in zip(cases, images):
-        write_array(cases_dir / f"{case.case_id}_image.uqsg", image)
+    for case in cases:
+        write_array(cases_dir / f"{case.case_id}_image.uqsg", case.image.astype(np.float32))
         write_array(cases_dir / f"{case.case_id}_labels.uqsg", case.labels)
 
 
@@ -330,15 +328,15 @@ def run_toy_training(outdir, *, seed: int, n_train: int, n_test: int, shape=(64,
     trace.csv, checkpoints/<cid>.uqsg (model weights), and
     predictions/<case>/<cid>.uqsg posteriors for each test case and saved
     checkpoint. Test cases are the last ``n_test`` and double as the
-    validation split for the trace. Nothing is written before training has
-    finished and every image and weight array is known to fit float32.
+    validation split for the trace. An image past float32 fails as its scene
+    is made; nothing is written before training has finished and every
+    weight array is known to fit float32.
     """
     out = Path(outdir)
     cases = generate_dataset(
         seed, n_train + n_test, shape=shape, class_count=class_count, noise_std=noise_std
     )
     train_cases, test_cases = cases[:n_train], cases[n_train:]
-    _float32_images(cases)  # an image past float32 fails before training
     check_outdir(outdir)
 
     trace, checkpoints = train(train_cases, test_cases, cfg, policy, seed=seed)

@@ -1746,17 +1746,28 @@ class TestInputChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["dice", "--gt", "gt.uqsg", "--classes", "1x"], "bad class list '1x'; expected e.g. 1,2,3"),
-        (["dice", "--gt", "gt.uqsg", "--classes", "1,1"],
+        (["dice", "--pred", "missing.uqsg", "--gt", "gt.uqsg", "--classes", "1x"],
+         "bad class list '1x'; expected e.g. 1,2,3"),
+        (["dice", "--pred", "missing.uqsg", "--gt", "gt.uqsg", "--classes", "1,1"],
          "label codes must be in [0, 256), each once; got '1,1'"),
-        (["ece", "--gt", "gt.uqsg", "--bins", "0", "--out", "e.csv"],
+        (["ece", "--pred", "missing.uqsg", "--gt", "gt.uqsg", "--bins", "0", "--out", "e.csv"],
          "n_bins must be in [1, 10000], got 0"),
+        (["score", "--in", "missing.uqsg", "--classes", "1,1", "--out", "s.csv"],
+         "class list [1, 1] names a class more than once"),
+        (["score", "--in", "missing.uqsg", "--classes", "0,1", "--out", "s.csv"],
+         "class 0 out of range; background (class 0) has no uncertainty score"),
+        (["select-checkpoints", "--trace", "missing.csv", "--t0", "0", "--out", "m.csv"],
+         "t0 must be >= 1, got 0"),
+        (["select-checkpoints", "--trace", "missing.csv", "--per-cycle", "0", "--out", "m.csv"],
+         "per_cycle must be >= 1, got 0"),
+        (["select-checkpoints", "--trace", "missing.csv", "--lr-min", "1", "--lr-max", "0.5",
+          "--out", "m.csv"], "need 0 <= lr_min <= lr_max, got lr_min=1.0 lr_max=0.5"),
     ])
-    def test_dice_and_ece_check_their_flags_before_reading_any_file(
+    def test_every_command_checks_its_flags_before_reading_any_file(
             self, argv, message, tmp_path, capsys):
-        """A bad flag exits 2 even when ``--pred`` names no file, as ``score --classes`` does."""
+        """A bad flag exits 2, and creates nothing, even when the input file is missing."""
         argv = [str(tmp_path / a) if a.endswith((".uqsg", ".csv")) else a for a in argv]
-        assert main([*argv, "--pred", str(tmp_path / "missing.uqsg")]) == 2
+        assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 

@@ -13,6 +13,7 @@ from uqseg.scheduler import SgdrConfig, lr_at, restart_epochs, schedule_rows
 from uqseg.selection import SelectionPolicy, TraceRecord, TrainingTrace
 from uqseg.toy import (
     FEATURE_COUNT,
+    ToyCase,
     boundary_band,
     case_features,
     checkpoint_epochs,
@@ -38,6 +39,20 @@ class TestGenerateDataset:
             np.testing.assert_array_equal(ca.image, cb.image)
             np.testing.assert_array_equal(ca.labels, cb.labels)
             assert ca.case_id == cb.case_id
+
+    def test_a_case_image_past_float32_names_the_case(self):
+        labels = np.zeros((4, 4), dtype=np.uint8)
+        with pytest.raises(NumericError) as err:
+            ToyCase("big", np.full((4, 4), 1e39), labels, 2, 0.0)
+        assert str(err.value) == "case big image has values that are not finite in float32"
+
+    def test_a_scene_past_float32_fails_before_the_next_is_rendered(self, monkeypatch):
+        rendered = []
+        render = toy._render
+        monkeypatch.setattr(toy, "_render", lambda *args: rendered.append(args) or render(*args))
+        with pytest.raises(NumericError, match="^case case0000 image has values that are not "):
+            generate_dataset(0, 3, shape=(16, 16), noise_std=1.5e308)
+        assert len(rendered) == 1
 
     def test_different_seeds_differ(self):
         a = generate_dataset(7, 3, shape=(32, 32))
