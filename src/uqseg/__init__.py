@@ -11,8 +11,8 @@ Library layout:
 * ``metrics``              -- Dice, calibration (ECE), rank correlation
 * ``toy``                  -- synthetic data and a small trainable model
 * ``pipeline`` / ``cli``   -- end-to-end driver and command line; the
-  ``run`` config keys are the fields of ``PipelineConfig``, and the
-  schedule and policy flags the fields of ``SgdrConfig`` and ``SelectionPolicy``
+  ``run`` config keys are the fields of ``PipelineConfig``, and a command's schedule
+  and policy flags the fields of ``SgdrConfig`` and ``SelectionPolicy`` it reads
 """
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, reports
-from .arrayio import FORMAT_VERSION, ArrayFile, write_pgm
+from .arrayio import FORMAT_VERSION, ArrayFile, entropy_to_gray, write_pgm
 from .arrays import SIMPLEX_TOLERANCE
 from .ensemble import argmax_labels
 from .errors import UqsegError, ValidationError
@@ -57,9 +57,10 @@ def _emit(lines, out_path):
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _add_settings_args(p, *settings):
-    """One flag per field of each settings dataclass, typed and defaulted by it."""
-    for f in [f for cls in settings for f in fields(cls)]:
+def _add_settings_args(p, *settings, skip=()):
+    """One flag per field of each settings dataclass, typed and defaulted by it, but none
+    for the fields in ``skip``, which the command never reads (``settings_of`` defaults them)."""
+    for f in [f for cls in settings for f in fields(cls) if f.name not in skip]:
         flag = "--epochs" if f.name == "total_epochs" else "--" + f.name.replace("_", "-")
         p.add_argument(flag, dest=f.name, type=FIELD_PARSERS[f.type], default=f.default)
 
@@ -109,10 +110,10 @@ def cmd_entropy(args):
             gray = np.empty(f.n, dtype=np.uint8)  # the one whole array, and only for the PGM
         with ArrayFile(args.out, f.shape[1:], np.float32) as e:
             for pixels, rows in blocks:
-                block_gray, _ = entropy_block(e, pixels, rows)
+                h = entropy_block(e, pixels, rows)
                 if args.pgm is not None:
-                    gray[pixels] = block_gray
-                del rows, block_gray  # before the next block is read
+                    gray[pixels] = entropy_to_gray(h, len(rows))
+                del rows, h  # before the next block is read
             if args.pgm is not None:  # after the last block, so a failure removes ``--out``
                 Path(args.pgm).mkdir(parents=True, exist_ok=True)
                 write_pgm(pgm, gray.reshape(f.shape[1:]))
@@ -124,7 +125,7 @@ def cmd_score(args):
         check_classes(classes, f.shape[0])  # only the upper bound waits for c
         h_total = 0.0
         for pixels, rows in blocks:  # validates every block before a mask is made
-            h_total += float(pixel_entropy(rows).sum())
+            h_total += 0.0 if args.contour_entropy else float(pixel_entropy(rows).sum())
             del rows  # before the next block is read
         scores = class_scores(f.shape[1:], classes, h_total, f.rows, args.contour_entropy)
     _emit([reports.SCORE_HEADER] + [reports.csv_line(*vars(s).values()) for s in scores], args.out)
@@ -225,7 +226,7 @@ def build_parser():
 
     p = _command(sub, "select-checkpoints", cmd_select, "pick peak checkpoints per cycle", "trace")
     p.add_argument("--trace", required=True)
-    _add_settings_args(p, SgdrConfig, SelectionPolicy)
+    _add_settings_args(p, SgdrConfig, SelectionPolicy, skip=("lr_max", "lr_min"))
     p.add_argument("--out", required=True)
 
     p = _command(sub, "fuse", cmd_fuse, "average member posteriors from a manifest", "manifest")
@@ -273,7 +274,7 @@ def build_parser():
     p = _command(sub, "toy-train", cmd_toy_train, "train the toy model and emit artifacts")
     _add_scene_args(p, 16, "training cases")
     p.add_argument("--test-cases", type=int, default=4)
-    _add_settings_args(p, SgdrConfig, SelectionPolicy)
+    _add_settings_args(p, SgdrConfig, SelectionPolicy, skip=("min_peak_ratio",))
     p.add_argument("--outdir", required=True)
 
     p = _command(sub, "run", cmd_run, "run the full analysis pipeline from a config")

@@ -44,10 +44,11 @@ from .uncertainty import check_classes, class_scores, pixel_entropy
 def settings_of(cls, source):
     """The settings dataclass ``cls`` from the same-named attributes of ``source``.
 
-    ``source`` is a PipelineConfig or parsed CLI arguments: both carry each
-    field of SgdrConfig and SelectionPolicy under the field's own name.
+    ``source`` is a PipelineConfig or parsed CLI arguments, which carry the
+    fields of SgdrConfig and SelectionPolicy under their own names; a field
+    that ``source`` lacks, one its command never reads, takes its default.
     """
-    return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
+    return cls(**{f.name: getattr(source, f.name, f.default) for f in fields(cls)})
 
 
 @dataclass
@@ -213,10 +214,10 @@ def fuse_blocks(paths):
 
 
 def entropy_block(out, pixels, rows):
-    """Write one block's entropy rows to ``out``; its 8-bit values and its total."""
+    """Write one block's entropy rows to ``out`` and return them in float64."""
     h = pixel_entropy(rows)
     out.write(pixels, h.astype(np.float32)[None])
-    return entropy_to_gray(h, len(rows)), float(h.sum())
+    return h
 
 
 def select_checkpoints(trace_path, settings, out):
@@ -336,9 +337,9 @@ def _run_case(cfg, ids, pred_root, cases_root, case_id, out, acc):
         counts, h_case = np.zeros((len(classes), 3), dtype=np.int64), 0.0  # dice_counts per class
         for pixels, rows in blocks:
             mean.write(pixels, rows)
-            gray, h_block = entropy_block(entropy, pixels, rows)
-            pgm.write(pixels, gray[None])
-            h_case += h_block
+            h = entropy_block(entropy, pixels, rows)
+            pgm.write(pixels, entropy_to_gray(h, len(rows))[None])
+            h_case += float(h.sum())
             pred, truth = argmax_labels(rows), gt.reshape(-1)[pixels]
             acc.add(rows, truth, pred, foreground_only=cfg.ece_foreground_only)
             counts += [dice_counts(pred, truth, k) for k in classes]

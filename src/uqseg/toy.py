@@ -71,6 +71,10 @@ class ToyCase:
 
     def __post_init__(self):  # the image is stored as float32, so it must fit
         _float32(self.image, f"case {self.case_id} image")
+        if np.shape(self.labels) != np.shape(self.image):
+            raise ValidationError(f"case {self.case_id}: labels shape {np.shape(self.labels)} "
+                                  f"!= image shape {np.shape(self.image)}")
+        validate_labels(self.labels, self.class_count, name=f"case {self.case_id}")
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -214,30 +218,16 @@ def validation_dice(weights, cases) -> float:
     return float(np.mean(per_case))
 
 
-def _check_cases(cases, class_count):
-    """Every case must share ``class_count`` and carry labels in [0, class_count)."""
-    for case in cases:
-        if case.class_count != class_count:
-            raise ValidationError(
-                f"case {case.case_id}: class_count {case.class_count} differs from "
-                f"the first training case's {class_count}"
-            )
-        labels = np.asarray(case.labels)
-        if labels.shape != np.shape(case.image):
-            raise ValidationError(
-                f"case {case.case_id}: labels shape {labels.shape} != image shape "
-                f"{np.shape(case.image)}"
-            )
-        validate_labels(labels, class_count, name=f"case {case.case_id}")
-
-
 def train(train_cases, val_cases, cfg: SgdrConfig, policy=None, *, seed: int = 0):
     """Run the schedule; returns (TrainingTrace, {checkpoint_id: weights})."""
     if not train_cases or not val_cases:
         raise ValidationError("need at least one training case and one validation case")
     policy = policy or SelectionPolicy()
     class_count = train_cases[0].class_count
-    _check_cases([*train_cases, *val_cases], class_count)
+    for case in [*train_cases, *val_cases]:  # each checks its own labels when made
+        if case.class_count != class_count:
+            raise ValidationError(f"case {case.case_id}: class_count {case.class_count} differs "
+                                  f"from the first training case's {class_count}")
 
     classes = np.arange(class_count)
     feats = [case.features for case in train_cases]

@@ -162,17 +162,17 @@ def class_scores(shape, classes, h_total, rows_of, restrict_to_contour=False) ->
 def uncertainty_score(p, class_id: int, *, restrict_to_contour=False):
     """Contour-normalized uncertainty score for one class of a trusted posterior.
 
-    ``restrict_to_contour`` limits the entropy sum to the contour ring
-    instead of the whole image; either sum is taken per pixel block, the
-    block sums added in block order, as in ``run``. A ``class_id`` outside
+    ``restrict_to_contour`` sums the entropy of the contour ring only, in
+    ``class_scores``, and takes no whole-image sum; either sum is taken per
+    pixel block, the block sums added in block order, as in ``run``. A ``class_id`` outside
     1 to c - 1, or a shape other than (c, H, W) or (c, D, H, W), is a ValidationError.
     """
     p = np.asarray(p)
     check_classes([class_id], p.shape[0])
     validate_probability_shape(p.shape)
     flat = p.reshape(p.shape[0], -1)
-    h_total = 0.0
-    for sl in pixel_blocks(flat.shape[1]):  # not ``sum``: it compensates from Python 3.12
+    h_total = 0.0  # not ``sum``: it compensates from Python 3.12
+    for sl in () if restrict_to_contour else pixel_blocks(flat.shape[1]):
         h_total += float(pixel_entropy(flat[:, sl]).sum())
     return class_scores(p.shape[1:], [class_id], h_total, lambda sl: flat[:, sl],
                         restrict_to_contour)[0]

@@ -23,19 +23,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqseg.arrayio import write_array
-from uqseg.cli import main
+from uqseg.cli import build_parser, main
 from uqseg.scheduler import SgdrConfig
 from uqseg.selection import read_selection
 from uqseg.toy import run_toy_training
 
-SCHEDULE = ("--t0", "--eta", "--lr-max", "--lr-min", "--epochs")
+RATES = ("--lr-max", "--lr-min")
 POLICY = ("--per-cycle", "--window-fraction", "--min-peak-ratio")
 
 # (flags every example passes, flags it may add) per command: the required
 # flags, and the sizes of the toy commands, so none trains or draws at full size
 FLAGS = {
-    "lr-schedule": ((), (*SCHEDULE, "--out")),
-    "select-checkpoints": (("--trace", "--out"), (*SCHEDULE, *POLICY)),
+    "lr-schedule": ((), ("--t0", "--eta", *RATES, "--epochs", "--out")),
+    "select-checkpoints": (("--trace", "--out"), ("--t0", "--eta", "--epochs", *POLICY)),
     "fuse": (("--manifest", "--inputs", "--out"), ()),
     "entropy": (("--in", "--out"), ("--pgm",)),
     "score": (("--in", "--classes"), ("--out", "--contour-entropy")),
@@ -45,12 +45,21 @@ FLAGS = {
     "toy-gen": (("--seed", "--cases", "--shape", "--outdir"), ("--classes", "--noise")),
     "toy-train": (
         ("--seed", "--cases", "--shape", "--t0", "--epochs", "--outdir"),
-        ("--classes", "--noise", "--test-cases", "--eta", "--lr-max", "--lr-min", *POLICY),
+        ("--classes", "--noise", "--test-cases", "--eta", *RATES, "--per-cycle",
+         "--window-fraction"),
     ),
     "run": (("--config",), ()),
     "info": ((), ("--json",)),
 }
 SWITCHES = {"--contour-entropy", "--foreground-only", "--json"}
+
+
+def test_flags_are_each_commands_own():
+    """Every command is drawn, and with only its own flags: an unknown flag comes from _EXTRA."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert sorted(FLAGS) == sorted(commands)
+    for command, (required, optional) in FLAGS.items():
+        assert {*required, *optional} <= set(commands[command]._option_string_actions), command
 
 # mostly values the parsers accept, so most examples reach the command itself
 _INT = st.sampled_from(["0", "1", "2", "3", "4", "6", "-1", "-2", "x", "", "1e308"])

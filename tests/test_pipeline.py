@@ -1097,6 +1097,61 @@ def test_each_member_validated_once_and_entropy_computed_once(small_run, monkeyp
     assert calls == {"validate": 2 * members, "entropy": 2}  # two cases
 
 
+def _random_posterior_file(path, seed, shape=(3, 40, 30)):
+    e = np.random.default_rng(seed).random(shape)
+    p = (e / e.sum(axis=0)).astype(np.float32)
+    write_array(path, p)
+    return p
+
+
+@pytest.mark.parametrize("contour", [False, True])
+def test_score_takes_the_image_entropy_only_where_it_writes_it(contour, tmp_path, monkeypatch):
+    """``score`` reads every block, but takes each block's entropy only for the image total;
+    ``--contour-entropy`` takes only the ring's, in ``class_scores``. Its CSV is, byte for
+    byte, ``uncertainty_score``'s of each class."""
+    import uqseg.arrays
+    import uqseg.cli
+    import uqseg.uncertainty
+    from uqseg.reports import SCORE_HEADER, csv_line
+    from uqseg.uncertainty import uncertainty_score
+
+    p = _random_posterior_file(tmp_path / "p.uqsg", 37)
+    monkeypatch.setattr(uqseg.arrays, "BLOCK_PIXELS", 300)  # four blocks
+    scores = [uncertainty_score(p, k, restrict_to_contour=contour) for k in (1, 2)]
+    calls = {uqseg.cli: 0, uqseg.uncertainty: 0}
+    for module in calls:
+        monkeypatch.setattr(module, "pixel_entropy", lambda rows, module=module: (
+            calls.__setitem__(module, calls[module] + 1) or pixel_entropy(rows)))
+    argv = ["score", "--in", str(tmp_path / "p.uqsg"), "--classes", "1,2", "--out",
+            str(tmp_path / "s.csv")]
+    assert main(argv + ["--contour-entropy"] * contour) == 0
+    assert calls == {uqseg.cli: 0 if contour else 4, uqseg.uncertainty: 4 if contour else 0}
+    assert (tmp_path / "s.csv").read_text() == "".join(
+        line + "\n" for line in [SCORE_HEADER, *(csv_line(*vars(s).values()) for s in scores)])
+
+
+@pytest.mark.parametrize("pgm", [False, True])
+def test_entropy_makes_8_bit_maps_only_for_its_pgm(pgm, tmp_path, monkeypatch):
+    """``entropy`` maps each block to 8 bits only when ``--pgm`` writes the image; ``--out``
+    is the same either way, and the PGM is the 8-bit map of the whole entropy map."""
+    import uqseg.arrays
+    import uqseg.cli
+
+    p = _random_posterior_file(tmp_path / "p.uqsg", 38)
+    monkeypatch.setattr(uqseg.arrays, "BLOCK_PIXELS", 300)  # four blocks
+    sizes = []
+    monkeypatch.setattr(uqseg.cli, "entropy_to_gray",
+                        lambda h, c: sizes.append(h.size) or entropy_to_gray(h, c))
+    argv = ["entropy", "--in", str(tmp_path / "p.uqsg"), "--out", str(tmp_path / "h.uqsg")]
+    assert main(argv + ["--pgm", str(tmp_path / "maps")] * pgm) == 0
+    assert sizes == [300] * 4 * pgm
+    h = pixel_entropy(p.reshape(3, -1))
+    assert read_array(tmp_path / "h.uqsg").tobytes() == h.astype(np.float32).tobytes()
+    if pgm:
+        assert (tmp_path / "maps" / "h.pgm").read_bytes() == (
+            b"P5\n30 40\n255\n" + entropy_to_gray(h, 3).tobytes())
+
+
 def test_golden_summary_byte_for_byte(seed7_run):
     """Seed-7 summary must match the committed golden file exactly."""
     assert GOLDEN.exists(), "golden file missing; regenerate from a verified run"
@@ -1104,11 +1159,13 @@ def test_golden_summary_byte_for_byte(seed7_run):
     assert produced == GOLDEN.read_bytes()
 
 
-# each subcommand with settings flags, with its required arguments
+# each subcommand with settings flags: its required arguments and the fields it reads
+SCHEDULE_FIELDS = tuple(f.name for f in fields(SgdrConfig))
 SETTINGS_COMMANDS = {
-    "lr-schedule": ([], (SgdrConfig,)),
-    "select-checkpoints": (["--trace", "t.csv", "--out", "m.csv"], (SgdrConfig, SelectionPolicy)),
-    "toy-train": (["--outdir", "out"], (SgdrConfig, SelectionPolicy)),
+    "lr-schedule": ([], SCHEDULE_FIELDS),
+    "select-checkpoints": (["--trace", "t.csv", "--out", "m.csv"], (
+        "t0", "eta", "total_epochs", "per_cycle", "window_fraction", "min_peak_ratio")),
+    "toy-train": (["--outdir", "out"], (*SCHEDULE_FIELDS, "per_cycle", "window_fraction")),
 }
 # the documented flag of each settings field
 SETTINGS_FLAGS = {
@@ -1116,10 +1173,15 @@ SETTINGS_FLAGS = {
     "total_epochs": "--epochs", "per_cycle": "--per-cycle",
     "window_fraction": "--window-fraction", "min_peak_ratio": "--min-peak-ratio",
 }
+# each field a command never reads, with a value that would be valid: (command, flag, value)
+UNREAD_FLAGS = [
+    ("select-checkpoints", "--lr-max", "0.2"), ("select-checkpoints", "--lr-min", "0.0001"),
+    ("toy-train", "--min-peak-ratio", "0.5"),
+]
 
 
 class TestSettingsFlags:
-    """The schedule and policy flags are derived from the dataclass fields."""
+    """A command's schedule and policy flags are the dataclass fields it reads."""
 
     def test_every_field_has_its_flag(self):
         names = [f.name for cls in (SgdrConfig, SelectionPolicy) for f in fields(cls)]
@@ -1127,22 +1189,50 @@ class TestSettingsFlags:
 
     @pytest.mark.parametrize("command", sorted(SETTINGS_COMMANDS))
     def test_defaults_are_the_dataclass_defaults(self, command):
-        required, settings = SETTINGS_COMMANDS[command]
+        required, reads = SETTINGS_COMMANDS[command]
         args = build_parser().parse_args([command, *required])
-        for f in [f for cls in settings for f in fields(cls)]:
-            value = getattr(args, f.name)
-            assert type(value) is type(f.default) and value == f.default, f.name
+        for f in [f for cls in (SgdrConfig, SelectionPolicy) for f in fields(cls)]:
+            if f.name in reads:
+                value = getattr(args, f.name)
+                assert type(value) is type(f.default) and value == f.default, f.name
+            else:  # no flag: ``settings_of`` takes the default
+                assert not hasattr(args, f.name), f.name
+        assert settings_of(SgdrConfig, args) == SgdrConfig()
+        assert settings_of(SelectionPolicy, args) == SelectionPolicy()
 
     @pytest.mark.parametrize("command", sorted(SETTINGS_COMMANDS))
     def test_each_flag_sets_its_field(self, command):
-        required, settings = SETTINGS_COMMANDS[command]
-        for cls in settings:
-            for f in fields(cls):
+        required, reads = SETTINGS_COMMANDS[command]
+        for cls in (SgdrConfig, SelectionPolicy):
+            for f in [f for f in fields(cls) if f.name in reads]:
                 value = f.default + 1 if isinstance(f.default, int) else f.default / 2
                 argv = [command, *required, SETTINGS_FLAGS[f.name], str(value)]
                 args = build_parser().parse_args(argv)
                 assert type(getattr(args, f.name)) is type(f.default), f.name
                 assert settings_of(cls, args) == replace(cls(), **{f.name: value})
+
+    @pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+    def test_a_flag_of_a_field_the_command_never_reads_exits_2_and_creates_nothing(
+            self, command, flag, value, tmp_path, capsys):
+        """With inputs the command would otherwise run on, argparse refuses the flag."""
+        trace = tmp_path / "trace.csv"
+        trace.write_text("epoch,lr,val_metric,checkpoint_id\n" + "".join(
+            f"{e},0.1,0.{e},\n" for e in range(8)))
+        argv = {
+            "select-checkpoints": ["--trace", str(trace), "--t0", "4", "--eta", "1", "--epochs",
+                                   "8", "--out", str(tmp_path / "m.csv")],
+            "toy-train": ["--cases", "2", "--test-cases", "1", "--shape", "16x16", "--t0", "2",
+                          "--epochs", "4", "--outdir", str(tmp_path / "out")],
+        }[command]
+        assert main([command, *argv]) == 0  # the inputs are good ...
+        for made in set(tmp_path.iterdir()) - {trace}:
+            shutil.rmtree(made) if made.is_dir() else made.unlink()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:  # ... but the flag is not the command's
+            main([command, *argv, flag, value])
+        assert exit_.value.code == 2
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [trace]
 
 
 # every flag of every subcommand, in --help order, and every run config key:
@@ -1150,8 +1240,8 @@ class TestSettingsFlags:
 OPTION_SURFACE = {
     "lr-schedule": ("--t0", "--eta", "--lr-max", "--lr-min", "--epochs", "--out"),
     "select-checkpoints": (
-        "--trace", "--t0", "--eta", "--lr-max", "--lr-min", "--epochs", "--per-cycle",
-        "--window-fraction", "--min-peak-ratio", "--out",
+        "--trace", "--t0", "--eta", "--epochs", "--per-cycle", "--window-fraction",
+        "--min-peak-ratio", "--out",
     ),
     "fuse": ("--manifest", "--inputs", "--out"),
     "entropy": ("--in", "--out", "--pgm"),
@@ -1162,8 +1252,7 @@ OPTION_SURFACE = {
     "toy-gen": ("--seed", "--cases", "--shape", "--classes", "--noise", "--outdir"),
     "toy-train": (
         "--seed", "--cases", "--shape", "--classes", "--noise", "--test-cases", "--t0", "--eta",
-        "--lr-max", "--lr-min", "--epochs", "--per-cycle", "--window-fraction",
-        "--min-peak-ratio", "--outdir",
+        "--lr-max", "--lr-min", "--epochs", "--per-cycle", "--window-fraction", "--outdir",
     ),
     "run": ("--config",),
     "info": ("--json",),
@@ -1183,7 +1272,7 @@ def test_option_surface():
         for name, p in commands.items()
     }
     assert surface == OPTION_SURFACE
-    assert sum(map(len, surface.values())) == 60
+    assert sum(map(len, surface.values())) == 57
     assert tuple(f.name for f in fields(PipelineConfig)) == RUN_CONFIG_KEYS
     assert len(RUN_CONFIG_KEYS) == 16
 
@@ -1243,8 +1332,7 @@ class TestCli:
         (out / "entropy").mkdir()
         argv = [
             "select-checkpoints", "--trace", str(small_run / "trace.csv"),
-            "--t0", "10", "--eta", "2", "--lr-max", "0.2", "--lr-min", "0.0001",
-            "--epochs", "20", "--out", str(out / "manifest.csv"),
+            "--t0", "10", "--eta", "2", "--epochs", "20", "--out", str(out / "manifest.csv"),
         ]
         assert main(argv) == 0
         run_pipeline(small_config(small_run, outdir="h1"))
@@ -1760,8 +1848,8 @@ class TestInputChecks:
          "t0 must be >= 1, got 0"),
         (["select-checkpoints", "--trace", "missing.csv", "--per-cycle", "0", "--out", "m.csv"],
          "per_cycle must be >= 1, got 0"),
-        (["select-checkpoints", "--trace", "missing.csv", "--lr-min", "1", "--lr-max", "0.5",
-          "--out", "m.csv"], "need 0 <= lr_min <= lr_max, got lr_min=1.0 lr_max=0.5"),
+        (["select-checkpoints", "--trace", "missing.csv", "--min-peak-ratio", "0", "--out",
+          "m.csv"], "min_peak_ratio must be in (0, 1], got 0.0"),
     ])
     def test_every_command_checks_its_flags_before_reading_any_file(
             self, argv, message, tmp_path, capsys):

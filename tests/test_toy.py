@@ -379,7 +379,8 @@ class TestTrainerOracle:
 
 
 class TestTrainInputs:
-    """train() rejects inconsistent cases by name, before any epoch."""
+    """A case with bad labels fails by name when it is made; train() rejects a case of
+    another class count by name, before any epoch."""
 
     def test_validation_case_with_other_class_count(self):
         cases = small_dataset()
@@ -391,21 +392,18 @@ class TestTrainInputs:
         cases = small_dataset()
         labels = cases[2].labels.copy()
         labels[0, 0] = 3
-        bad = replace(cases[2], labels=labels)
         with pytest.raises(ValidationError, match=r"case0002.*\[0, 3\)"):
-            train([*cases[:2], bad, *cases[3:6]], cases[6:], SMALL_CFG)
+            replace(cases[2], labels=labels)
 
     def test_float_labels_rejected(self):
         cases = small_dataset()
-        bad = replace(cases[3], labels=cases[3].labels.astype(np.float32))
         with pytest.raises(ValidationError, match="case0003: labels must be integer-typed, got float32"):
-            train([*cases[:3], bad, *cases[4:6]], cases[6:], SMALL_CFG)
+            replace(cases[3], labels=cases[3].labels.astype(np.float32))
 
     def test_labels_shape_must_match_image(self):
         cases = small_dataset()
-        bad = replace(cases[7], labels=cases[7].labels[:-1])
         with pytest.raises(ValidationError, match="case0007.*shape"):
-            train(cases[:6], [cases[6], bad], SMALL_CFG)
+            replace(cases[7], labels=cases[7].labels[:-1])
 
     def test_mixed_image_shapes_train(self):
         cases = small_dataset()

@@ -370,6 +370,30 @@ class TestTotalEntropy:
         assert uncertainty_score(p, 2).h_total == in_order
 
 
+    @pytest.mark.parametrize("contour", [False, True])
+    def test_each_region_takes_only_the_entropy_it_sums(self, contour, monkeypatch):
+        """The image total takes each block's entropy once; the contour total only its ring
+        pixels', in ``class_scores``, and no image total. Either is, bit for bit, its
+        region's block sums added in block order."""
+        e = np.random.default_rng(36).random((3, 2, 20, 30))
+        p = e / e.sum(axis=0)
+        monkeypatch.setattr(uqseg.arrays, "BLOCK_PIXELS", 150)
+        blocks = pixel_blocks(p[0].size)
+        assert len(blocks) == 8
+        h = pixel_entropy(p.reshape(3, -1))
+        ring = np.stack([contour_normalizer(s) for s in p[1] > 0.5]).reshape(-1)  # per slice
+        assert ring.any()
+        region = ring if contour else np.ones_like(ring)
+        expected = 0.0
+        for sl in blocks:
+            expected += float(h[sl][region[sl]].sum())
+        sizes = []
+        monkeypatch.setattr(uqseg.uncertainty, "pixel_entropy",
+                            lambda rows: sizes.append(rows.shape[1]) or pixel_entropy(rows))
+        assert uncertainty_score(p, 1, restrict_to_contour=contour).h_total == expected
+        assert sizes == [int(np.count_nonzero(region[sl])) for sl in blocks]
+
+
 class TestUncertaintyScore:
     def _disk_posterior(self, side=16, radius=4):
         """2-class scene: certain disk, certain background, ambiguous rim."""
