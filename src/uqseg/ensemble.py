@@ -15,13 +15,13 @@ def ensemble_mean(members, names=None) -> np.ndarray:
 
     ``members`` is any iterable of probability arrays of one shape, such as
     the generator with which ``pipeline.fuse_blocks`` reads two or more files.
-    Each member is validated here, once, in its own dtype. The
-    members are added in order into a float64 running sum that is then
-    divided by n: bit for bit the float64 mean of the stacked members,
-    without building the stack. Each member is dropped before the next is
-    drawn, so one member and the sum are held at once. ``names`` label the
-    members in error messages (default: their index); when given, there must
-    be one per member.
+    The members are added in order into a float64 running sum, which starts
+    as 0.0 + the first member and is then divided by n: bit for bit the
+    float64 mean of the stacked members, without building the stack. Each is
+    validated here, once, in its own dtype, just after it is added, and
+    dropped before the next is drawn, so one member and the sum are held at
+    once. ``names`` label the members in error messages (default: their
+    index); when given, there must be one per member.
     """
     total, n = None, 0
     for m in members:
@@ -29,13 +29,11 @@ def ensemble_mean(members, names=None) -> np.ndarray:
             raise ValidationError(f"more members than the {len(names)} names given")
         name = f"member {n}" if names is None else names[n]
         m = np.asarray(m)
-        if total is None:
-            # numpy's sum starts from +0.0 too, which turns a -0.0 into 0.0
-            total = np.zeros(m.shape, dtype=np.float64)
-        elif m.shape != total.shape:
+        if total is not None and m.shape != total.shape:
             raise ValidationError(f"{name} has shape {m.shape}, expected {total.shape}")
+        # 0.0 + m first, as numpy's sum turns -0.0 into 0.0; added before the check (run's RSS)
+        total = np.add(m, 0.0, dtype=np.float64) if total is None else np.add(total, m, out=total)
         validate_probabilities(m, name=name)
-        total += m
         n += 1
         del m  # before the next member is drawn
     if total is None:

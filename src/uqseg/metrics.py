@@ -18,7 +18,7 @@ from .errors import ValidationError
 
 # ECE bin count of ``ece``, the accumulator, ``uqseg ece`` and ``uqseg run``
 DEFAULT_ECE_BINS = 10
-# upper bound of the bin count: the edges and ece.csv grow with it
+# upper bound of the bin count: ece.csv and the per-bin sums grow with it
 MAX_ECE_BINS = 10_000
 
 
@@ -64,14 +64,12 @@ class CalibrationReport:
 
 
 class CalibrationAccumulator:
-    """Pooled confidence/correctness histogram over (0, 1]."""
+    """Pooled confidence/correctness histogram: bin b of n holds the x in (b/n, (b + 1)/n]."""
 
     def __init__(self, n_bins: int = DEFAULT_ECE_BINS):
         if not 1 <= n_bins <= MAX_ECE_BINS:
             raise ValidationError(f"n_bins must be in [1, {MAX_ECE_BINS}], got {n_bins}")
         self.n_bins = n_bins
-        # interior edges k/n; searchsorted(side="left") sends x == edge to the lower bin
-        self._edges = np.array([k / n_bins for k in range(1, n_bins)])
         self.counts = np.zeros(n_bins, dtype=np.int64)
         self.confidence_sums = np.zeros(n_bins, dtype=np.float64)
         self.correct_counts = np.zeros(n_bins, dtype=np.int64)
@@ -83,14 +81,20 @@ class CalibrationAccumulator:
         keep = truth > 0 if foreground_only else slice(None)
         confidence = rows.max(axis=0)[keep].astype(np.float64)
         correct = (pred == truth)[keep]
-        # the narrowest index type lets the stable argsort use radix sort
-        idx = np.searchsorted(self._edges, confidence, side="left").astype(
-            np.min_scalar_type(self.n_bins - 1)
-        )
-        counts = np.bincount(idx, minlength=self.n_bins)
+        # x (n - 1/2), truncated, is x's bin b or b - 1 (it lies in (b - 1/2, b + 1) up to one
+        # rounding each of it and of k/n), so x > (g + 1)/n in float64 settles the guess g, and
+        # x == k/n goes to the lower bin. One scratch holds the guess, the edges and the sorted
+        # confidences (fresh temporaries raise run's RSS); a narrow idx lets argsort radix-sort
+        scratch = np.multiply(confidence, self.n_bins - 0.5)
+        idx = scratch.astype(np.min_scalar_type(2 * self.n_bins - 1))
+        idx += confidence > np.divide(np.add(idx, 1.0, out=scratch, dtype=float), self.n_bins,
+                                      out=scratch)
+        ordered = np.take(confidence, np.argsort(idx, kind="stable"), out=scratch, mode="clip")
+        # one bincount of 2 b + correct counts both, where a masked copy and a second one cost 2x
+        both = np.bincount(2 * idx + correct, minlength=2 * self.n_bins).reshape(-1, 2)
+        counts = both.sum(axis=1)
         self.counts += counts
-        self.correct_counts += np.bincount(idx[correct], minlength=self.n_bins)
-        ordered = confidence[np.argsort(idx, kind="stable")]
+        self.correct_counts += both[:, 1]
         stops = np.cumsum(counts)
         for b in np.flatnonzero(counts):
             self.confidence_sums[b] += float(np.sum(ordered[stops[b] - counts[b] : stops[b]]))
@@ -143,15 +147,10 @@ def uncertainty_dice_table(cases) -> UncertaintyDiceTable:
     rows = [(float(getattr(s, "score", s)), float(getattr(d, "dice", d))) for s, d in cases]
     if len(rows) < 3:
         return UncertaintyDiceTable(None, "fewer than 3 cases; correlation omitted")
-    scores, dices = np.array(rows).T
-    if (
-        np.isnan(scores).any()
-        or np.isnan(dices).any()
-        or np.all(scores == scores[0])
-        or np.all(dices == dices[0])
-    ):
+    table = np.array(rows)  # a column of scores and one of Dice values
+    if np.isnan(table).any() or (table == table[0]).all(axis=0).any():
         return UncertaintyDiceTable(None, "constant ranks; correlation undefined")
-    rho = float(np.corrcoef(_average_ranks(scores), _average_ranks(dices))[1, 0])
+    rho = float(np.corrcoef(*map(_average_ranks, table.T))[1, 0])
     return UncertaintyDiceTable(rho, None)
 
 

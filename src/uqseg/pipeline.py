@@ -343,7 +343,7 @@ def _run_case(cfg, ids, pred_root, cases_root, case_id, out, acc):
             pred, truth = argmax_labels(rows), gt.reshape(-1)[pixels]
             acc.add(rows, truth, pred, foreground_only=cfg.ece_foreground_only)
             counts += [dice_counts(pred, truth, k) for k in classes]
-            del rows  # before the next block is fused
+            del rows, h  # before the next block is fused
         with _stage("score", case_id):  # one more pass, over the mean just written
             scores = class_scores(first.shape[1:], classes, h_case, mean.rows,
                                   cfg.entropy_region == "contour")

@@ -155,16 +155,14 @@ def find_cycle_peaks(
             f"trace must span at least one full cycle (need epoch {cycles[0].cycle_end - 1})"
         )
 
-    global_best = max(r.val_metric for r in trace.records)
+    floor = policy.min_peak_ratio * max(r.val_metric for r in trace.records)
     epochs = [r.epoch for r in trace.records]  # strictly increasing
     entries = []
     for cyc in cycles:
         window = policy.window(cyc)
         windowed = trace.records[bisect_left(epochs, window.start):
                                  bisect_left(epochs, window.stop)]
-        if not windowed:
-            continue
-        if max(r.val_metric for r in windowed) < policy.min_peak_ratio * global_best:
+        if not windowed or max(r.val_metric for r in windowed) < floor:
             continue
         ranked = sorted(windowed, key=lambda r: (-r.val_metric, -r.epoch))
         for r in ranked[: policy.per_cycle]:

@@ -360,6 +360,87 @@ def test_ece_without_pred_equals_the_former_int64_argmax():
         np.testing.assert_array_equal(report.counts, counts)
 
 
+def edge_confidences(n_bins, dtype):
+    """Each bin edge k/n in ``dtype``, one ``dtype`` ulp either side of it, 1.0 and tiny
+    values, all in [0, 1]."""
+    edges = np.array([k / n_bins for k in range(n_bins + 1)]).astype(dtype)
+    finfo = np.finfo(dtype)
+    tiny = np.array([0.0, finfo.smallest_subnormal, finfo.tiny, finfo.eps, 1.0], dtype=dtype)
+    x = np.concatenate([edges, np.nextafter(edges, dtype(-1)), np.nextafter(edges, dtype(2)), tiny])
+    return np.clip(x, 0, 1)
+
+
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 7, 10, 13, 255, 256, 257, 10_000])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("foreground", ["none", "some"])
+@pytest.mark.parametrize("foreground_only", [False, True])
+def test_confidences_on_and_next_to_the_edges_bin_as_searchsorted_did(
+        n_bins, dtype, foreground, foreground_only):
+    """The bins of any confidence in [0, 1], against ``former_add`` byte for byte: the rows'
+    class maximum is the confidence (its other row is 0), the labels and argmax are drawn."""
+    rng = np.random.default_rng(n_bins)
+    x = rng.permutation(edge_confidences(n_bins, dtype))
+    rows = np.stack([x, np.zeros_like(x)])
+    truth = rng.integers(0, 2, size=x.size).astype(np.uint8) * (foreground == "some")
+    pred = rng.integers(0, 2, size=x.size).astype(np.uint8)
+    acc = CalibrationAccumulator(n_bins)
+    acc.add(rows, truth, pred, foreground_only=foreground_only)
+    counts, sums, correct_counts = former_add(rows, truth, n_bins, pred, foreground_only)
+    assert acc.counts.tobytes() == counts.tobytes()
+    assert acc.correct_counts.tobytes() == correct_counts.tobytes()
+    assert acc.confidence_sums.tobytes() == sums.tobytes()
+    assert acc.counts.sum() == (np.count_nonzero(truth) if foreground_only else x.size)
+
+
+def _deviated_block(c, sign):
+    """A float32 (c, 64, 64) posterior whose first pixel sums to about 1 + sign * 1e-5."""
+    p = posterior(np.random.default_rng(c), c, (64, 64), np.float32)
+    p[:, 0, 0] *= np.float32(1.0 + sign * 1e-5)
+    return p
+
+
+def _former_worst(p):
+    sums = p.sum(axis=0, dtype=np.float64)
+    sums -= 1.0
+    return float(np.abs(sums, out=sums).max())
+
+
+@pytest.mark.parametrize("c", [2, 4, 7, 83, 84, 255])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3, "slack-1", "slack", "slack+1"])
+def test_float32_sums_accept_only_what_the_float64_sums_accept(c, sign, ulps):
+    """Tolerances a few steps of 2**-24 (a float32 ulp just below 1, half of one above)
+    from the float64 worst deviation, and from it plus the float32 slack c 2**-23: the
+    verdict and the message are the former ones."""
+    p = _deviated_block(c, sign)
+    worst = _former_worst(p)
+    if isinstance(ulps, str):
+        ulps = 2 * c + {"slack-1": -1, "slack": 0, "slack+1": 1}[ulps]
+    tolerance = worst + ulps * 2.0**-24
+    expected = former_validation_error(p, tolerance)
+    assert (expected is None) == (ulps >= 0)
+    with patch.object(uqseg.arrays, "SIMPLEX_TOLERANCE", tolerance):
+        if expected is None:
+            assert validate_probabilities(p) is p
+        else:
+            with pytest.raises(ValidationError) as err:
+                validate_probabilities(p)
+            assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("c, float32_decides", [(2, True), (4, True), (7, True),
+                                                 (84, False), (255, False)])
+def test_a_valid_float32_block_builds_no_float64_plane(c, float32_decides):
+    """A valid float32 block is accepted on its float32 class sums, one float32 plane,
+    while the tolerance leaves room for their rounding, c 2**-23; from c = 84 that
+    exceeds 1e-5 and the float64 sums run, as they do for a float64 block."""
+    p = posterior(np.random.default_rng(c), c, (256, 256), np.float32)
+    assert p[0].size == BLOCK_PIXELS
+    float64_plane = 8 * BLOCK_PIXELS
+    assert (_peak(validate_probabilities, p) < float64_plane) == float32_decides
+    assert _peak(validate_probabilities, p.astype(np.float64)) >= float64_plane
+
+
 def _peak(fn, *args, **kwargs):
     tracemalloc.start()
     try:
@@ -391,7 +472,7 @@ def test_scratch_is_block_sized(tmp_path):
             tracemalloc.stop()
 
     posterior_file = str(tmp_path / "p.uqsg")
-    # the rows of the block read and of the one before it, and its float64
+    # the rows of the block read and of the one before it, and its (float32)
     # class sums or its entropy and term; with ``--pgm``, the uint8 gray image
     # too; the whole float32 posterior alone (16 * n = 20 blocks) would exceed it
     entropy = ["entropy", "--in", posterior_file, "--out", str(tmp_path / "h.uqsg")]
@@ -411,8 +492,8 @@ def test_scratch_is_block_sized(tmp_path):
     calibration = ["ece", "--pred", posterior_file, "--gt", str(tmp_path / "gt.uqsg"),
                    "--out", str(tmp_path / "e.csv")]
     assert command_peak(*calibration) < n + 6 * block + slack
-    # the uint8 argmax and a few float64 blocks: the confidences, the intp
-    # bin indices, the stable-sort permutation and the sorted confidences;
+    # the uint8 argmax and a few float64 blocks: the confidences, their bins'
+    # upper edges, the stable-sort permutation and the sorted confidences;
     # a whole float64 plane (8 * n = 10 blocks) would exceed it
     assert _peak(ece, p, gt) < n + 5 * block + slack
 
@@ -473,7 +554,7 @@ RUN_SPATIAL, RUN_BLOCK = (8, 128, 256), 4096
 
 def test_run_peak_minus_labels_does_not_grow_with_the_case(tmp_path):
     """A 3D case of c = 4 and two members, three classes scored: ``run`` holds its uint8
-    labels whole and everything else block-sized (the fuse's float64 class sums, a window
+    labels whole and everything else block-sized (the fuse's class sums, a window
     of the scoring pass and a few more blocks), so its peak less the labels is alike on 8
     and on 32 slices. One whole bool class mask would add 8 blocks at 8 slices and 32 at 32."""
     block = 8 * RUN_BLOCK  # one float64 block

@@ -1589,6 +1589,29 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", probe], env=env)
         assert proc.returncode == 0
 
+    def test_toy_train_and_run_do_not_load_numpy_ma(self, tmp_path):
+        """numpy.ma adds ~1 MiB of peak RSS when first imported; ``run`` draws no
+        random numbers either. Each command runs in a fresh interpreter."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = tmp_path / "toy"
+        config = _write_run_config(out, tmp_path / "p.cfg", t0=2, eta=1, total_epochs=4,
+                                   outdir=tmp_path / "analysis")
+        commands = [
+            (["toy-train", "--cases", "2", "--test-cases", "1", "--shape", "16x16", "--t0", "2",
+              "--epochs", "4", "--outdir", str(out)], ["numpy.ma"]),
+            (["run", "--config", str(config)], ["numpy.ma", "numpy.random"]),
+        ]
+        for argv, absent in commands:
+            probe = (
+                "import sys; from uqseg.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                f"loaded = [m for m in {absent!r} if m in sys.modules]; assert not loaded, loaded"
+            )
+            proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+        assert (tmp_path / "analysis" / "summary.csv").is_file()
+
     @pytest.mark.parametrize(
         "argv",
         [
