@@ -21,8 +21,8 @@ from .ensemble import argmax_labels
 from .errors import UqsegError, ValidationError
 from .metrics import DEFAULT_ECE_BINS, CalibrationAccumulator, dice
 from .pipeline import (
-    FIELD_PARSERS, PipelineConfig, entropy_block, fuse_blocks, read_labels, run_pipeline,
-    select_checkpoints, settings_of, write_summary,
+    FIELD_PARSERS, PipelineConfig, entropy_block, fuse_blocks, publish, read_labels,
+    run_pipeline, select_checkpoints, settings_of, write_summary,
 )
 from .scheduler import SgdrConfig, schedule_rows
 from .selection import SelectionPolicy, read_selection
@@ -164,7 +164,8 @@ def cmd_toy_gen(args):
         args.seed, args.cases, shape=_parse_shape(args.shape), class_count=args.classes,
         noise_std=args.noise,
     )
-    write_cases(cases, args.outdir)
+    with publish(args.outdir) as out:
+        write_cases(cases, out)
 
 
 def cmd_toy_train(args):

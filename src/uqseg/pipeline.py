@@ -12,7 +12,8 @@ names known from the case id alone, so one helper thread creates them, empty,
 ahead of the case loop; its rows of the score, Dice and summary CSVs are written
 as it ends. Beyond its block-sized case a run keeps two floats per scored class,
 for the Spearman row. The tree is built in a sibling staging directory and
-renamed into ``outdir`` at the end, so ``outdir`` holds a whole run or nothing;
+renamed into ``outdir`` at the end (``publish``, through which ``toy-gen`` and
+``toy-train`` write theirs too), so ``outdir`` holds a whole run or nothing;
 a failure names the stage and the case. The steps that ``run`` shares with the
 stage commands of ``cli`` are public; ``fuse_blocks`` is the one reader of posterior
 files, for ``run`` and for ``uqseg fuse``, ``entropy``, ``score`` and ``ece``.
@@ -128,48 +129,50 @@ FIELD_PARSERS = {
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
-    """Run every stage into ``cfg.outdir`` and return the summary CSV's path.
-
-    ``outdir`` must be absent or empty, and must not lie inside
-    ``predictions_dir``, whose every directory is read as a case. The tree
-    is built in the sibling ``<outdir>.partial``, which must not exist, and
-    published by one ``os.replace``; on any failure it is removed and
-    ``outdir`` is left as it was (a stage failure raises StageError). Missing
-    parents of ``outdir`` are created; an empty ``outdir`` keeps its
-    permission bits, not its group or ACLs. A case holds its labels whole and
+    """Run every stage into ``cfg.outdir`` through ``publish`` and return the summary CSV's
+    path. ``outdir`` must not lie inside ``predictions_dir``, whose every directory is read
+    as a case; a stage failure raises StageError. A case holds its labels whole and
     everything else block-sized, its scoring pass included.
     """
-    out = check_outdir(cfg.outdir)
-    if out.is_relative_to(Path(cfg.predictions_dir).resolve()):
+    if Path(cfg.outdir).resolve().is_relative_to(Path(cfg.predictions_dir).resolve()):
         raise ValidationError(
             f"outdir {cfg.outdir} lies inside predictions_dir {cfg.predictions_dir}, "
             "whose every directory is read as a case"
         )
-    staging = out.with_name(f"{out.name}.partial")
-    try:  # one staging tree per outdir: a run never removes a tree it did not create
-        staging.mkdir(parents=True)
-    except FileExistsError:
-        raise ValidationError(f"staging tree {staging} exists: a run into {cfg.outdir} is "
-                              "under way or was killed; remove it to run again") from None
-    try:
+    with publish(cfg.outdir) as staging:
         _run(cfg, staging)
-        if out.is_dir():  # set last, so a read-only mode cannot stop the run
-            staging.chmod(stat.S_IMODE(out.stat().st_mode))
-        os.replace(staging, out)
-    except BaseException:  # never once published: the name may then be another run's
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
     return Path(cfg.outdir) / "summary.csv"
 
 
-def check_outdir(outdir):
-    """``outdir`` resolved; ValidationError unless it is absent or an empty directory."""
+@contextmanager
+def publish(outdir):
+    """Yield the empty staging directory of a tree that ``outdir`` then holds whole, or not.
+
+    ``outdir`` must be absent or an empty directory. The tree is built in the sibling
+    ``<outdir>.partial``, which must not exist, and published by one ``os.replace``; on
+    any failure, Ctrl-C included, it is removed and ``outdir`` is left as it was. Missing
+    parents of ``outdir`` are created; an empty ``outdir`` keeps its permission bits, not
+    its group or ACLs.
+    """
     out = Path(outdir).resolve()
     if out.is_dir() and any(out.iterdir()):
         raise ValidationError(f"outdir {outdir} is not empty; remove or rename it to run again")
     if out.exists() and not out.is_dir():
         raise ValidationError(f"outdir {outdir} exists and is not a directory")
-    return out
+    staging = out.with_name(f"{out.name}.partial")
+    try:  # one staging tree per outdir: a writer never removes a tree it did not create
+        staging.mkdir(parents=True)
+    except FileExistsError:
+        raise ValidationError(f"staging tree {staging} exists: a run into {outdir} is "
+                              "under way or was killed; remove it to run again") from None
+    try:
+        yield staging
+        if out.is_dir():  # set last, so a read-only mode cannot stop the writer
+            staging.chmod(stat.S_IMODE(out.stat().st_mode))
+        os.replace(staging, out)
+    except BaseException:  # never once published: the name may then be another writer's
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 @contextmanager
@@ -309,25 +312,30 @@ def _create_outputs(out, case_ids, stop):
         if stop.is_set():
             return
         try:  # no O_TRUNC: a file the loop wrote keeps its bytes; 0o666 is open()'s mode
-            for name in (f"mean/{case_id}.uqsg", f"entropy/{case_id}.uqsg",
-                         f"entropy/{case_id}.pgm"):
-                os.close(os.open(os.path.join(out, name), os.O_CREAT | os.O_WRONLY, 0o666))
+            for path in _case_files(out, case_id):
+                os.close(os.open(path, os.O_CREAT | os.O_WRONLY, 0o666))
         except OSError:  # the loop opens the same files and reports a failure with its case
             continue
 
 
+def _case_files(out, case_id):
+    """The mean, entropy and 8-bit map files that the case ``case_id`` writes under ``out``,
+    as strings: a ``pathlib`` join interns its parts."""
+    return (os.path.join(out, "mean", f"{case_id}.uqsg"),
+            os.path.join(out, "entropy", f"{case_id}.uqsg"),
+            os.path.join(out, "entropy", f"{case_id}.pgm"))
+
+
 def _run_case(cfg, ids, pred_root, cases_root, case_id, out, acc):
-    """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels. Its
-    file names are strings joined onto the three roots: a ``pathlib`` join interns its parts."""
+    """One pass over a case's pixel blocks: its scores, Dice, entropy total and pixels."""
+    mean_path, entropy_path, pgm_path = _case_files(out, case_id)
     with (
         _stage("fuse", case_id),  # and the block loop; the stages inside name theirs
         fuse_blocks([os.path.join(pred_root, case_id, f"{cid}.uqsg") for cid in ids]) as (
             first, blocks),
-        ArrayFile(os.path.join(out, "mean", f"{case_id}.uqsg"), first.shape, np.float32) as mean,
-        ArrayFile(os.path.join(out, "entropy", f"{case_id}.uqsg"), first.shape[1:],
-                  np.float32) as entropy,
-        ArrayFile(os.path.join(out, "entropy", f"{case_id}.pgm"), first.shape[1:], np.uint8,
-                  pgm=True) as pgm,
+        ArrayFile(mean_path, first.shape, np.float32) as mean,
+        ArrayFile(entropy_path, first.shape[1:], np.float32) as entropy,
+        ArrayFile(pgm_path, first.shape[1:], np.uint8, pgm=True) as pgm,
     ):
         with _stage("score", case_id):
             classes = check_classes(cfg.classes or range(1, first.shape[0]), first.shape[0])

@@ -32,7 +32,7 @@ from .arrayio import write_array
 from .ensemble import argmax_labels
 from .errors import NumericError, ValidationError
 from .metrics import dice
-from .pipeline import check_outdir
+from .pipeline import publish
 from .scheduler import SgdrConfig, _cycle_iter, schedule_rows
 from .selection import SelectionPolicy, TraceRecord, TrainingTrace
 
@@ -296,14 +296,11 @@ def _float32(array, what):
 
 
 def write_cases(cases, outdir):
-    """Write cases/<id>_image.uqsg (float32) and <id>_labels.uqsg under ``outdir``.
-
-    ``outdir`` is checked to be absent or empty before the first file is
-    written; every image fits float32 (``ToyCase`` checks it when made).
-    """
-    check_outdir(outdir)
+    """Write cases/<id>_image.uqsg (float32) and <id>_labels.uqsg under the existing
+    directory ``outdir``, a staging tree of ``publish``; every image fits float32
+    (``ToyCase`` checks it when made)."""
     cases_dir = Path(outdir) / "cases"
-    cases_dir.mkdir(parents=True, exist_ok=True)
+    cases_dir.mkdir()
     for case in cases:
         write_array(cases_dir / f"{case.case_id}_image.uqsg", case.image.astype(np.float32))
         write_array(cases_dir / f"{case.case_id}_labels.uqsg", case.labels)
@@ -313,38 +310,30 @@ def run_toy_training(outdir, *, seed: int, n_train: int, n_test: int, shape=(64,
                      class_count: int = 3, cfg: SgdrConfig, policy=None, noise_std: float = 0.1):
     """Generate data, train, and write every artifact the pipeline consumes.
 
-    ``outdir`` must be absent or empty (checked before training). Layout
-    under it: cases/<id>_image.uqsg and <id>_labels.uqsg for all cases,
-    trace.csv, checkpoints/<cid>.uqsg (model weights), and
-    predictions/<case>/<cid>.uqsg posteriors for each test case and saved
-    checkpoint. Test cases are the last ``n_test`` and double as the
-    validation split for the trace. An image past float32 fails as its scene
-    is made; nothing is written before training has finished and every
-    weight array is known to fit float32.
+    The scenes are drawn, and checked, first; then training and every write run inside
+    ``publish(outdir)``, so ``outdir`` gets the whole tree or is left as it was (a weight
+    past float32 raises NumericError). Layout under it: cases/<id>_image.uqsg and
+    <id>_labels.uqsg for all cases, trace.csv, checkpoints/<cid>.uqsg (model weights),
+    and predictions/<case>/<cid>.uqsg posteriors for each test case and saved
+    checkpoint. Test cases are the last ``n_test`` and double as the validation split
+    for the trace.
     """
-    out = Path(outdir)
     cases = generate_dataset(
         seed, n_train + n_test, shape=shape, class_count=class_count, noise_std=noise_std
     )
     train_cases, test_cases = cases[:n_train], cases[n_train:]
-    check_outdir(outdir)
-
-    trace, checkpoints = train(train_cases, test_cases, cfg, policy, seed=seed)
-    stored = {cid: _float32(w, f"checkpoint {cid} weights") for cid, w in checkpoints.items()}
-    write_cases(cases, out)
-    trace.to_csv(out / "trace.csv")
-
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    for cid, weights in stored.items():
-        write_array(ckpt_dir / f"{cid}.uqsg", weights)
-
-    pred_dir = out / "predictions"
-    for case in test_cases:
-        case_dir = pred_dir / case.case_id
-        case_dir.mkdir(parents=True, exist_ok=True)
+    with publish(outdir) as out:
+        trace, checkpoints = train(train_cases, test_cases, cfg, policy, seed=seed)
+        write_cases(cases, out)
+        trace.to_csv(out / "trace.csv")
+        (out / "checkpoints").mkdir()
         for cid, weights in checkpoints.items():
-            probs = posterior(weights, case.features, case.image.shape)
-            write_array(case_dir / f"{cid}.uqsg", probs.astype(np.float32))
+            write_array(out / "checkpoints" / f"{cid}.uqsg",
+                        _float32(weights, f"checkpoint {cid} weights"))
+        for case in test_cases:
+            case_dir = out / "predictions" / case.case_id
+            case_dir.mkdir(parents=True)
+            for cid, weights in checkpoints.items():
+                probs = posterior(weights, case.features, case.image.shape)
+                write_array(case_dir / f"{cid}.uqsg", probs.astype(np.float32))
     return trace, checkpoints, cases
-

@@ -192,6 +192,10 @@ def test_any_argv_keeps_exit_contract(inputs, data):
                 code = main(argv)
             except SystemExit as exc:  # argparse: usage errors exit 2, --help 0
                 code = exc.code
+        # passing or failing, a toy command leaves no staging tree next to its outdir
+        outdirs = [Path(argv[k + 1]).resolve() for k, token in enumerate(argv[:-1])
+                   if command.startswith("toy-") and token == "--outdir"]
+        assert [p for o in outdirs for p in o.parent.glob(f"{o.name}.partial*")] == [], argv
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
 

@@ -497,6 +497,120 @@ class TestOutdir:
         assert (sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)) == before
 
 
+def test_outdir_inside_predictions_dir_is_refused_before_it_is_checked(small_run, tmp_path, capsys):
+    # "not empty; remove or rename it" would point at a case directory
+    shutil.copytree(small_run / "predictions", tmp_path / "preds")
+    outdir = tmp_path / "preds" / "case0004"
+    config = _write_run_config(small_run, tmp_path / "p.cfg", predictions_dir=tmp_path / "preds",
+                               outdir=outdir)
+    before = tree_bytes(tmp_path / "preds")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: outdir {outdir} lies inside predictions_dir {tmp_path / 'preds'}, "
+        "whose every directory is read as a case\n"
+    )
+    assert tree_bytes(tmp_path / "preds") == before and staged(outdir) == []
+
+
+TOY_ARGV = {
+    "toy-gen": ["toy-gen", "--cases", "3", "--shape", "16x16"],
+    "toy-train": ["toy-train", "--cases", "2", "--test-cases", "1", "--shape", "16x16",
+                  "--t0", "2", "--epochs", "4"],
+}
+
+
+class TestToyOutdir:
+    """``toy-gen`` and ``toy-train`` publish their trees as ``run`` does: whole, or not."""
+
+    @staticmethod
+    def argv(command, out):
+        return [*TOY_ARGV[command], "--outdir", str(out)]
+
+    @staticmethod
+    def make(out, empty):
+        if empty:
+            out.mkdir()
+        return sorted(out.parent.rglob("*"))
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["absent", "empty"])
+    @pytest.mark.parametrize("command", sorted(TOY_ARGV))
+    def test_a_failed_write_leaves_outdir_as_it_was(self, command, empty, tmp_path, capsys,
+                                                    monkeypatch):
+        import uqseg.toy
+
+        out, written = tmp_path / "out", []
+        before = self.make(out, empty)
+
+        def fail_fifth(path, arr):
+            written.append(path)
+            if len(written) == 5:
+                raise OSError(28, "No space left on device", str(path))
+            return write_array(path, arr)
+
+        monkeypatch.setattr(uqseg.toy, "write_array", fail_fifth)
+        assert main(self.argv(command, out)) == 3
+        assert capsys.readouterr().err == (
+            f"error: [Errno 28] No space left on device: '{written[-1]}'\n")
+        assert len(written) == 5
+        assert sorted(tmp_path.rglob("*")) == before and staged(out) == []
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["absent", "empty"])
+    @pytest.mark.parametrize("where", ["train", "write_array"])
+    def test_interrupt_leaves_outdir_as_it_was(self, where, empty, tmp_path, monkeypatch):
+        # in training, or at the fifth file of the write phase
+        import uqseg.toy
+
+        written = []
+
+        def interrupt(*args, **kwargs):
+            written.append(args)
+            if where == "train" or len(written) == 5:
+                raise KeyboardInterrupt
+            return write_array(*args)
+
+        out = tmp_path / "out"
+        before = self.make(out, empty)
+        monkeypatch.setattr(uqseg.toy, where, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.argv("toy-train", out))
+        assert sorted(tmp_path.rglob("*")) == before and staged(out) == []
+
+    @pytest.mark.parametrize("command", sorted(TOY_ARGV))
+    def test_leftover_staging_tree_is_refused_before_training_and_kept(self, command, tmp_path,
+                                                                       capsys, monkeypatch):
+        import uqseg.toy
+
+        def untrained(*args, **kwargs):
+            raise AssertionError("trained although the staging tree exists")
+
+        leftover = tmp_path / "out.partial"
+        (leftover / "cases").mkdir(parents=True)
+        (leftover / "trace.csv").write_text("epoch\n")
+        before = sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)
+        monkeypatch.setattr(uqseg.toy, "train", untrained)
+        assert main(self.argv(command, tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"error: staging tree {leftover.resolve()} exists: a run into {tmp_path / 'out'} "
+            "is under way or was killed; remove it to run again\n"
+        )
+        assert (sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)) == before
+
+    @pytest.mark.parametrize("command", sorted(TOY_ARGV))
+    def test_empty_outdir_keeps_its_permission_bits(self, command, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        os.chmod(out, 0o2770)
+        assert main(self.argv(command, out)) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o2770
+        assert (out / "cases" / "case0000_labels.uqsg").is_file() and staged(out) == []
+
+    @pytest.mark.parametrize("command", sorted(TOY_ARGV))
+    def test_missing_parents_are_created(self, command, tmp_path):
+        out = tmp_path / "a" / "b" / "out"
+        assert main(self.argv(command, out)) == 0
+        assert sorted(out.parent.iterdir()) == [out]
+
+
 def _write_members(directory, ids, shape, rng, empty_last=False):
     """Random members; with ``empty_last`` the last class has probability 0 at every pixel."""
     for cid in ids:
@@ -1644,7 +1758,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "weights has values that are not finite in float32" in err
         assert "Traceback" not in err
-        assert not out.exists()
+        assert not out.exists() and staged(out) == []  # the weights fail inside the staging tree
 
     def test_toy_gen_image_past_float32_exits_numeric(self, tmp_path, capsys):
         out = tmp_path / "g"
